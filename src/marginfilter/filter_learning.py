@@ -20,7 +20,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .signals import FilterBank, apply_filter, as_labels, as_signal, make_average_filter
+from .signals import (
+    FilterBank,
+    apply_filter,
+    as_labels,
+    as_signal,
+    make_average_filter,
+    shift_signal,
+)
 from .svm import (
     KernelParams,
     MulticlassModel,
@@ -184,21 +191,6 @@ def filter_objective(F, X, y, cfg: LearnerConfig, *, warm_alpha=None):
     return model.objective + regularizer_value(bank.coeffs, cfg.reg), model
 
 
-def _shifted_rows(X: np.ndarray, u: int, n0: int) -> np.ndarray:
-    """Rows of X delayed by (u - n0) samples with zero fill: the data each
-    filter tap u multiplies."""
-    n = X.shape[0]
-    k = u - n0
-    out = np.zeros_like(X)
-    if k == 0:
-        out[:] = X
-    elif k > 0:
-        out[k:] = X[: n - k]
-    elif -k < n:
-        out[: n + k] = X[-k:]
-    return out
-
-
 def _inner_gradient(F: np.ndarray, X: np.ndarray, rows: np.ndarray,
                     y_pm: np.ndarray, alpha: np.ndarray,
                     cfg: LearnerConfig) -> np.ndarray:
@@ -227,7 +219,7 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, rows: np.ndarray,
     T = Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s
     scale = 1.0 / cfg.kernel.sigma_k**2
     for u in range(f):
-        Su = _shifted_rows(X, u, cfg.n0)
+        Su = shift_signal(X, u - cfg.n0)
         grad[u] = scale * np.einsum("ij,ij->j", T, Su[r])
     return grad
 
@@ -350,8 +342,7 @@ def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
                 break
             t *= cfg.backtrack
         if not accepted:
-            converged = True  # no descent at line-search resolution
-            break
+            break  # no descent at line-search resolution: not converged
 
         _commit_all(problems)  # promote the accepted trial's solutions
         F_new = F + t * D

@@ -221,9 +221,10 @@ def grid_search(train, validation, grid: GridSpec, *,
                 keep_pipeline: bool = False) -> GridSearchResult:
     """Exhaustive validation search over the grid.
 
-    ``train`` and ``validation`` are (X, y) pairs.  Cells whose training
-    fails are recorded and skipped; if every cell fails an error is
-    raised.
+    ``train`` and ``validation`` are (X, y) pairs.  Cells that fail with a
+    numerical error (ValueError, including LinAlgError, or
+    ArithmeticError) are recorded and skipped; if every cell fails an
+    error is raised.  Any other exception propagates.
     """
     Xtr, ytr = train
     Xval, yval = validation
@@ -236,7 +237,7 @@ def grid_search(train, validation, grid: GridSpec, *,
             if grid.decode == "viterbi":
                 calibrate_pipeline(pipe, Xval, yval)
             err = error_rate(pipe.predict(Xval, decode=grid.decode), yval)
-        except Exception as exc:  # noqa: BLE001 - cell failures are data
+        except (ValueError, ArithmeticError) as exc:  # numerical failures are data
             failures.append((cell, f"{type(exc).__name__}: {exc}"))
             continue
         table.append((idx, cell, err))
@@ -420,7 +421,7 @@ def _sweep_task(args):
             params, seed, method, grid,
             n_train=sizes[0], n_val=sizes[1], n_test=sizes[2],
             learner_kwargs=learner_kwargs)
-    except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+    except (ValueError, ArithmeticError) as exc:  # recorded, not fatal
         return (value, method, seed), None, f"{type(exc).__name__}: {exc}"
     return (value, method, seed), res, None
 
@@ -451,11 +452,13 @@ class SweepResult:
 
 
 def max_workers_from_env() -> int:
-    """Parallelism cap from MARGIN_FILTER_THREADS (default 1)."""
+    """Parallelism cap from MARGIN_FILTER_THREADS (default 1), at most the
+    number of CPUs."""
     try:
-        return max(1, int(os.environ.get("MARGIN_FILTER_THREADS", "1")))
+        requested = int(os.environ.get("MARGIN_FILTER_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,

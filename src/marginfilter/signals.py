@@ -134,7 +134,8 @@ def apply_filter(X, bank: FilterBank) -> np.ndarray:
 
 
 def shift_signal(x: np.ndarray, k: int) -> np.ndarray:
-    """Shift a 1-D array by k samples (positive = delay), zero-filling edges."""
+    """Shift an array by k samples along axis 0 (positive = delay),
+    zero-filling edges; |k| >= len(x) gives all zeros."""
     out = np.zeros_like(x)
     if k == 0:
         out[:] = x

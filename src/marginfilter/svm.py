@@ -38,7 +38,9 @@ def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"channel mismatch: {A.shape[1]} vs {B.shape[1]}")
     sq = cdist(A, B, metric="sqeuclidean")
-    return np.exp(-sq / (2.0 * params.sigma_k**2))
+    # in place: (-a) / b == a / (-b) exactly, so no m x p temporaries
+    sq /= -(2.0 * params.sigma_k**2)
+    return np.exp(sq, out=sq)
 
 
 @dataclass
@@ -117,49 +119,80 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
 
     diag = np.diag(K).copy()
     pos = y > 0
+    y_list = y.tolist()
     eps_b = 1e-12 * box
+    hi = box - eps_b
+    # y_up / y_low hold y_t where t may take the i / j side of a step and
+    # -inf / +inf where it may not, so y_up - u is v = y - u masked with
+    # -inf (u is finite).  Only alpha_i and alpha_j change per step, so
+    # only those two entries are refreshed after it.
+    y_up = np.where(np.where(pos, alpha < hi, alpha > eps_b), y, -np.inf)
+    y_low = np.where(np.where(pos, alpha > eps_b, alpha < hi), y, np.inf)
+    v_up = np.empty(n)
+    v_low = np.empty(n)
+    quad = np.empty(n)
+    two_k = np.empty(n)
+    b_gain = np.empty(n)
+    gain = np.empty(n)
+    no_gain = np.empty(n, dtype=bool)
 
     it = 0
     converged = False
     m_val = M_val = 0.0
     while it < max_iter:
-        # v_t = -y_t * grad_t; b estimates for free points
-        v = y - u
-        up = np.where(pos, alpha < box - eps_b, alpha > eps_b)
-        low = np.where(pos, alpha > eps_b, alpha < box - eps_b)
-        v_up = np.where(up, v, -np.inf)
-        v_low = np.where(low, v, np.inf)
-        i = int(np.argmax(v_up))
-        m_val = v_up[i]
-        M_val = float(np.min(v_low))
+        # v_t = -y_t * grad_t = y_t - u_t; b estimates for free points
+        np.subtract(y_up, u, out=v_up)
+        np.subtract(y_low, u, out=v_low)
+        i = int(v_up.argmax())
+        m_val = float(v_up[i])
+        M_val = float(v_low[v_low.argmin()])
         if m_val - M_val <= tol:
             converged = True
             break
 
-        # second-order choice of j: largest estimated objective gain
-        quad = diag[i] + diag - 2.0 * K[i]
+        # second-order choice of j: largest gain b_gain^2 / quad, with
+        # quad = diag[i] + diag - 2 K[i] and b_gain = v_i - v_j, over the
+        # rows with b_gain > 0 (all in low, as v_low is +inf outside it)
+        K_i = K[i]
+        np.add(diag, diag[i], out=quad)
+        np.multiply(K_i, 2.0, out=two_k)
+        np.subtract(quad, two_k, out=quad)
         np.maximum(quad, 1e-12, out=quad)
-        b_gain = m_val - v
-        eligible = low & (b_gain > 0)
-        if not np.any(eligible):
+        np.subtract(m_val, v_low, out=b_gain)
+        np.less_equal(b_gain, 0.0, out=no_gain)
+        np.multiply(b_gain, b_gain, out=gain)
+        np.divide(gain, quad, out=gain)
+        np.putmask(gain, no_gain, -np.inf)
+        j = int(gain.argmax())
+        if gain[j] == -np.inf:
             break
-        gain = np.where(eligible, (b_gain * b_gain) / quad, -np.inf)
-        j = int(np.argmax(gain))
 
-        # two-variable update along alpha_i += y_i t, alpha_j -= y_j t
-        t = (v[i] - v[j]) / quad[j]
-        t_max = (box - alpha[i] if y[i] > 0 else alpha[i])
-        t_max = min(t_max, alpha[j] if y[j] > 0 else box - alpha[j])
+        # two-variable update along alpha_i += y_i t, alpha_j -= y_j t;
+        # b_gain[j] is v_i - v_j.  Python floats round as float64 does.
+        y_i, y_j = y_list[i], y_list[j]
+        a_i, a_j = float(alpha[i]), float(alpha[j])
+        t = float(b_gain[j]) / float(quad[j])
+        t_max = (box - a_i if y_i > 0 else a_i)
+        t_max = min(t_max, a_j if y_j > 0 else box - a_j)
         t = min(t, t_max)
         if t <= 0:
             # numerically stuck below the boundary guard; stop with the
             # best iterate rather than spin
             break
-        da_i = y[i] * t
-        da_j = -y[j] * t
-        alpha[i] += da_i
-        alpha[j] += da_j
-        u += K[i] * (da_i * y[i]) + K[j] * (da_j * y[j])
+        da_i = y_i * t
+        da_j = -y_j * t
+        a_i += da_i
+        a_j += da_j
+        alpha[i] = a_i
+        alpha[j] = a_j
+        u += K_i * (da_i * y_i) + K[j] * (da_j * y_j)
+        for k, a_k, y_k in ((i, a_i, y_i), (j, a_j, y_j)):
+            if y_k > 0:
+                up, low = a_k < hi, a_k > eps_b
+            else:
+                up, low = a_k > eps_b, a_k < hi
+            y_up[k] = y_k if up else -np.inf
+            y_low[k] = y_k if low else np.inf
         it += 1
 
     # dual value: sum(alpha) - 0.5 * (alpha*y)' K (alpha*y)
@@ -393,14 +426,10 @@ def oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
         margins[wins_a, a] += np.abs(s[wins_a])
         margins[~wins_a, b] += np.abs(s[~wins_a])
 
-    out = np.empty(m, dtype=mc.classes.dtype)
-    best = votes.max(axis=1)
-    for i in range(m):
-        tied = np.flatnonzero(votes[i] == best[i])
-        if len(tied) > 1:
-            tied = tied[margins[i, tied] == margins[i, tied].max()]
-        out[i] = mc.classes[tied[0]]
-    return out
+    # among the classes tied on votes, the largest margin sum; argmax then
+    # takes the lowest index among the classes tied on that too
+    tied = np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf)
+    return mc.classes[np.argmax(tied == tied.max(axis=1, keepdims=True), axis=1)]
 
 
 def class_probabilities(mc: MulticlassModel, platt: list[PlattParams], Xte) -> np.ndarray:

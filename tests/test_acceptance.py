@@ -36,12 +36,6 @@ from marginfilter.persistence import load_dataset, load_filter, load_model, load
 from marginfilter.signals import FilterBank, ToyParams, apply_filter, make_average_filter
 from marginfilter.svm import KernelParams, decision_scores, kernel_matrix, kkt_violation, solve_svm_dual
 
-cvxopt = pytest.importorskip("cvxopt")
-cvxopt.solvers.options["show_progress"] = False
-cvxopt.solvers.options["abstol"] = 1e-12
-cvxopt.solvers.options["reltol"] = 1e-12
-cvxopt.solvers.options["feastol"] = 1e-12
-
 HEADLINE_PARAMS = ToyParams(n=1, sigma_n=1.0, lag=5, nbtot=2)
 SEEDS = tuple(range(10))
 BENCH_KWARGS = {"max_cg_iters": 30}
@@ -188,9 +182,10 @@ def test_criterion_05_gradient_matches_finite_differences():
                             f"over 20 instances")
 
 
-def test_criterion_06_dual_solver_matches_qp_oracle():
-    """Solver objective within 1e-6 of a dense interior-point QP on 20
-    random problems, with first-order optimality below 1e-3."""
+def test_criterion_06_dual_solver_matches_qp_oracle(qp_oracle):
+    """Solver objective within 1e-6 of a dense QP solver (interior point,
+    or SLSQP without cvxopt) on 20 random problems, with first-order
+    optimality below 1e-3."""
     rng = np.random.default_rng(777)
     worst_gap, worst_kkt = 0.0, 0.0
     for _ in range(20):
@@ -200,15 +195,7 @@ def test_criterion_06_dual_solver_matches_qp_oracle():
         rng.shuffle(y)
         C = float(rng.uniform(0.5, 20.0))
         K = kernel_matrix(X, X, KernelParams(float(rng.uniform(0.5, 3.0))))
-
-        Q = np.outer(y, y) * K + 1e-12 * np.eye(n)
-        sol = cvxopt.solvers.qp(
-            cvxopt.matrix(Q), cvxopt.matrix(-np.ones(n)),
-            cvxopt.matrix(np.vstack([np.eye(n), -np.eye(n)])),
-            cvxopt.matrix(np.concatenate([np.full(n, C / n), np.zeros(n)])),
-            cvxopt.matrix(y.reshape(1, -1)), cvxopt.matrix(np.zeros(1)))
-        a = np.array(sol["x"]).ravel()
-        obj_ref = float(a.sum() - 0.5 * a @ (np.outer(y, y) * K) @ a)
+        _, obj_ref = qp_oracle(K, y, C)
 
         m = solve_svm_dual(K, y, C, tol=1e-10)
         worst_gap = max(worst_gap, abs(m.objective - obj_ref))

@@ -283,6 +283,27 @@ class TestLearnKfSvm:
             learn_kf_svm(X, y, cfg)
 
 
+class TestFitSharedFilter:
+    def test_filter_longer_than_signal(self):
+        # taps u > n delay every sample out of the signal: their gradient
+        # rows are zero, not a shape error
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5],
+                      [2.0, 1.0], [1.0, 2.0], [1.5, 1.5]])
+        y = np.array([1, 1, 1, 2, 2, 2])
+        cfg = LearnerConfig(C=10.0, f=11, n0=0, max_cg_iters=3)
+        fit = fit_shared_filter(X, y, cfg)
+        assert fit.bank.coeffs.shape == (11, 2)
+        assert np.all(np.isfinite(fit.bank.coeffs))
+
+    def test_failed_line_search_is_not_converged(self):
+        X, y = toy_case(seed=6)
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 0.5),
+                            max_cg_iters=15, max_halvings=1)
+        fit = fit_shared_filter(X, y, cfg)
+        assert len(fit.history) == 1  # the first trial step already failed
+        assert not fit.converged
+
+
 class TestLearnSkfSvm:
     def test_majorization_touches_at_expansion_point(self):
         # sqrt(x) == sqrt(x0) + (x - x0) / (2 sqrt(x0)) at x == x0

@@ -184,6 +184,28 @@ class TestGridSearch:
         with pytest.raises(RuntimeError, match="every grid cell failed"):
             grid_search(bad, va, grid)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a cell")
+
+        monkeypatch.setattr(harness, "train_pipeline", broken)
+        tr, va, _ = tiny_split()
+        with pytest.raises(TypeError, match="bug in a cell"):
+            grid_search(tr, va, GridSpec(method="svm", C=(1.0,)))
+
+
+class TestMaxWorkers:
+    @pytest.mark.parametrize("env, cpus, expected", [
+        (None, 8, 1), ("3", 8, 3), ("64", 2, 2), ("0", 2, 1), ("many", 2, 1),
+        ("4", None, 1)])
+    def test_capped_at_cpu_count(self, monkeypatch, env, cpus, expected):
+        if env is None:
+            monkeypatch.delenv("MARGIN_FILTER_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MARGIN_FILTER_THREADS", env)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert harness.max_workers_from_env() == expected
+
 
 class TestToySplit:
     def test_splits_share_channel_lags(self):
@@ -234,6 +256,15 @@ class TestRunToySweep:
         assert res.rows == []
         assert len(res.failures) == 1
         assert "both classes" in res.failures[0][1]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a task")
+
+        monkeypatch.setattr(harness, "evaluate_method_on_seed", broken)
+        with pytest.raises(TypeError, match="bug in a task"):
+            run_toy_sweep("noise", [0.3], ["svm"], seeds=(0,), max_workers=1,
+                          n_train=60, n_val=60, n_test=60)
 
     def test_csv_shape(self):
         res = run_toy_sweep(

@@ -20,36 +20,6 @@ from marginfilter.svm import (
     train_multiclass,
 )
 
-try:
-    import cvxopt
-
-    cvxopt.solvers.options["show_progress"] = False
-    cvxopt.solvers.options["abstol"] = 1e-12
-    cvxopt.solvers.options["reltol"] = 1e-12
-    cvxopt.solvers.options["feastol"] = 1e-12
-    HAVE_CVXOPT = True
-except ImportError:  # pragma: no cover
-    HAVE_CVXOPT = False
-
-needs_cvxopt = pytest.mark.skipif(not HAVE_CVXOPT, reason="cvxopt not installed")
-
-
-def qp_oracle(K, y, C):
-    """Dense QP reference for the SVM dual via cvxopt (interior point):
-    an independent check the pairwise-ascent solver must match."""
-    n = len(y)
-    Q = np.outer(y, y) * K + 1e-12 * np.eye(n)
-    sol = cvxopt.solvers.qp(
-        cvxopt.matrix(Q),
-        cvxopt.matrix(-np.ones(n)),
-        cvxopt.matrix(np.vstack([np.eye(n), -np.eye(n)])),
-        cvxopt.matrix(np.concatenate([np.full(n, C / n), np.zeros(n)])),
-        cvxopt.matrix(np.asarray(y, dtype=np.float64).reshape(1, -1)),
-        cvxopt.matrix(np.zeros(1)),
-    )
-    alpha = np.array(sol["x"]).ravel()
-    return alpha, float(alpha.sum() - 0.5 * alpha @ (np.outer(y, y) * K) @ alpha)
-
 
 def random_problem(rng, n_max=20):
     n = int(rng.integers(6, n_max + 1))
@@ -124,8 +94,7 @@ class TestDualSolver:
             assert np.all(m.alpha >= -1e-12)
             assert np.all(m.alpha <= m.box + 1e-12)
 
-    @needs_cvxopt
-    def test_xor_matches_qp_oracle(self):
+    def test_xor_matches_qp_oracle(self, qp_oracle):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         K = kernel_matrix(X, X, KernelParams(1.0))
@@ -134,8 +103,7 @@ class TestDualSolver:
         assert abs(m.objective - obj_ref) < 1e-6
         assert_allclose(m.alpha, a_ref, atol=1e-5)
 
-    @needs_cvxopt
-    def test_objective_matches_qp_oracle_randomized(self, rng):
+    def test_objective_matches_qp_oracle_randomized(self, rng, qp_oracle):
         for _ in range(20):
             K, y, C = random_problem(rng)
             _, obj_ref = qp_oracle(K, y, C)
