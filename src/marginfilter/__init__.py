@@ -22,6 +22,7 @@ from .svm import (
     MulticlassModel,
     PlattParams,
     SvmModel,
+    bank_scores,
     class_probabilities,
     decision_scores,
     kernel_matrix,
@@ -70,6 +71,7 @@ __all__ = [
     "TrainedFilterModel",
     "TransitionMatrix",
     "apply_filter",
+    "bank_scores",
     "class_probabilities",
     "decimate",
     "decision_scores",

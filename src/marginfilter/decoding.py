@@ -10,6 +10,7 @@ support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -84,18 +85,29 @@ def viterbi(logprobs, transitions: TransitionMatrix) -> np.ndarray:
     n, c = E.shape
     if transitions.n_classes != c:
         raise ValueError(f"transition matrix has {transitions.n_classes} classes, emissions {c}")
-    logM = np.log(transitions.M)
-    delta = np.log(transitions.prior) + E[0]
-    back = np.zeros((n, c), dtype=np.int64)
-    for i in range(1, n):
-        cand = delta[:, None] + logM  # cand[r, s]: best-so-far ending r, then s
-        back[i] = np.argmax(cand, axis=0)
-        delta = cand[back[i], np.arange(c)] + E[i]
-    path = np.empty(n, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    for i in range(n - 1, 0, -1):
-        path[i - 1] = back[i, path[i]]
-    return path + 1
+    # The recursion runs on Python floats, which round as float64 does; for
+    # the few classes of a labeling task, list operations per sample cost
+    # less than numpy calls on length-c arrays.  into[s*c + r] is
+    # log M[r, s], so cand[s*c + r] is the best score ending in r, then s;
+    # list.index takes the first maximum, as argmax does.
+    into = np.log(transitions.M).T.ravel().tolist()
+    cuts = [slice(s * c, (s + 1) * c) for s in range(c)]
+    delta = (np.log(transitions.prior) + E[0]).tolist()
+    back = []
+    for e in E[1:].tolist():
+        cand = list(map(add, delta * c, into))
+        step, new = [], []
+        for cut, e_s in zip(cuts, e):
+            part = cand[cut]
+            best = max(part)
+            step.append(part.index(best))
+            new.append(best + e_s)
+        back.append(step)
+        delta = new
+    path = [delta.index(max(delta))]
+    for step in reversed(back):
+        path.append(step[path[-1]])
+    return np.array(path[::-1], dtype=np.int64) + 1
 
 
 def decode_online(mc: MulticlassModel, Xte_filtered) -> np.ndarray:

@@ -34,7 +34,7 @@ from .svm import (
     KernelParams,
     MulticlassModel,
     PlattParams,
-    decision_scores,
+    bank_scores,
     platt_fit,
     train_multiclass,
 )
@@ -143,11 +143,11 @@ def calibrate_pipeline(pipe: Pipeline, Xval, yval) -> Pipeline:
     """Fit per-class sigmoid calibration on held-out validation scores."""
     Xf = pipe.filtered(Xval)
     yval = as_labels(yval)
+    scores = bank_scores(pipe.model.one_vs_all, Xf)
     platt = []
     for k, cls in enumerate(pipe.model.classes):
-        scores = decision_scores(pipe.model.one_vs_all[k], Xf)
         labels = np.where(yval == cls, 1, -1)
-        platt.append(platt_fit(scores, labels))
+        platt.append(platt_fit(scores[:, k], labels))
     pipe.platt = platt
     return pipe
 

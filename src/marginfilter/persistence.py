@@ -199,23 +199,44 @@ def _svm_to_doc(model: SvmModel) -> dict:
     }
 
 
-def _svm_from_doc(doc: dict, path) -> SvmModel:
+def _svm_from_doc(doc: dict, path, d: int) -> SvmModel:
+    """Parse one SVM whose support vectors score d-channel samples."""
     try:
-        return SvmModel(
+        sv_idx = np.asarray(doc["sv_idx"], dtype=np.int64)
+        sv_labels = np.asarray(doc["sv_labels"], dtype=np.int64)
+        sv_alpha = np.asarray(doc["sv_alpha"], dtype=np.float64)
+        sv_rows = np.asarray(doc["sv_rows"], dtype=np.float64)
+        model = SvmModel(
             alpha=np.asarray(doc["alpha"], dtype=np.float64),
             bias=float(doc["bias"]),
             C=float(doc["C"]),
             box=float(doc["box"]),
             kernel=KernelParams(float(doc["sigma_k"])),
             objective=float(doc["objective"]),
-            sv_idx=np.asarray(doc["sv_idx"], dtype=np.int64),
-            sv_labels=np.asarray(doc["sv_labels"], dtype=np.int64),
-            sv_alpha=np.asarray(doc["sv_alpha"], dtype=np.float64),
-            sv_rows=np.asarray(doc["sv_rows"], dtype=np.float64).reshape(
-                len(doc["sv_idx"]), -1),
+            sv_idx=sv_idx,
+            sv_labels=sv_labels,
+            sv_alpha=sv_alpha,
+            sv_rows=sv_rows.reshape(0, d) if sv_rows.size == 0 else sv_rows,
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing SVM field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed SVM field ({exc})") from exc
+    if model.sv_rows.ndim != 2:
+        raise DataFormatError(f"{path}: field 'sv_rows' is not a list of rows")
+    if model.sv_rows.shape[1] != d:
+        raise DataFormatError(
+            f"{path}: model expects {model.sv_rows.shape[1]} channels, "
+            f"filter bank has {d}")
+    # a bank's coefficients are scattered by row, so one model's mismatch
+    # would shift its pulls onto other rows
+    sizes = {"sv_idx": len(sv_idx), "sv_labels": len(sv_labels),
+             "sv_alpha": len(sv_alpha), "sv_rows": len(model.sv_rows)}
+    if len(set(sizes.values())) != 1:
+        raise DataFormatError(f"{path}: support-vector fields disagree in length {sizes}")
+    if not np.all(np.abs(sv_labels) == 1):
+        raise DataFormatError(f"{path}: field 'sv_labels' holds values outside {{-1, +1}}")
+    return model
 
 
 def _transitions_to_doc(t: TransitionMatrix) -> dict:
@@ -275,10 +296,10 @@ def load_model(path, bank: FilterBank) -> Pipeline:
     try:
         classes = np.asarray(doc["classes"], dtype=np.int64)
         pairwise = {
-            (int(e["a"]), int(e["b"])): _svm_from_doc(e["model"], path)
+            (int(e["a"]), int(e["b"])): _svm_from_doc(e["model"], path, bank.d)
             for e in doc["pairwise"]
         }
-        one_vs_all = [_svm_from_doc(e, path) for e in doc["one_vs_all"]]
+        one_vs_all = [_svm_from_doc(e, path, bank.d) for e in doc["one_vs_all"]]
         mc = MulticlassModel(classes=classes, pairwise=pairwise,
                              one_vs_all=one_vs_all)
         platt = doc["platt"]
@@ -288,11 +309,10 @@ def load_model(path, bank: FilterBank) -> Pipeline:
         method = doc["method"]
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing model field {exc}") from exc
-    for m in list(pairwise.values()) + one_vs_all:
-        if m.sv_rows is not None and m.sv_rows.shape[1] != bank.d:
-            raise DataFormatError(
-                f"{path}: model expects {m.sv_rows.shape[1]} channels, "
-                f"filter bank has {bank.d}")
+    # each bank is scored through one kernel (svm.bank_scores)
+    sigmas = sorted({m.kernel.sigma_k for m in list(pairwise.values()) + one_vs_all})
+    if len(sigmas) > 1:
+        raise DataFormatError(f"{path}: models disagree on sigma_k {sigmas}")
     return Pipeline(method=method, filter=bank, model=mc,
                     transitions=transitions, platt=platt)
 

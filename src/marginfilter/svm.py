@@ -15,6 +15,11 @@ from scipy.spatial.distance import cdist
 
 # Support vectors are the alphas above this fraction of the box bound.
 SV_THRESHOLD_FRAC = 1e-8
+# Test samples scored per kernel block; bounds a test kernel's memory.
+# A block against ~1000 support vectors (2 MB) stays in a core's L2 cache
+# through the distance, exp and matmul passes; 1024 rows measured ~10%
+# slower on 60000-sample labeling.
+SCORE_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -237,17 +242,56 @@ def kkt_violation(K, y, model: SvmModel) -> float:
 
 
 def decision_scores(model: SvmModel, Xte) -> np.ndarray:
-    """Kernel decision function g(x) = sum_j alpha_j y_j k(x, x_j) + bias."""
-    if model.sv_rows is None:
-        raise ValueError("model was trained without sample rows; cannot score")
+    """Kernel decision function g(x) = sum_j alpha_j y_j k(x, x_j) + bias.
+
+    Scores the model as a bank of one through ``bank_scores``, the path
+    that scores each multiclass bank through one kernel per bank.
+    """
+    return bank_scores([model], Xte)[:, 0]
+
+
+def bank_scores(models, Xte) -> np.ndarray:
+    """Decision scores of a bank of models that share one kernel.
+
+    The support-vector rows of all models are stacked and deduplicated
+    (exactly: the banks' rows are copies of one training matrix), and each
+    model's alpha_j y_j is scattered into one (n_union, k) coefficient
+    matrix.  ``Xte`` is then scored SCORE_CHUNK_ROWS rows at a time
+    against the distinct rows, so one test kernel serves the whole bank
+    and its memory is bounded by SCORE_CHUNK_ROWS x n_union floats.
+
+    Returns (m, len(models)); column k holds model k's scores.
+    """
+    models = list(models)
+    if not models:
+        raise ValueError("cannot score an empty bank")
+    kernel = models[0].kernel
     Xte = np.atleast_2d(np.asarray(Xte, dtype=np.float64))
-    if Xte.shape[1] != model.sv_rows.shape[1]:
-        raise ValueError(
-            f"channel mismatch: {Xte.shape[1]} vs model {model.sv_rows.shape[1]}")
-    if len(model.sv_idx) == 0:
-        return np.full(len(Xte), model.bias)
-    Kte = kernel_matrix(Xte, model.sv_rows, model.kernel)
-    return Kte @ (model.sv_alpha * model.sv_labels) + model.bias
+    for model in models:
+        if model.sv_rows is None:
+            raise ValueError("model was trained without sample rows; cannot score")
+        if model.kernel != kernel:
+            raise ValueError(
+                f"models of one bank must share kernel params: {model.kernel} vs {kernel}")
+        if Xte.shape[1] != model.sv_rows.shape[1]:
+            raise ValueError(
+                f"channel mismatch: {Xte.shape[1]} vs model {model.sv_rows.shape[1]}")
+
+    union, where = np.unique(np.concatenate([m.sv_rows for m in models]),
+                             axis=0, return_inverse=True)
+    column = np.repeat(np.arange(len(models)), [len(m.sv_rows) for m in models])
+    coef = np.zeros((len(union), len(models)))
+    # add.at, not assignment: a row repeated within one model sums its pulls
+    np.add.at(coef, (where.ravel(), column),
+              np.concatenate([m.sv_alpha * m.sv_labels for m in models]))
+    bias = np.array([m.bias for m in models])
+
+    out = np.empty((len(Xte), len(models)))
+    for start in range(0, len(Xte), SCORE_CHUNK_ROWS):
+        rows = slice(start, start + SCORE_CHUNK_ROWS)
+        np.matmul(kernel_matrix(Xte[rows], union, kernel), coef, out=out[rows])
+        out[rows] += bias
+    return out
 
 
 @dataclass(frozen=True)
@@ -411,15 +455,16 @@ def oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
 
     Each pairwise classifier votes by score sign; ties on vote count are
     broken by the largest summed |winning margin|, then the lowest class
-    index.  Returns original class label values.
+    index.  The pairwise bank is scored through one kernel against its
+    distinct support vectors (``bank_scores``).  Returns original class
+    label values.
     """
-    Xte = np.atleast_2d(np.asarray(Xte, dtype=np.float64))
-    m = len(Xte)
+    scores = bank_scores(list(mc.pairwise.values()), Xte)
+    m = len(scores)
     c = mc.n_classes
     votes = np.zeros((m, c), dtype=np.int64)
     margins = np.zeros((m, c))
-    for (a, b), model in mc.pairwise.items():
-        s = decision_scores(model, Xte)
+    for (a, b), s in zip(mc.pairwise, scores.T):
         wins_a = s > 0
         votes[wins_a, a] += 1
         votes[~wins_a, b] += 1
@@ -435,17 +480,16 @@ def oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
 def class_probabilities(mc: MulticlassModel, platt: list[PlattParams], Xte) -> np.ndarray:
     """Calibrated per-class probabilities, renormalized to sum to 1.
 
-    Applies each class's sigmoid to its one-vs-all score; returns (m, c)
-    rows in (0, 1) summing to 1.
+    Applies each class's sigmoid to its one-vs-all score; the one-vs-all
+    bank is scored through one kernel against its distinct support
+    vectors (``bank_scores``).  Returns (m, c) rows in (0, 1) summing to 1.
     """
     if not mc.one_vs_all:
         raise ValueError("model has no one-vs-all bank")
     if len(platt) != mc.n_classes:
         raise ValueError("need one calibration per class")
-    Xte = np.atleast_2d(np.asarray(Xte, dtype=np.float64))
-    raw = np.column_stack([
-        platt[k].probability(decision_scores(mc.one_vs_all[k], Xte))
-        for k in range(mc.n_classes)
-    ])
+    scores = bank_scores(mc.one_vs_all, Xte)
+    raw = np.column_stack([platt[k].probability(scores[:, k])
+                           for k in range(mc.n_classes)])
     np.maximum(raw, np.finfo(np.float64).tiny, out=raw)
     return raw / raw.sum(axis=1, keepdims=True)

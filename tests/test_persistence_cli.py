@@ -160,6 +160,47 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="JSON"):
             load_model(mp, trained_pipeline.filter)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: m["sv_labels"].__setitem__(0, 2), "sv_labels"),
+        (lambda m: m["sv_labels"].__setitem__(-1, 0), "sv_labels"),
+        (lambda m: m["sv_alpha"].pop(), "disagree in length"),
+        (lambda m: m["sv_idx"].append(0), "disagree in length"),
+        (lambda m: m["sv_rows"].pop(0), "disagree in length"),
+        (lambda m: m["sv_rows"][0].append(1.0), "malformed"),
+    ], ids=["label-2", "label-0", "short-alpha", "long-idx", "short-rows", "ragged-rows"])
+    def test_inconsistent_support_vectors_rejected(self, tmp_path, trained_pipeline,
+                                                   edit, match):
+        mp = tmp_path / "model.json"
+        save_model(mp, trained_pipeline)
+        doc = json.loads(mp.read_text())
+        edit(doc["one_vs_all"][1])
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=match) as info:
+            load_model(mp, trained_pipeline.filter)
+        assert str(mp) in str(info.value)
+
+    def test_model_without_support_vectors_loads(self, tmp_path, trained_pipeline, rng):
+        mp = tmp_path / "model.json"
+        save_model(mp, trained_pipeline)
+        doc = json.loads(mp.read_text())
+        ova = doc["one_vs_all"][0]
+        for key in ("sv_idx", "sv_labels", "sv_alpha", "sv_rows"):
+            ova[key] = []
+        mp.write_text(json.dumps(doc))
+        model = load_model(mp, trained_pipeline.filter).model.one_vs_all[0]
+        assert_array_equal(decision_scores(model, rng.normal(size=(5, 2))),
+                           np.full(5, ova["bias"]))
+
+    def test_mixed_kernel_bandwidths_rejected(self, tmp_path, trained_pipeline):
+        mp = tmp_path / "model.json"
+        save_model(mp, trained_pipeline)
+        doc = json.loads(mp.read_text())
+        doc["pairwise"][0]["model"]["sigma_k"] *= 2.0
+        mp.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="sigma_k") as info:
+            load_model(mp, trained_pipeline.filter)
+        assert str(mp) in str(info.value)
+
     def test_transitions_roundtrip(self, tmp_path, trained_pipeline):
         path = tmp_path / "transitions.json"
         save_transitions(path, trained_pipeline.transitions)

@@ -1,24 +1,35 @@
-"""The SMO solver and the vote tie-break against loop reference versions.
+"""The SMO solver, bank scoring, voting and Viterbi against reference versions.
 
-``reference_solve`` is the per-iteration full-recompute SMO loop and
-``reference_oao_vote`` the per-sample tie-break loop that the vectorized
-versions in ``marginfilter.svm`` replaced.  The arithmetic is unchanged,
-so every comparison is exact equality.
+``reference_solve`` is the per-iteration full-recompute SMO loop,
+``reference_oao_vote`` the per-sample tie-break loop,
+``reference_decision_scores`` the one-kernel-per-model scorer and
+``reference_viterbi`` the numpy recursion that the versions in
+``marginfilter`` replaced.  The solver, the tie-break and Viterbi do the
+same arithmetic, so those comparisons are exact equality.  Bank scoring
+sums each model's kernel columns in a different order (one matmul over
+the distinct support vectors instead of one product per model), so scores
+agree to 1e-12 of their largest magnitude and labels exactly.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from marginfilter.decoding import TransitionMatrix, decode_offline, viterbi
 from marginfilter.svm import (
+    SCORE_CHUNK_ROWS,
     SV_THRESHOLD_FRAC,
     KernelParams,
     MulticlassModel,
+    PlattParams,
     SvmModel,
+    bank_scores,
+    class_probabilities,
     decision_scores,
     kernel_matrix,
     oao_vote,
     solve_svm_dual,
+    train_multiclass,
 )
 
 
@@ -86,6 +97,14 @@ def reference_solve(K, y, C, *, tol=1e-3, max_iter=2_000_000, warm_alpha=None):
     return alpha, it, objective, bias, converged
 
 
+def reference_decision_scores(model: SvmModel, Xte) -> np.ndarray:
+    Xte = np.atleast_2d(np.asarray(Xte, dtype=np.float64))
+    if len(model.sv_idx) == 0:
+        return np.full(len(Xte), model.bias)
+    Kte = kernel_matrix(Xte, model.sv_rows, model.kernel)
+    return Kte @ (model.sv_alpha * model.sv_labels) + model.bias
+
+
 def reference_oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
     Xte = np.atleast_2d(np.asarray(Xte, dtype=np.float64))
     m = len(Xte)
@@ -93,7 +112,7 @@ def reference_oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
     votes = np.zeros((m, c), dtype=np.int64)
     margins = np.zeros((m, c))
     for (a, b), model in mc.pairwise.items():
-        s = decision_scores(model, Xte)
+        s = reference_decision_scores(model, Xte)
         wins_a = s > 0
         votes[wins_a, a] += 1
         votes[~wins_a, b] += 1
@@ -108,6 +127,30 @@ def reference_oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
             tied = tied[margins[i, tied] == margins[i, tied].max()]
         out[i] = mc.classes[tied[0]]
     return out
+
+
+def reference_viterbi(E, transitions: TransitionMatrix) -> np.ndarray:
+    n, c = E.shape
+    logM = np.log(transitions.M)
+    delta = np.log(transitions.prior) + E[0]
+    back = np.zeros((n, c), dtype=np.int64)
+    for i in range(1, n):
+        cand = delta[:, None] + logM
+        back[i] = np.argmax(cand, axis=0)
+        delta = cand[back[i], np.arange(c)] + E[i]
+    path = np.empty(n, dtype=np.int64)
+    path[-1] = int(np.argmax(delta))
+    for i in range(n - 1, 0, -1):
+        path[i - 1] = back[i, path[i]]
+    return path + 1
+
+
+def reference_decode_offline(mc: MulticlassModel, platt, transitions, Xte) -> np.ndarray:
+    raw = np.column_stack([platt[k].probability(reference_decision_scores(m, Xte))
+                           for k, m in enumerate(mc.one_vs_all)])
+    np.maximum(raw, np.finfo(np.float64).tiny, out=raw)
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    return mc.classes[reference_viterbi(np.log(probs), transitions) - 1]
 
 
 def assert_same_solution(K, y, C, **kwargs):
@@ -191,7 +234,7 @@ class TestVoteMatchesReference:
         Xte = rng.normal(size=(3000, 2))
         votes = np.zeros((len(Xte), c), dtype=np.int64)
         for (a, b), model in mc.pairwise.items():
-            wins_a = decision_scores(model, Xte) > 0
+            wins_a = reference_decision_scores(model, Xte) > 0
             votes[wins_a, a] += 1
             votes[~wins_a, b] += 1
         n_tied = np.sum(votes == votes.max(axis=1, keepdims=True), axis=1)
@@ -208,3 +251,142 @@ class TestVoteMatchesReference:
             mc = MulticlassModel(classes=classes, pairwise={
                 p: sv_model(1.0 if s else -1.0) for p, s in zip(pairs_of(c), signs)})
             assert_array_equal(oao_vote(mc, Xte), reference_oao_vote(mc, Xte))
+
+
+def random_transitions(rng, c):
+    M = rng.uniform(0.1, 1.0, size=(c, c))
+    M /= M.sum(axis=1, keepdims=True)
+    prior = rng.uniform(0.1, 1.0, size=c)
+    return TransitionMatrix(M=M, prior=prior / prior.sum())
+
+
+def random_bank(rng, k, pool, kernel=KernelParams(0.8)):
+    """k scorers whose support vectors are random, overlapping subsets of
+    the rows of ``pool``, as the models of one trained bank are."""
+    models = []
+    for _ in range(k):
+        idx = np.sort(rng.choice(len(pool), size=rng.integers(0, len(pool) + 1),
+                                 replace=False))
+        sv_alpha = rng.uniform(0.0, 1.0, size=len(idx))
+        models.append(SvmModel(
+            alpha=sv_alpha, bias=rng.uniform(-0.5, 0.5), C=1.0, box=1.0, kernel=kernel,
+            objective=0.0, sv_idx=idx, sv_labels=rng.choice([-1, 1], size=len(idx)),
+            sv_alpha=sv_alpha, sv_rows=pool[idx].copy()))
+    return models
+
+
+def random_multiclass(rng, c, pool):
+    return MulticlassModel(classes=np.arange(1, c + 1) * 10,
+                           pairwise=dict(zip(pairs_of(c), random_bank(rng, len(pairs_of(c)), pool))),
+                           one_vs_all=random_bank(rng, c, pool))
+
+
+def assert_scores_close(got, want):
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+class TestBankScoresMatchReference:
+    @pytest.mark.parametrize("k", [1, 3, 6, 10])
+    def test_random_banks(self, rng, k):
+        pool = rng.normal(size=(40, 3))
+        models = random_bank(rng, k, pool)
+        Xte = rng.normal(size=(700, 3))
+        assert_scores_close(bank_scores(models, Xte), np.column_stack(
+            [reference_decision_scores(m, Xte) for m in models]))
+        for m in models:
+            assert_scores_close(decision_scores(m, Xte), reference_decision_scores(m, Xte))
+
+    def test_trained_banks(self, rng):
+        X = rng.normal(size=(150, 2))
+        y = 1 + (X[:, 0] > 0) + (X[:, 1] > 0.5)
+        mc = train_multiclass(X, y, 20.0, KernelParams(0.7))
+        Xte = rng.normal(size=(500, 2))
+        for bank in (list(mc.pairwise.values()), mc.one_vs_all):
+            assert_scores_close(bank_scores(bank, Xte), np.column_stack(
+                [reference_decision_scores(m, Xte) for m in bank]))
+
+    @pytest.mark.parametrize("m", [0, 1, SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 1])
+    def test_chunk_edges(self, rng, m):
+        pool = rng.normal(size=(30, 2))
+        models = random_bank(rng, 4, pool)
+        Xte = rng.normal(size=(m, 2))
+        got = bank_scores(models, Xte)
+        assert got.shape == (m, 4)
+        assert_scores_close(got, np.column_stack(
+            [reference_decision_scores(mm, Xte) for mm in models]).reshape(m, 4))
+
+    def test_repeated_row_within_a_model(self, rng):
+        rows = rng.normal(size=(3, 2))
+        model = sv_model(0.25, rows[[0, 1, 0, 2]], np.array([0.5, -1.0, 0.75, 0.3]))
+        Xte = rng.normal(size=(50, 2))
+        assert_scores_close(bank_scores([model], Xte)[:, 0],
+                            reference_decision_scores(model, Xte))
+
+    def test_empty_support_sets_score_their_bias_exactly(self, rng):
+        models = [sv_model(b) for b in (1.0, -0.5, 0.0)]
+        out = bank_scores(models, rng.normal(size=(7, 2)))
+        assert_array_equal(out, np.tile([1.0, -0.5, 0.0], (7, 1)))
+
+    def test_mixed_kernels_rejected(self, rng):
+        pool = rng.normal(size=(10, 2))
+        bank = random_bank(rng, 2, pool) + random_bank(rng, 1, pool, KernelParams(2.0))
+        with pytest.raises(ValueError, match="kernel"):
+            bank_scores(bank, pool)
+
+    def test_empty_bank_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            bank_scores([], np.zeros((3, 2)))
+
+
+class TestLabelsMatchReference:
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_random_banks(self, rng, c):
+        pool = rng.normal(size=(25, 2))
+        mc = random_multiclass(rng, c, pool)
+        Xte = rng.normal(size=(1500, 2))
+        platt = [PlattParams(A=rng.uniform(-4.0, -0.5), B=rng.uniform(-1.0, 1.0))
+                 for _ in range(c)]
+        T = random_transitions(rng, c)
+        assert_array_equal(oao_vote(mc, Xte), reference_oao_vote(mc, Xte))
+        assert_array_equal(decode_offline(mc, platt, T, Xte),
+                           reference_decode_offline(mc, platt, T, Xte))
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_forced_ties(self, rng, c):
+        # bias-only and negative-alpha stubs: every one-vs-all score is the
+        # same, so the emissions tie and Viterbi's tie-break decides
+        pool = rng.normal(size=(3, 2))
+        Xte = rng.normal(size=(40, 2))
+        T = random_transitions(rng, c)
+        platt = [PlattParams(A=-1.0, B=0.0)] * c
+        for signs in list(np.ndindex(*(2,) * (c * (c - 1) // 2)))[::3]:
+            mc = MulticlassModel(
+                classes=np.arange(1, c + 1),
+                pairwise={p: sv_model(1.0 if s else -1.0) for p, s in zip(pairs_of(c), signs)},
+                one_vs_all=[sv_model(0.5, pool, np.array([0.4, -0.4, 0.0]))] * c)
+            assert_array_equal(oao_vote(mc, Xte), reference_oao_vote(mc, Xte))
+            assert_array_equal(decode_offline(mc, platt, T, Xte),
+                               reference_decode_offline(mc, platt, T, Xte))
+
+
+class TestViterbiMatchesReference:
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 8])
+    def test_random(self, rng, c):
+        P = rng.uniform(0.05, 1.0, size=(3000, c))
+        E = np.log(P / P.sum(axis=1, keepdims=True))
+        T = random_transitions(rng, c)
+        assert_array_equal(viterbi(E, T), reference_viterbi(E, T))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_all_tie_emissions(self, rng, c):
+        E = np.full((200, c), -np.log(c))
+        for T in (random_transitions(rng, c),
+                  TransitionMatrix(M=np.full((c, c), 1.0 / c), prior=np.full(c, 1.0 / c))):
+            assert_array_equal(viterbi(E, T), reference_viterbi(E, T))
+
+    def test_single_sample(self, rng):
+        E = np.log(np.array([[0.2, 0.5, 0.3]]))
+        T = random_transitions(rng, 3)
+        assert_array_equal(viterbi(E, T), reference_viterbi(E, T))
