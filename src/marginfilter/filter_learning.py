@@ -8,6 +8,18 @@ the filter is learned by nonlinear conjugate gradient with Fletcher-Reeves
 updates and a backtracking line search, re-solving the SVM (warm-started)
 at every trial point.
 
+Most trial points are rejected, and a rejected trial need not be solved
+to optimality: it only has to be shown to miss the Armijo threshold.
+Every dual optimum is >= 0, and the warm-started SMO solver ascends the
+dual monotonically, so the running dual of each subproblem, added to the
+optima already summed and the penalty, is a lower bound on the trial's
+objective.  A trial stops (before the kernel build, when the support-
+vector block of the warm start already proves it lost, else inside the
+solver) once that bound clears the threshold by a relative slack of
+1e-9, far above the solver's ~1e-12 rounding.  An accepted trial never
+reaches the bound, so it is solved exactly as without it: the accepted
+steps, filters and models are the same bits.
+
 Channel selection uses a sum-of-column-norms penalty, handled by
 majorization-minimization: each outer step replaces the column norms by a
 tight quadratic upper bound, which turns the subproblem back into a
@@ -191,34 +203,30 @@ def filter_objective(F, X, y, cfg: LearnerConfig, *, warm_alpha=None):
     return model.objective + regularizer_value(bank.coeffs, cfg.reg), model
 
 
-def _inner_gradient(F: np.ndarray, X: np.ndarray, rows: np.ndarray,
-                    y_pm: np.ndarray, alpha: np.ndarray,
-                    cfg: LearnerConfig) -> np.ndarray:
+def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
+                    rows: np.ndarray, y_pm: np.ndarray, alpha: np.ndarray,
+                    K_ss: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
     """Gradient of the SVM optimum wrt the filter, at fixed optimal alpha.
 
-    The signal is filtered as a whole; ``rows`` selects the subproblem's
-    samples within it.  Only support-vector pairs contribute.  Uses the
-    Laplacian identity sum_ij w_ij (a_i - a_j)(b_i - b_j) =
+    ``Xf`` is the whole signal filtered by F; ``rows`` selects the
+    subproblem's samples within it.  Only support-vector pairs contribute:
+    ``K_ss`` is the kernel among the rows with alpha > 0, in row order.
+    Uses the Laplacian identity sum_ij w_ij (a_i - a_j)(b_i - b_j) =
     2 a' (diag(W 1) - W) b to avoid materializing pair differences.
     """
-    f, d = F.shape
-    bank = FilterBank(F, n0=cfg.n0)
-    Xf = apply_filter(X, bank)
-
     sv = np.flatnonzero(alpha > 0)
-    grad = np.zeros((f, d))
+    grad = np.zeros(F.shape)
     if len(sv) == 0:
         return grad
     r = rows[sv]
 
     Xf_s = Xf[r]
-    K_ss = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
     ay = alpha[sv] * y_pm[sv]
     W = K_ss * np.outer(ay, ay)
     # T = (diag(row sums) - W) @ Xf_s, so grad[u, v] = T[:, v] . shifted_X[r, v]
     T = Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s
     scale = 1.0 / cfg.kernel.sigma_k**2
-    for u in range(f):
+    for u in range(F.shape[0]):
         Su = shift_signal(X, u - cfg.n0)
         grad[u] = scale * np.einsum("ij,ij->j", T, Su[r])
     return grad
@@ -233,7 +241,10 @@ def filter_objective_gradient(F, X, y, alpha, cfg: LearnerConfig) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64).ravel()
     if len(alpha) != X.shape[0]:
         raise ValueError(f"alpha length {len(alpha)} does not match n={X.shape[0]}")
-    grad = _inner_gradient(F, X, np.arange(X.shape[0]), y_pm, alpha, cfg)
+    Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
+    Xf_s = Xf[alpha > 0]
+    K_ss = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
+    grad = _inner_gradient(F, X, Xf, np.arange(X.shape[0]), y_pm, alpha, K_ss, cfg)
     _, reg_grad = regularizer_value_grad(F, cfg.reg)
     return grad + reg_grad
 
@@ -246,7 +257,9 @@ class _Subproblem:
     """One binary SVM subproblem over a row subset of the training signal.
 
     Trial solves warm-start from the last committed solution; committing
-    promotes the most recent trial to the warm-start state.
+    promotes the most recent trial to the warm-start state, together with
+    the filtered signal it was solved on and its kernel among the rows
+    with alpha > 0 (all the gradient at the committed filter needs).
     """
 
     def __init__(self, rows: np.ndarray, y_pm: np.ndarray):
@@ -254,30 +267,66 @@ class _Subproblem:
         self.y_pm = y_pm
         self.alpha = None  # committed warm-start state
         self.model = None
+        self.Xf = None
+        self.K_ss = None
         self._last = None
 
-    def solve(self, Xf: np.ndarray, cfg: LearnerConfig,
-              with_rows: bool = False) -> float:
+    def solve(self, Xf: np.ndarray, cfg: LearnerConfig, *,
+              stop_above: float = np.inf, with_rows: bool = False) -> float:
+        """Dual optimum on the filtered signal ``Xf``.
+
+        Once a lower bound on the optimum exceeds ``stop_above``, returns
+        that bound instead and leaves nothing to commit.
+        """
+        self._last = None
         Xsub = Xf[self.rows]
+        if self.alpha is not None and stop_above < np.inf:
+            # the dual at the warm start lower-bounds the optimum, and only
+            # the support rows enter it: an |S| x |S| kernel, not n x n
+            sv = np.flatnonzero(self.alpha > 0)
+            Xs = Xsub[sv]
+            w = self.alpha[sv] * self.y_pm[sv]
+            warm = float(self.alpha.sum() - 0.5 * (w @ kernel_matrix(Xs, Xs, cfg.kernel) @ w))
+            if warm > stop_above:
+                return warm
         K = kernel_matrix(Xsub, Xsub, cfg.kernel)
-        self._last = solve_svm_dual(
+        model = solve_svm_dual(
             K, self.y_pm, cfg.C,
             rows=Xsub if with_rows else None, kernel=cfg.kernel,
-            tol=cfg.svm_tol, max_iter=cfg.svm_max_iter, warm_alpha=self.alpha)
-        return self._last.objective
+            tol=cfg.svm_tol, max_iter=cfg.svm_max_iter, warm_alpha=self.alpha,
+            stop_above=stop_above)
+        if model.objective <= stop_above:
+            sv = np.flatnonzero(model.alpha > 0)
+            self._last = (model, Xf, K[np.ix_(sv, sv)])
+        return model.objective
 
     def commit(self):
-        self.model = self._last
-        self.alpha = self._last.alpha
+        self.model, self.Xf, self.K_ss = self._last
+        self.alpha = self.model.alpha
 
 
-def _evaluate(problems, F, X, cfg, *, with_rows: bool = False) -> float:
-    bank = FilterBank(F, n0=cfg.n0)
-    Xf = apply_filter(X, bank)
+# Relative margin by which a trial's lower bound must clear the Armijo
+# threshold before the trial is cut short; the running dual tracks the
+# solver's objective to ~1e-12, so a trial within the margin is solved
+# to the end and decided on its exact objective.
+_REJECT_SLACK = 1e-9
+
+
+def _evaluate(problems, F, X, cfg, *, reject_above: float = np.inf) -> float:
+    """Objective at F: the sum of the subproblem optima, plus the penalty.
+
+    Once a lower bound on it exceeds ``reject_above`` (each optimum is
+    >= 0, so a partial sum bounds the whole), the remaining work is
+    skipped and the value returned is a lower bound above it.
+    """
+    Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
+    reg_val = regularizer_value(F, cfg.reg)
     total = 0.0
     for p in problems:
-        total += p.solve(Xf, cfg, with_rows=with_rows)
-    reg_val, _ = regularizer_value_grad(F, cfg.reg)
+        if total > reject_above - reg_val:
+            break
+        total += p.solve(Xf, cfg, stop_above=reject_above - reg_val - total)
+    # summed as without a bound: the optima first, then the penalty
     return total + reg_val
 
 
@@ -287,9 +336,15 @@ def _commit_all(problems):
 
 
 def _gradient(problems, F, X, cfg) -> np.ndarray:
+    """Gradient at the committed filter F, from the committed solves.
+
+    Each committed kernel block serves this one gradient, so it is
+    released here rather than held through the next line search.
+    """
     grad = np.zeros_like(F)
     for p in problems:
-        grad += _inner_gradient(F, X, p.rows, p.y_pm, p.model.alpha, cfg)
+        grad += _inner_gradient(F, X, p.Xf, p.rows, p.y_pm, p.alpha, p.K_ss, cfg)
+        p.K_ss = None
     _, reg_grad = regularizer_value_grad(F, cfg.reg)
     return grad + reg_grad
 
@@ -298,8 +353,13 @@ def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
     """Fletcher-Reeves conjugate gradient with Armijo backtracking.
 
     Every line-search evaluation re-solves each SVM subproblem warm-started
-    from the last accepted solution.  The direction resets to steepest
-    descent when it stops being a descent direction or every f*d steps.
+    from the last accepted solution, but stops as soon as a lower bound on
+    the trial's objective exceeds the Armijo threshold by the relative
+    slack ``_REJECT_SLACK``: such a trial would be rejected anyway.  A
+    trial that meets the threshold never reaches that bound, so accepted
+    steps are computed exactly as by a full solve of every trial.  The
+    direction resets to steepest descent when it stops being a descent
+    direction or every f*d steps.
 
     Returns (F, history, norms, converged).
     """
@@ -336,8 +396,10 @@ def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
         t = min(step * 2.0, 1e6)
         accepted = False
         for _ in range(cfg.max_halvings):
-            J_try = _evaluate(problems, F + t * D, X, cfg)
-            if J_try <= J + cfg.armijo_c1 * t * slope:
+            bound = J + cfg.armijo_c1 * t * slope
+            J_try = _evaluate(problems, F + t * D, X, cfg,
+                              reject_above=bound + _REJECT_SLACK * max(abs(bound), 1.0))
+            if J_try <= bound:
                 accepted = True
                 break
             t *= cfg.backtrack
@@ -390,11 +452,9 @@ def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
                                     weights=0.5 * weights)
         inner_cfg = replace(cfg, reg=inner_reg)
         F_new, _, _, _ = _cg_descent(problems, X, inner_cfg, F)
-        # track the true group-sparse objective at the accepted iterate
-        inner_val = _evaluate(problems, F_new, X,
-                              replace(cfg, reg=RegularizerSpec("frobenius", 0.0)))
-        _commit_all(problems)
-        history.append(inner_val + cfg.reg.lam * mixed_norm(F_new))
+        # the committed solves sit at F_new: the true group-sparse objective
+        history.append(sum(p.model.objective for p in problems)
+                       + cfg.reg.lam * mixed_norm(F_new))
         norms.append(float(np.linalg.norm(F_new)))
         dF = float(np.linalg.norm(F_new - F))
         F = F_new

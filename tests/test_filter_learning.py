@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from marginfilter import filter_learning
 from marginfilter.filter_learning import (
     LearnerConfig,
     RegularizerSpec,
+    _inner_gradient,
+    _make_problems,
     filter_objective,
     filter_objective_gradient,
     fit_shared_filter,
@@ -46,6 +51,122 @@ def fd_gradient(F, X, y, alpha, cfg, h=1e-6):
             G[u, v] = (fixed_alpha_objective(F + E, X, y, alpha, cfg)
                        - fixed_alpha_objective(F - E, X, y, alpha, cfg)) / (2 * h)
     return G
+
+
+class ReferenceProblem:
+    """A subproblem whose every trial is solved to the KKT tolerance."""
+
+    def __init__(self, rows, y_pm):
+        self.rows, self.y_pm = rows, y_pm
+        self.alpha = self.model = self.last = None
+
+    def solve(self, Xf, cfg):
+        Xsub = Xf[self.rows]
+        self.last = solve_svm_dual(kernel_matrix(Xsub, Xsub, cfg.kernel), self.y_pm, cfg.C,
+                                   kernel=cfg.kernel, tol=cfg.svm_tol,
+                                   max_iter=cfg.svm_max_iter, warm_alpha=self.alpha)
+        return self.last.objective
+
+    def commit(self):
+        self.model, self.alpha = self.last, self.last.alpha
+
+
+def reference_evaluate(problems, F, X, cfg):
+    Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
+    total = 0.0
+    for p in problems:
+        total += p.solve(Xf, cfg)
+    return total + regularizer_value_grad(F, cfg.reg)[0]
+
+
+def reference_gradient(problems, F, X, cfg):
+    """Filters X again and rebuilds each support-vector kernel at F."""
+    Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
+    grad = np.zeros_like(F)
+    for p in problems:
+        Xs = Xf[p.rows[p.alpha > 0]]
+        grad += _inner_gradient(F, X, Xf, p.rows, p.y_pm, p.alpha,
+                                kernel_matrix(Xs, Xs, cfg.kernel), cfg)
+    return grad + regularizer_value_grad(F, cfg.reg)[1]
+
+
+def reference_cg(problems, X, cfg, F0, trials):
+    """The conjugate-gradient descent with an unbounded line search; each
+    trial appends (J, t * slope, J_try) to ``trials``."""
+    F = F0.copy()
+    J = reference_evaluate(problems, F, X, cfg)
+    for p in problems:
+        p.commit()
+    history, G_prev, D, step, converged = [J], None, np.zeros_like(F), 1.0, False
+    for it in range(cfg.max_cg_iters):
+        G = reference_gradient(problems, F, X, cfg)
+        gnorm2 = float(np.sum(G * G))
+        if gnorm2 == 0.0:
+            converged = True
+            break
+        beta = 0.0 if G_prev is None or it % max(F.size, 1) == 0 \
+            else gnorm2 / float(np.sum(G_prev * G_prev))
+        D = -G + beta * D
+        slope = float(np.sum(G * D))
+        if slope >= 0.0:
+            D, slope = -G, -gnorm2
+        G_prev = G
+        t = min(step * 2.0, 1e6)
+        for _ in range(cfg.max_halvings):
+            J_try = reference_evaluate(problems, F + t * D, X, cfg)
+            trials.append((J, t * slope, J_try))
+            if J_try <= J + cfg.armijo_c1 * t * slope:
+                break
+            t *= cfg.backtrack
+        else:
+            break
+        for p in problems:
+            p.commit()
+        F_new = F + t * D
+        dF = float(np.linalg.norm(F_new - F))
+        rel = abs(J - J_try) / max(abs(J), 1.0)
+        F, J, step = F_new, J_try, t
+        history.append(J)
+        if rel < cfg.tol_rel_J or dF < cfg.tol_dF:
+            converged = True
+            break
+    return F, history, converged
+
+
+def reference_fit(X, y, cfg, trials=None):
+    """(F, history, converged, problems) of ``fit_shared_filter`` with every
+    line-search trial solved to the end."""
+    trials = [] if trials is None else trials
+    problems = [ReferenceProblem(p.rows, p.y_pm) for p in _make_problems(X, y)[1]]
+    F = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
+    if cfg.reg.kind != "mixed_norm":
+        return (*reference_cg(problems, X, cfg, F, trials), problems)
+    weights, history, converged = np.ones(X.shape[1]), [], False
+    for _ in range(cfg.mm_max_outer):
+        inner = replace(cfg, reg=RegularizerSpec("weighted_frobenius", cfg.reg.lam,
+                                                 weights=0.5 * weights))
+        F_new, _, _ = reference_cg(problems, X, inner, F, trials)
+        history.append(sum(p.model.objective for p in problems)
+                       + cfg.reg.lam * mixed_norm(F_new))
+        dF = float(np.linalg.norm(F_new - F))
+        F = F_new
+        weights = mm_weight_update(F, cfg.mm_eps)
+        if dF < cfg.tol_dF:
+            converged = True
+            break
+    return F, history, converged, problems
+
+
+def assert_same_fit(X, y, cfg):
+    F, history, converged, ref_problems = reference_fit(X, y, cfg)
+    fit = fit_shared_filter(X, y, cfg)
+    assert_array_equal(fit.bank.coeffs, F)
+    assert fit.history == history
+    assert fit.converged == converged
+    for p, ref in zip(fit.problems, ref_problems, strict=True):
+        assert_array_equal(p.alpha, ref.alpha)
+        assert (p.model.n_iter, p.model.converged) == (ref.model.n_iter, ref.model.converged)
+    return fit
 
 
 def binary_labels(y):
@@ -302,6 +423,90 @@ class TestFitSharedFilter:
         fit = fit_shared_filter(X, y, cfg)
         assert len(fit.history) == 1  # the first trial step already failed
         assert not fit.converged
+
+
+class TestEarlyRejection:
+    """Line-search trials cut short by a lower bound: the fit must be the
+    one an unbounded line search gives, to the bit."""
+
+    def test_binary_frobenius_fit(self):
+        X, y = toy_case(seed=6)
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 0.5),
+                            max_cg_iters=15)
+        fit = assert_same_fit(X, y, cfg)
+        assert len(fit.history) > 5
+
+    def test_three_class_fit(self):
+        X, y = generate_toy(ToyParams(n=240, sigma_n=0.8, lag=3, nbtot=2,
+                                      n_classes=3, seed=21))
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 1.0),
+                            max_cg_iters=12)
+        fit = assert_same_fit(X, y, cfg)
+        assert len(fit.problems) == 3 and len(fit.history) > 3
+
+    def test_mixed_norm_mm_fit(self):
+        X, y = toy_case(seed=12, n=200, sigma_n=0.5, lag=0, nbtot=6)
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("mixed_norm", 8.0),
+                            max_cg_iters=12, mm_max_outer=4)
+        fit = assert_same_fit(X, y, cfg)
+        assert len(fit.history) > 1
+
+    def test_trial_at_the_threshold_survives_a_bound_off_by_rounding(self, monkeypatch):
+        """A trial whose objective equals the Armijo threshold is accepted,
+        even when the solver's running dual overstates by 1e-12."""
+        X, y = toy_case(seed=6)
+        base = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 0.5),
+                             max_cg_iters=1)
+        trials = []
+        reference_fit(X, y, base, trials)
+        J, t_slope, J_try = next(trial for trial in trials
+                                 if trial[2] <= trial[0] + base.armijo_c1 * trial[1])
+        # the c1 whose threshold J + c1 * t * slope is the smallest one >= J_try;
+        # it is stricter than base's, so the trials before stay rejected
+        c1 = (J_try - J) / t_slope
+        while J + c1 * t_slope < J_try:
+            c1 = np.nextafter(c1, 0.0)
+        while J + np.nextafter(c1, np.inf) * t_slope >= J_try:
+            c1 = np.nextafter(c1, np.inf)
+        cfg = replace(base, armijo_c1=float(c1))
+
+        solve = filter_learning.solve_svm_dual
+
+        def overstating(*args, stop_above=np.inf, **kwargs):
+            if np.isfinite(stop_above):
+                stop_above -= 1e-12 * max(1.0, abs(stop_above))
+            return solve(*args, stop_above=stop_above, **kwargs)
+
+        monkeypatch.setattr(filter_learning, "solve_svm_dual", overstating)
+        fit = assert_same_fit(X, y, cfg)
+        assert len(fit.history) == 2  # the trial at the threshold was taken
+
+    def test_lost_warm_start_builds_only_the_support_block(self, monkeypatch):
+        X, y = toy_case(seed=6)
+        cfg = LearnerConfig(C=50.0, f=5, n0=2)
+        p = _make_problems(X, y)[1][0]
+        Xf = apply_filter(X, make_average_filter(5, 2, 2))
+        J = p.solve(Xf, cfg)
+        p.commit()
+        n_sv = int(np.sum(p.alpha > 0))
+        assert 0 < n_sv < len(p.rows)
+
+        shapes = []
+
+        def recording(A, B, params):
+            shapes.append((len(A), len(B)))
+            return kernel_matrix(A, B, params)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a lost warm start must not reach the solver")
+
+        monkeypatch.setattr(filter_learning, "kernel_matrix", recording)
+        monkeypatch.setattr(filter_learning, "solve_svm_dual", no_solve)
+        bound = p.solve(Xf, cfg, stop_above=0.5 * J)
+        assert shapes == [(n_sv, n_sv)]
+        assert abs(bound - J) <= 1e-12 * J
+        with pytest.raises(TypeError):
+            p.commit()  # nothing to commit from a lost trial
 
 
 class TestLearnSkfSvm:

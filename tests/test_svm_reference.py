@@ -4,7 +4,8 @@
 ``reference_oao_vote`` the per-sample tie-break loop,
 ``reference_decision_scores`` the one-kernel-per-model scorer and
 ``reference_viterbi`` the numpy recursion that the versions in
-``marginfilter`` replaced.  The solver, the tie-break and Viterbi do the
+``marginfilter`` replaced.  ``reference_solve`` has no ``stop_above``:
+the solver's default of inf must leave its iterates unchanged.  The solver, the tie-break and Viterbi do the
 same arithmetic, so those comparisons are exact equality.  Bank scoring
 sums each model's kernel columns in a different order (one matmul over
 the distinct support vectors instead of one product per model), so scores
@@ -205,6 +206,62 @@ class TestSolverMatchesReference:
         K = kernel_matrix(X, X, KernelParams(1.3))
         for C in (0.5, 20.0, 500.0):
             assert_same_solution(K, y, C, tol=1e-6)
+
+
+def solve_case(rng, kind):
+    """(K, y, C, solver kwargs) of a cold, a warm or an iteration-capped solve."""
+    X, y = xor_problem(rng, 150)
+    K = kernel_matrix(X, X, KernelParams(0.7))
+    if kind == "cold":
+        return K, y, 100.0, {"tol": 1e-6}
+    if kind == "capped":
+        return K, y, 100.0, {"tol": 1e-10, "max_iter": 60}
+    K_moved = kernel_matrix(1.1 * X, 1.1 * X, KernelParams(0.7))
+    return K_moved, y, 100.0, {"warm_alpha": solve_svm_dual(K, y, 100.0).alpha}
+
+
+def rounding(objective):
+    return 1e-12 * max(1.0, abs(objective))
+
+
+class TestRunningDual:
+    """``stop_above`` acts on the solver's running dual, which must bound
+    the dual of the current iterate from below to within rounding."""
+
+    @pytest.mark.parametrize("kind", ["cold", "warm", "capped"])
+    def test_bound_above_the_result_changes_nothing(self, rng, kind):
+        K, y, C, kw = solve_case(rng, kind)
+        full = solve_svm_dual(K, y, C, **kw)
+        m = solve_svm_dual(K, y, C, stop_above=full.objective + rounding(full.objective), **kw)
+        assert_array_equal(m.alpha, full.alpha)
+        assert (m.n_iter, m.objective, m.bias, m.converged) == \
+            (full.n_iter, full.objective, full.bias, full.converged)
+
+    @pytest.mark.parametrize("kind", ["cold", "warm", "capped"])
+    def test_running_dual_tracks_every_iterate(self, rng, kind):
+        K, y, C, kw = solve_case(rng, kind)
+        n_iter = solve_svm_dual(K, y, C, **kw).n_iter
+        assert n_iter >= 60
+        uncapped = {key: v for key, v in kw.items() if key != "max_iter"}
+        for k in np.unique(np.linspace(0, n_iter, 15).astype(int)):
+            # the dual at iterate k, from the objective of a solve capped there
+            dual_k = solve_svm_dual(K, y, C, **{**uncapped, "max_iter": int(k)}).objective
+            eps = rounding(dual_k)
+            below = solve_svm_dual(K, y, C, stop_above=dual_k - eps, **uncapped)
+            assert below.n_iter <= k and not below.converged
+            assert below.objective > dual_k - eps
+            above = solve_svm_dual(K, y, C, stop_above=dual_k + eps, **uncapped)
+            assert above.n_iter > k or above.converged
+
+    @pytest.mark.parametrize("kind", ["cold", "warm"])
+    def test_bound_below_the_start_stops_before_any_step(self, rng, kind):
+        K, y, C, kw = solve_case(rng, kind)
+        start = solve_svm_dual(K, y, C, max_iter=0, **kw).objective
+        m = solve_svm_dual(K, y, C, stop_above=start - 0.5, **kw)
+        assert m.n_iter == 0 and not m.converged
+        assert m.objective == start > start - 0.5
+        if "warm_alpha" in kw:
+            assert_array_equal(m.alpha, kw["warm_alpha"])
 
 
 def sv_model(score: float, sv_rows=None, sv_alpha=None) -> SvmModel:
