@@ -24,6 +24,12 @@ Channel selection uses a sum-of-column-norms penalty, handled by
 majorization-minimization: each outer step replaces the column norms by a
 tight quadratic upper bound, which turns the subproblem back into a
 weighted-Frobenius one that the conjugate-gradient solver handles.
+
+The fit ends with every pairwise subproblem solved at the returned
+filter: the last committed solves.  Every learner builds its banks from
+them (``committed_bank``): each pair's final solve starts at its committed
+solution, which is optimal already, so no SMO step is taken after a fit
+except in the c one-vs-rest solves of a c >= 3 bank.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .svm import (
     KernelParams,
     MulticlassModel,
     SvmModel,
+    class_pairs,
     kernel_matrix,
     solve_svm_dual,
     train_multiclass,
@@ -254,7 +261,8 @@ def filter_objective_gradient(F, X, y, alpha, cfg: LearnerConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Subproblem:
-    """One binary SVM subproblem over a row subset of the training signal.
+    """One binary SVM subproblem over a row subset of the training signal:
+    the class-index pair ``pair`` of the one-against-one bank.
 
     Trial solves warm-start from the last committed solution; committing
     promotes the most recent trial to the warm-start state, together with
@@ -262,7 +270,8 @@ class _Subproblem:
     with alpha > 0 (all the gradient at the committed filter needs).
     """
 
-    def __init__(self, rows: np.ndarray, y_pm: np.ndarray):
+    def __init__(self, pair: tuple[int, int], rows: np.ndarray, y_pm: np.ndarray):
+        self.pair = pair
         self.rows = rows
         self.y_pm = y_pm
         self.alpha = None  # committed warm-start state
@@ -272,7 +281,7 @@ class _Subproblem:
         self._last = None
 
     def solve(self, Xf: np.ndarray, cfg: LearnerConfig, *,
-              stop_above: float = np.inf, with_rows: bool = False) -> float:
+              stop_above: float = np.inf) -> float:
         """Dual optimum on the filtered signal ``Xf``.
 
         Once a lower bound on the optimum exceeds ``stop_above``, returns
@@ -291,8 +300,7 @@ class _Subproblem:
                 return warm
         K = kernel_matrix(Xsub, Xsub, cfg.kernel)
         model = solve_svm_dual(
-            K, self.y_pm, cfg.C,
-            rows=Xsub if with_rows else None, kernel=cfg.kernel,
+            K, self.y_pm, cfg.C, kernel=cfg.kernel,
             tol=cfg.svm_tol, max_iter=cfg.svm_max_iter, warm_alpha=self.alpha,
             stop_above=stop_above)
         if model.objective <= stop_above:
@@ -468,13 +476,7 @@ def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
 def _make_problems(X: np.ndarray, y: np.ndarray):
     """Pairwise one-against-one subproblems; a single one when c == 2."""
     classes = np.unique(y)
-    problems = []
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            idx = np.flatnonzero((y == classes[a]) | (y == classes[b]))
-            y_pm = np.where(y[idx] == classes[a], 1.0, -1.0)
-            problems.append(_Subproblem(idx, y_pm))
-    return classes, problems
+    return classes, [_Subproblem(*pair) for pair in class_pairs(y, classes)]
 
 
 @dataclass
@@ -509,11 +511,25 @@ def fit_shared_filter(X, y, cfg: LearnerConfig) -> FilterFit:
                      filter_norms=norms, converged=converged, problems=problems)
 
 
-def _finalize_binary(fit: FilterFit, X: np.ndarray, cfg: LearnerConfig) -> TrainedFilterModel:
-    Xf = apply_filter(X, fit.bank)
-    fit.problems[0].solve(Xf, cfg, with_rows=True)
-    fit.problems[0].commit()
-    return TrainedFilterModel(filter=fit.bank, svm=fit.problems[0].model,
+def committed_bank(fit: FilterFit, X, y, cfg: LearnerConfig, *,
+                   with_one_vs_all: bool = True) -> MulticlassModel:
+    """The multiclass banks at the fit's filter, warm from the fit's solves.
+
+    Each subproblem's committed solve was made on the signal filtered by
+    the returned bank (the accepted trial's filter ``F + t*D`` is the same
+    expression as the returned one, so the filtered signal is the same
+    bits).  ``train_multiclass`` starts each pair there, so the pairs and
+    the two one-vs-all scorers of a binary bank take no SMO step; only the
+    c one-vs-rest scorers of a c >= 3 bank are solved from scratch.
+    """
+    return train_multiclass(apply_filter(X, fit.bank), y, cfg.C, cfg.kernel,
+                            tol=cfg.svm_tol, with_one_vs_all=with_one_vs_all,
+                            warm={p.pair: p.alpha for p in fit.problems})
+
+
+def _finalize_binary(fit: FilterFit, X, y, cfg: LearnerConfig) -> TrainedFilterModel:
+    mc = committed_bank(fit, X, y, cfg, with_one_vs_all=False)
+    return TrainedFilterModel(filter=fit.bank, svm=mc.pairwise[(0, 1)],
                               history=fit.history, filter_norms=fit.filter_norms,
                               converged=fit.converged)
 
@@ -532,7 +548,7 @@ def learn_kf_svm(X, y, cfg: LearnerConfig) -> TrainedFilterModel:
     if cfg.reg.kind == "mixed_norm":
         raise ValueError("use learn_skf_svm for the mixed-norm penalty")
     fit = fit_shared_filter(X, y, cfg)
-    return _finalize_binary(fit, X, cfg)
+    return _finalize_binary(fit, X, y, cfg)
 
 
 def learn_skf_svm(X, y, cfg: LearnerConfig) -> TrainedFilterModel:
@@ -551,7 +567,7 @@ def learn_skf_svm(X, y, cfg: LearnerConfig) -> TrainedFilterModel:
     if len(np.unique(y)) != 2:
         raise ValueError("learn_skf_svm expects binary labels")
     fit = fit_shared_filter(X, y, cfg)
-    return _finalize_binary(fit, X, cfg)
+    return _finalize_binary(fit, X, y, cfg)
 
 
 def learn_multiclass_filter(X, y, cfg: LearnerConfig):
@@ -560,8 +576,8 @@ def learn_multiclass_filter(X, y, cfg: LearnerConfig):
     For two classes this is exactly the binary learner.  For more, the
     pairwise one-against-one SVM optima are summed into a single objective
     (their gradients add) and the same conjugate-gradient descent runs on
-    the shared filter.  Afterwards both multiclass banks are trained on
-    the final filtered data.
+    the shared filter.  Both banks are then trained on the final filtered
+    data, each pair warm from the fit's committed solve (``committed_bank``).
 
     Returns:
         (FilterBank, MulticlassModel)
@@ -569,6 +585,4 @@ def learn_multiclass_filter(X, y, cfg: LearnerConfig):
     X = as_signal(X)
     y = as_labels(y, X.shape[0])
     fit = fit_shared_filter(X, y, cfg)
-    Xf = apply_filter(X, fit.bank)
-    mc = train_multiclass(Xf, y, cfg.C, cfg.kernel, tol=cfg.svm_tol)
-    return fit.bank, mc
+    return fit.bank, committed_bank(fit, X, y, cfg)

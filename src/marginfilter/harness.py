@@ -6,6 +6,14 @@ sigmoid calibrations and the transition matrix.  Methods are identified by
 name: 'svm' (no filtering), 'avg_svm' (fixed moving average), 'kf_svm'
 (learned filter, energy penalty) and 'skf_svm' (learned filter,
 channel-selecting penalty).
+
+Each pipeline's SVM banks take no more SMO work than the mathematics
+needs.  With two classes one-vs-all is the pairwise machine in its two
+label orientations, solved warm from the pair's solution, so a binary
+svm/avg_svm bank is one SMO solve.  A learned-filter pipeline starts each
+pair at the fit's committed solve, which is optimal at the returned
+filter, so after the fit only the c one-vs-rest scorers of a c >= 3 bank
+take SMO steps.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .decoding import TransitionMatrix, decode_offline, decode_online, estimate_transitions
-from .filter_learning import LearnerConfig, RegularizerSpec, fit_shared_filter
+from .filter_learning import LearnerConfig, RegularizerSpec, committed_bank, fit_shared_filter
 from .signals import (
     ToyParams,
     apply_filter,
@@ -128,8 +136,7 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
         bank = fit.bank
         history = fit.history
         filter_norms = fit.filter_norms
-        mc = train_multiclass(apply_filter(X, bank), y, C, cfg.kernel,
-                              tol=cfg.svm_tol)
+        mc = committed_bank(fit, X, y, cfg)
 
     classes = mc.classes
     y_idx = np.searchsorted(classes, y) + 1

@@ -575,6 +575,41 @@ class TestMulticlassFilter:
         assert set(mc.pairwise) == {(0, 1)}
         assert len(mc.one_vs_all) == 2
 
+    def test_learners_reuse_the_fit_solves(self, monkeypatch):
+        """Neither entry point takes an SMO step outside the filter fit."""
+        from marginfilter import svm
+
+        X, y = toy_case(seed=13, n=150)
+        cfg = LearnerConfig(C=20.0, f=3, n0=1, reg=RegularizerSpec("frobenius", 0.5),
+                            max_cg_iters=6)
+        fits, outside_fit = [], []
+        fit_shared = filter_learning.fit_shared_filter
+
+        def recording_fit(*args, **kwargs):
+            fits.append(None)
+            fits[-1] = fit_shared(*args, **kwargs)
+            return fits[-1]
+
+        def counting(solve):
+            def counted(*args, **kwargs):
+                model = solve(*args, **kwargs)
+                if fits and fits[-1] is not None:
+                    outside_fit.append(model.n_iter)
+                return model
+            return counted
+
+        monkeypatch.setattr(filter_learning, "fit_shared_filter", recording_fit)
+        for module in (svm, filter_learning):
+            monkeypatch.setattr(module, "solve_svm_dual", counting(module.solve_svm_dual))
+        _, mc = learn_multiclass_filter(X, y, cfg)
+        binary = learn_kf_svm(X, y, cfg)
+        # the pair and its two orientations, then the pair alone
+        assert len(fits) == 2 and outside_fit == [0] * 4
+        assert_array_equal(mc.pairwise[(0, 1)].alpha, fits[0].problems[0].model.alpha)
+        assert_array_equal(binary.svm.alpha, fits[1].problems[0].model.alpha)
+        Xf = apply_filter(X, binary.filter)
+        assert_array_equal(binary.svm.sv_rows, Xf[binary.svm.sv_idx])
+
     def test_duplicated_class_distribution_completes(self, rng):
         # classes 2 and 3 drawn from the same distribution: the (2,3)
         # pair is undiscriminable but training must still finish

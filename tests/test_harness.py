@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import marginfilter.filter_learning as filter_learning
 import marginfilter.harness as harness
+import marginfilter.svm as svm
 from marginfilter.harness import (
     GridSpec,
     default_grid,
@@ -192,6 +194,115 @@ class TestGridSearch:
         tr, va, _ = tiny_split()
         with pytest.raises(TypeError, match="bug in a cell"):
             grid_search(tr, va, GridSpec(method="svm", C=(1.0,)))
+
+
+class SolveCounter:
+    """Records the SVM solves (as their SMO step counts and warm flags) and
+    counts the kernel builds before and after the filter fit of
+    ``harness.train_pipeline`` returns; keeps the fit and a copy of its
+    committed solves as they were when it returned."""
+
+    def __init__(self, monkeypatch):
+        self.fit = None
+        self.committed = None
+        self.solves = ([], [])
+        self.kernels = [0, 0]
+        for module in (svm, filter_learning):
+            monkeypatch.setattr(module, "solve_svm_dual", self._solving(module.solve_svm_dual))
+            monkeypatch.setattr(module, "kernel_matrix", self._building(module.kernel_matrix))
+        fit_shared_filter = harness.fit_shared_filter
+
+        def recording_fit(*args, **kwargs):
+            self.fit = fit_shared_filter(*args, **kwargs)
+            self.committed = [(p.model.alpha.copy(), p.model.bias, p.model.converged)
+                              for p in self.fit.problems]
+            return self.fit
+
+        monkeypatch.setattr(harness, "fit_shared_filter", recording_fit)
+
+    def _solving(self, fn):
+        def solving(*args, **kwargs):
+            model = fn(*args, **kwargs)
+            warm = kwargs.get("warm_alpha") is not None
+            self.solves[self.fit is not None].append((warm, model.n_iter))
+            return model
+        return solving
+
+    def _building(self, fn):
+        def building(*args, **kwargs):
+            self.kernels[self.fit is not None] += 1
+            return fn(*args, **kwargs)
+        return building
+
+
+def learned_filter_case(method, n_classes=2):
+    nbtot = 4 if method == "skf_svm" else 2
+    X, y = generate_toy(ToyParams(n=220, sigma_n=0.6, lag=2, nbtot=nbtot,
+                                  n_classes=n_classes, seed=5))
+    assert len(np.unique(y)) == n_classes
+    lam = 4.0 if method == "skf_svm" else 0.5
+    kwargs = {"max_cg_iters": 6, "mm_max_outer": 3, "svm_tol": 1e-3}
+    return X, y, dict(C=50.0, sigma_k=1.0, lam=lam, f=5, n0=2, learner_kwargs=kwargs)
+
+
+class TestBankSolves:
+    """The final banks take no SMO step the mathematics does not need."""
+
+    @pytest.mark.parametrize("method", ["svm", "avg_svm"])
+    def test_binary_fixed_filter_bank_is_one_solve(self, monkeypatch, method):
+        counter = SolveCounter(monkeypatch)
+        X, y = generate_toy(ToyParams(n=200, sigma_n=0.6, lag=2, seed=6))
+        pipe = harness.train_pipeline(X, y, method, C=50.0, sigma_k=1.0, f=5, n0=2)
+        # the pair is solved cold; both one-vs-all orientations start at
+        # its alpha and stop at their first optimality check
+        (cold, pair), *orientations = counter.solves[0]
+        assert not cold and pair > 0
+        assert orientations == [(True, 0), (True, 0)]
+        assert counter.kernels == [1, 0]
+        assert len(pipe.model.one_vs_all) == 2
+
+    @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
+    def test_binary_learned_filter_bank_takes_no_smo_step_after_the_fit(
+            self, monkeypatch, method):
+        counter = SolveCounter(monkeypatch)
+        X, y, kw = learned_filter_case(method)
+        pipe = harness.train_pipeline(X, y, method, **kw)
+        assert len(counter.solves[0]) > 0
+        # the pair from its committed solve, then its two orientations
+        assert counter.solves[1] == [(True, 0)] * 3
+        assert counter.kernels[1] == 1
+        assert pipe.model.one_vs_all[0] is pipe.model.pairwise[(0, 1)]
+
+    @pytest.mark.parametrize("method, n_classes", [("kf_svm", 2), ("skf_svm", 2),
+                                                   ("kf_svm", 3)])
+    def test_pairwise_bank_is_the_committed_solves(self, monkeypatch, method, n_classes):
+        counter = SolveCounter(monkeypatch)
+        X, y, kw = learned_filter_case(method, n_classes)
+        pipe = harness.train_pipeline(X, y, method, **kw)
+        # c >= 3 adds only the c cold one-vs-rest solves, on the same kernel
+        c = n_classes
+        pairs = len(counter.fit.problems)
+        after = counter.solves[1]
+        if c == 2:
+            assert after == [(True, 0)] * 3
+        else:
+            assert after[:pairs] == [(True, 0)] * pairs
+            assert [warm for warm, _ in after[pairs:]] == [False] * c
+        assert counter.kernels[1] == 1
+        assert len(pipe.history) > 1  # the filter moved off its start
+        problems = counter.fit.problems
+        assert list(pipe.model.pairwise) == [p.pair for p in problems]
+        Xf = pipe.filtered(X)
+        for p, (alpha, bias, converged) in zip(problems, counter.committed, strict=True):
+            model = pipe.model.pairwise[p.pair]
+            assert_array_equal(model.alpha, alpha)
+            assert model.converged == converged
+            # the committed bias came from the solver's running K @ (alpha*y)
+            assert model.bias == pytest.approx(bias, abs=1e-12)
+            assert_array_equal(model.sv_rows, Xf[p.rows[model.sv_idx]])
+            # optimal at the returned filter, on a kernel built afresh there
+            K = svm.kernel_matrix(Xf[p.rows], Xf[p.rows], model.kernel)
+            assert svm.kkt_violation(K, p.y_pm, model) <= kw["learner_kwargs"]["svm_tol"]
 
 
 class TestMaxWorkers:

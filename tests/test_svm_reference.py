@@ -2,9 +2,10 @@
 
 ``reference_solve`` is the per-iteration full-recompute SMO loop,
 ``reference_oao_vote`` the per-sample tie-break loop,
-``reference_decision_scores`` the one-kernel-per-model scorer and
-``reference_viterbi`` the numpy recursion that the versions in
-``marginfilter`` replaced.  ``reference_solve`` has no ``stop_above``:
+``reference_decision_scores`` the one-kernel-per-model scorer,
+``reference_viterbi`` the numpy recursion and ``reference_train_multiclass``
+the bank trainer that solved every pair and every one-vs-all scorer that
+the versions in ``marginfilter`` replaced.  ``reference_solve`` has no ``stop_above``:
 the solver's default of inf must leave its iterates unchanged.  The solver, the tie-break and Viterbi do the
 same arithmetic, so those comparisons are exact equality.  Bank scoring
 sums each model's kernel columns in a different order (one matmul over
@@ -32,6 +33,8 @@ from marginfilter.svm import (
     solve_svm_dual,
     train_multiclass,
 )
+from marginfilter.harness import train_pipeline
+from marginfilter.persistence import load_model, save_model
 
 
 def reference_solve(K, y, C, *, tol=1e-3, max_iter=2_000_000, warm_alpha=None):
@@ -447,3 +450,96 @@ class TestViterbiMatchesReference:
         E = np.log(np.array([[0.2, 0.5, 0.3]]))
         T = random_transitions(rng, 3)
         assert_array_equal(viterbi(E, T), reference_viterbi(E, T))
+
+
+def reference_train_multiclass(X, y, C, kernel, *, tol=1e-3):
+    """Every pair and every one-vs-all scorer solved cold on its own."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).ravel()
+    classes = np.unique(y)
+    K = kernel_matrix(X, X, kernel)
+    pairwise = {}
+    for a in range(len(classes)):
+        for b in range(a + 1, len(classes)):
+            idx = np.flatnonzero((y == classes[a]) | (y == classes[b]))
+            y_pm = np.where(y[idx] == classes[a], 1.0, -1.0)
+            pairwise[(a, b)] = solve_svm_dual(K[np.ix_(idx, idx)], y_pm, C,
+                                              rows=X[idx], kernel=kernel, tol=tol)
+    one_vs_all = [solve_svm_dual(K, np.where(y == cls, 1.0, -1.0), C, rows=X,
+                                 kernel=kernel, tol=tol)
+                  for cls in classes]
+    return MulticlassModel(classes=classes, pairwise=pairwise, one_vs_all=one_vs_all)
+
+
+def assert_same_model(got: SvmModel, want: SvmModel):
+    for name in ("alpha", "sv_idx", "sv_labels", "sv_alpha", "sv_rows"):
+        assert_array_equal(getattr(got, name), getattr(want, name))
+    assert (got.bias, got.objective, got.converged, got.n_iter, got.C, got.box,
+            got.kernel) == (want.bias, want.objective, want.converged, want.n_iter,
+                            want.C, want.box, want.kernel)
+
+
+def class_data(rng, c, n=180):
+    """c Gaussian blobs on a circle, overlapping enough to leave free alphas."""
+    y = rng.integers(1, c + 1, size=n) * 10
+    angle = 2 * np.pi * y / (10 * c)
+    X = np.column_stack([np.cos(angle), np.sin(angle)]) + rng.normal(scale=0.7, size=(n, 2))
+    return X, y
+
+
+class TestBanksMatchReference:
+    """A binary bank is one SMO solve; a bank of c >= 3 classes is unchanged."""
+
+    def test_binary_one_vs_all_is_the_pair_and_its_negation(self, rng):
+        X, y = class_data(rng, 2)
+        mc = train_multiclass(X, y, 20.0, KernelParams(0.8))
+        ref = reference_train_multiclass(X, y, 20.0, KernelParams(0.8))
+        pair = mc.pairwise[(0, 1)]
+        # the pair is orientation 0's warm solve from the cold pair's alpha:
+        # no SMO step, the same alpha and support set, and a bias from a
+        # freshly computed K @ (alpha * y) instead of the running one
+        assert pair is mc.one_vs_all[0]
+        want = ref.pairwise[(0, 1)]
+        for name in ("alpha", "sv_idx", "sv_labels", "sv_alpha", "sv_rows"):
+            assert_array_equal(getattr(pair, name), getattr(want, name))
+        assert (pair.n_iter, pair.converged) == (0, True)
+        assert pair.bias == pytest.approx(want.bias, abs=1e-12)
+        assert mc.one_vs_all[1].n_iter == 0
+
+        Xte = rng.normal(size=(600, 2))
+        s = decision_scores(pair, Xte)
+        assert np.max(np.abs(decision_scores(mc.one_vs_all[0], Xte) - s)) == 0.0
+        assert_array_equal(decision_scores(mc.one_vs_all[1], Xte), -s)
+        both = bank_scores(mc.one_vs_all, Xte)
+        assert_array_equal(both[:, 1], -both[:, 0])
+        # the same dual solution as a cold solve of the swapped labels, to
+        # the solver tolerance
+        flipped = ref.one_vs_all[1]
+        assert_array_equal(mc.one_vs_all[1].alpha, pair.alpha)
+        assert abs(flipped.objective - pair.objective) <= 1e-3 * pair.objective
+        assert np.mean(np.sign(decision_scores(flipped, Xte)) == -np.sign(s)) > 0.99
+
+    @pytest.mark.parametrize("c", [3, 4])
+    @pytest.mark.parametrize("method", ["svm", "avg_svm"])
+    def test_multiclass_banks_bit_identical(self, rng, c, method):
+        X, y = class_data(rng, c)
+        pipe = train_pipeline(X, y, method, C=20.0, sigma_k=0.8, f=3, n0=1)
+        ref = reference_train_multiclass(pipe.filtered(X), y, 20.0, KernelParams(0.8))
+        assert_array_equal(pipe.model.classes, ref.classes)
+        assert list(pipe.model.pairwise) == list(ref.pairwise)
+        for key, model in pipe.model.pairwise.items():
+            assert_same_model(model, ref.pairwise[key])
+        assert len(pipe.model.one_vs_all) == c
+        for model, want in zip(pipe.model.one_vs_all, ref.one_vs_all):
+            assert_same_model(model, want)
+
+    def test_model_json_reproduces_the_negated_scores(self, rng, tmp_path):
+        X, y = class_data(rng, 2)
+        pipe = train_pipeline(X, y, "svm", C=20.0, sigma_k=0.8)
+        save_model(tmp_path / "model.json", pipe)
+        loaded = load_model(tmp_path / "model.json", pipe.filter).model
+        Xte = rng.normal(size=(300, 2))
+        s = decision_scores(pipe.model.pairwise[(0, 1)], Xte)
+        for model, want in zip(loaded.one_vs_all, (s, -s)):
+            assert_array_equal(decision_scores(model, Xte), want)
+        assert_array_equal(decision_scores(loaded.pairwise[(0, 1)], Xte), s)
