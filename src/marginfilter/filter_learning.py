@@ -13,12 +13,20 @@ to optimality: it only has to be shown to miss the Armijo threshold.
 Every dual optimum is >= 0, and the warm-started SMO solver ascends the
 dual monotonically, so the running dual of each subproblem, added to the
 optima already summed and the penalty, is a lower bound on the trial's
-objective.  A trial stops (before the kernel build, when the support-
-vector block of the warm start already proves it lost, else inside the
-solver) once that bound clears the threshold by a relative slack of
-1e-9, far above the solver's ~1e-12 rounding.  An accepted trial never
-reaches the bound, so it is solved exactly as without it: the accepted
-steps, filters and models are the same bits.
+objective.  A trial stops (before any kernel entry off the support
+set, when the support-vector block of the warm start already proves it
+lost, else inside the solver) once that bound clears the threshold by a
+relative slack of 1e-9, far above the solver's ~1e-12 rounding.  An
+accepted trial never reaches the bound, so it is solved exactly as
+without it: the accepted steps, filters and models are the same bits.
+
+A warm trial computes only the kernel it reads (``svm.SupportKernel``):
+the block K[S, S] of its start's support set S, which the bound needs,
+then, once the trial survives that, the rest of the columns K[:, S],
+which give the start K @ (alpha * y), and the rows its SMO steps touch.
+The committed gradient block K[S', S'] comes from the same entries, as
+S' lies in S and the touched rows.  Only a fit's first, cold evaluation
+builds a subproblem's whole kernel.
 
 Channel selection uses a sum-of-column-norms penalty, handled by
 majorization-minimization: each outer step replaces the column norms by a
@@ -49,6 +57,7 @@ from .signals import (
 from .svm import (
     KernelParams,
     MulticlassModel,
+    SupportKernel,
     SvmModel,
     class_pairs,
     kernel_matrix,
@@ -285,27 +294,38 @@ class _Subproblem:
         """Dual optimum on the filtered signal ``Xf``.
 
         Once a lower bound on the optimum exceeds ``stop_above``, returns
-        that bound instead and leaves nothing to commit.
+        that bound instead and leaves nothing to commit.  A cold solve
+        reads most of the kernel and builds all of it; a warm one builds
+        the support block K[S, S] of its start S first, and the rest of
+        the columns K[:, S] only if the trial survives the bound.
         """
         self._last = None
         Xsub = Xf[self.rows]
-        if self.alpha is not None and stop_above < np.inf:
-            # the dual at the warm start lower-bounds the optimum, and only
-            # the support rows enter it: an |S| x |S| kernel, not n x n
+        if self.alpha is None:
+            K = kernel_matrix(Xsub, Xsub, cfg.kernel)
+        else:
+            # the source's storage before the support block: see SupportKernel
+            storage = np.empty(len(Xsub) ** 2)
             sv = np.flatnonzero(self.alpha > 0)
             Xs = Xsub[sv]
-            w = self.alpha[sv] * self.y_pm[sv]
-            warm = float(self.alpha.sum() - 0.5 * (w @ kernel_matrix(Xs, Xs, cfg.kernel) @ w))
-            if warm > stop_above:
-                return warm
-        K = kernel_matrix(Xsub, Xsub, cfg.kernel)
+            K_s = kernel_matrix(Xs, Xs, cfg.kernel)
+            if stop_above < np.inf:
+                # the dual at the warm start lower-bounds the optimum, and
+                # only the support rows enter it
+                w = self.alpha[sv] * self.y_pm[sv]
+                warm = float(self.alpha.sum() - 0.5 * (w @ K_s @ w))
+                if warm > stop_above:
+                    return warm
+            K = SupportKernel(Xsub, sv, cfg.kernel, K_s, storage)
+            del K_s  # copied into K: one copy through the solve
         model = solve_svm_dual(
             K, self.y_pm, cfg.C, kernel=cfg.kernel,
             tol=cfg.svm_tol, max_iter=cfg.svm_max_iter, warm_alpha=self.alpha,
             stop_above=stop_above)
         if model.objective <= stop_above:
             sv = np.flatnonzero(model.alpha > 0)
-            self._last = (model, Xf, K[np.ix_(sv, sv)])
+            K_ss = K[np.ix_(sv, sv)] if self.alpha is None else K.block(sv)
+            self._last = (model, Xf, K_ss)
         return model.objective
 
     def commit(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .signals import FilterBank, as_labels, as_signal
 from .svm import KernelParams, MulticlassModel, PlattParams, SvmModel
 
 FORMAT_VERSION = 1
+# Dataset rows formatted or parsed at a time; bounds the Python floats and
+# strings alive at once.
+CSV_CHUNK_ROWS = 256
 
 
 class DataFormatError(ValueError):
@@ -48,7 +52,11 @@ def atomic_write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 def save_dataset(path, X, y=None):
-    """Write a dataset CSV (header t,ch1..chd[,label])."""
+    """Write a dataset CSV (header t,ch1..chd[,label]).
+
+    Samples are written as the shortest repr that reads back to the same
+    double, so a saved dataset reloads exactly.
+    """
     X = as_signal(X)
     n, d = X.shape
     if y is not None:
@@ -57,12 +65,39 @@ def save_dataset(path, X, y=None):
     if y is not None:
         header += ",label"
     lines = [header]
-    for i in range(n):
-        row = [str(i)] + [repr(float(x)) for x in X[i]]
+    for start in range(0, n, CSV_CHUNK_ROWS):
+        rows = slice(start, start + CSV_CHUNK_ROWS)
+        # the cells of a chunk by column, joined row-wise; repr of a
+        # Python float is its shortest round-trip form
+        columns = [map(str, range(n)[rows])]
+        columns += [map(repr, column.tolist()) for column in X[rows].T]
         if y is not None:
-            row.append(str(int(y[i])))
-        lines.append(",".join(row))
+            columns.append(map(str, y[rows].tolist()))
+        lines.extend(map(",".join, zip(*columns)))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _parse_rows(path, rows, d: int, labeled: bool):
+    """Row-by-row parse of the data lines; names the first bad line."""
+    n = len(rows)
+    X = np.empty((n, d))
+    y = np.empty(n, dtype=np.int64) if labeled else None
+    width = d + 1 + labeled
+    for i, ln in enumerate(rows, start=2):
+        cells = ln.split(",")
+        if len(cells) != width:
+            raise DataFormatError(
+                f"{path}:{i}: expected {width} columns, got {len(cells)}")
+        try:
+            X[i - 2] = [float(c) for c in cells[1 : 1 + d]]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{i}: non-numeric cell ({exc})") from exc
+        if labeled:
+            try:
+                y[i - 2] = int(cells[-1])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{i}: non-integer label") from exc
+    return X, y
 
 
 def load_dataset(path):
@@ -70,7 +105,10 @@ def load_dataset(path):
 
     Returns (X, y) with y None when the label column is absent.  Ragged
     rows, non-numeric cells and empty files are rejected with the
-    offending line number.
+    offending line number.  The body is parsed as tables of
+    CSV_CHUNK_ROWS rows, with float() and int() semantics per cell; a
+    file that fails that is parsed again row by row to name its first
+    bad line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
@@ -88,26 +126,26 @@ def load_dataset(path):
     if header[1 : 1 + d] != expected:
         raise DataFormatError(f"{path}:1: channel columns must be ch1..ch{d}")
 
-    n = len(lines) - 1
-    if n == 0:
+    rows = lines[1:]
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    X = np.empty((n, d))
-    y = np.empty(n, dtype=np.int64) if labeled else None
     width = len(header)
-    for i, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise DataFormatError(
-                f"{path}:{i}: expected {width} columns, got {len(cells)}")
-        try:
-            X[i - 2] = [float(c) for c in cells[1 : 1 + d]]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{i}: non-numeric cell ({exc})") from exc
-        if labeled:
-            try:
-                y[i - 2] = int(cells[-1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{i}: non-integer label") from exc
+    X = np.empty((len(rows), d))
+    y = np.empty(len(rows), dtype=np.int64) if labeled else None
+    try:
+        if any(c != width - 1 for c in map(str.count, rows, repeat(","))):
+            raise ValueError("ragged rows")
+        # CSV_CHUNK_ROWS rows at a time, so that few cells exist as
+        # Python strings at once; casting an object cell calls float() or
+        # int() on it, as the row parser does
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            part = rows[start : start + CSV_CHUNK_ROWS]
+            table = np.array(",".join(part).split(","), dtype=object).reshape(len(part), width)
+            X[start : start + len(part)] = table[:, 1 : 1 + d].astype(np.float64)
+            if labeled:
+                y[start : start + len(part)] = table[:, -1].astype(np.int64)
+    except ValueError:
+        X, y = _parse_rows(path, rows, d, labeled)
     if not np.all(np.isfinite(X)):
         raise DataFormatError(f"{path}: non-finite sample values")
     if y is not None and y.min() < 1:

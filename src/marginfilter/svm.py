@@ -3,7 +3,9 @@
 Contains the kernel, a warm-startable SMO solver for the box-constrained
 dual, the kernel decision function, Platt sigmoid calibration, and the
 one-against-one / one-against-all multiclass banks used for online voting
-and calibrated probabilities respectively.
+and calibrated probabilities respectively.  The solver reads its kernel
+from a dense matrix or, for a warm start, from a ``SupportKernel`` that
+computes the support columns of the start and the rows the steps touch.
 
 Where the mathematics gives one SVM, one SVM is solved: with two classes
 the one-against-all bank is the pairwise machine in its two label
@@ -39,19 +41,126 @@ class KernelParams:
             raise ValueError(f"sigma_k must be finite and > 0, got {self.sigma_k}")
 
 
-def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
+def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
     """Gaussian kernel matrix exp(-||a_i - b_j||^2 / (2 sigma_k^2)).
 
-    A is (m, d), B is (p, d); returns (m, p).  Symmetric PSD when A is B.
+    A is (m, d), B is (p, d); returns (m, p), written into ``out`` (a
+    C-contiguous float64 (m, p) array) when given.  Symmetric PSD when A
+    is B.  Each entry depends only on its own pair of rows, and on them
+    symmetrically, so a block or row of a kernel is the same doubles as
+    that part of the full kernel.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"channel mismatch: {A.shape[1]} vs {B.shape[1]}")
-    sq = cdist(A, B, metric="sqeuclidean")
+    sq = cdist(A, B, metric="sqeuclidean", out=out)
     # in place: (-a) / b == a / (-b) exactly, so no m x p temporaries
     sq /= -(2.0 * params.sigma_k**2)
     return np.exp(sq, out=sq)
+
+
+class SupportKernel:
+    """The Gaussian kernel of ``X``, computed where a warm solve reads it.
+
+    A solve warm-started at alpha needs K @ (alpha * y), which only the
+    columns of the support set S (alpha > 0) enter, the rows K[i] and K[j]
+    of each SMO step, and the diagonal, which is exp(0) = 1.  This source
+    holds the columns K[:, S] as one block, whose rows are those of S (a
+    copy of the caller's ``support_block``, K[S, S]) followed by the other
+    rows, and computes any row on first use and caches it (the kernel
+    cache of Joachims 1999 and of LIBSVM, Chang & Lin 2011).  Every entry
+    is the same double as in kernel_matrix(X, X).
+
+    The block and the cache share ``storage``, n * n floats like the
+    kernel they stand in for (allocated here when not given): the block
+    takes n x |S| of it and the cache the n - |S| rows left, and rows past
+    those are computed again on each use.  One same-sized allocation per
+    solve reuses one heap chunk, where arrays of varying size fragment the
+    heap and raise the peak resident memory; a caller that allocates the
+    storage before it computes ``support_block`` keeps that block from
+    splitting the chunk.
+
+    It stands in for the kernel matrix where ``solve_svm_dual`` reads it:
+    ``shape``, ``diagonal()``, ``K[i]`` (row i) and ``K @ w`` (for w zero
+    off S); ``block(idx)`` is K[np.ix_(idx, idx)].
+    """
+
+    def __init__(self, X, support, params: KernelParams, support_block, storage=None):
+        self._X = np.asarray(X, dtype=np.float64)
+        self._params = params
+        n, s = len(self._X), len(support)
+        self.shape = (n, n)
+        self._support = np.asarray(support)
+        in_support = np.zeros(n, dtype=bool)
+        in_support[self._support] = True
+        self._rest = np.flatnonzero(~in_support)
+        self._order = np.concatenate([self._support, self._rest])
+        self._col = np.full(n, -1)
+        self._col[self._support] = np.arange(s)
+        flat = np.empty(n * n) if storage is None else storage
+        if flat.shape != (n * n,) or flat.dtype != np.float64:
+            raise ValueError(f"storage must be a float64 vector of n * n = {n * n} elements")
+        self._cols = flat[: n * s].reshape(n, s)
+        self._cols[:s] = support_block
+        if len(self._rest):
+            kernel_matrix(self._X[self._rest], self._X[self._support], params,
+                          out=self._cols[s:])
+        self._cache = flat[n * s :].reshape(n - s, n)
+        self._slot = {}  # sample -> row of _cache
+
+    def diagonal(self) -> np.ndarray:
+        return np.ones(self.shape[0])
+
+    def __matmul__(self, w) -> np.ndarray:
+        w = np.asarray(w, dtype=np.float64)
+        if np.any(w[self._rest]):
+            raise ValueError("the product needs a vector that is zero off the support set")
+        out = np.empty(self.shape[0])
+        out[self._order] = self._cols @ w[self._support]
+        return out
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        slot = self._slot.get(i)
+        if slot is not None:
+            return self._cache[slot]
+        slot = len(self._slot)
+        if slot < len(self._cache):
+            row = self._cache[slot]
+            self._slot[i] = slot
+        else:
+            row = np.empty(self.shape[0])
+        k = self._col[i]
+        if k >= 0:
+            row[self._order] = self._cols[:, k]
+        else:
+            kernel_matrix(self._X[i : i + 1], self._X, self._params, out=row[None])
+        return row
+
+    def block(self, idx) -> np.ndarray:
+        """K[np.ix_(idx, idx)]: support columns from the block, the others
+        from their rows (cached, when the solve touched them)."""
+        idx = np.asarray(idx)
+        k = self._col[idx]
+        in_s = k >= 0
+        position = np.empty(self.shape[0], dtype=np.int64)
+        position[self._order] = np.arange(self.shape[0])
+        rows, cols = position[idx], k[in_s]
+        out = np.empty((len(idx), len(idx)))
+        # in chunks of 32 rows, so the gather's temporary stays small
+        for start in range(0, len(idx), 32):
+            chunk = slice(start, start + 32)
+            out[chunk, in_s] = self._cols[np.ix_(rows[chunk], cols)]
+        for b in np.flatnonzero(~in_s):
+            out[:, b] = self[int(idx[b])][idx]
+        return out
+
+
+# Why a solve stopped (SvmModel.stop).
+STOP_CONVERGED = "converged"  # the KKT violation dropped below tol
+STOP_BOUND = "bound"  # the running dual exceeded stop_above
+STOP_MAX_ITER = "max_iter"  # the iteration cap
+STOP_STUCK = "stuck"  # no pair could make progress (rounding at the box)
 
 
 @dataclass
@@ -63,6 +172,7 @@ class SvmModel:
     SV_THRESHOLD_FRAC * box).  ``objective`` is the dual optimum
     sum(alpha) - 0.5 alpha' Q alpha, which by strong duality equals the
     primal hinge-loss objective and is what the filter learner minimizes.
+    ``converged`` is true only when ``stop`` is STOP_CONVERGED.
     """
 
     alpha: np.ndarray
@@ -77,6 +187,7 @@ class SvmModel:
     sv_rows: np.ndarray | None = None
     converged: bool = True
     n_iter: int = 0
+    stop: str = STOP_CONVERGED
 
 
 def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
@@ -100,8 +211,22 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     that only needs to know whether the optimum exceeds a threshold gets
     its answer without solving to ``tol``.
 
+    The kernel source ``K`` is read in four ways only: its shape, its
+    diagonal, K @ (alpha * y) once at a warm start, and the rows K[i] and
+    K[j] of each step.  A dense matrix serves all of them; a cold solve
+    reads most rows, so it takes one.  A warm solve can take a
+    ``SupportKernel`` instead, which computes the support columns of the
+    warm start and only the other rows the steps touch.  Both give the
+    same entries; the product at the start is summed over the support set
+    only, so it, and the iterates after it, differ by rounding.
+
+    ``stop`` on the result tells why the solve ended: STOP_CONVERGED,
+    STOP_BOUND (``stop_above``), STOP_MAX_ITER, or STOP_STUCK (no pair
+    left that can move, or a step rounded to zero at the box).
+
     Args:
-        K: (n, n) symmetric PSD kernel matrix of the training samples.
+        K: kernel source: the (n, n) symmetric PSD kernel matrix of the
+            training samples, or a SupportKernel of them.
         y: length-n labels in {-1, +1}, both classes present.
         C: regularization constant (> 0); the per-sample box is C/n.
         rows: optional (n, d) training samples, retained for the support
@@ -117,7 +242,8 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     Returns:
         SvmModel.
     """
-    K = np.asarray(K, dtype=np.float64)
+    if not isinstance(K, SupportKernel):
+        K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     n = len(y)
     if K.shape != (n, n):
@@ -141,7 +267,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
             raise ValueError("warm_alpha violates the equality constraint")
         u = K @ (alpha * y)
 
-    diag = np.diag(K).copy()
+    diag = K.diagonal().copy()
     pos = y > 0
     y_list = y.tolist()
     eps_b = 1e-12 * box
@@ -161,7 +287,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     no_gain = np.empty(n, dtype=bool)
 
     it = 0
-    converged = False
+    stop = STOP_MAX_ITER
     m_val = M_val = 0.0
     # running dual sum(alpha) - 0.5 * (alpha*y)' K (alpha*y); 0 when cold
     dual = float(alpha.sum() - 0.5 * np.dot(alpha * y, u))
@@ -173,7 +299,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         m_val = float(v_up[i])
         M_val = float(v_low[v_low.argmin()])
         if m_val - M_val <= tol:
-            converged = True
+            stop = STOP_CONVERGED
             break
 
         # second-order choice of j: largest gain b_gain^2 / quad, with
@@ -191,6 +317,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         np.putmask(gain, no_gain, -np.inf)
         j = int(gain.argmax())
         if gain[j] == -np.inf:
+            stop = STOP_STUCK
             break
 
         # two-variable update along alpha_i += y_i t, alpha_j -= y_j t;
@@ -205,6 +332,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         if t <= 0:
             # numerically stuck below the boundary guard; stop with the
             # best iterate rather than spin
+            stop = STOP_STUCK
             break
         dual += t * b_j - 0.5 * t * t * q_j
         da_i = y_i * t
@@ -222,6 +350,8 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
             y_up[k] = y_k if up else -np.inf
             y_low[k] = y_k if low else np.inf
         it += 1
+    if stop == STOP_MAX_ITER and dual > stop_above:
+        stop = STOP_BOUND
 
     # dual value: sum(alpha) - 0.5 * (alpha*y)' K (alpha*y)
     objective = float(alpha.sum() - 0.5 * np.dot(alpha * y, u))
@@ -245,8 +375,9 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         sv_labels=y[sv_idx].astype(np.int64),
         sv_alpha=alpha[sv_idx].copy(),
         sv_rows=None if rows is None else np.asarray(rows, dtype=np.float64)[sv_idx].copy(),
-        converged=converged,
+        converged=stop == STOP_CONVERGED,
         n_iter=it,
+        stop=stop,
     )
     return model
 

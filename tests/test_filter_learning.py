@@ -29,7 +29,13 @@ from marginfilter.signals import (
     generate_toy,
     make_average_filter,
 )
-from marginfilter.svm import KernelParams, decision_scores, kernel_matrix, solve_svm_dual
+from marginfilter.svm import (
+    KernelParams,
+    SupportKernel,
+    decision_scores,
+    kernel_matrix,
+    solve_svm_dual,
+)
 
 
 def fixed_alpha_objective(F, X, y, alpha, cfg):
@@ -54,7 +60,13 @@ def fd_gradient(F, X, y, alpha, cfg, h=1e-6):
 
 
 class ReferenceProblem:
-    """A subproblem whose every trial is solved to the KKT tolerance."""
+    """A subproblem whose every trial is solved to the KKT tolerance.
+
+    Warm trials are solved through the same kernel source as the fit's:
+    its start K @ (alpha * y) sums over the support set only, so it
+    differs from the dense product by rounding, and the comparison with
+    the bounded line search is exact.
+    """
 
     def __init__(self, rows, y_pm):
         self.rows, self.y_pm = rows, y_pm
@@ -62,8 +74,13 @@ class ReferenceProblem:
 
     def solve(self, Xf, cfg):
         Xsub = Xf[self.rows]
-        self.last = solve_svm_dual(kernel_matrix(Xsub, Xsub, cfg.kernel), self.y_pm, cfg.C,
-                                   kernel=cfg.kernel, tol=cfg.svm_tol,
+        if self.alpha is None:
+            K = kernel_matrix(Xsub, Xsub, cfg.kernel)
+        else:
+            sv = np.flatnonzero(self.alpha > 0)
+            K = SupportKernel(Xsub, sv, cfg.kernel,
+                              kernel_matrix(Xsub[sv], Xsub[sv], cfg.kernel))
+        self.last = solve_svm_dual(K, self.y_pm, cfg.C, kernel=cfg.kernel, tol=cfg.svm_tol,
                                    max_iter=cfg.svm_max_iter, warm_alpha=self.alpha)
         return self.last.objective
 
@@ -165,7 +182,7 @@ def assert_same_fit(X, y, cfg):
     assert fit.converged == converged
     for p, ref in zip(fit.problems, ref_problems, strict=True):
         assert_array_equal(p.alpha, ref.alpha)
-        assert (p.model.n_iter, p.model.converged) == (ref.model.n_iter, ref.model.converged)
+        assert (p.model.n_iter, p.model.stop) == (ref.model.n_iter, ref.model.stop)
     return fit
 
 
@@ -507,6 +524,36 @@ class TestEarlyRejection:
         assert abs(bound - J) <= 1e-12 * J
         with pytest.raises(TypeError):
             p.commit()  # nothing to commit from a lost trial
+
+
+class TestKernelOnDemand:
+    """Warm trials compute the support columns of their start and the rows
+    their SMO steps touch; only a fit's first, cold evaluation builds a
+    subproblem's whole kernel."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_no_full_kernel_after_the_cold_start(self, monkeypatch, n_classes):
+        from marginfilter import svm
+
+        X, y = generate_toy(ToyParams(n=240, sigma_n=0.8, lag=3, nbtot=2,
+                                      n_classes=n_classes, seed=21))
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 1.0),
+                            max_cg_iters=8)
+        shapes = []
+
+        def recording(A, B, params, out=None):
+            shapes.append((len(A), len(B)))
+            return kernel_matrix(A, B, params, out=out)
+
+        for module in (svm, filter_learning):
+            monkeypatch.setattr(module, "kernel_matrix", recording)
+        fit = fit_shared_filter(X, y, cfg)
+        sizes = [len(p.rows) for p in fit.problems]
+        assert shapes[:len(sizes)] == [(m, m) for m in sizes]
+        later = shapes[len(sizes):]
+        assert len(fit.history) > 3 and len(later) > 10 * len(sizes)
+        assert not {(m, m) for m in sizes} & set(later)
+        assert (1, sizes[0]) in later  # a row fetched outside the support set
 
 
 class TestLearnSkfSvm:

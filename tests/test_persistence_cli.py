@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from marginfilter import persistence
 from marginfilter.cli import main
 from marginfilter.harness import calibrate_pipeline, train_pipeline
 from marginfilter.persistence import (
@@ -82,6 +83,69 @@ class TestDatasetRoundTrip:
         path.write_text("time,c1\n0,1.0\n")
         with pytest.raises(DataFormatError, match="header"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("body, line, match", [
+        # the cell count adds up, and the shifted table would parse
+        ("0,1.0,1\n1,2.0,2,3\n2,3\n", 3, "expected 3 columns, got 4"),
+        ("0,1.0,1\n1,2.0,1.0\n", 3, "label"),  # int(), not float()
+        ("0,1.0,1\n1,,2\n", 3, "non-numeric"),
+    ])
+    def test_table_parse_falls_back_to_name_the_line(self, tmp_path, body, line, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,ch1,label\n" + body)
+        with pytest.raises(DataFormatError, match=f"bad.csv:{line}: .*{match}"):
+            load_dataset(path)
+
+    def test_cells_read_as_float_and_int_read_them(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,ch1,ch2,label\n0, 1_0 ,-0.0,+2\n1,nan_free,1e-3, 3\n")
+        with pytest.raises(DataFormatError, match="data.csv:3"):
+            load_dataset(path)
+        path.write_text("t,ch1,ch2,label\n0, 1_0 ,-0.0,+2\nx,0x1,1e-3, 3\n")
+        with pytest.raises(DataFormatError, match="data.csv:3"):
+            load_dataset(path)
+        path.write_text("t,ch1,ch2,label\n0, 1_0 ,-0.0,+2\nx,5E-324,1e-3, 3_0\n")
+        X, y = load_dataset(path)
+        assert_array_equal(X, [[10.0, -0.0], [5e-324, 1e-3]])
+        assert np.signbit(X[0, 1])
+        assert_array_equal(y, [2, 30])
+
+    @pytest.mark.parametrize("bad_line", [None, 2, 4, 5, 9])
+    def test_chunked_csv(self, tmp_path, rng, monkeypatch, bad_line):
+        # 8 rows in chunks of 3: the last chunk is short
+        monkeypatch.setattr(persistence, "CSV_CHUNK_ROWS", 3)
+        X, y = rng.normal(size=(8, 2)), rng.integers(1, 4, size=8)
+        path = tmp_path / "data.csv"
+        save_dataset(path, X, y)
+        if bad_line is None:
+            X2, y2 = load_dataset(path)
+            assert_array_equal(X2, X)
+            assert_array_equal(y2, y)
+            return
+        lines = path.read_text().split("\n")
+        cells = lines[bad_line - 1].split(",")
+        lines[bad_line - 1] = ",".join([cells[0], "oops", *cells[2:]])
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError, match=f"data.csv:{bad_line}: non-numeric"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("chunk", [7, 256])  # 50 rows: short last chunk, one chunk
+    def test_saved_bytes_match_the_row_writer(self, tmp_path, rng, monkeypatch, chunk):
+        monkeypatch.setattr(persistence, "CSV_CHUNK_ROWS", chunk)
+        X = rng.normal(size=(50, 3)) * np.logspace(-8, 17, 3)
+        X[0] = [-0.0, 5e-324, 1e16]
+        y = rng.integers(1, 5, size=50)
+        for labels in (y, None):
+            path = tmp_path / "data.csv"
+            save_dataset(path, X, labels)
+            lines = ["t,ch1,ch2,ch3" + (",label" if labels is not None else "")]
+            for i in range(len(X)):
+                row = [str(i)] + [repr(float(x)) for x in X[i]]
+                lines.append(",".join(row + ([] if labels is None else [str(int(labels[i]))])))
+            assert path.read_text() == "\n".join(lines) + "\n"
+            X2, y2 = load_dataset(path)
+            assert_array_equal(X2, X)
+            assert y2 is None if labels is None else np.array_equal(y2, labels)
 
     def test_lf_line_endings_and_dot_decimals(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -15,20 +15,25 @@ agree to 1e-12 of their largest magnitude and labels exactly.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from marginfilter.decoding import TransitionMatrix, decode_offline, viterbi
 from marginfilter.svm import (
     SCORE_CHUNK_ROWS,
+    STOP_BOUND,
+    STOP_CONVERGED,
+    STOP_MAX_ITER,
     SV_THRESHOLD_FRAC,
     KernelParams,
     MulticlassModel,
     PlattParams,
+    SupportKernel,
     SvmModel,
     bank_scores,
     class_probabilities,
     decision_scores,
     kernel_matrix,
+    kkt_violation,
     oao_vote,
     solve_svm_dual,
     train_multiclass,
@@ -185,7 +190,7 @@ class TestSolverMatchesReference:
         X, y = xor_problem(rng, n)
         K = kernel_matrix(X, X, KernelParams(0.7))
         m = assert_same_solution(K, y, C, tol=tol)
-        assert m.converged and m.n_iter > 0
+        assert m.converged and m.n_iter > 0 and m.stop == STOP_CONVERGED
 
     def test_warm(self, rng):
         X, y = xor_problem(rng, 200)
@@ -201,7 +206,7 @@ class TestSolverMatchesReference:
         X, y = xor_problem(rng, 120)
         K = kernel_matrix(X, X, KernelParams(0.5))
         m = assert_same_solution(K, y, 100.0, tol=1e-10, max_iter=max_iter)
-        assert m.n_iter == max_iter and not m.converged
+        assert m.n_iter == max_iter and not m.converged and m.stop == STOP_MAX_ITER
 
     @pytest.mark.parametrize("frac_pos", [0.05, 0.2, 0.9])
     def test_unbalanced(self, rng, frac_pos):
@@ -251,7 +256,7 @@ class TestRunningDual:
             dual_k = solve_svm_dual(K, y, C, **{**uncapped, "max_iter": int(k)}).objective
             eps = rounding(dual_k)
             below = solve_svm_dual(K, y, C, stop_above=dual_k - eps, **uncapped)
-            assert below.n_iter <= k and not below.converged
+            assert below.n_iter <= k and not below.converged and below.stop == STOP_BOUND
             assert below.objective > dual_k - eps
             above = solve_svm_dual(K, y, C, stop_above=dual_k + eps, **uncapped)
             assert above.n_iter > k or above.converged
@@ -261,10 +266,100 @@ class TestRunningDual:
         K, y, C, kw = solve_case(rng, kind)
         start = solve_svm_dual(K, y, C, max_iter=0, **kw).objective
         m = solve_svm_dual(K, y, C, stop_above=start - 0.5, **kw)
-        assert m.n_iter == 0 and not m.converged
+        assert m.n_iter == 0 and not m.converged and m.stop == STOP_BOUND
         assert m.objective == start > start - 0.5
         if "warm_alpha" in kw:
             assert_array_equal(m.alpha, kw["warm_alpha"])
+
+
+def support_kernel(X, sv, params):
+    return SupportKernel(X, sv, params, kernel_matrix(X[sv], X[sv], params))
+
+
+class TestSupportKernel:
+    """The kernel source of warm solves: every entry it gives is the
+    entry of the full kernel, and a solve through it is the dense solve
+    up to the rounding of its start K @ (alpha * y)."""
+
+    @pytest.mark.parametrize("d, n_sv", [(2, 1), (2, 37), (6, 80), (3, 120)])
+    def test_entries_equal_the_full_kernel(self, rng, d, n_sv):
+        X = rng.normal(size=(120, d))
+        params = KernelParams(0.9)
+        K = kernel_matrix(X, X, params)
+        sv = np.sort(rng.choice(len(X), size=n_sv, replace=False))
+        src = support_kernel(X, sv, params)
+        assert src.shape == K.shape
+        assert_array_equal(src.diagonal(), np.diag(K))
+        for i in rng.permutation(len(X)):  # rows inside and outside S
+            assert_array_equal(src[int(i)], K[i])
+        src = support_kernel(X, sv, params)  # no row cached yet
+        idx = np.sort(rng.choice(len(X), size=30, replace=False))
+        assert_array_equal(src.block(idx), K[np.ix_(idx, idx)])
+        assert_array_equal(src.block(sv), K[np.ix_(sv, sv)])
+
+        w = np.zeros(len(X))
+        w[sv] = rng.normal(size=n_sv)
+        assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
+        if n_sv < len(X):
+            w[np.setdiff1d(np.arange(len(X)), sv)[0]] = 1.0
+            with pytest.raises(ValueError, match="support"):
+                src @ w
+        with pytest.raises(ValueError, match="storage"):
+            SupportKernel(X, sv, params, K[np.ix_(sv, sv)], np.empty(len(X) ** 2 - 1))
+
+    def test_cache_full_rows_are_computed_on_each_use(self, rng):
+        # |S| = n - 2 leaves two cache rows; later rows are not kept
+        X = rng.normal(size=(40, 2))
+        params = KernelParams(0.9)
+        K = kernel_matrix(X, X, params)
+        src = support_kernel(X, np.arange(2, 40), params)
+        rows = [src[i] for i in (0, 5, 1, 7, 3)]  # 1, 7, 3 past the cache
+        for i, row in zip((0, 5, 1, 7, 3), rows):
+            assert_array_equal(row, K[i])
+        assert_array_equal(src[0], K[0])
+        assert_array_equal(src[5], K[5])
+
+    @staticmethod
+    def warm_case(rng, scale):
+        """A warm start optimal at X, and the kernel moved to scale * X."""
+        X, y = xor_problem(rng, 150)
+        params = KernelParams(0.7)
+        alpha = solve_svm_dual(kernel_matrix(X, X, params), y, 100.0).alpha
+        sv = np.flatnonzero(alpha > 0)
+        assert 0 < len(sv) < len(X)
+        Xm = scale * X
+        return kernel_matrix(Xm, Xm, params), support_kernel(Xm, sv, params), y, alpha
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_warm_solve_matches_the_dense_solve(self, rng, bounded):
+        # a small move, as between line-search trials: ~40 SMO steps
+        K, src, y, alpha = self.warm_case(rng, 1.02)
+        kw = {"warm_alpha": alpha}
+        if bounded:
+            start = solve_svm_dual(K, y, 100.0, max_iter=0, **kw).objective
+            full = solve_svm_dual(K, y, 100.0, **kw)
+            # the dual climbs steeply at first: a bound near the optimum
+            kw["stop_above"] = full.objective - 1e-3 * (full.objective - start)
+        dense = solve_svm_dual(K, y, 100.0, **kw)
+        m = solve_svm_dual(src, y, 100.0, **kw)
+        assert dense.n_iter > 10
+        assert (m.n_iter, m.stop) == (dense.n_iter, dense.stop)
+        assert dense.stop == (STOP_BOUND if bounded else STOP_CONVERGED)
+        assert_allclose(m.alpha, dense.alpha, rtol=0, atol=1e-12)
+        assert abs(m.objective - dense.objective) <= 1e-12 * abs(dense.objective)
+        assert abs(m.bias - dense.bias) <= 1e-12
+
+    def test_rounding_may_break_a_working_set_tie_the_other_way(self, rng):
+        # after a step that leaves both alphas free, v_i == v_j up to
+        # rounding; here a later choice between two such rows falls the
+        # other way at step 52, and the paths part; both end optimal
+        K, src, y, alpha = self.warm_case(rng, 1.1)
+        dense = solve_svm_dual(K, y, 100.0, warm_alpha=alpha)
+        m = solve_svm_dual(src, y, 100.0, warm_alpha=alpha)
+        assert m.n_iter != dense.n_iter
+        assert m.converged and dense.converged
+        assert kkt_violation(K, y, m) <= 1e-3
+        assert abs(m.objective - dense.objective) <= 1e-3 * abs(dense.objective)
 
 
 def sv_model(score: float, sv_rows=None, sv_alpha=None) -> SvmModel:
