@@ -154,9 +154,14 @@ def load_dataset(path):
 
 
 def save_predictions(path, labels):
+    """Write a prediction CSV (header t,label), one row per sample."""
     labels = as_labels(labels)
-    lines = ["t,label"] + [f"{i},{int(v)}" for i, v in enumerate(labels)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    n = len(labels)
+    # the body in one formatting pass over the interleaved (t, label) cells
+    cells = np.empty(2 * n, dtype=np.int64)
+    cells[0::2] = np.arange(n)
+    cells[1::2] = labels
+    atomic_write_text(path, "t,label\n" + "%d,%d\n" * n % tuple(cells.tolist()))
 
 
 def load_predictions(path):

@@ -16,6 +16,7 @@ solution, which stop at their first optimality check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +50,27 @@ def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
     is B.  Each entry depends only on its own pair of rows, and on them
     symmetrically, so a block or row of a kernel is the same doubles as
     that part of the full kernel.
+
+    Each squared distance is divided by -2 sigma_k^2, in place.  When
+    2 sigma_k^2 is a power of two (sigma_k in {0.25, 0.5, 1, 2, 4, 8, ...})
+    its reciprocal is exact, so the distances are multiplied by it
+    instead: a product and a quotient of the same real number round to
+    the same double, subnormal and overflowing results included, and a
+    multiply costs a fraction of a divide.  Either way each entry is the
+    same double as exp(sq / (-2 sigma_k^2)).
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"channel mismatch: {A.shape[1]} vs {B.shape[1]}")
     sq = cdist(A, B, metric="sqeuclidean", out=out)
-    # in place: (-a) / b == a / (-b) exactly, so no m x p temporaries
-    sq /= -(2.0 * params.sigma_k**2)
+    # in place, so no m x p temporaries: (-a) / b == a / (-b) exactly; the
+    # reciprocal of a power of two below 2**-1023 would overflow
+    two_var = 2.0 * params.sigma_k**2
+    if math.frexp(two_var)[0] == 0.5 and two_var >= 2.0**-1023:
+        sq *= -1.0 / two_var
+    else:
+        sq /= -two_var
     return np.exp(sq, out=sq)
 
 

@@ -1,4 +1,5 @@
 import itertools
+from operator import add
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from marginfilter.decoding import (
     TransitionMatrix,
+    _block_length,
     decode_offline,
     decode_online,
     estimate_transitions,
@@ -35,6 +37,33 @@ def brute_force_viterbi(E, T):
         if s > best:
             best, best_path = s, path
     return np.array(best_path) + 1
+
+
+def sequential_viterbi(E, T):
+    """The sample-by-sample Viterbi recursion, the reference for the blocked
+    one: Python floats, which round as float64 does; ties break toward the
+    lowest class index (list.index takes the first maximum)."""
+    n, c = E.shape
+    # into[s*c + r] is log M[r, s], so cand[s*c + r] is the best score
+    # ending in r, then s
+    into = np.log(T.M).T.ravel().tolist()
+    cuts = [slice(s * c, (s + 1) * c) for s in range(c)]
+    delta = (np.log(T.prior) + E[0]).tolist()
+    back = []
+    for e in E[1:].tolist():
+        cand = list(map(add, delta * c, into))
+        step, new = [], []
+        for cut, e_s in zip(cuts, e):
+            part = cand[cut]
+            best = max(part)
+            step.append(part.index(best))
+            new.append(best + e_s)
+        back.append(step)
+        delta = new
+    path = [delta.index(max(delta))]
+    for step in reversed(back):
+        path.append(step[path[-1]])
+    return np.array(path[::-1], dtype=np.int64) + 1
 
 
 def random_transitions(rng, c):
@@ -156,6 +185,88 @@ class TestViterbi:
         T = random_transitions(rng, 2)
         with pytest.raises(ValueError, match="classes"):
             viterbi(np.zeros((4, 3)), T)
+
+
+def boundary_lengths(B):
+    """Sequence lengths whose n - 1 steps fill B - 1 blocks of B steps
+    but one step, exactly, and with one step over (a last block of 1)."""
+    return [B * (B - 1) + 1 + d for d in (-1, 0, 1)]
+
+
+# n = 1 and 2; short sequences of every last-block fill; and sequences of
+# 55 or 56 blocks of 56 steps around a block boundary, and of 57 blocks
+LENGTHS = [1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 17, 18,
+           *boundary_lengths(8), *boundary_lengths(56), 3200]
+
+
+class TestBlockedViterbi:
+    """The blocked recursion against the sample-by-sample reference."""
+
+    def assert_matches_reference(self, E, T):
+        got, want = viterbi(E, T), sequential_viterbi(E, T)
+        assert_array_equal(got, want)
+        assert_allclose(path_score(got - 1, E, T), path_score(want - 1, E, T),
+                        rtol=1e-9, atol=0)
+
+    def test_boundary_lengths_have_their_block_fill(self):
+        for B in (8, 56):
+            tails = []
+            for n in boundary_lengths(B):
+                steps = n - 1
+                assert _block_length(steps) == B
+                tails.append(steps - (-(-steps // B) - 1) * B)
+            assert tails == [B - 1, B, 1]
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_sequential_reference(self, n, c):
+        r = np.random.default_rng(1000 * n + c)
+        self.assert_matches_reference(random_emissions(r, n, c), random_transitions(r, c))
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 13, 3200])
+    def test_sticky_transitions_match_reference(self, n, c):
+        # long runs make the block start scores decide the labels
+        r = np.random.default_rng(7 * n + c)
+        M = np.full((c, c), 0.02 / (c - 1)) + np.eye(c) * (0.98 - 0.02 / (c - 1))
+        T = TransitionMatrix(M=M, prior=np.full(c, 1.0 / c))
+        self.assert_matches_reference(random_emissions(r, n, c), T)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 12, *boundary_lengths(56)])
+    def test_exact_ties_break_to_lowest_index(self, n, c):
+        T = TransitionMatrix(M=np.full((c, c), 1.0 / c), prior=np.full(c, 1.0 / c))
+        E = np.full((n, c), np.log(1.0 / c))
+        assert_array_equal(viterbi(E, T), np.ones(n, dtype=np.int64))
+        self.assert_matches_reference(E, T)
+
+    @pytest.mark.parametrize("n", [2, 12, *boundary_lengths(56)])
+    def test_twin_classes_tie_to_the_lower(self, n):
+        # classes 2 and 3 have equal emissions and mirrored transitions, so
+        # every path through 3 ties exactly with its copy through 2
+        r = np.random.default_rng(n)
+        E = random_emissions(r, n, 3)
+        E[:, 2] = E[:, 1]
+        M = np.array([[0.6, 0.2, 0.2], [0.3, 0.5, 0.2], [0.3, 0.2, 0.5]])
+        T = TransitionMatrix(M=M, prior=np.array([0.4, 0.3, 0.3]))
+        labels = viterbi(E, T)
+        assert not np.any(labels == 3)
+        assert np.any(labels == 2)
+        self.assert_matches_reference(E, T)
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("n", [12, *boundary_lengths(56)])
+    def test_rows_clamped_at_tiny(self, n, c):
+        # class_probabilities clamps at the smallest normal double, whose
+        # log is about -708.4, and renormalizes
+        r = np.random.default_rng(n + c)
+        P = r.uniform(0.05, 1.0, size=(n, c))
+        P[r.random(size=(n, c)) < 0.4] = np.finfo(np.float64).tiny
+        P[r.random(n) < 0.05] = np.finfo(np.float64).tiny
+        P /= P.sum(axis=1, keepdims=True)
+        E = np.log(P)
+        assert E.min() < -708
+        self.assert_matches_reference(E, random_transitions(r, c))
 
 
 @pytest.fixture(scope="module")

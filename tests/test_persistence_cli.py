@@ -17,10 +17,12 @@ from marginfilter.persistence import (
     save_dataset,
     save_filter,
     save_model,
+    save_predictions,
     save_transitions,
 )
 from marginfilter.signals import FilterBank, ToyParams, generate_toy, make_average_filter
-from marginfilter.svm import decision_scores
+from marginfilter.svm import class_probabilities, decision_scores
+from test_decoding import sequential_viterbi
 
 
 @pytest.fixture
@@ -153,6 +155,19 @@ class TestDatasetRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert b"1.25" in raw
+
+
+class TestPredictionFile:
+    @pytest.mark.parametrize("labels", [
+        [], [1], [3.0, 1.0], list(range(1, 13)) * 9,
+        np.random.default_rng(4).integers(1, 4, size=1000),
+    ], ids=["empty", "one", "floats", "two-digit", "1000"])
+    def test_bytes_match_the_row_writer(self, tmp_path, labels):
+        path = tmp_path / "pred.csv"
+        save_predictions(path, labels)
+        lines = ["t,label"] + [f"{i},{int(v)}" for i, v in enumerate(labels)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert_array_equal(load_predictions(path), np.asarray(labels, dtype=np.int64))
 
 
 class TestFilterRoundTrip:
@@ -307,18 +322,26 @@ class TestCli:
     def test_decode_viterbi_with_calibration(self, tmp_path):
         data = tmp_path / "toy.csv"
         val = tmp_path / "val.csv"
+        test = tmp_path / "test.csv"
         out = tmp_path / "run"
-        self.run("generate-toy", "--n", 400, "--run-min", 8, "--run-max", 12,
-                 "--sigma-n", 0.4, "--seed", 1, "-o", data)
-        self.run("generate-toy", "--n", 200, "--run-min", 8, "--run-max", 12,
-                 "--sigma-n", 0.4, "--seed", 2, "-o", val)
+        for path, n, seed in ((data, 400, 1), (val, 200, 2), (test, 3200, 3)):
+            self.run("generate-toy", "--n", n, "--run-min", 8, "--run-max", 12,
+                     "--sigma-n", 0.4, "--seed", seed, "-o", path)
         assert self.run("train", "--data", data, "--val", val, "--method", "avg-svm",
                         "--f", 3, "--n0", 1, "--out-dir", out) == 0
         dec = tmp_path / "dec.csv"
         assert self.run("decode", "--model", out / "model.json",
-                        "--filter", out / "filter.json", "--data", data,
+                        "--filter", out / "filter.json", "--data", test,
                         "--mode", "viterbi", "-o", dec) == 0
-        assert len(load_predictions(dec)) == 400
+        labels = load_predictions(dec)
+        # 3200 samples: Viterbi runs 57 blocks of up to 57 steps
+        pipe = load_model(out / "model.json", load_filter(out / "filter.json"))
+        X, _ = load_dataset(test)
+        assert_array_equal(labels, pipe.predict(X, "viterbi"))
+        E = np.log(class_probabilities(pipe.model, pipe.platt, pipe.filtered(X)))
+        want = pipe.model.classes[sequential_viterbi(E, pipe.transitions) - 1]
+        assert_array_equal(labels, want)
+        assert np.any(labels != pipe.predict(X, "online"))
 
     def test_avg_svm_f1_equals_plain_svm(self, tmp_path):
         """A length-1 average filter is the identity, so both methods must

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial.distance import cdist
 
 from marginfilter.svm import (
     KernelParams,
@@ -55,6 +56,27 @@ class TestKernelMatrix:
     def test_positive_bandwidth_required(self):
         with pytest.raises(ValueError):
             KernelParams(0.0)
+
+    @staticmethod
+    def wide_range_points(rng, m):
+        """1-D points whose squared distances run from subnormal (1e-320)
+        to near overflow (1e306), many of them where exp is neither 0 nor 1."""
+        mags = np.concatenate([10.0 ** rng.uniform(-162, 153, m // 4),
+                               rng.uniform(0.0, 40.0, m - m // 4)])
+        return (mags * rng.choice([-1.0, 1.0], m))[:, None]
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 8.0,  # 2 sigma^2 = 2^k: multiply
+                                       0.3, 1.5, 3.0,  # division
+                                       2.0**-516])  # 2 sigma^2 = 2^-1031: 1/x overflows
+    def test_equals_division_bit_for_bit(self, rng, sigma):
+        A, B = self.wide_range_points(rng, 1000), self.wide_range_points(rng, 1000)
+        sq = cdist(A, B, metric="sqeuclidean")
+        assert sq[sq > 0].min() < 1e-300 and sq.max() > 1e300
+        with np.errstate(all="ignore"):
+            want = np.exp(sq / -(2.0 * sigma**2))
+            got = kernel_matrix(A, B, KernelParams(sigma))
+        assert got.tobytes() == want.tobytes()
+        assert 0.0 < np.mean((want > 0) & (want < 1))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
