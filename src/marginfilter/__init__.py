@@ -34,13 +34,8 @@ from .svm import (
 from .filter_learning import (
     LearnerConfig,
     RegularizerSpec,
-    TrainedFilterModel,
-    filter_objective,
-    filter_objective_gradient,
+    fit_shared_filter,
     frobenius_reg,
-    learn_kf_svm,
-    learn_multiclass_filter,
-    learn_skf_svm,
     mixed_norm,
 )
 from .decoding import (
@@ -55,6 +50,7 @@ from .harness import (
     error_rate,
     grid_search,
     run_toy_sweep,
+    train_pipeline,
     wilcoxon_signed_rank,
 )
 
@@ -68,7 +64,6 @@ __all__ = [
     "RegularizerSpec",
     "SvmModel",
     "ToyParams",
-    "TrainedFilterModel",
     "TransitionMatrix",
     "apply_filter",
     "bank_scores",
@@ -79,15 +74,11 @@ __all__ = [
     "decode_online",
     "error_rate",
     "estimate_transitions",
-    "filter_objective",
-    "filter_objective_gradient",
+    "fit_shared_filter",
     "frobenius_reg",
     "generate_toy",
     "grid_search",
     "kernel_matrix",
-    "learn_kf_svm",
-    "learn_multiclass_filter",
-    "learn_skf_svm",
     "make_average_filter",
     "make_delta_filter",
     "mixed_norm",
@@ -96,6 +87,7 @@ __all__ = [
     "run_toy_sweep",
     "solve_svm_dual",
     "train_multiclass",
+    "train_pipeline",
     "viterbi",
     "wilcoxon_signed_rank",
 ]

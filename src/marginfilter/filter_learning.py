@@ -34,15 +34,16 @@ tight quadratic upper bound, which turns the subproblem back into a
 weighted-Frobenius one that the conjugate-gradient solver handles.
 
 The fit ends with every pairwise subproblem solved at the returned
-filter: the last committed solves.  Every learner builds its banks from
-them (``committed_bank``): each pair's final solve starts at its committed
-solution, which is optimal already, so no SMO step is taken after a fit
-except in the c one-vs-rest solves of a c >= 3 bank.
+filter: the last committed solves.  ``fit_shared_filter`` is the one
+learner, for any class count and either penalty, and ``committed_bank``
+builds the pipeline's banks from its solves: each pair's final solve
+starts at its committed solution, which is optimal already, so no SMO step
+is taken after a fit except in the c one-vs-rest solves of a c >= 3 bank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +59,6 @@ from .svm import (
     KernelParams,
     MulticlassModel,
     SupportKernel,
-    SvmModel,
     class_pairs,
     kernel_matrix,
     solve_svm_dual,
@@ -128,7 +128,8 @@ def regularizer_value_grad(F: np.ndarray, reg: RegularizerSpec):
     elif reg.kind == "weighted_frobenius":
         val, grad = weighted_frobenius_reg(F, reg.weights)
     else:
-        raise ValueError("mixed_norm is not differentiable; solve it via learn_skf_svm")
+        raise ValueError("mixed_norm is not differentiable; fit_shared_filter "
+                         "handles it by majorization-minimization")
     return reg.lam * val, reg.lam * grad
 
 
@@ -159,65 +160,19 @@ class LearnerConfig:
     svm_max_iter: int = 2_000_000
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be > 0")
         if self.f < 1 or not 0 <= self.n0 <= self.f - 1:
             raise ValueError("need f >= 1 and 0 <= n0 <= f-1")
-        for name in ("tol_rel_J", "tol_dF", "armijo_c1", "mm_eps", "svm_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("C", "tol_rel_J", "tol_dF", "armijo_c1", "mm_eps", "svm_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack factor must be in (0, 1)")
 
 
-@dataclass
-class TrainedFilterModel:
-    """Learned filter bank, the SVM trained on the filtered data, and the
-    objective trajectory over accepted descent steps (outer MM iterations
-    for the channel-selecting variant)."""
-
-    filter: FilterBank
-    svm: SvmModel | MulticlassModel
-    history: list[float] = field(default_factory=list)
-    filter_norms: list[float] = field(default_factory=list)
-    converged: bool = True
-
-
 # ---------------------------------------------------------------------------
-# objective and gradient
+# gradient at fixed dual variables
 # ---------------------------------------------------------------------------
-
-def _binary_labels(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64).ravel()
-    vals = np.unique(y)
-    if set(vals) == {-1.0, 1.0}:
-        return y
-    if len(vals) == 2:
-        return np.where(y == vals[0], -1.0, 1.0)
-    raise ValueError("binary labels required; use learn_multiclass_filter for c > 2")
-
-
-def filter_objective(F, X, y, cfg: LearnerConfig, *, warm_alpha=None):
-    """Penalized SVM optimum at filter F.
-
-    Filters X, solves the dual (optionally warm-started), and returns
-    (value, model) where value = dual optimum + lambda * penalty.
-    """
-    X = as_signal(X)
-    y_pm = _binary_labels(y)
-    if isinstance(F, FilterBank):
-        if F.n0 != cfg.n0:
-            raise ValueError(f"filter delay {F.n0} conflicts with config n0={cfg.n0}")
-        bank = F
-    else:
-        bank = FilterBank(F, n0=cfg.n0)
-    Xf = apply_filter(X, bank)
-    K = kernel_matrix(Xf, Xf, cfg.kernel)
-    model = solve_svm_dual(K, y_pm, cfg.C, rows=Xf, kernel=cfg.kernel,
-                           tol=cfg.svm_tol, max_iter=cfg.svm_max_iter,
-                           warm_alpha=warm_alpha)
-    return model.objective + regularizer_value(bank.coeffs, cfg.reg), model
-
 
 def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
                     rows: np.ndarray, y_pm: np.ndarray, alpha: np.ndarray,
@@ -246,23 +201,6 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
         Su = shift_signal(X, u - cfg.n0)
         grad[u] = scale * np.einsum("ij,ij->j", T, Su[r])
     return grad
-
-
-def filter_objective_gradient(F, X, y, alpha, cfg: LearnerConfig) -> np.ndarray:
-    """Gradient of the penalized objective at F, treating the supplied
-    optimal dual variables as constants."""
-    X = as_signal(X)
-    y_pm = _binary_labels(y)
-    F = np.asarray(F, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
-    if len(alpha) != X.shape[0]:
-        raise ValueError(f"alpha length {len(alpha)} does not match n={X.shape[0]}")
-    Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
-    Xf_s = Xf[alpha > 0]
-    K_ss = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
-    grad = _inner_gradient(F, X, Xf, np.arange(X.shape[0]), y_pm, alpha, K_ss, cfg)
-    _, reg_grad = regularizer_value_grad(F, cfg.reg)
-    return grad + reg_grad
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +431,9 @@ def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
     return F, history, norms, converged
 
 
-def _make_problems(X: np.ndarray, y: np.ndarray):
+def _make_problems(y: np.ndarray) -> list[_Subproblem]:
     """Pairwise one-against-one subproblems; a single one when c == 2."""
-    classes = np.unique(y)
-    return classes, [_Subproblem(*pair) for pair in class_pairs(y, classes)]
+    return [_Subproblem(*pair) for pair in class_pairs(y, np.unique(y))]
 
 
 @dataclass
@@ -515,13 +452,15 @@ def fit_shared_filter(X, y, cfg: LearnerConfig) -> FilterFit:
 
     The objective is the sum of the pairwise SVM optima plus the penalty;
     gradients add over subproblems.  With two classes this is the plain
-    joint filter/SVM problem.  The filter starts as the average filter.
+    joint filter/SVM problem.  The filter starts as the average filter, so
+    with max_cg_iters=0 the fit is the fixed-average-filter baseline.  The
+    mixed-norm penalty runs the majorization-minimization outer loop.
     """
     X = as_signal(X)
-    y = np.asarray(y).ravel()
+    y = as_labels(y, X.shape[0])
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes")
-    _, problems = _make_problems(X, y)
+    problems = _make_problems(y)
     F0 = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
     if cfg.reg.kind == "mixed_norm":
         F, history, norms, converged = _mm_loop(problems, X, cfg, F0)
@@ -531,8 +470,7 @@ def fit_shared_filter(X, y, cfg: LearnerConfig) -> FilterFit:
                      filter_norms=norms, converged=converged, problems=problems)
 
 
-def committed_bank(fit: FilterFit, X, y, cfg: LearnerConfig, *,
-                   with_one_vs_all: bool = True) -> MulticlassModel:
+def committed_bank(fit: FilterFit, X, y, cfg: LearnerConfig) -> MulticlassModel:
     """The multiclass banks at the fit's filter, warm from the fit's solves.
 
     Each subproblem's committed solve was made on the signal filtered by
@@ -543,66 +481,5 @@ def committed_bank(fit: FilterFit, X, y, cfg: LearnerConfig, *,
     c one-vs-rest scorers of a c >= 3 bank are solved from scratch.
     """
     return train_multiclass(apply_filter(X, fit.bank), y, cfg.C, cfg.kernel,
-                            tol=cfg.svm_tol, with_one_vs_all=with_one_vs_all,
-                            warm={p.pair: p.alpha for p in fit.problems})
+                            tol=cfg.svm_tol, warm={p.pair: p.alpha for p in fit.problems})
 
-
-def _finalize_binary(fit: FilterFit, X, y, cfg: LearnerConfig) -> TrainedFilterModel:
-    mc = committed_bank(fit, X, y, cfg, with_one_vs_all=False)
-    return TrainedFilterModel(filter=fit.bank, svm=mc.pairwise[(0, 1)],
-                              history=fit.history, filter_norms=fit.filter_norms,
-                              converged=fit.converged)
-
-
-def learn_kf_svm(X, y, cfg: LearnerConfig) -> TrainedFilterModel:
-    """Jointly learn the filter bank and the SVM on binary data.
-
-    The filter starts as the plain average filter, so with
-    max_cg_iters=0 this reproduces the fixed-average-filter baseline
-    exactly.
-    """
-    X = as_signal(X)
-    y = np.asarray(y).ravel()
-    if len(np.unique(y)) != 2:
-        raise ValueError("learn_kf_svm expects binary labels")
-    if cfg.reg.kind == "mixed_norm":
-        raise ValueError("use learn_skf_svm for the mixed-norm penalty")
-    fit = fit_shared_filter(X, y, cfg)
-    return _finalize_binary(fit, X, y, cfg)
-
-
-def learn_skf_svm(X, y, cfg: LearnerConfig) -> TrainedFilterModel:
-    """Channel-selecting variant: mixed-norm penalty via the MM outer loop.
-
-    Each outer iteration solves a weighted-Frobenius subproblem whose
-    weights majorize the column norms at the previous iterate, then
-    re-derives the weights; columns whose norm collapses get a saturated
-    weight and stay at zero.  The history holds the mixed-norm objective
-    per outer iteration.
-    """
-    X = as_signal(X)
-    y = np.asarray(y).ravel()
-    if cfg.reg.kind != "mixed_norm":
-        raise ValueError("learn_skf_svm requires reg.kind == 'mixed_norm'")
-    if len(np.unique(y)) != 2:
-        raise ValueError("learn_skf_svm expects binary labels")
-    fit = fit_shared_filter(X, y, cfg)
-    return _finalize_binary(fit, X, y, cfg)
-
-
-def learn_multiclass_filter(X, y, cfg: LearnerConfig):
-    """Learn one shared filter bank for any number of classes.
-
-    For two classes this is exactly the binary learner.  For more, the
-    pairwise one-against-one SVM optima are summed into a single objective
-    (their gradients add) and the same conjugate-gradient descent runs on
-    the shared filter.  Both banks are then trained on the final filtered
-    data, each pair warm from the fit's committed solve (``committed_bank``).
-
-    Returns:
-        (FilterBank, MulticlassModel)
-    """
-    X = as_signal(X)
-    y = as_labels(y, X.shape[0])
-    fit = fit_shared_filter(X, y, cfg)
-    return fit.bank, committed_bank(fit, X, y, cfg)

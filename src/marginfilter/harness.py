@@ -120,18 +120,16 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     X = as_signal(X)
     y = as_labels(y, X.shape[0])
-    kw = dict(learner_kwargs or {})
+    cfg = build_learner_config(method, C, lam, sigma_k, f, n0, **(learner_kwargs or {}))
     history: list[float] = []
     filter_norms: list[float] = []
 
     if method in ("svm", "avg_svm"):
         bank = make_delta_filter(X.shape[1]) if method == "svm" \
             else make_average_filter(f, n0, X.shape[1])
-        svm_tol = kw.get("svm_tol", 1e-3)
-        mc = train_multiclass(apply_filter(X, bank), y, C, KernelParams(sigma_k),
-                              tol=svm_tol)
+        mc = train_multiclass(apply_filter(X, bank), y, cfg.C, cfg.kernel,
+                              tol=cfg.svm_tol)
     else:
-        cfg = build_learner_config(method, C, lam, sigma_k, f, n0, **kw)
         fit = fit_shared_filter(X, y, cfg)
         bank = fit.bank
         history = fit.history

@@ -186,7 +186,7 @@ class SvmModel:
     SV_THRESHOLD_FRAC * box).  ``objective`` is the dual optimum
     sum(alpha) - 0.5 alpha' Q alpha, which by strong duality equals the
     primal hinge-loss objective and is what the filter learner minimizes.
-    ``converged`` is true only when ``stop`` is STOP_CONVERGED.
+    ``stop`` tells why the solve ended; ``converged`` is derived from it.
     """
 
     alpha: np.ndarray
@@ -199,9 +199,12 @@ class SvmModel:
     sv_labels: np.ndarray
     sv_alpha: np.ndarray
     sv_rows: np.ndarray | None = None
-    converged: bool = True
     n_iter: int = 0
     stop: str = STOP_CONVERGED
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == STOP_CONVERGED
 
 
 def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
@@ -389,7 +392,6 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         sv_labels=y[sv_idx].astype(np.int64),
         sv_alpha=alpha[sv_idx].copy(),
         sv_rows=None if rows is None else np.asarray(rows, dtype=np.float64)[sv_idx].copy(),
-        converged=stop == STOP_CONVERGED,
         n_iter=it,
         stop=stop,
     )
@@ -587,7 +589,6 @@ def class_pairs(y, classes):
 
 
 def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
-                     with_one_vs_all: bool = True,
                      warm: dict | None = None) -> MulticlassModel:
     """Train the pairwise and one-vs-all banks on (already filtered) data.
 
@@ -611,9 +612,6 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
         C: SVM constant; box per subproblem is C / n_sub.
         kernel: Gaussian bandwidth shared by all models.
         tol: solver tolerance.
-        with_one_vs_all: also train the c one-vs-rest scorers (needed for
-            calibrated probabilities; the voting bank alone suffices for
-            online decoding).
         warm: optional starting alphas by class-index pair, e.g. a filter
             fit's committed solutions at this ``X``, which are optimal
             already and so take no SMO step.
@@ -635,8 +633,6 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
             warm_alpha=None if warm is None else warm[pair])
 
     mc = MulticlassModel(classes=classes, pairwise=pairwise)
-    if not with_one_vs_all:
-        return mc
     if len(classes) == 2:
         # solves rather than a copy with bias and sv_labels negated, which
         # would do: perfbench/test_perfbench.py counts three solves under

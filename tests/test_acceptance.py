@@ -16,9 +16,10 @@ from marginfilter.decoding import TransitionMatrix, viterbi
 from marginfilter.filter_learning import (
     LearnerConfig,
     RegularizerSpec,
-    filter_objective,
-    filter_objective_gradient,
-    learn_kf_svm,
+    _commit_all,
+    _evaluate,
+    _gradient,
+    _make_problems,
     regularizer_value_grad,
 )
 from marginfilter.harness import (
@@ -30,6 +31,7 @@ from marginfilter.harness import (
     run_benchmark,
     run_toy_sweep,
     toy_split,
+    train_pipeline,
     wilcoxon_signed_rank,
 )
 from marginfilter.persistence import load_dataset, load_filter, load_model, load_predictions
@@ -141,8 +143,9 @@ def test_criterion_04_learned_filter_beats_decoded_baseline(headline_benchmark):
 
 
 def test_criterion_05_gradient_matches_finite_differences():
-    """Analytic filter gradient vs central finite differences of the
-    fixed-dual objective on 20 random instances."""
+    """The descent's filter gradient (``_gradient`` on the committed solves)
+    vs central finite differences of the fixed-dual objective on 20 random
+    instances."""
 
     def frozen_objective(F, X, y, alpha, cfg):
         Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
@@ -160,22 +163,26 @@ def test_criterion_05_gradient_matches_finite_differences():
         X = rng.normal(size=(n, d))
         y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
         rng.shuffle(y)
+        y = np.where(y > 0, 1, 2)  # class 1 takes the +1 side
         cfg = LearnerConfig(
             C=float(rng.uniform(1, 10)),
             kernel=KernelParams(float(rng.uniform(0.5, 2.0))),
             reg=RegularizerSpec("frobenius", float(rng.uniform(0, 1))),
             f=f, n0=int(rng.integers(0, f)), svm_tol=1e-8)
         F = rng.normal(size=(f, d))
-        _, model = filter_objective(F, X, y, cfg)
-        G = filter_objective_gradient(F, X, y, model.alpha, cfg)
+        problems = _make_problems(y)
+        _evaluate(problems, F, X, cfg)
+        _commit_all(problems)
+        G = _gradient(problems, F, X, cfg)
+        p = problems[0]
         G_fd = np.zeros_like(F)
         h = 1e-6
         for u in range(f):
             for v in range(d):
                 E = np.zeros_like(F)
                 E[u, v] = h
-                G_fd[u, v] = (frozen_objective(F + E, X, y, model.alpha, cfg)
-                              - frozen_objective(F - E, X, y, model.alpha, cfg)) / (2 * h)
+                G_fd[u, v] = (frozen_objective(F + E, X, p.y_pm, p.alpha, cfg)
+                              - frozen_objective(F - E, X, p.y_pm, p.alpha, cfg)) / (2 * h)
         rel = np.abs(G - G_fd).max() / max(np.abs(G_fd).max(), 1e-12)
         worst = max(worst, rel)
     report(5, worst < 1e-4, f"max relative gradient error {worst:.2e} (<1e-4) "
@@ -308,8 +315,8 @@ def test_criterion_11_wide_fixture_end_to_end(tmp_path):
 
 
 def test_criterion_12_zero_iterations_reproduce_average_baseline():
-    """The learned-filter entry point with the descent disabled is exactly
-    the fixed-average-filter baseline, prediction for prediction."""
+    """The kf-svm pipeline with the descent disabled is exactly the
+    fixed-average-filter baseline, prediction for prediction."""
     rng = np.random.default_rng(99)
     all_equal = True
     for trial in range(10):
@@ -319,18 +326,17 @@ def test_criterion_12_zero_iterations_reproduce_average_baseline():
         (Xtr, ytr), _, (Xte, _) = toy_split(params, int(rng.integers(0, 10**6)),
                                             300, 1, 300)
         f, n0 = 5, 2
-        cfg = LearnerConfig(C=50.0, kernel=KernelParams(1.0),
-                            reg=RegularizerSpec("frobenius", 0.5),
-                            f=f, n0=n0, max_cg_iters=0)
-        kf = learn_kf_svm(Xtr, ytr, cfg)
+        kf = train_pipeline(Xtr, ytr, "kf_svm", C=50.0, sigma_k=1.0, lam=0.5, f=f, n0=n0,
+                            learner_kwargs={"max_cg_iters": 0})
 
         bank = make_average_filter(f, n0, 2)
         Xf = apply_filter(Xtr, bank)
-        ref = solve_svm_dual(kernel_matrix(Xf, Xf, cfg.kernel),
-                             np.where(ytr == 1, 1.0, -1.0), cfg.C,
-                             rows=Xf, kernel=cfg.kernel, tol=cfg.svm_tol)
+        kernel = KernelParams(1.0)
+        ref = solve_svm_dual(kernel_matrix(Xf, Xf, kernel),
+                             np.where(ytr == 1, 1.0, -1.0), 50.0,
+                             rows=Xf, kernel=kernel, tol=1e-3)
         Xte_f = apply_filter(Xte, bank)
-        pred_kf = np.sign(decision_scores(kf.svm, Xte_f))
+        pred_kf = np.sign(decision_scores(kf.model.pairwise[(0, 1)], Xte_f))
         pred_ref = np.sign(decision_scores(ref, Xte_f))
         if not np.array_equal(pred_kf, pred_ref):
             all_equal = False

@@ -8,20 +8,20 @@ from marginfilter import filter_learning
 from marginfilter.filter_learning import (
     LearnerConfig,
     RegularizerSpec,
+    _commit_all,
+    _evaluate,
+    _gradient,
     _inner_gradient,
     _make_problems,
-    filter_objective,
-    filter_objective_gradient,
+    committed_bank,
     fit_shared_filter,
     frobenius_reg,
-    learn_kf_svm,
-    learn_multiclass_filter,
-    learn_skf_svm,
     mixed_norm,
     mm_weight_update,
     regularizer_value_grad,
     weighted_frobenius_reg,
 )
+from marginfilter.harness import train_pipeline
 from marginfilter.signals import (
     FilterBank,
     ToyParams,
@@ -154,7 +154,7 @@ def reference_fit(X, y, cfg, trials=None):
     """(F, history, converged, problems) of ``fit_shared_filter`` with every
     line-search trial solved to the end."""
     trials = [] if trials is None else trials
-    problems = [ReferenceProblem(p.rows, p.y_pm) for p in _make_problems(X, y)[1]]
+    problems = [ReferenceProblem(p.rows, p.y_pm) for p in _make_problems(y)]
     F = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
     if cfg.reg.kind != "mixed_norm":
         return (*reference_cg(problems, X, cfg, F, trials), problems)
@@ -190,12 +190,38 @@ def binary_labels(y):
     return np.where(np.asarray(y) == 1, 1.0, -1.0)
 
 
+def class_labels(y_pm):
+    """Class labels {1, 2} whose subproblem labels are ``y_pm``: class 1,
+    the lower one, takes the +1 side."""
+    return np.where(np.asarray(y_pm) > 0, 1, 2)
+
+
 def small_problem(rng, n=40, d=2, sep=2.0):
+    """Two shifted blobs; the labels are {1, 2}."""
     X = rng.normal(size=(n, d))
-    y = np.concatenate([np.ones(n // 2), -np.ones(n - n // 2)])
+    y = class_labels(np.concatenate([np.ones(n // 2), -np.ones(n - n // 2)]))
     X[: n // 2, 0] += sep
     order = rng.permutation(n)
     return X[order], y[order]
+
+
+def objective(F, X, y, cfg, warm_from=None):
+    """(value, subproblem) of the fit's objective at F: the penalized SVM
+    optimum of the single pair, warm from ``warm_from``'s committed solve."""
+    problems = _make_problems(y)
+    if warm_from is not None:
+        problems[0].alpha = warm_from.alpha
+    J = _evaluate(problems, F, X, cfg)
+    _commit_all(problems)
+    return J, problems[0]
+
+
+def inner_gradient(F, X, y_pm, alpha, cfg):
+    """The SVM term's gradient at F for the given dual variables, over all rows."""
+    Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
+    Xs = Xf[alpha > 0]
+    return _inner_gradient(F, X, Xf, np.arange(len(y_pm)), y_pm, alpha,
+                           kernel_matrix(Xs, Xs, cfg.kernel), cfg)
 
 
 class TestRegularizers:
@@ -249,26 +275,30 @@ class TestRegularizers:
 
 
 class TestObjective:
+    """The fit's objective (``_evaluate``): the SVM optima at F plus the penalty."""
+
     def test_average_filter_equals_baseline_objective(self, rng):
         """With no penalty, the joint objective at the average filter is
         exactly the fixed-average-filter SVM optimum."""
         X, y = small_problem(rng)
         cfg = LearnerConfig(C=5.0, kernel=KernelParams(1.0),
                             reg=RegularizerSpec("frobenius", 0.0),
-                            f=4, n0=2, svm_tol=1e-8)
+                            f=4, n0=2, svm_tol=1e-8, max_cg_iters=0)
+        fit = fit_shared_filter(X, y, cfg)
         bank = make_average_filter(4, 2, 2)
-        J, _ = filter_objective(bank.coeffs, X, y, cfg)
+        assert_array_equal(fit.bank.coeffs, bank.coeffs)
         Xf = apply_filter(X, bank)
         K = kernel_matrix(Xf, Xf, cfg.kernel)
-        ref = solve_svm_dual(K, y, 5.0, tol=1e-8)
-        assert_allclose(J, ref.objective, atol=1e-9)
+        ref = solve_svm_dual(K, binary_labels(y), 5.0, tol=1e-8)
+        assert len(fit.history) == 1
+        assert_allclose(fit.history[0], ref.objective, atol=1e-9)
 
     def test_zero_filter_collapses_features(self, rng):
         X, y = small_problem(rng)
         cfg = LearnerConfig(C=5.0, f=3, n0=0, svm_tol=1e-8)
-        J, model = filter_objective(np.zeros((3, 2)), X, y, cfg)
+        J, _ = objective(np.zeros((3, 2)), X, y, cfg)
         K = np.ones((len(y), len(y)))  # identical samples
-        ref = solve_svm_dual(K, y, 5.0, tol=1e-8)
+        ref = solve_svm_dual(K, binary_labels(y), 5.0, tol=1e-8)
         assert_allclose(J, ref.objective, atol=1e-8)
 
     def test_warm_start_matches_cold(self, rng):
@@ -277,16 +307,10 @@ class TestObjective:
                             reg=RegularizerSpec("frobenius", 0.3), svm_tol=1e-9)
         F1 = rng.normal(size=(3, 2))
         F2 = F1 + 0.05 * rng.normal(size=(3, 2))
-        _, m1 = filter_objective(F1, X, y, cfg)
-        J_warm, _ = filter_objective(F2, X, y, cfg, warm_alpha=m1.alpha)
-        J_cold, _ = filter_objective(F2, X, y, cfg)
+        _, p1 = objective(F1, X, y, cfg)
+        J_warm, p2 = objective(F2, X, y, cfg, warm_from=p1)
+        J_cold, _ = objective(F2, X, y, cfg)
         assert abs(J_warm - J_cold) < 1e-6
-
-    def test_mismatched_delay_rejected(self, rng):
-        X, y = small_problem(rng)
-        cfg = LearnerConfig(f=3, n0=1)
-        with pytest.raises(ValueError, match="delay"):
-            filter_objective(FilterBank(np.ones((3, 2)), n0=0), X, y, cfg)
 
     def test_mixed_norm_objective_value_supported(self, rng):
         X, y = small_problem(rng)
@@ -296,8 +320,8 @@ class TestObjective:
                                   reg=RegularizerSpec("mixed_norm", lam))
         cfg_plain = LearnerConfig(C=5.0, f=3, n0=1,
                                   reg=RegularizerSpec("frobenius", 0.0))
-        J_mixed, _ = filter_objective(F, X, y, cfg_mixed)
-        J_plain, _ = filter_objective(F, X, y, cfg_plain)
+        J_mixed, _ = objective(F, X, y, cfg_mixed)
+        J_plain, _ = objective(F, X, y, cfg_plain)
         assert_allclose(J_mixed - J_plain, lam * mixed_norm(F), atol=1e-9)
 
 
@@ -305,8 +329,8 @@ class TestGradient:
     def test_zero_alpha_gives_zero_inner_gradient(self, rng):
         X, y = small_problem(rng)
         cfg = LearnerConfig(C=5.0, f=3, n0=1, reg=RegularizerSpec("frobenius", 0.0))
-        G = filter_objective_gradient(rng.normal(size=(3, 2)), X, y,
-                                      np.zeros(len(y)), cfg)
+        G = inner_gradient(rng.normal(size=(3, 2)), X, binary_labels(y),
+                           np.zeros(len(y)), cfg)
         assert_array_equal(G, np.zeros((3, 2)))
 
     def test_constant_channel_column_is_zero(self, rng):
@@ -321,31 +345,30 @@ class TestGradient:
         interior = np.arange(f, n - f)
         alpha[interior] = rng.uniform(0.1, 1.0, size=len(interior))
         cfg = LearnerConfig(C=5.0, f=f, n0=n0, reg=RegularizerSpec("frobenius", 0.0))
-        G = filter_objective_gradient(rng.normal(size=(f, 2)), X, y, alpha, cfg)
+        G = inner_gradient(rng.normal(size=(f, 2)), X, y, alpha, cfg)
         assert_allclose(G[:, 1], 0.0, atol=1e-12)
         assert np.abs(G[:, 0]).max() > 0
 
     def test_matches_finite_differences(self, rng):
+        """The descent's gradient (``_gradient`` on the committed solves)
+        against finite differences of the objective with alpha frozen."""
         for d, f in [(1, 1), (2, 3), (3, 5)]:
             n = 50
             X = rng.normal(size=(n, d))
-            y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
+            y = class_labels(np.concatenate([np.ones(n // 2), -np.ones(n // 2)]))
             cfg = LearnerConfig(C=float(rng.uniform(1, 10)),
                                 kernel=KernelParams(float(rng.uniform(0.5, 2.0))),
                                 reg=RegularizerSpec("frobenius", float(rng.uniform(0, 1))),
                                 f=f, n0=int(rng.integers(0, f)), svm_tol=1e-8)
             F = rng.normal(size=(f, d))
-            _, model = filter_objective(F, X, y, cfg)
-            G = filter_objective_gradient(F, X, y, model.alpha, cfg)
-            G_fd = fd_gradient(F, X, y, model.alpha, cfg)
+            problems = _make_problems(y)
+            _evaluate(problems, F, X, cfg)
+            _commit_all(problems)
+            G = _gradient(problems, F, X, cfg)
+            p = problems[0]
+            G_fd = fd_gradient(F, X, p.y_pm, p.alpha, cfg)
             denom = max(np.abs(G_fd).max(), 1e-12)
             assert np.abs(G - G_fd).max() / denom < 1e-4
-
-    def test_alpha_length_checked(self, rng):
-        X, y = small_problem(rng)
-        cfg = LearnerConfig(f=2, n0=0)
-        with pytest.raises(ValueError, match="alpha length"):
-            filter_objective_gradient(np.ones((2, 2)), X, y, np.zeros(5), cfg)
 
 
 def toy_case(seed, n=220, sigma_n=0.6, lag=2, nbtot=2):
@@ -355,29 +378,30 @@ def toy_case(seed, n=220, sigma_n=0.6, lag=2, nbtot=2):
 
 
 class TestLearnKfSvm:
+    """The binary kf-svm fit: Frobenius penalty, conjugate-gradient descent."""
+
     def test_zero_iterations_is_average_filter_baseline(self):
         X, y = toy_case(seed=4)
-        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 0.5),
-                            max_cg_iters=0)
-        model = learn_kf_svm(X, y, cfg)
-        assert_array_equal(model.filter.coeffs, make_average_filter(5, 2, 2).coeffs)
+        pipe = train_pipeline(X, y, "kf_svm", C=50.0, sigma_k=1.0, lam=0.5, f=5, n0=2,
+                              learner_kwargs={"max_cg_iters": 0})
+        assert_array_equal(pipe.filter.coeffs, make_average_filter(5, 2, 2).coeffs)
 
         bank = make_average_filter(5, 2, 2)
         Xf = apply_filter(X, bank)
-        ref = solve_svm_dual(kernel_matrix(Xf, Xf, cfg.kernel),
-                             binary_labels(y), 50.0, rows=Xf,
-                             kernel=cfg.kernel, tol=cfg.svm_tol)
+        kernel = KernelParams(1.0)
+        ref = solve_svm_dual(kernel_matrix(Xf, Xf, kernel), binary_labels(y), 50.0,
+                             rows=Xf, kernel=kernel, tol=1e-3)
         Xte, _ = toy_case(seed=5)
         Xte_f = apply_filter(Xte, bank)
-        assert_array_equal(np.sign(decision_scores(model.svm, Xte_f)),
+        assert_array_equal(np.sign(decision_scores(pipe.model.pairwise[(0, 1)], Xte_f)),
                            np.sign(decision_scores(ref, Xte_f)))
 
     def test_history_non_increasing(self):
         X, y = toy_case(seed=6)
         cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 0.5),
                             max_cg_iters=15)
-        model = learn_kf_svm(X, y, cfg)
-        hist = np.array(model.history)
+        fit = fit_shared_filter(X, y, cfg)
+        hist = np.array(fit.history)
         assert len(hist) >= 2
         assert np.all(np.diff(hist) <= 1e-10)
 
@@ -385,8 +409,8 @@ class TestLearnKfSvm:
         X, y = toy_case(seed=7)
         cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 0.5),
                             max_cg_iters=10)
-        model = learn_kf_svm(X, y, cfg)
-        assert model.history[-1] <= model.history[0] + 1e-10
+        fit = fit_shared_filter(X, y, cfg)
+        assert fit.history[-1] <= fit.history[0] + 1e-10
 
     def test_frobenius_shrinkage_with_lambda(self):
         X, y = toy_case(seed=8)
@@ -395,30 +419,18 @@ class TestLearnKfSvm:
             cfg = LearnerConfig(C=50.0, f=5, n0=2,
                                 reg=RegularizerSpec("frobenius", lam),
                                 max_cg_iters=25)
-            model = learn_kf_svm(X, y, cfg)
-            norms.append(np.linalg.norm(model.filter.coeffs))
+            fit = fit_shared_filter(X, y, cfg)
+            norms.append(np.linalg.norm(fit.bank.coeffs))
         assert norms[1] <= norms[0] + 1e-6
 
     def test_learned_filter_keeps_kernel_psd(self):
         X, y = toy_case(seed=9)
         cfg = LearnerConfig(C=50.0, f=4, n0=1, reg=RegularizerSpec("frobenius", 0.2),
                             max_cg_iters=8)
-        model = learn_kf_svm(X, y, cfg)
-        Xf = apply_filter(X, model.filter)
+        fit = fit_shared_filter(X, y, cfg)
+        Xf = apply_filter(X, fit.bank)
         K = kernel_matrix(Xf, Xf, cfg.kernel)
         assert np.linalg.eigvalsh(K).min() >= -1e-8
-
-    def test_multiclass_labels_rejected(self, rng):
-        X = rng.normal(size=(30, 2))
-        y = rng.integers(1, 4, size=30)
-        with pytest.raises(ValueError, match="binary"):
-            learn_kf_svm(X, y, LearnerConfig(f=2, n0=0))
-
-    def test_mixed_norm_config_rejected(self, rng):
-        X, y = toy_case(seed=3, n=80)
-        cfg = LearnerConfig(f=2, n0=0, reg=RegularizerSpec("mixed_norm", 1.0))
-        with pytest.raises(ValueError, match="learn_skf_svm"):
-            learn_kf_svm(X, y, cfg)
 
 
 class TestFitSharedFilter:
@@ -440,6 +452,22 @@ class TestFitSharedFilter:
         fit = fit_shared_filter(X, y, cfg)
         assert len(fit.history) == 1  # the first trial step already failed
         assert not fit.converged
+
+    @pytest.mark.parametrize("n_labels", [150, 210])
+    def test_label_count_must_match_samples(self, n_labels):
+        X, y = toy_case(seed=6, n=200)
+        y = np.resize(y, n_labels)
+        with pytest.raises(ValueError, match=f"label length {n_labels} does not match"):
+            fit_shared_filter(X, y, LearnerConfig(C=50.0, f=5, n0=2, max_cg_iters=2))
+
+
+class TestLearnerConfig:
+    @pytest.mark.parametrize("name", ["C", "tol_rel_J", "tol_dF", "armijo_c1",
+                                      "mm_eps", "svm_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_positive_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            LearnerConfig(**{name: value})
 
 
 class TestEarlyRejection:
@@ -501,7 +529,7 @@ class TestEarlyRejection:
     def test_lost_warm_start_builds_only_the_support_block(self, monkeypatch):
         X, y = toy_case(seed=6)
         cfg = LearnerConfig(C=50.0, f=5, n0=2)
-        p = _make_problems(X, y)[1][0]
+        p = _make_problems(y)[0]
         Xf = apply_filter(X, make_average_filter(5, 2, 2))
         J = p.solve(Xf, cfg)
         p.commit()
@@ -557,6 +585,8 @@ class TestKernelOnDemand:
 
 
 class TestLearnSkfSvm:
+    """The channel-selecting skf-svm fit: mixed-norm penalty by MM."""
+
     def test_majorization_touches_at_expansion_point(self):
         # sqrt(x) == sqrt(x0) + (x - x0) / (2 sqrt(x0)) at x == x0
         for x0 in (0.25, 1.0, 7.5):
@@ -571,13 +601,13 @@ class TestLearnSkfSvm:
         cfg = LearnerConfig(C=20.0, f=3, n0=1,
                             reg=RegularizerSpec("mixed_norm", lam),
                             max_cg_iters=10, mm_max_outer=1)
-        skf = learn_skf_svm(X, y, cfg)
+        skf = fit_shared_filter(X, y, cfg)
         cfg_w = LearnerConfig(C=20.0, f=3, n0=1,
                               reg=RegularizerSpec("weighted_frobenius", lam,
                                                   weights=np.full(2, 0.5)),
                               max_cg_iters=10)
         ref = fit_shared_filter(X, y, cfg_w)
-        assert_allclose(skf.filter.coeffs, ref.bank.coeffs, atol=1e-12)
+        assert_allclose(skf.bank.coeffs, ref.bank.coeffs, atol=1e-12)
 
     def test_weight_update_clamps_vanished_columns(self):
         F = np.zeros((3, 2))
@@ -591,8 +621,8 @@ class TestLearnSkfSvm:
         cfg = LearnerConfig(C=30.0, f=5, n0=2,
                             reg=RegularizerSpec("mixed_norm", 3.0),
                             max_cg_iters=12, mm_max_outer=8)
-        model = learn_skf_svm(X, y, cfg)
-        hist = np.array(model.history)
+        fit = fit_shared_filter(X, y, cfg)
+        hist = np.array(fit.history)
         assert len(hist) >= 2
         assert np.all(np.diff(hist) <= 1e-6)
 
@@ -601,61 +631,26 @@ class TestLearnSkfSvm:
         cfg = LearnerConfig(C=50.0, f=5, n0=2,
                             reg=RegularizerSpec("mixed_norm", 8.0),
                             max_cg_iters=20, mm_max_outer=10)
-        model = learn_skf_svm(X, y, cfg)
-        norms = model.filter.column_norms()
+        fit = fit_shared_filter(X, y, cfg)
+        norms = fit.bank.column_norms()
         assert np.all(norms[:2] > 10 * norms[2:].max())
-
-    def test_requires_mixed_norm(self):
-        X, y = toy_case(seed=3, n=80)
-        with pytest.raises(ValueError, match="mixed_norm"):
-            learn_skf_svm(X, y, LearnerConfig(f=2, n0=0))
 
 
 class TestMulticlassFilter:
+    """One filter shared by the pairwise subproblems of any class count."""
+
     def test_two_classes_reduces_to_binary_learner(self):
+        """The two-class pipeline is the binary fit and its one pair."""
         X, y = toy_case(seed=13, n=150)
         cfg = LearnerConfig(C=20.0, f=3, n0=1, reg=RegularizerSpec("frobenius", 0.5),
                             max_cg_iters=6)
-        bank, mc = learn_multiclass_filter(X, y, cfg)
-        binary = learn_kf_svm(X, y, cfg)
-        assert_allclose(bank.coeffs, binary.filter.coeffs, atol=1e-12)
-        assert set(mc.pairwise) == {(0, 1)}
-        assert len(mc.one_vs_all) == 2
-
-    def test_learners_reuse_the_fit_solves(self, monkeypatch):
-        """Neither entry point takes an SMO step outside the filter fit."""
-        from marginfilter import svm
-
-        X, y = toy_case(seed=13, n=150)
-        cfg = LearnerConfig(C=20.0, f=3, n0=1, reg=RegularizerSpec("frobenius", 0.5),
-                            max_cg_iters=6)
-        fits, outside_fit = [], []
-        fit_shared = filter_learning.fit_shared_filter
-
-        def recording_fit(*args, **kwargs):
-            fits.append(None)
-            fits[-1] = fit_shared(*args, **kwargs)
-            return fits[-1]
-
-        def counting(solve):
-            def counted(*args, **kwargs):
-                model = solve(*args, **kwargs)
-                if fits and fits[-1] is not None:
-                    outside_fit.append(model.n_iter)
-                return model
-            return counted
-
-        monkeypatch.setattr(filter_learning, "fit_shared_filter", recording_fit)
-        for module in (svm, filter_learning):
-            monkeypatch.setattr(module, "solve_svm_dual", counting(module.solve_svm_dual))
-        _, mc = learn_multiclass_filter(X, y, cfg)
-        binary = learn_kf_svm(X, y, cfg)
-        # the pair and its two orientations, then the pair alone
-        assert len(fits) == 2 and outside_fit == [0] * 4
-        assert_array_equal(mc.pairwise[(0, 1)].alpha, fits[0].problems[0].model.alpha)
-        assert_array_equal(binary.svm.alpha, fits[1].problems[0].model.alpha)
-        Xf = apply_filter(X, binary.filter)
-        assert_array_equal(binary.svm.sv_rows, Xf[binary.svm.sv_idx])
+        pipe = train_pipeline(X, y, "kf_svm", C=20.0, sigma_k=1.0, lam=0.5, f=3, n0=1,
+                              learner_kwargs={"max_cg_iters": 6})
+        binary = fit_shared_filter(X, y, cfg)
+        assert len(binary.problems) == 1
+        assert_allclose(pipe.filter.coeffs, binary.bank.coeffs, atol=1e-12)
+        assert set(pipe.model.pairwise) == {(0, 1)}
+        assert len(pipe.model.one_vs_all) == 2
 
     def test_duplicated_class_distribution_completes(self, rng):
         # classes 2 and 3 drawn from the same distribution: the (2,3)
@@ -665,14 +660,15 @@ class TestMulticlassFilter:
         y = np.array([1] * 30 + [2] * 30 + [3] * 30)
         cfg = LearnerConfig(C=5.0, f=2, n0=0, reg=RegularizerSpec("frobenius", 0.5),
                             max_cg_iters=3)
-        bank, mc = learn_multiclass_filter(X, y, cfg)
+        fit = fit_shared_filter(X, y, cfg)
+        mc = committed_bank(fit, X, y, cfg)
         assert len(mc.pairwise) == 3
-        assert np.all(np.isfinite(bank.coeffs))
+        assert np.all(np.isfinite(fit.bank.coeffs))
 
     def test_three_class_toy_improves_on_unfiltered(self):
         """Learned filtering must beat the raw-sample multiclass SVM on
         the lagged 3-class signal (online voting on a held-out slice)."""
-        from marginfilter.harness import error_rate, train_pipeline, toy_split
+        from marginfilter.harness import error_rate, toy_split
 
         params = ToyParams(n=1, sigma_n=0.8, lag=3, nbtot=2, n_classes=3)
         wins = 0
@@ -691,4 +687,4 @@ class TestMulticlassFilter:
     def test_single_class_rejected(self, rng):
         X = rng.normal(size=(20, 2))
         with pytest.raises(ValueError, match="2 classes"):
-            learn_multiclass_filter(X, np.ones(20, dtype=int), LearnerConfig())
+            fit_shared_filter(X, np.ones(20, dtype=int), LearnerConfig())

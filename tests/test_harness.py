@@ -305,6 +305,23 @@ class TestBankSolves:
             assert svm.kkt_violation(K, p.y_pm, model) <= kw["learner_kwargs"]["svm_tol"]
 
 
+class TestTrainPipelineConfig:
+    """Every method builds its LearnerConfig, so all reject the same values."""
+
+    @pytest.mark.parametrize("method", ["svm", "avg_svm", "kf_svm"])
+    @pytest.mark.parametrize("C, learner_kwargs, message", [
+        (50.0, {"svm_tol": -1.0}, "svm_tol must be finite and > 0"),
+        (50.0, {"svm_tol": np.nan}, "svm_tol must be finite and > 0"),
+        (np.nan, None, "C must be finite and > 0"),
+        (-1.0, None, "C must be finite and > 0"),
+    ])
+    def test_invalid_settings_rejected(self, method, C, learner_kwargs, message):
+        X, y = generate_toy(ToyParams(n=60, sigma_n=0.6, lag=2, seed=6))
+        with pytest.raises(ValueError, match=message):
+            harness.train_pipeline(X, y, method, C=C, sigma_k=1.0, f=5, n0=2,
+                                   learner_kwargs=learner_kwargs)
+
+
 class TestMaxWorkers:
     @pytest.mark.parametrize("env, cpus, expected", [
         (None, 8, 1), ("3", 8, 3), ("64", 2, 2), ("0", 2, 1), ("many", 2, 1),

@@ -1,0 +1,30 @@
+"""The package's public names."""
+
+import marginfilter
+
+# the whole public API; the filter is learned through fit_shared_filter
+# alone, and train_pipeline builds a method's pipeline around it
+PUBLIC = {
+    "FilterBank", "GridSpec", "KernelParams", "LearnerConfig", "MulticlassModel",
+    "PlattParams", "RegularizerSpec", "SvmModel", "ToyParams", "TransitionMatrix",
+    "apply_filter", "bank_scores", "class_probabilities", "decimate",
+    "decision_scores", "decode_offline", "decode_online", "error_rate",
+    "estimate_transitions", "fit_shared_filter", "frobenius_reg", "generate_toy",
+    "grid_search", "kernel_matrix", "make_average_filter", "make_delta_filter",
+    "mixed_norm", "oao_vote", "platt_fit", "run_toy_sweep", "solve_svm_dual",
+    "train_multiclass", "train_pipeline", "viterbi", "wilcoxon_signed_rank",
+}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in marginfilter.__all__ if not hasattr(marginfilter, name)]
+    assert missing == []
+
+
+def test_no_duplicate_exports():
+    assert len(marginfilter.__all__) == len(set(marginfilter.__all__))
+
+
+def test_exports_are_the_public_api():
+    """No name is exported beyond the public API (nor missing from it)."""
+    assert set(marginfilter.__all__) == PUBLIC

@@ -215,6 +215,16 @@ class TestSolverMatchesReference:
         for C in (0.5, 20.0, 500.0):
             assert_same_solution(K, y, C, tol=1e-6)
 
+    def test_converged_is_read_from_the_stop_reason(self, rng):
+        X, y = xor_problem(rng, 120)
+        K = kernel_matrix(X, X, KernelParams(0.5))
+        m = solve_svm_dual(K, y, 100.0, tol=1e-10, max_iter=5)
+        assert (m.stop, m.converged) == (STOP_MAX_ITER, False)
+        m.stop = STOP_CONVERGED
+        assert m.converged
+        with pytest.raises(AttributeError):
+            m.converged = False
+
 
 def solve_case(rng, kind):
     """(K, y, C, solver kwargs) of a cold, a warm or an iteration-capped solve."""
