@@ -4,8 +4,20 @@ Datasets are wide CSVs with header ``t,ch1,...,chd[,label]``, one row per
 sample, '.' decimal separators and LF line endings.  Models, filters and
 transition matrices are versioned JSON; floats survive the round trip
 exactly (shortest-repr encoding), so reloaded models reproduce decision
-scores bit-for-bit.  All writes go through a temp file and an atomic
-rename.
+scores bit-for-bit.  A non-finite number is never written, and a model
+file that holds one is rejected.  All writes go through a temp file and
+an atomic rename.
+
+A model file (format version 2) stores each support vector once: one
+table of the distinct support-vector rows of every model in both banks,
+in ``svm.support_table`` order, and ``sigma_k`` once; each model holds
+its bias, C, box, dual objective and stop reason, the indices of its
+support rows in the table, and its signed coefficients alpha_j y_j.  The
+length-n dual vector and the training-row indices are not stored, as no
+scorer reads them (a loaded ``SvmModel`` has None for both).  Version-1
+model files, where every model holds its full dual vector and its own
+copy of its support rows, are still read; their models' stop reason is
+unknown (None).  Filter and transition files are at version 1.
 """
 
 from __future__ import annotations
@@ -13,6 +25,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -20,9 +34,25 @@ import numpy as np
 from .decoding import TransitionMatrix
 from .harness import Pipeline
 from .signals import FilterBank, as_labels, as_signal
-from .svm import KernelParams, MulticlassModel, PlattParams, SvmModel
+from .svm import (
+    STOP_BOUND,
+    STOP_CONVERGED,
+    STOP_MAX_ITER,
+    STOP_STUCK,
+    KernelParams,
+    MulticlassModel,
+    PlattParams,
+    SvmModel,
+    support_table,
+)
 
-FORMAT_VERSION = 1
+# The format version written for each kind of JSON document, and the
+# versions read back.
+WRITE_VERSION = {"filter": 1, "transitions": 1, "model": 2}
+READ_VERSIONS = {"filter": (1,), "transitions": (1,), "model": (1, 2)}
+# SvmModel.stop values a version-2 model file may hold; None where the
+# model was read from a version-1 file, which does not record it
+STOP_REASONS = (STOP_CONVERGED, STOP_BOUND, STOP_MAX_ITER, STOP_STUCK, None)
 # Dataset rows formatted or parsed at a time; bounds the Python floats and
 # strings alive at once.
 CSV_CHUNK_ROWS = 256
@@ -179,13 +209,16 @@ def load_predictions(path):
 # JSON documents
 # ---------------------------------------------------------------------------
 
-def _check_version(doc: dict, path, kind: str):
+def _check_version(doc: dict, path, kind: str) -> int:
+    """The document's format version, checked against those read for ``kind``."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise DataFormatError(f"{path}: not a {kind} document")
-    if doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version")
+    if version not in READ_VERSIONS[kind]:
         raise DataFormatError(
-            f"{path}: format_version {doc.get('format_version')!r} "
-            f"not supported (expected {FORMAT_VERSION})")
+            f"{path}: format_version {version!r} not supported "
+            f"(expected {' or '.join(map(str, READ_VERSIONS[kind]))})")
+    return version
 
 
 def _load_json(path) -> dict:
@@ -196,16 +229,56 @@ def _load_json(path) -> dict:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _write_json(path, doc: dict):
+    # allow_nan=False: a non-finite number raises here instead of being
+    # written as the non-JSON NaN or Infinity
+    atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
+
+
+@contextmanager
+def _fields(path, what: str):
+    """Report a missing or malformed field read in the block as a DataFormatError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing {what} field {exc}") from exc
+    except DataFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed {what} field ({exc})") from exc
+
+
+def _finite(values, path, name: str) -> np.ndarray:
+    """``values`` as a float64 array; DataFormatError if one is not finite."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DataFormatError(f"{path}: non-finite value in field {name!r}")
+    return values
+
+
+def _rows(values, path, name: str, d: int) -> np.ndarray:
+    """A list of d-channel sample rows as an (m, d) float64 array."""
+    rows = _finite(values, path, name)
+    if rows.size == 0:
+        rows = rows.reshape(0, d)
+    if rows.ndim != 2:
+        raise DataFormatError(f"{path}: field {name!r} is not a list of rows")
+    if rows.shape[1] != d:
+        raise DataFormatError(
+            f"{path}: model expects {rows.shape[1]} channels, filter bank has {d}")
+    return rows
+
+
 def save_filter(path, bank: FilterBank):
     doc = {
-        "format_version": FORMAT_VERSION,
+        "format_version": WRITE_VERSION["filter"],
         "kind": "filter",
         "f": bank.f,
         "d": bank.d,
         "n0": bank.n0,
         "coeffs": [float(x) for x in bank.coeffs.ravel(order="C")],
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    _write_json(path, doc)
 
 
 def load_filter(path) -> FilterBank:
@@ -225,61 +298,73 @@ def load_filter(path) -> FilterBank:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _svm_to_doc(model: SvmModel) -> dict:
-    if model.sv_rows is None:
-        raise ValueError("cannot persist a model without support-vector rows")
+def _svm_to_doc(model: SvmModel, where) -> dict:
+    """One model of a version-2 file; ``where`` indexes its rows in the table."""
     return {
-        "alpha": [float(a) for a in model.alpha],
         "bias": float(model.bias),
         "C": float(model.C),
         "box": float(model.box),
-        "sigma_k": float(model.kernel.sigma_k),
         "objective": float(model.objective),
-        "sv_idx": [int(i) for i in model.sv_idx],
-        "sv_labels": [int(v) for v in model.sv_labels],
-        "sv_alpha": [float(a) for a in model.sv_alpha],
-        "sv_rows": [[float(x) for x in row] for row in model.sv_rows],
+        "stop": model.stop,
+        "sv_index": where.tolist(),
+        "sv_coef": (model.sv_alpha * model.sv_labels).tolist(),
     }
 
 
-def _svm_from_doc(doc: dict, path, d: int) -> SvmModel:
-    """Parse one SVM whose support vectors score d-channel samples."""
-    try:
+def _svm_scalars(doc: dict, path) -> dict:
+    return {key: float(_finite(doc[key], path, key)) for key in ("bias", "C", "box", "objective")}
+
+
+def _svm_from_v1(doc: dict, path, d: int) -> SvmModel:
+    """Parse one SVM of a version-1 file, which holds its own support rows."""
+    with _fields(path, "SVM"):
+        # read for the length check only: no scorer needs the training rows
         sv_idx = np.asarray(doc["sv_idx"], dtype=np.int64)
         sv_labels = np.asarray(doc["sv_labels"], dtype=np.int64)
-        sv_alpha = np.asarray(doc["sv_alpha"], dtype=np.float64)
-        sv_rows = np.asarray(doc["sv_rows"], dtype=np.float64)
-        model = SvmModel(
-            alpha=np.asarray(doc["alpha"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            C=float(doc["C"]),
-            box=float(doc["box"]),
-            kernel=KernelParams(float(doc["sigma_k"])),
-            objective=float(doc["objective"]),
-            sv_idx=sv_idx,
-            sv_labels=sv_labels,
-            sv_alpha=sv_alpha,
-            sv_rows=sv_rows.reshape(0, d) if sv_rows.size == 0 else sv_rows,
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing SVM field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed SVM field ({exc})") from exc
-    if model.sv_rows.ndim != 2:
-        raise DataFormatError(f"{path}: field 'sv_rows' is not a list of rows")
-    if model.sv_rows.shape[1] != d:
-        raise DataFormatError(
-            f"{path}: model expects {model.sv_rows.shape[1]} channels, "
-            f"filter bank has {d}")
+        sv_alpha = _finite(doc["sv_alpha"], path, "sv_alpha")
+        sv_rows = _rows(doc["sv_rows"], path, "sv_rows", d)
+        kernel = KernelParams(float(doc["sigma_k"]))
+        scalars = _svm_scalars(doc, path)
     # a bank's coefficients are scattered by row, so one model's mismatch
     # would shift its pulls onto other rows
     sizes = {"sv_idx": len(sv_idx), "sv_labels": len(sv_labels),
-             "sv_alpha": len(sv_alpha), "sv_rows": len(model.sv_rows)}
+             "sv_alpha": len(sv_alpha), "sv_rows": len(sv_rows)}
     if len(set(sizes.values())) != 1:
         raise DataFormatError(f"{path}: support-vector fields disagree in length {sizes}")
     if not np.all(np.abs(sv_labels) == 1):
         raise DataFormatError(f"{path}: field 'sv_labels' holds values outside {{-1, +1}}")
-    return model
+    return SvmModel(alpha=None, kernel=kernel, sv_idx=None, sv_labels=sv_labels,
+                    sv_alpha=sv_alpha, sv_rows=sv_rows, stop=None, **scalars)
+
+
+def _svm_from_v2(doc: dict, path, table: np.ndarray, kernel: KernelParams) -> SvmModel:
+    """Parse one SVM of a version-2 file, whose support rows index ``table``."""
+    with _fields(path, "SVM"):
+        index = np.asarray(doc["sv_index"])
+        coef = _finite(doc["sv_coef"], path, "sv_coef")
+        scalars = _svm_scalars(doc, path)
+        stop = doc["stop"]
+    if index.size == 0:
+        index = index.astype(np.int64)
+    if index.ndim != 1 or index.dtype.kind != "i":
+        raise DataFormatError(f"{path}: field 'sv_index' is not a list of integers")
+    if coef.ndim != 1:
+        raise DataFormatError(f"{path}: field 'sv_coef' is not a list of numbers")
+    if len(index) != len(coef):
+        raise DataFormatError(
+            f"{path}: support-vector fields disagree in length "
+            f"{{'sv_index': {len(index)}, 'sv_coef': {len(coef)}}}")
+    if np.any((index < 0) | (index >= len(table))):
+        raise DataFormatError(
+            f"{path}: field 'sv_index' holds a row index outside [0, {len(table)})")
+    if np.any(coef == 0):
+        raise DataFormatError(f"{path}: field 'sv_coef' holds a zero coefficient")
+    if stop not in STOP_REASONS:
+        raise DataFormatError(f"{path}: unknown stop reason {stop!r}")
+    # |c| * sign(c) is c exactly, so bank_scores scatters the written sv_coef
+    return SvmModel(alpha=None, kernel=kernel, sv_idx=None,
+                    sv_labels=np.sign(coef).astype(np.int64), sv_alpha=np.abs(coef),
+                    sv_rows=table[index], stop=stop, **scalars)
 
 
 def _transitions_to_doc(t: TransitionMatrix) -> dict:
@@ -300,9 +385,9 @@ def _transitions_from_doc(doc: dict, path) -> TransitionMatrix:
 
 
 def save_transitions(path, t: TransitionMatrix):
-    doc = {"format_version": FORMAT_VERSION, "kind": "transitions"}
+    doc = {"format_version": WRITE_VERSION["transitions"], "kind": "transitions"}
     doc.update(_transitions_to_doc(t))
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    _write_json(path, doc)
 
 
 def load_transitions(path) -> TransitionMatrix:
@@ -312,50 +397,89 @@ def load_transitions(path) -> TransitionMatrix:
 
 
 def save_model(path, pipe: Pipeline):
-    """Persist a trained pipeline (minus the filter, stored separately)."""
+    """Persist a trained pipeline (minus the filter, stored separately).
+
+    Writes format version 2: the distinct support rows of both banks once,
+    as ``support_table`` orders them, and per model its row indices and
+    signed coefficients alpha_j y_j.
+    """
     mc = pipe.model
+    pairs = sorted(mc.pairwise)
+    models = [mc.pairwise[pair] for pair in pairs] + list(mc.one_vs_all)
+    if any(m.sv_rows is None for m in models):
+        raise ValueError("cannot persist a model without support-vector rows")
+    kernels = {m.kernel for m in models}
+    if len(kernels) != 1:
+        raise ValueError(f"cannot persist models that disagree on the kernel {kernels}")
+    table, where = support_table(models)
+    entries = [_svm_to_doc(m, w) for m, w in zip(models, where)]
     doc = {
-        "format_version": FORMAT_VERSION,
+        "format_version": WRITE_VERSION["model"],
         "kind": "model",
         "method": pipe.method,
         "classes": [int(c) for c in mc.classes],
+        "sigma_k": float(kernels.pop().sigma_k),
+        "support_vectors": table.tolist(),
         "pairwise": [
-            {"a": a, "b": b, "model": _svm_to_doc(m)}
-            for (a, b), m in sorted(mc.pairwise.items())
+            {"a": a, "b": b, "model": entry}
+            for (a, b), entry in zip(pairs, entries)
         ],
-        "one_vs_all": [_svm_to_doc(m) for m in mc.one_vs_all],
+        "one_vs_all": entries[len(pairs):],
         "platt": None if pipe.platt is None else [
             {"A": p.A, "B": p.B} for p in pipe.platt
         ],
         "transitions": _transitions_to_doc(pipe.transitions),
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    _write_json(path, doc)
 
 
 def load_model(path, bank: FilterBank) -> Pipeline:
-    """Rebuild a pipeline from a model document plus its filter bank."""
+    """Rebuild a pipeline from a model document (version 1 or 2) plus its filter bank.
+
+    The banks must match the class list: one pairwise model for each pair
+    of class indices a < b, and one one-vs-all model, Platt sigmoid and
+    transition state per class.
+    """
     doc = _load_json(path)
-    _check_version(doc, path, "model")
-    try:
+    version = _check_version(doc, path, "model")
+    with _fields(path, "model"):
         classes = np.asarray(doc["classes"], dtype=np.int64)
-        pairwise = {
-            (int(e["a"]), int(e["b"])): _svm_from_doc(e["model"], path, bank.d)
-            for e in doc["pairwise"]
-        }
-        one_vs_all = [_svm_from_doc(e, path, bank.d) for e in doc["one_vs_all"]]
-        mc = MulticlassModel(classes=classes, pairwise=pairwise,
-                             one_vs_all=one_vs_all)
+        if version == 1:
+            parse = partial(_svm_from_v1, path=path, d=bank.d)
+        else:
+            parse = partial(_svm_from_v2, path=path,
+                            table=_rows(doc["support_vectors"], path, "support_vectors", bank.d),
+                            kernel=KernelParams(float(doc["sigma_k"])))
+        pairs = [(int(e["a"]), int(e["b"])) for e in doc["pairwise"]]
+        pairwise = dict(zip(pairs, (parse(e["model"]) for e in doc["pairwise"])))
+        one_vs_all = [parse(e) for e in doc["one_vs_all"]]
         platt = doc["platt"]
         if platt is not None:
-            platt = [PlattParams(A=float(p["A"]), B=float(p["B"])) for p in platt]
+            platt = [PlattParams(A=float(_finite(p["A"], path, "A")),
+                                 B=float(_finite(p["B"], path, "B"))) for p in platt]
         transitions = _transitions_from_doc(doc["transitions"], path)
         method = doc["method"]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing model field {exc}") from exc
+
+    if classes.ndim != 1 or len(classes) < 2 or np.any(np.diff(classes) <= 0):
+        raise DataFormatError(f"{path}: field 'classes' must hold 2 or more ascending labels")
+    c = len(classes)
+    expected = [(a, b) for a in range(c) for b in range(a + 1, c)]
+    if sorted(pairs) != expected:
+        raise DataFormatError(
+            f"{path}: pairwise models {sorted(pairs)} do not match the {c} classes "
+            f"(expected {expected})")
+    counts = {"one_vs_all": len(one_vs_all), "transitions": len(transitions.prior)}
+    if platt is not None:
+        counts["platt"] = len(platt)
+    wrong = {key: n for key, n in counts.items() if n != c}
+    if wrong:
+        raise DataFormatError(f"{path}: entries per class {wrong} do not match the {c} classes")
     # each bank is scored through one kernel (svm.bank_scores)
     sigmas = sorted({m.kernel.sigma_k for m in list(pairwise.values()) + one_vs_all})
     if len(sigmas) > 1:
         raise DataFormatError(f"{path}: models disagree on sigma_k {sigmas}")
+    mc = MulticlassModel(classes=classes, pairwise=dict(sorted(pairwise.items())),
+                         one_vs_all=one_vs_all)
     return Pipeline(method=method, filter=bank, model=mc,
                     transitions=transitions, platt=platt)
 

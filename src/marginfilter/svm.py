@@ -181,26 +181,31 @@ STOP_STUCK = "stuck"  # no pair could make progress (rounding at the box)
 class SvmModel:
     """Solution of the SVM dual plus everything needed to score new samples.
 
-    ``alpha`` is the full dual vector (length n, one per training sample);
-    the sv_* arrays retain only the support vectors (alpha above
-    SV_THRESHOLD_FRAC * box).  ``objective`` is the dual optimum
+    ``alpha`` is the full dual vector (length n, one per training sample)
+    and ``sv_idx`` the training rows of the support vectors (alpha above
+    SV_THRESHOLD_FRAC * box); the other sv_* arrays hold the support
+    vectors' alphas, labels in {-1, +1} and sample rows, which are all a
+    scorer reads.  A model loaded from a file has no training set: its
+    ``alpha`` and ``sv_idx`` are None.  ``objective`` is the dual optimum
     sum(alpha) - 0.5 alpha' Q alpha, which by strong duality equals the
     primal hinge-loss objective and is what the filter learner minimizes.
-    ``stop`` tells why the solve ended; ``converged`` is derived from it.
+    ``stop`` tells why the solve ended, or is None where that is unknown
+    (a model loaded from a version-1 file); ``converged`` is derived from
+    it and is False then.
     """
 
-    alpha: np.ndarray
+    alpha: np.ndarray | None
     bias: float
     C: float
     box: float
     kernel: KernelParams
     objective: float
-    sv_idx: np.ndarray
+    sv_idx: np.ndarray | None
     sv_labels: np.ndarray
     sv_alpha: np.ndarray
     sv_rows: np.ndarray | None = None
     n_iter: int = 0
-    stop: str = STOP_CONVERGED
+    stop: str | None = STOP_CONVERGED
 
     @property
     def converged(self) -> bool:
@@ -420,15 +425,30 @@ def decision_scores(model: SvmModel, Xte) -> np.ndarray:
     return bank_scores([model], Xte)[:, 0]
 
 
+def support_table(models):
+    """The distinct support-vector rows of ``models``, and where each model's are.
+
+    Returns (table, where): ``table`` is np.unique of all the models'
+    stacked sv_rows (axis 0, so sorted and exact: the banks' rows are
+    copies of one training matrix), and ``where[k]`` indexes it so that
+    table[where[k]] equals models[k].sv_rows.  A row that two models, or
+    two support vectors of one model, share appears once in the table.
+    """
+    table, inverse = np.unique(np.concatenate([m.sv_rows for m in models]),
+                               axis=0, return_inverse=True)
+    ends = np.cumsum([len(m.sv_rows) for m in models])
+    return table, np.split(inverse.ravel(), ends[:-1])
+
+
 def bank_scores(models, Xte) -> np.ndarray:
     """Decision scores of a bank of models that share one kernel.
 
-    The support-vector rows of all models are stacked and deduplicated
-    (exactly: the banks' rows are copies of one training matrix), and each
-    model's alpha_j y_j is scattered into one (n_union, k) coefficient
-    matrix.  ``Xte`` is then scored SCORE_CHUNK_ROWS rows at a time
-    against the distinct rows, so one test kernel serves the whole bank
-    and its memory is bounded by SCORE_CHUNK_ROWS x n_union floats.
+    The support-vector rows of all models are deduplicated into one table
+    (``support_table``), and each model's alpha_j y_j is scattered into
+    one (n_union, k) coefficient matrix.  ``Xte`` is then scored
+    SCORE_CHUNK_ROWS rows at a time against the distinct rows, so one
+    test kernel serves the whole bank and its memory is bounded by
+    SCORE_CHUNK_ROWS x n_union floats.
 
     Returns (m, len(models)); column k holds model k's scores.
     """
@@ -447,12 +467,11 @@ def bank_scores(models, Xte) -> np.ndarray:
             raise ValueError(
                 f"channel mismatch: {Xte.shape[1]} vs model {model.sv_rows.shape[1]}")
 
-    union, where = np.unique(np.concatenate([m.sv_rows for m in models]),
-                             axis=0, return_inverse=True)
+    union, where = support_table(models)
     column = np.repeat(np.arange(len(models)), [len(m.sv_rows) for m in models])
     coef = np.zeros((len(union), len(models)))
     # add.at, not assignment: a row repeated within one model sums its pulls
-    np.add.at(coef, (where.ravel(), column),
+    np.add.at(coef, (np.concatenate(where), column),
               np.concatenate([m.sv_alpha * m.sv_labels for m in models]))
     bias = np.array([m.bias for m in models])
 

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ from marginfilter.persistence import (
     save_transitions,
 )
 from marginfilter.signals import FilterBank, ToyParams, generate_toy, make_average_filter
-from marginfilter.svm import class_probabilities, decision_scores
+from marginfilter.svm import (
+    STOP_MAX_ITER,
+    PlattParams,
+    bank_scores,
+    class_probabilities,
+    decision_scores,
+)
 from test_decoding import sequential_viterbi
 
 
@@ -215,6 +223,48 @@ def trained_pipeline(toy_files):
     return pipe
 
 
+@pytest.fixture
+def three_class_pipeline():
+    X, y = generate_toy(ToyParams(n=200, sigma_n=0.4, lag=1, nbtot=2, run_min=10,
+                                  run_max=15, n_classes=3, seed=94))
+    pipe = train_pipeline(X[:80], y[:80], "avg_svm", C=10.0, sigma_k=1.0, f=3, n0=1)
+    return calibrate_pipeline(pipe, X[80:140], y[80:140])
+
+
+# Model files written by save_model at format version 1, before version 2:
+# a binary and a 3-class avg_svm pipeline (f=3, n0=1, C=10, sigma_k=1,
+# Platt-calibrated), each with its filter, a 60-sample input and the labels
+# the writing version gave it online and by Viterbi.
+V1_FIXTURES = Path(__file__).parent / "data" / "model_v1"
+
+
+def model_file(version, tmp_path, pipe):
+    """A 3-class model file at ``version`` in tmp_path, its document and filter.
+
+    Version 1 is the committed fixture; version 2 is ``pipe`` saved now.
+    """
+    mp = tmp_path / "model.json"
+    if version == 1:
+        shutil.copy(V1_FIXTURES / "three_class" / "model.json", mp)
+        bank = load_filter(V1_FIXTURES / "three_class" / "filter.json")
+    else:
+        save_model(mp, pipe)
+        bank = pipe.filter
+    return mp, json.loads(mp.read_text()), bank
+
+
+def edited(mp, doc):
+    """Write ``doc`` (NaN and Infinity allowed) over the model file."""
+    mp.write_text(json.dumps(doc))
+    return mp
+
+
+def assert_rejected(mp, bank, match):
+    with pytest.raises(DataFormatError, match=match) as info:
+        load_model(mp, bank)
+    assert str(mp) in str(info.value)
+
+
 class TestModelRoundTrip:
     def test_scores_preserved(self, tmp_path, trained_pipeline, rng):
         pipe = trained_pipeline
@@ -232,6 +282,92 @@ class TestModelRoundTrip:
         assert_array_equal(pipe.predict(Xte, "online"), pipe2.predict(Xte, "online"))
         assert_array_equal(pipe.predict(Xte, "viterbi"), pipe2.predict(Xte, "viterbi"))
 
+    @pytest.mark.parametrize("pipe_name", ["trained_pipeline", "three_class_pipeline"])
+    def test_support_rows_stored_once_and_scores_exact(self, tmp_path, rng, request,
+                                                       pipe_name):
+        pipe = request.getfixturevalue(pipe_name)
+        mp = tmp_path / "model.json"
+        save_model(mp, pipe)
+        doc = json.loads(mp.read_text())
+        assert doc["format_version"] == 2
+        mc = pipe.model
+        trained = [mc.pairwise[p] for p in sorted(mc.pairwise)] + mc.one_vs_all
+        table = np.asarray(doc["support_vectors"])
+        # each distinct support row once, in np.unique order
+        assert_array_equal(table, np.unique(np.concatenate([m.sv_rows for m in trained]),
+                                            axis=0))
+        entries = [e["model"] for e in doc["pairwise"]] + doc["one_vs_all"]
+        for entry, model in zip(entries, trained):
+            # nothing of training-set length: only the support vectors' entries
+            assert set(entry) == {"bias", "C", "box", "objective", "stop",
+                                  "sv_index", "sv_coef"}
+            assert len(entry["sv_index"]) == len(entry["sv_coef"]) == len(model.sv_alpha)
+            assert_array_equal(table[entry["sv_index"]], model.sv_rows)
+
+        loaded = load_model(mp, pipe.filter).model
+        assert list(loaded.pairwise) == list(mc.pairwise)
+        Xf = pipe.filtered(rng.normal(size=(300, 2)))
+        for bank, bank2 in ((list(mc.pairwise.values()), list(loaded.pairwise.values())),
+                            (mc.one_vs_all, loaded.one_vs_all)):
+            assert_array_equal(bank_scores(bank2, Xf), bank_scores(bank, Xf))
+        for model in list(loaded.pairwise.values()) + loaded.one_vs_all:
+            assert model.alpha is None and model.sv_idx is None
+
+    def test_stop_reason_roundtrips(self, tmp_path, three_class_pipeline):
+        mp = tmp_path / "model.json"
+        mc = three_class_pipeline.model
+        mc.one_vs_all[1].stop = STOP_MAX_ITER
+        save_model(mp, three_class_pipeline)
+        loaded = load_model(mp, three_class_pipeline.filter).model
+        for key, model in mc.pairwise.items():
+            assert loaded.pairwise[key].stop == model.stop
+        assert [m.stop for m in loaded.one_vs_all] == [m.stop for m in mc.one_vs_all]
+        assert not loaded.one_vs_all[1].converged
+
+    def test_v1_stop_reason_unknown(self):
+        bank = load_filter(V1_FIXTURES / "binary" / "filter.json")
+        loaded = load_model(V1_FIXTURES / "binary" / "model.json", bank).model
+        for model in list(loaded.pairwise.values()) + loaded.one_vs_all:
+            assert model.stop is None and not model.converged
+            assert model.alpha is None and model.sv_idx is None
+
+    @pytest.mark.parametrize("name", ["binary", "three_class"])
+    def test_v1_files_label_as_written(self, tmp_path, name):
+        """Version-1 files still load, and label the fixed input as when written;
+        saved again (version 2) they label it the same."""
+        fixture = V1_FIXTURES / name
+        assert json.loads((fixture / "model.json").read_text())["format_version"] == 1
+        bank = load_filter(fixture / "filter.json")
+        pipe = load_model(fixture / "model.json", bank)
+        X, _ = load_dataset(fixture / "input.csv")
+        mp = tmp_path / "model.json"
+        save_model(mp, pipe)
+        resaved = load_model(mp, bank)
+        for decode in ("online", "viterbi"):
+            want = load_predictions(fixture / f"{decode}.csv")
+            assert_array_equal(pipe.predict(X, decode), want)
+            assert_array_equal(resaved.predict(X, decode), want)
+
+    @pytest.mark.parametrize("kind, version, match", [
+        ("model", 3, "format_version"),
+        ("model", 1, "missing SVM field"),  # a version-2 body is no version-1 one
+        ("filter", 2, "format_version"),
+    ])
+    def test_version_read_per_kind(self, tmp_path, trained_pipeline, kind, version, match):
+        path = tmp_path / f"{kind}.json"
+        if kind == "model":
+            save_model(path, trained_pipeline)
+        else:
+            save_filter(path, trained_pipeline.filter)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=match):
+            if kind == "model":
+                load_model(path, trained_pipeline.filter)
+            else:
+                load_filter(path)
+
     def test_truncated_model_rejected(self, tmp_path, trained_pipeline):
         mp = tmp_path / "model.json"
         save_model(mp, trained_pipeline)
@@ -239,46 +375,107 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="JSON"):
             load_model(mp, trained_pipeline.filter)
 
+    @pytest.mark.parametrize("version, edit, match", [
+        (1, lambda d, m: m["sv_labels"].__setitem__(0, 2), "sv_labels"),
+        (1, lambda d, m: m["sv_labels"].__setitem__(-1, 0), "sv_labels"),
+        (1, lambda d, m: m["sv_alpha"].pop(), "disagree in length"),
+        (1, lambda d, m: m["sv_idx"].append(0), "disagree in length"),
+        (1, lambda d, m: m["sv_rows"].pop(0), "disagree in length"),
+        (1, lambda d, m: m["sv_rows"][0].append(1.0), "malformed"),
+        (2, lambda d, m: m["sv_index"].__setitem__(0, len(d["support_vectors"])),
+         "outside"),
+        (2, lambda d, m: m["sv_index"].__setitem__(0, -1), "outside"),
+        (2, lambda d, m: m["sv_index"].__setitem__(0, 1.5), "integers"),
+        (2, lambda d, m: m["sv_coef"].pop(), "disagree in length"),
+        (2, lambda d, m: m["sv_index"].append(0), "disagree in length"),
+        (2, lambda d, m: m["sv_coef"].__setitem__(0, 0.0), "zero coefficient"),
+        (2, lambda d, m: d["support_vectors"][0].append(1.0), "malformed"),
+        (2, lambda d, m: d["support_vectors"][0].pop(), "malformed"),
+        (2, lambda d, m: m.__setitem__("stop", "done"), "stop reason"),
+    ], ids=["label-2", "label-0", "short-alpha", "long-idx", "short-rows", "ragged-rows",
+            "v2-index-past-table", "v2-negative-index", "v2-float-index", "v2-short-coef",
+            "v2-long-index", "v2-zero-coef", "v2-ragged-rows-long", "v2-ragged-rows-short",
+            "v2-unknown-stop"])
+    def test_inconsistent_support_vectors_rejected(self, tmp_path, three_class_pipeline,
+                                                   version, edit, match):
+        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+        edit(doc, doc["one_vs_all"][1])
+        assert_rejected(edited(mp, doc), bank, match)
+
+    def test_model_without_support_vectors_loads(self, tmp_path, three_class_pipeline, rng):
+        Xf = rng.normal(size=(5, 2))
+        for version, keys in ((1, ("sv_idx", "sv_labels", "sv_alpha", "sv_rows")),
+                              (2, ("sv_index", "sv_coef"))):
+            mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+            ova = doc["one_vs_all"][0]
+            for key in keys:
+                ova[key] = []
+            model = load_model(edited(mp, doc), bank).model.one_vs_all[0]
+            assert_array_equal(decision_scores(model, Xf), np.full(5, ova["bias"]))
+        # no model with a support vector: an empty table
+        mp, doc, bank = model_file(2, tmp_path, three_class_pipeline)
+        doc["support_vectors"] = []
+        for entry in [e["model"] for e in doc["pairwise"]] + doc["one_vs_all"]:
+            entry["sv_index"], entry["sv_coef"] = [], []
+        mc = load_model(edited(mp, doc), bank).model
+        assert_array_equal(bank_scores(mc.one_vs_all, Xf),
+                           np.tile([e["bias"] for e in doc["one_vs_all"]], (5, 1)))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [
+        "bias", "C", "box", "coef", "row", "platt-A", "platt-B", "sigma_k"])
+    def test_non_finite_numbers_rejected(self, tmp_path, three_class_pipeline,
+                                         version, value, field):
+        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+        model = doc["pairwise"][1]["model"]
+        if field in ("bias", "C", "box"):
+            model[field] = value
+        elif field == "coef":
+            model["sv_alpha" if version == 1 else "sv_coef"][0] = value
+        elif field == "row":
+            rows = model["sv_rows"] if version == 1 else doc["support_vectors"]
+            rows[-1][0] = value
+        elif field == "sigma_k":
+            (model if version == 1 else doc)["sigma_k"] = value
+        else:
+            doc["platt"][2][field[-1]] = value
+        assert_rejected(edited(mp, doc), bank, "non-finite|sigma_k")
+
+    @pytest.mark.parametrize("field", ["bias", "platt"])
+    def test_non_finite_numbers_never_written(self, tmp_path, three_class_pipeline, field):
+        pipe = three_class_pipeline
+        if field == "bias":
+            pipe.model.pairwise[(0, 2)].bias = np.nan
+        else:
+            pipe.platt[1] = PlattParams(A=np.inf, B=0.0)
+        mp = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(mp, pipe)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("edit, match", [
-        (lambda m: m["sv_labels"].__setitem__(0, 2), "sv_labels"),
-        (lambda m: m["sv_labels"].__setitem__(-1, 0), "sv_labels"),
-        (lambda m: m["sv_alpha"].pop(), "disagree in length"),
-        (lambda m: m["sv_idx"].append(0), "disagree in length"),
-        (lambda m: m["sv_rows"].pop(0), "disagree in length"),
-        (lambda m: m["sv_rows"][0].append(1.0), "malformed"),
-    ], ids=["label-2", "label-0", "short-alpha", "long-idx", "short-rows", "ragged-rows"])
-    def test_inconsistent_support_vectors_rejected(self, tmp_path, trained_pipeline,
-                                                   edit, match):
-        mp = tmp_path / "model.json"
-        save_model(mp, trained_pipeline)
-        doc = json.loads(mp.read_text())
-        edit(doc["one_vs_all"][1])
-        mp.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match=match) as info:
-            load_model(mp, trained_pipeline.filter)
-        assert str(mp) in str(info.value)
+        (lambda d: d["pairwise"].pop(1), "pairwise models"),
+        (lambda d: d["pairwise"][2].__setitem__("b", 5), "pairwise models"),
+        (lambda d: d["pairwise"][2].update(a=0, b=1), "pairwise models"),
+        (lambda d: d["one_vs_all"].pop(), "one_vs_all"),
+        (lambda d: d["platt"].pop(), "platt"),
+        (lambda d: d["classes"].pop(), "pairwise models"),
+        (lambda d: d["classes"].reverse(), "ascending"),
+    ], ids=["missing-pair", "pair-index-5", "repeated-pair", "short-one-vs-all",
+            "short-platt", "short-classes", "descending-classes"])
+    def test_banks_must_match_the_classes(self, tmp_path, three_class_pipeline,
+                                          version, edit, match):
+        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+        edit(doc)
+        assert_rejected(edited(mp, doc), bank, match)
 
-    def test_model_without_support_vectors_loads(self, tmp_path, trained_pipeline, rng):
-        mp = tmp_path / "model.json"
-        save_model(mp, trained_pipeline)
-        doc = json.loads(mp.read_text())
-        ova = doc["one_vs_all"][0]
-        for key in ("sv_idx", "sv_labels", "sv_alpha", "sv_rows"):
-            ova[key] = []
-        mp.write_text(json.dumps(doc))
-        model = load_model(mp, trained_pipeline.filter).model.one_vs_all[0]
-        assert_array_equal(decision_scores(model, rng.normal(size=(5, 2))),
-                           np.full(5, ova["bias"]))
-
-    def test_mixed_kernel_bandwidths_rejected(self, tmp_path, trained_pipeline):
-        mp = tmp_path / "model.json"
-        save_model(mp, trained_pipeline)
-        doc = json.loads(mp.read_text())
+    def test_mixed_kernel_bandwidths_rejected(self, tmp_path):
+        # only a version-1 file stores a bandwidth per model
+        mp, doc, bank = model_file(1, tmp_path, None)
         doc["pairwise"][0]["model"]["sigma_k"] *= 2.0
-        mp.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match="sigma_k") as info:
-            load_model(mp, trained_pipeline.filter)
-        assert str(mp) in str(info.value)
+        assert_rejected(edited(mp, doc), bank, "sigma_k")
 
     def test_transitions_roundtrip(self, tmp_path, trained_pipeline):
         path = tmp_path / "transitions.json"

@@ -36,6 +36,7 @@ from marginfilter.svm import (
     kkt_violation,
     oao_vote,
     solve_svm_dual,
+    support_table,
     train_multiclass,
 )
 from marginfilter.harness import train_pipeline
@@ -481,6 +482,19 @@ class TestBankScoresMatchReference:
         assert got.shape == (m, 4)
         assert_scores_close(got, np.column_stack(
             [reference_decision_scores(mm, Xte) for mm in models]).reshape(m, 4))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_support_table_holds_each_row_once(self, rng, k):
+        pool = rng.normal(size=(25, 3))
+        models = random_bank(rng, k, pool)
+        used = np.concatenate([m.sv_idx for m in models] + [[3, 7]])
+        # a row twice within one model
+        models.append(sv_model(0.5, pool[[3, 7, 3]], np.array([0.5, -1.0, 0.75])))
+        table, where = support_table(models)
+        assert_array_equal(table, np.unique(pool[used], axis=0))
+        assert len(where) == len(models)
+        for m, w in zip(models, where):
+            assert_array_equal(table[w], m.sv_rows)
 
     def test_repeated_row_within_a_model(self, rng):
         rows = rng.normal(size=(3, 2))
