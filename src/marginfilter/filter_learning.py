@@ -20,13 +20,14 @@ relative slack of 1e-9, far above the solver's ~1e-12 rounding.  An
 accepted trial never reaches the bound, so it is solved exactly as
 without it: the accepted steps, filters and models are the same bits.
 
-A warm trial computes only the kernel it reads (``svm.SupportKernel``):
-the block K[S, S] of its start's support set S, which the bound needs,
-then, once the trial survives that, the rest of the columns K[:, S],
-which give the start K @ (alpha * y), and the rows its SMO steps touch.
-The committed gradient block K[S', S'] comes from the same entries, as
-S' lies in S and the touched rows.  Only a fit's first, cold evaluation
-builds a subproblem's whole kernel.
+A trial computes only the kernel it reads (``svm.SupportKernel``).  A
+warm one computes the block K[S, S] of its start's support set S, which
+the bound needs, then, once the trial survives that, the rest of the
+columns K[:, S], a block of rows at a time, which give the start
+K @ (alpha * y), and the rows its SMO steps touch; the fit's first, cold
+evaluation computes the rows its steps touch.  The committed gradient
+block K[S', S'] comes from the same entries, as S' lies in S and the
+touched rows.  No evaluation builds a subproblem's whole kernel.
 
 Channel selection uses a sum-of-column-norms penalty, handled by
 majorization-minimization: each outer step replaces the column norms by a
@@ -233,17 +234,16 @@ class _Subproblem:
 
         Once a lower bound on the optimum exceeds ``stop_above``, returns
         that bound instead and leaves nothing to commit.  A cold solve
-        reads most of the kernel and builds all of it; a warm one builds
-        the support block K[S, S] of its start S first, and the rest of
-        the columns K[:, S] only if the trial survives the bound.
+        computes the rows its steps touch; a warm one computes the support
+        block K[S, S] of its start S first, and only if the trial survives
+        the bound the rest of the columns K[:, S], a block of rows at a
+        time, and the rows its steps touch.
         """
         self._last = None
         Xsub = Xf[self.rows]
         if self.alpha is None:
-            K = kernel_matrix(Xsub, Xsub, cfg.kernel)
+            K = SupportKernel(Xsub, cfg.kernel)
         else:
-            # the source's storage before the support block: see SupportKernel
-            storage = np.empty(len(Xsub) ** 2)
             sv = np.flatnonzero(self.alpha > 0)
             Xs = Xsub[sv]
             K_s = kernel_matrix(Xs, Xs, cfg.kernel)
@@ -254,16 +254,13 @@ class _Subproblem:
                 warm = float(self.alpha.sum() - 0.5 * (w @ K_s @ w))
                 if warm > stop_above:
                     return warm
-            K = SupportKernel(Xsub, sv, cfg.kernel, K_s, storage)
-            del K_s  # copied into K: one copy through the solve
+            K = SupportKernel(Xsub, cfg.kernel, sv, K_s)
         model = solve_svm_dual(
             K, self.y_pm, cfg.C, kernel=cfg.kernel,
             tol=cfg.svm_tol, max_iter=cfg.svm_max_iter, warm_alpha=self.alpha,
             stop_above=stop_above)
         if model.objective <= stop_above:
-            sv = np.flatnonzero(model.alpha > 0)
-            K_ss = K[np.ix_(sv, sv)] if self.alpha is None else K.block(sv)
-            self._last = (model, Xf, K_ss)
+            self._last = (model, Xf, K.block(np.flatnonzero(model.alpha > 0)))
         return model.objective
 
     def commit(self):

@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .decoding import TransitionMatrix, decode_offline, decode_online, estimate_transitions
 from .filter_learning import LearnerConfig, RegularizerSpec, committed_bank, fit_shared_filter
@@ -269,13 +268,27 @@ def grid_search(train, validation, grid: GridSpec, *,
 EXACT_ENUMERATION_LIMIT = 12
 
 
+def _average_ranks(values) -> np.ndarray:
+    """Ranks 1..m of ``values``, each run of ties given the mean of the
+    ranks it spans (scipy.stats.rankdata's default): exact half-integers."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def wilcoxon_signed_rank(errs_a, errs_b) -> float:
     """Two-sided Wilcoxon signed-rank p-value for paired samples.
 
     Zero differences are dropped; ties get average ranks.  Up to 12
     non-zero differences the null distribution is enumerated exactly over
     all sign assignments; above that a tie-corrected normal approximation
-    is used.  All differences zero gives p = 1.
+    is used.  All differences zero gives p = 1.  A NaN or infinite error
+    is rejected: it has no rank.
     """
     a = np.asarray(errs_a, dtype=np.float64).ravel()
     b = np.asarray(errs_b, dtype=np.float64).ravel()
@@ -283,12 +296,14 @@ def wilcoxon_signed_rank(errs_a, errs_b) -> float:
         raise ValueError("paired samples must have equal length")
     if len(a) < 5:
         raise ValueError("need at least 5 pairs")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("paired errors must be finite")
     diffs = a - b
     diffs = diffs[diffs != 0.0]
     m = len(diffs)
     if m == 0:
         return 1.0
-    ranks = rankdata(np.abs(diffs))
+    ranks = _average_ranks(np.abs(diffs))
     w_pos = float(ranks[diffs > 0].sum())
 
     if m <= EXACT_ENUMERATION_LIMIT:

@@ -256,6 +256,25 @@ def _finite(values, path, name: str) -> np.ndarray:
     return values
 
 
+def _integers(values, path, name: str) -> np.ndarray:
+    """A JSON integer, or list of them, as int64; DataFormatError for any
+    other value, which int() would truncate (1.5 to 1) or parse ("2")."""
+    values = np.asarray(values)
+    if values.size == 0:
+        values = values.astype(np.int64)
+    if values.dtype.kind != "i":
+        raise DataFormatError(f"{path}: field {name!r} must hold integers")
+    return values.astype(np.int64)
+
+
+def _integer(value, path, name: str) -> int:
+    """A JSON integer as an int; DataFormatError for anything else."""
+    value = _integers(value, path, name)
+    if value.ndim:
+        raise DataFormatError(f"{path}: field {name!r} must hold integers")
+    return int(value)
+
+
 def _rows(values, path, name: str, d: int) -> np.ndarray:
     """A list of d-channel sample rows as an (m, d) float64 array."""
     rows = _finite(values, path, name)
@@ -287,13 +306,13 @@ def load_filter(path) -> FilterBank:
     for key in ("f", "d", "n0", "coeffs"):
         if key not in doc:
             raise DataFormatError(f"{path}: missing field {key!r}")
-    f, d = int(doc["f"]), int(doc["d"])
+    f, d, n0 = (_integer(doc[key], path, key) for key in ("f", "d", "n0"))
     coeffs = np.asarray(doc["coeffs"], dtype=np.float64)
     if coeffs.size != f * d:
         raise DataFormatError(
             f"{path}: field 'coeffs' has {coeffs.size} values, expected f*d={f * d}")
     try:
-        return FilterBank(coeffs.reshape(f, d), n0=int(doc["n0"]))
+        return FilterBank(coeffs.reshape(f, d), n0=n0)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -319,8 +338,8 @@ def _svm_from_v1(doc: dict, path, d: int) -> SvmModel:
     """Parse one SVM of a version-1 file, which holds its own support rows."""
     with _fields(path, "SVM"):
         # read for the length check only: no scorer needs the training rows
-        sv_idx = np.asarray(doc["sv_idx"], dtype=np.int64)
-        sv_labels = np.asarray(doc["sv_labels"], dtype=np.int64)
+        sv_idx = _integers(doc["sv_idx"], path, "sv_idx")
+        sv_labels = _integers(doc["sv_labels"], path, "sv_labels")
         sv_alpha = _finite(doc["sv_alpha"], path, "sv_alpha")
         sv_rows = _rows(doc["sv_rows"], path, "sv_rows", d)
         kernel = KernelParams(float(doc["sigma_k"]))
@@ -340,13 +359,11 @@ def _svm_from_v1(doc: dict, path, d: int) -> SvmModel:
 def _svm_from_v2(doc: dict, path, table: np.ndarray, kernel: KernelParams) -> SvmModel:
     """Parse one SVM of a version-2 file, whose support rows index ``table``."""
     with _fields(path, "SVM"):
-        index = np.asarray(doc["sv_index"])
+        index = _integers(doc["sv_index"], path, "sv_index")
         coef = _finite(doc["sv_coef"], path, "sv_coef")
         scalars = _svm_scalars(doc, path)
         stop = doc["stop"]
-    if index.size == 0:
-        index = index.astype(np.int64)
-    if index.ndim != 1 or index.dtype.kind != "i":
+    if index.ndim != 1:
         raise DataFormatError(f"{path}: field 'sv_index' is not a list of integers")
     if coef.ndim != 1:
         raise DataFormatError(f"{path}: field 'sv_coef' is not a list of numbers")
@@ -443,14 +460,15 @@ def load_model(path, bank: FilterBank) -> Pipeline:
     doc = _load_json(path)
     version = _check_version(doc, path, "model")
     with _fields(path, "model"):
-        classes = np.asarray(doc["classes"], dtype=np.int64)
+        classes = _integers(doc["classes"], path, "classes")
         if version == 1:
             parse = partial(_svm_from_v1, path=path, d=bank.d)
         else:
             parse = partial(_svm_from_v2, path=path,
                             table=_rows(doc["support_vectors"], path, "support_vectors", bank.d),
                             kernel=KernelParams(float(doc["sigma_k"])))
-        pairs = [(int(e["a"]), int(e["b"])) for e in doc["pairwise"]]
+        pairs = [(_integer(e["a"], path, "a"), _integer(e["b"], path, "b"))
+                 for e in doc["pairwise"]]
         pairwise = dict(zip(pairs, (parse(e["model"]) for e in doc["pairwise"])))
         one_vs_all = [parse(e) for e in doc["one_vs_all"]]
         platt = doc["platt"]

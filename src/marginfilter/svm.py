@@ -3,9 +3,11 @@
 Contains the kernel, a warm-startable SMO solver for the box-constrained
 dual, the kernel decision function, Platt sigmoid calibration, and the
 one-against-one / one-against-all multiclass banks used for online voting
-and calibrated probabilities respectively.  The solver reads its kernel
-from a dense matrix or, for a warm start, from a ``SupportKernel`` that
-computes the support columns of the start and the rows the steps touch.
+and calibrated probabilities respectively.  Every solve of a fit or a
+bank reads its kernel from a ``SupportKernel``, which computes the rows
+the SMO steps touch, caches them up to KERNEL_CACHE_BYTES, and sums a
+warm start's product over the support columns a block of rows at a time:
+no array of n x n floats is made.
 
 Where the mathematics gives one SVM, one SVM is solved: with two classes
 the one-against-all bank is the pairwise machine in its two label
@@ -29,6 +31,18 @@ SV_THRESHOLD_FRAC = 1e-8
 # through the distance, exp and matmul passes; 1024 rows measured ~10%
 # slower on 60000-sample labeling.
 SCORE_CHUNK_ROWS = 256
+# Bytes of kernel rows one source keeps (LIBSVM's default cache_size,
+# Chang & Lin, ACM TIST 2011, section 5).
+KERNEL_CACHE_BYTES = 100 * 2**20
+# The cache takes its rows in slabs of this size, the same for every
+# source, so a slab one source frees is reused whole by the next.  One
+# allocation per row left the freed rows in holes between longer-lived
+# arrays: headline's peak resident memory measured 10 MB higher.
+CACHE_SLAB_BYTES = 2**20
+# Rows per block of a warm start's K[:, S] @ w.  A multiple of 4:
+# OpenBLAS's dgemv takes a matrix's rows in fours and the last n % 4 one
+# at a time, so each row of a blocked product sums as in the whole one.
+PRODUCT_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -59,8 +73,10 @@ def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
     multiply costs a fraction of a divide.  Either way each entry is the
     same double as exp(sq / (-2 sigma_k^2)).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.ndim < 2 or B.ndim < 2:  # a sample given as a vector
+        A, B = np.atleast_2d(A), np.atleast_2d(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"channel mismatch: {A.shape[1]} vs {B.shape[1]}")
     sq = cdist(A, B, metric="sqeuclidean", out=out)
@@ -74,99 +90,141 @@ def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
+def _row_chunks(n: int):
+    """[lo, hi) bounds of PRODUCT_CHUNK_ROWS rows each, covering range(n).
+
+    A last block of one row joins the block before it: numpy takes a
+    one-row matrix times a vector as a dot product, which sums in another
+    order than the matrix-vector product does.
+    """
+    bounds = [*range(0, n, PRODUCT_CHUNK_ROWS), n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
 class SupportKernel:
-    """The Gaussian kernel of ``X``, computed where a warm solve reads it.
+    """The Gaussian kernel of ``X``, computed where a solve reads it.
 
-    A solve warm-started at alpha needs K @ (alpha * y), which only the
-    columns of the support set S (alpha > 0) enter, the rows K[i] and K[j]
-    of each SMO step, and the diagonal, which is exp(0) = 1.  This source
-    holds the columns K[:, S] as one block, whose rows are those of S (a
-    copy of the caller's ``support_block``, K[S, S]) followed by the other
-    rows, and computes any row on first use and caches it (the kernel
-    cache of Joachims 1999 and of LIBSVM, Chang & Lin 2011).  Every entry
-    is the same double as in kernel_matrix(X, X).
+    A solve reads its kernel in four ways (``solve_svm_dual``): the shape,
+    the diagonal, which is exp(0) = 1, the rows K[i] and K[j] of each SMO
+    step, and, at a warm start, K @ (alpha * y), which only the columns of
+    the support set S (alpha > 0) enter.  This source computes a row on
+    first use and caches it; once the cache holds KERNEL_CACHE_BYTES of
+    rows, each new row takes the place of the least recently used one,
+    which is computed again when next read (the kernel cache of Joachims
+    1999 and of LIBSVM, Chang & Lin 2011).  A cache of fewer than two
+    rows keeps none.  It computes the product PRODUCT_CHUNK_ROWS rows of
+    K[:, S] at a time and keeps none of them.  So it holds no n x n or
+    n x |S| array: at most K[S, S], the cache and one block of rows.
 
-    The block and the cache share ``storage``, n * n floats like the
-    kernel they stand in for (allocated here when not given): the block
-    takes n x |S| of it and the cache the n - |S| rows left, and rows past
-    those are computed again on each use.  One same-sized allocation per
-    solve reuses one heap chunk, where arrays of varying size fragment the
-    heap and raise the peak resident memory; a caller that allocates the
-    storage before it computes ``support_block`` keeps that block from
-    splitting the chunk.
+    A cold solve's source has no support set.  A warm solve's may hold
+    ``support`` with its block K[S, S] (``support_block``, as the caller
+    computed it): the product then takes the rows of S from the block, and
+    ``block(idx)`` gathers K[np.ix_(idx, idx)] from the block and the
+    rows.  ``subset(rows)`` is the kernel of X[rows], whose rows are
+    slices of this source's rows, read through its cache: the solves of
+    one training set share one cache.
 
-    It stands in for the kernel matrix where ``solve_svm_dual`` reads it:
-    ``shape``, ``diagonal()``, ``K[i]`` (row i) and ``K @ w`` (for w zero
-    off S); ``block(idx)`` is K[np.ix_(idx, idx)].
+    Every entry is the same double as in kernel_matrix(X, X).  The product
+    sums each row of K[:, S] as the product of the whole K[:, S] (its rows
+    ordered S first) does, so it differs from a dense K @ w, which sums
+    over every column, by rounding.
     """
 
-    def __init__(self, X, support, params: KernelParams, support_block, storage=None):
+    def __init__(self, X, params: KernelParams, support=(), support_block=None):
         self._X = np.asarray(X, dtype=np.float64)
         self._params = params
-        n, s = len(self._X), len(support)
+        n = len(self._X)
         self.shape = (n, n)
-        self._support = np.asarray(support)
-        in_support = np.zeros(n, dtype=bool)
-        in_support[self._support] = True
-        self._rest = np.flatnonzero(~in_support)
-        self._order = np.concatenate([self._support, self._rest])
-        self._col = np.full(n, -1)
-        self._col[self._support] = np.arange(s)
-        flat = np.empty(n * n) if storage is None else storage
-        if flat.shape != (n * n,) or flat.dtype != np.float64:
-            raise ValueError(f"storage must be a float64 vector of n * n = {n * n} elements")
-        self._cols = flat[: n * s].reshape(n, s)
-        self._cols[:s] = support_block
-        if len(self._rest):
-            kernel_matrix(self._X[self._rest], self._X[self._support], params,
-                          out=self._cols[s:])
-        self._cache = flat[n * s :].reshape(n - s, n)
-        self._slot = {}  # sample -> row of _cache
+        self._support = np.asarray(support, dtype=np.int64)
+        self._block = support_block
+        self._col = np.full(n, -1)  # sample -> its row of the block
+        self._col[self._support] = np.arange(len(self._support))
+        self._cache = {}  # sample -> its row, least recently used first
+        self._free = []  # rows of the last slab not yet used
+        self._capacity = KERNEL_CACHE_BYTES // (8 * max(n, 1))
+        self._parent = self._rows = None
+        self._product = None  # the last (w, K @ w)
+
+    def subset(self, rows) -> SupportKernel:
+        """The kernel of X[rows], reading its rows through this cache."""
+        view = SupportKernel(self._X[rows], self._params)
+        view._parent, view._rows = self, np.asarray(rows)
+        return view
 
     def diagonal(self) -> np.ndarray:
         return np.ones(self.shape[0])
 
-    def __matmul__(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
-        if np.any(w[self._rest]):
-            raise ValueError("the product needs a vector that is zero off the support set")
-        out = np.empty(self.shape[0])
-        out[self._order] = self._cols @ w[self._support]
-        return out
-
     def __getitem__(self, i: int) -> np.ndarray:
-        slot = self._slot.get(i)
-        if slot is not None:
-            return self._cache[slot]
-        slot = len(self._slot)
-        if slot < len(self._cache):
-            row = self._cache[slot]
-            self._slot[i] = slot
-        else:
-            row = np.empty(self.shape[0])
-        k = self._col[i]
-        if k >= 0:
-            row[self._order] = self._cols[:, k]
-        else:
+        if self._parent is not None:
+            return self._parent[int(self._rows[i])][self._rows]
+        row = self._cache.pop(i, None)
+        if row is None:
+            if self._capacity < 2:  # a row evicted by K[j] could be the step's K[i]
+                return kernel_matrix(self._X[i : i + 1], self._X, self._params)[0]
+            if len(self._cache) >= self._capacity:
+                row = self._cache.pop(next(iter(self._cache)))  # overwritten below
+            else:
+                if not self._free:
+                    n = self.shape[0]
+                    room = min(self._capacity, n) - len(self._cache)
+                    slab = max(min(CACHE_SLAB_BYTES // (8 * n), room), 1)
+                    self._free = list(np.empty((slab, n)))
+                row = self._free.pop()
             kernel_matrix(self._X[i : i + 1], self._X, self._params, out=row[None])
+        self._cache[i] = row
         return row
 
+    def __matmul__(self, w) -> np.ndarray:
+        """K @ w, from the columns of the support of w alone.
+
+        The last product is kept: the solves of a binary bank start from
+        one alpha in both label orientations, and K @ -w is -(K @ w)
+        exactly, as every term of each sum is negated.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        if self._product is not None:
+            w_last, u_last = self._product
+            if np.array_equal(w, w_last):
+                return u_last.copy()
+            if np.array_equal(w, -w_last):
+                return -u_last
+        n = self.shape[0]
+        support = np.flatnonzero(w)
+        s = len(support)
+        in_support = np.zeros(n, dtype=bool)
+        in_support[support] = True
+        order = np.concatenate([support, np.flatnonzero(~in_support)])
+        block = self._block if np.array_equal(support, self._support) else None
+        Xs, w_s = self._X[support], w[support]
+        out = np.empty(n)
+        buf = np.empty((min(n, PRODUCT_CHUNK_ROWS + 1), s))
+        for lo, hi in _row_chunks(n):
+            k = 0 if block is None else min(max(s - lo, 0), hi - lo)  # rows in S
+            part = block[lo:hi] if k == hi - lo else buf[: hi - lo]
+            if k < hi - lo:
+                if k:
+                    part[:k] = block[lo:s]
+                kernel_matrix(self._X[order[lo + k : hi]], Xs, self._params, out=part[k:])
+            out[order[lo:hi]] = part @ w_s
+        self._product = (w.copy(), out.copy())
+        return out
+
     def block(self, idx) -> np.ndarray:
-        """K[np.ix_(idx, idx)]: support columns from the block, the others
-        from their rows (cached, when the solve touched them)."""
+        """K[np.ix_(idx, idx)]: entries among the support set from the
+        block, the others from the rows (cached, when the solve read them)."""
         idx = np.asarray(idx)
         k = self._col[idx]
-        in_s = k >= 0
-        position = np.empty(self.shape[0], dtype=np.int64)
-        position[self._order] = np.arange(self.shape[0])
-        rows, cols = position[idx], k[in_s]
+        at = np.flatnonzero(k >= 0)
+        ks = k[at]
         out = np.empty((len(idx), len(idx)))
         # in chunks of 32 rows, so the gather's temporary stays small
-        for start in range(0, len(idx), 32):
-            chunk = slice(start, start + 32)
-            out[chunk, in_s] = self._cols[np.ix_(rows[chunk], cols)]
-        for b in np.flatnonzero(~in_s):
-            out[:, b] = self[int(idx[b])][idx]
+        for start in range(0, len(at), 32):
+            rows = slice(start, start + 32)
+            out[at[rows, None], at] = self._block[ks[rows, None], ks]
+        for b in np.flatnonzero(k < 0):
+            out[b] = out[:, b] = self[int(idx[b])][idx]
         return out
 
 
@@ -235,20 +293,20 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
 
     The kernel source ``K`` is read in four ways only: its shape, its
     diagonal, K @ (alpha * y) once at a warm start, and the rows K[i] and
-    K[j] of each step.  A dense matrix serves all of them; a cold solve
-    reads most rows, so it takes one.  A warm solve can take a
-    ``SupportKernel`` instead, which computes the support columns of the
-    warm start and only the other rows the steps touch.  Both give the
-    same entries; the product at the start is summed over the support set
-    only, so it, and the iterates after it, differ by rounding.
+    K[j] of each step.  A ``SupportKernel`` computes the rows the steps
+    touch and, at a warm start, the support columns of the product, so no
+    n x n array is made; a dense matrix serves too.  Both give the same
+    entries, so a cold solve is the same either way; a warm start's
+    product is summed over the support set only, so it, and the iterates
+    after it, differ by rounding.
 
     ``stop`` on the result tells why the solve ended: STOP_CONVERGED,
     STOP_BOUND (``stop_above``), STOP_MAX_ITER, or STOP_STUCK (no pair
     left that can move, or a step rounded to zero at the box).
 
     Args:
-        K: kernel source: the (n, n) symmetric PSD kernel matrix of the
-            training samples, or a SupportKernel of them.
+        K: kernel source: a SupportKernel of the training samples, or
+            their (n, n) symmetric PSD kernel matrix.
         y: length-n labels in {-1, +1}, both classes present.
         C: regularization constant (> 0); the per-sample box is C/n.
         rows: optional (n, d) training samples, retained for the support
@@ -611,19 +669,20 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
                      warm: dict | None = None) -> MulticlassModel:
     """Train the pairwise and one-vs-all banks on (already filtered) data.
 
-    Each pair is solved on its block of one kernel of ``X``: cold, or from
-    ``warm[pair]`` when given.  With two classes one-vs-all is the pairwise
-    machine (Hsu & Lin, IEEE TNN 2002): Q = diag(y) K diag(y) and
-    sum(alpha * y) = 0 do not change under y -> -y, so the pair's alpha is
-    optimal for both label orientations.  Each orientation is solved warm
-    from it, which costs one kernel product and a KKT check and no SMO
-    step, and the pair's model is orientation 0's solve: the three models
-    share one alpha and one K @ (alpha * y), so one-vs-all[0] scores
-    exactly as the pair and one-vs-all[1] exactly as its negation.  (A
-    warm start that misses ``tol`` by rounding takes a few SMO steps per
-    orientation; both are then optimal to ``tol`` but no longer exact
-    negations.)  With c >= 3 classes the c one-vs-rest scorers are c cold
-    solves.
+    Every solve reads one ``SupportKernel`` of ``X``, a pair's rows being
+    slices of its rows, so the solves share one cache of rows.  Each pair
+    is solved cold, or from ``warm[pair]`` when given.  With two classes
+    one-vs-all is the pairwise machine (Hsu & Lin, IEEE TNN 2002): Q =
+    diag(y) K diag(y) and sum(alpha * y) = 0 do not change under y -> -y,
+    so the pair's alpha is optimal for both label orientations.  Each
+    orientation is solved warm from it, which costs one kernel product and
+    a KKT check and no SMO step, and the pair's model is orientation 0's
+    solve: the three models share one alpha and one K @ (alpha * y), so
+    one-vs-all[0] scores exactly as the pair and one-vs-all[1] exactly as
+    its negation.  (A warm start that misses ``tol`` by rounding takes a
+    few SMO steps per orientation; both are then optimal to ``tol`` but no
+    longer exact negations.)  With c >= 3 classes the c one-vs-rest
+    scorers are c cold solves.
 
     Args:
         X: (n, d) filtered samples.
@@ -640,14 +699,12 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
     classes = np.unique(y)
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
-    K = kernel_matrix(X, X, kernel)
+    K = SupportKernel(X, kernel)
 
     pairwise = {}
     for pair, rows, y_pm in class_pairs(y, classes):
-        # a pair of every row (two classes) solves on K itself, not a
-        # copy; a pair's block is a temporary, freed before the next solve
         pairwise[pair] = solve_svm_dual(
-            K if len(rows) == len(y) else K[np.ix_(rows, rows)], y_pm, C,
+            K if len(rows) == len(y) else K.subset(rows), y_pm, C,
             rows=X[rows], kernel=kernel, tol=tol,
             warm_alpha=None if warm is None else warm[pair])
 

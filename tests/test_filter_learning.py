@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from marginfilter import filter_learning
+from marginfilter import filter_learning, svm
 from marginfilter.filter_learning import (
     LearnerConfig,
     RegularizerSpec,
@@ -78,7 +78,7 @@ class ReferenceProblem:
             K = kernel_matrix(Xsub, Xsub, cfg.kernel)
         else:
             sv = np.flatnonzero(self.alpha > 0)
-            K = SupportKernel(Xsub, sv, cfg.kernel,
+            K = SupportKernel(Xsub, cfg.kernel, sv,
                               kernel_matrix(Xsub[sv], Xsub[sv], cfg.kernel))
         self.last = solve_svm_dual(K, self.y_pm, cfg.C, kernel=cfg.kernel, tol=cfg.svm_tol,
                                    max_iter=cfg.svm_max_iter, warm_alpha=self.alpha)
@@ -555,18 +555,13 @@ class TestEarlyRejection:
 
 
 class TestKernelOnDemand:
-    """Warm trials compute the support columns of their start and the rows
-    their SMO steps touch; only a fit's first, cold evaluation builds a
-    subproblem's whole kernel."""
+    """Every solve reads its kernel through a SupportKernel: a cold solve
+    computes the rows its steps touch, a warm trial the support columns
+    of its start and the rows its steps touch, and no fit, bank or
+    pipeline builds the kernel of a whole subproblem."""
 
-    @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_no_full_kernel_after_the_cold_start(self, monkeypatch, n_classes):
-        from marginfilter import svm
-
-        X, y = generate_toy(ToyParams(n=240, sigma_n=0.8, lag=3, nbtot=2,
-                                      n_classes=n_classes, seed=21))
-        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 1.0),
-                            max_cg_iters=8)
+    @staticmethod
+    def recorded_shapes(monkeypatch):
         shapes = []
 
         def recording(A, B, params, out=None):
@@ -575,13 +570,53 @@ class TestKernelOnDemand:
 
         for module in (svm, filter_learning):
             monkeypatch.setattr(module, "kernel_matrix", recording)
+        return shapes
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_no_full_kernel_after_the_cold_start(self, monkeypatch, n_classes):
+        X, y = generate_toy(ToyParams(n=240, sigma_n=0.8, lag=3, nbtot=2,
+                                      n_classes=n_classes, seed=21))
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 1.0),
+                            max_cg_iters=8)
+        shapes = self.recorded_shapes(monkeypatch)
         fit = fit_shared_filter(X, y, cfg)
         sizes = [len(p.rows) for p in fit.problems]
-        assert shapes[:len(sizes)] == [(m, m) for m in sizes]
-        later = shapes[len(sizes):]
-        assert len(fit.history) > 3 and len(later) > 10 * len(sizes)
-        assert not {(m, m) for m in sizes} & set(later)
-        assert (1, sizes[0]) in later  # a row fetched outside the support set
+        # the cold start reads rows, not the kernel of a subproblem
+        assert shapes[0] == (1, sizes[0])
+        assert len(fit.history) > 3 and len(shapes) > 10 * len(sizes)
+        assert not {(m, m) for m in sizes} & set(shapes)
+        assert all(len(p.model.sv_idx) < m for p, m in zip(fit.problems, sizes))
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("method", ["svm", "avg_svm", "kf_svm", "skf_svm"])
+    def test_no_full_kernel_in_a_pipeline(self, monkeypatch, method, n_classes):
+        X, y = generate_toy(ToyParams(n=180, sigma_n=0.8, lag=3, nbtot=3,
+                                      n_classes=n_classes, seed=22))
+        shapes = self.recorded_shapes(monkeypatch)
+        pipe = train_pipeline(X, y, method, C=50.0, sigma_k=1.0, lam=1.0, f=5, n0=2,
+                              learner_kwargs={"max_cg_iters": 4, "mm_max_outer": 2})
+        classes = pipe.model.classes
+        sizes = {len(y)} | {int(np.sum((y == classes[a]) | (y == classes[b])))
+                            for a, b in pipe.model.pairwise}
+        assert shapes and not {(m, m) for m in sizes} & set(shapes)
+        # a solve reads rows; a warm one also blocks of its support columns
+        assert (1, len(y)) in shapes or (1, min(sizes)) in shapes
+
+    def test_peak_memory_below_one_full_kernel(self, monkeypatch):
+        import tracemalloc
+
+        n = 3000
+        X, y = generate_toy(ToyParams(n=n, sigma_n=1.0, lag=5, nbtot=2, seed=23))
+        monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", 2**20)
+        tracemalloc.start()
+        try:
+            pipe = train_pipeline(X, y, "kf_svm", C=100.0, sigma_k=1.0, lam=1.0, f=5,
+                                  n0=2, learner_kwargs={"max_cg_iters": 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pipe.history) > 1
+        assert peak < 8 * n * n
 
 
 class TestLearnSkfSvm:

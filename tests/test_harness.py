@@ -103,6 +103,22 @@ class TestWilcoxon:
         with pytest.raises(ValueError, match="at least 5"):
             wilcoxon_signed_rank([1.0, 2.0], [2.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_errors_rejected(self, bad):
+        a = [0.1, 0.2, bad, 0.3, 0.25, 0.2]
+        b = [0.12, 0.21, 0.2, 0.31, 0.2, 0.1]
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(b, a)
+
+    def test_average_ranks_equal_scipy_rankdata(self, rng):
+        for _ in range(200):
+            m = int(rng.integers(1, 40))
+            # few distinct values, so most draws hold runs of ties
+            x = rng.integers(0, int(rng.integers(1, 8)), size=m) * 0.1
+            assert_array_equal(harness._average_ranks(x), rankdata(x))
+
     def test_ties_in_ranks_handled(self):
         a = np.array([1.0, 1.0, 2.0, 2.0, 5.0, 0.5])
         b = np.zeros(6)
@@ -198,7 +214,7 @@ class TestGridSearch:
 
 class SolveCounter:
     """Records the SVM solves (as their SMO step counts and warm flags) and
-    counts the kernel builds before and after the filter fit of
+    the shapes of the kernel blocks computed before and after the filter fit of
     ``harness.train_pipeline`` returns; keeps the fit and a copy of its
     committed solves as they were when it returned."""
 
@@ -206,7 +222,7 @@ class SolveCounter:
         self.fit = None
         self.committed = None
         self.solves = ([], [])
-        self.kernels = [0, 0]
+        self.kernels = ([], [])
         for module in (svm, filter_learning):
             monkeypatch.setattr(module, "solve_svm_dual", self._solving(module.solve_svm_dual))
             monkeypatch.setattr(module, "kernel_matrix", self._building(module.kernel_matrix))
@@ -229,9 +245,9 @@ class SolveCounter:
         return solving
 
     def _building(self, fn):
-        def building(*args, **kwargs):
-            self.kernels[self.fit is not None] += 1
-            return fn(*args, **kwargs)
+        def building(A, B, *args, **kwargs):
+            self.kernels[self.fit is not None].append((len(A), len(B)))
+            return fn(A, B, *args, **kwargs)
         return building
 
 
@@ -258,7 +274,13 @@ class TestBankSolves:
         (cold, pair), *orientations = counter.solves[0]
         assert not cold and pair > 0
         assert orientations == [(True, 0), (True, 0)]
-        assert counter.kernels == [1, 0]
+        # the cold solve computes each row it reads once, and both
+        # orientations start from one product over the support columns
+        n, n_sv = len(y), np.count_nonzero(pipe.model.one_vs_all[0].alpha)
+        rows = [s for s in counter.kernels[0] if s[0] == 1]
+        assert set(rows) == {(1, n)} and len(rows) <= min(n, 2 * pair)
+        assert [s for s in counter.kernels[0] if s[0] > 1] == [(n, n_sv)]
+        assert counter.kernels[1] == []
         assert len(pipe.model.one_vs_all) == 2
 
     @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
@@ -270,7 +292,8 @@ class TestBankSolves:
         assert len(counter.solves[0]) > 0
         # the pair from its committed solve, then its two orientations
         assert counter.solves[1] == [(True, 0)] * 3
-        assert counter.kernels[1] == 1
+        # one product over the support columns serves all three
+        assert len(counter.kernels[1]) == 1
         assert pipe.model.one_vs_all[0] is pipe.model.pairwise[(0, 1)]
 
     @pytest.mark.parametrize("method, n_classes", [("kf_svm", 2), ("skf_svm", 2),
@@ -279,7 +302,8 @@ class TestBankSolves:
         counter = SolveCounter(monkeypatch)
         X, y, kw = learned_filter_case(method, n_classes)
         pipe = harness.train_pipeline(X, y, method, **kw)
-        # c >= 3 adds only the c cold one-vs-rest solves, on the same kernel
+        # c >= 3 adds only the c cold one-vs-rest solves, which read their
+        # rows through the bank's one cache: each row is computed once
         c = n_classes
         pairs = len(counter.fit.problems)
         after = counter.solves[1]
@@ -288,7 +312,10 @@ class TestBankSolves:
         else:
             assert after[:pairs] == [(True, 0)] * pairs
             assert [warm for warm, _ in after[pairs:]] == [False] * c
-        assert counter.kernels[1] == 1
+        rows = [s for s in counter.kernels[1] if s[0] == 1]
+        assert len(counter.kernels[1]) - len(rows) == (1 if c == 2 else pairs)
+        assert set(rows) <= {(1, len(y))} and len(rows) <= len(y)
+        assert (len(rows) > 0) == (c > 2)
         assert len(pipe.history) > 1  # the filter moved off its start
         problems = counter.fit.problems
         assert list(pipe.model.pairwise) == [p.pair for p in problems]

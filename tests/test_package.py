@@ -1,4 +1,9 @@
-"""The package's public names."""
+"""The package's public names, and what importing the package loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import marginfilter
 
@@ -28,3 +33,15 @@ def test_no_duplicate_exports():
 def test_exports_are_the_public_api():
     """No name is exported beyond the public API (nor missing from it)."""
     assert set(marginfilter.__all__) == PUBLIC
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs tens of MB and most of a second to import; the
+    # package needs scipy for cdist alone
+    src = str(Path(marginfilter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, marginfilter.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

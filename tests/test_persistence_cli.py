@@ -402,6 +402,33 @@ class TestModelRoundTrip:
         edit(doc, doc["one_vs_all"][1])
         assert_rejected(edited(mp, doc), bank, match)
 
+    @pytest.mark.parametrize("version, edit, field", [
+        (1, lambda d: d["classes"].__setitem__(1, 2.5), "classes"),
+        (2, lambda d: d["classes"].__setitem__(1, 2.5), "classes"),
+        (1, lambda d: d["one_vs_all"][0]["sv_labels"].__setitem__(0, 0.5), "sv_labels"),
+        (1, lambda d: d["one_vs_all"][0]["sv_idx"].__setitem__(0, 1.5), "sv_idx"),
+        (1, lambda d: d["pairwise"][2].__setitem__("a", 1.5), "a"),
+        (2, lambda d: d["pairwise"][2].__setitem__("a", 1.5), "a"),
+        (1, lambda d: d["pairwise"][0].__setitem__("b", 1.0), "b"),
+        (2, lambda d: d["pairwise"][0].__setitem__("b", "1"), "b"),
+        (2, lambda d: d["pairwise"][0].__setitem__("b", [1]), "b"),
+    ], ids=["v1-classes", "v2-classes", "v1-label", "v1-idx", "v1-a", "v2-a",
+            "v1-b-float", "v2-b-string", "v2-b-list"])
+    def test_non_integers_rejected(self, tmp_path, three_class_pipeline, version, edit, field):
+        # int() and an int64 cast would read 2.5 as 2 and 1.5 as 1
+        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+        edit(doc)
+        assert_rejected(edited(mp, doc), bank, f"field '{field}' must hold integers")
+
+    @pytest.mark.parametrize("field", ["f", "d", "n0"])
+    def test_filter_non_integers_rejected(self, tmp_path, field):
+        doc = json.loads((V1_FIXTURES / "three_class" / "filter.json").read_text())
+        doc[field] += 0.5
+        path = tmp_path / "filter.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=f"field '{field}' must hold integers"):
+            load_filter(path)
+
     def test_model_without_support_vectors_loads(self, tmp_path, three_class_pipeline, rng):
         Xf = rng.normal(size=(5, 2))
         for version, keys in ((1, ("sv_idx", "sv_labels", "sv_alpha", "sv_rows")),

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from marginfilter import svm
 from marginfilter.decoding import TransitionMatrix, decode_offline, viterbi
 from marginfilter.svm import (
     SCORE_CHUNK_ROWS,
@@ -284,15 +285,28 @@ class TestRunningDual:
 
 
 def support_kernel(X, sv, params):
-    return SupportKernel(X, sv, params, kernel_matrix(X[sv], X[sv], params))
+    return SupportKernel(X, params, sv, kernel_matrix(X[sv], X[sv], params))
+
+
+def recorded_kernel_calls(monkeypatch):
+    """Route svm.kernel_matrix through a recorder; returns its (m, p) shapes."""
+    shapes = []
+
+    def recording(A, B, params, out=None):
+        shapes.append((len(A), len(B)))
+        return kernel_matrix(A, B, params, out=out)
+
+    monkeypatch.setattr(svm, "kernel_matrix", recording)
+    return shapes
 
 
 class TestSupportKernel:
-    """The kernel source of warm solves: every entry it gives is the
-    entry of the full kernel, and a solve through it is the dense solve
-    up to the rounding of its start K @ (alpha * y)."""
+    """The kernel source of every solve: every entry it gives is the
+    entry of the full kernel, a cold solve through it is the dense solve,
+    and a warm one is the dense solve up to the rounding of its start
+    K @ (alpha * y)."""
 
-    @pytest.mark.parametrize("d, n_sv", [(2, 1), (2, 37), (6, 80), (3, 120)])
+    @pytest.mark.parametrize("d, n_sv", [(2, 0), (2, 1), (2, 37), (6, 80), (3, 120)])
     def test_entries_equal_the_full_kernel(self, rng, d, n_sv):
         X = rng.normal(size=(120, d))
         params = KernelParams(0.9)
@@ -312,23 +326,58 @@ class TestSupportKernel:
         w[sv] = rng.normal(size=n_sv)
         assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
         if n_sv < len(X):
+            # off the block's support set the product computes its columns
             w[np.setdiff1d(np.arange(len(X)), sv)[0]] = 1.0
-            with pytest.raises(ValueError, match="support"):
-                src @ w
-        with pytest.raises(ValueError, match="storage"):
-            SupportKernel(X, sv, params, K[np.ix_(sv, sv)], np.empty(len(X) ** 2 - 1))
+            assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
 
-    def test_cache_full_rows_are_computed_on_each_use(self, rng):
-        # |S| = n - 2 leaves two cache rows; later rows are not kept
+    def test_subset_rows_are_slices_of_the_shared_rows(self, rng, monkeypatch):
+        X = rng.normal(size=(90, 2))
+        params = KernelParams(0.9)
+        K = kernel_matrix(X, X, params)
+        src = SupportKernel(X, params)
+        rows = np.sort(rng.choice(len(X), size=50, replace=False))
+        view = src.subset(rows)
+        shapes = recorded_kernel_calls(monkeypatch)
+        assert view.shape == (50, 50)
+        for i in (3, 7, 3):
+            assert_array_equal(view[i], K[rows[i]][rows])
+        assert_array_equal(src[int(rows[7])], K[rows[7]])
+        # one full row per sample, read through the source's cache
+        assert shapes == [(1, len(X)), (1, len(X))]
+        assert_array_equal(view.block(np.arange(0, 50, 5)), K[np.ix_(rows[::5], rows[::5])])
+
+    def test_cache_full_rows_are_computed_on_each_use(self, rng, monkeypatch):
+        # a cache of two rows: each row past them evicts the least
+        # recently used one, which is computed again when next read
         X = rng.normal(size=(40, 2))
         params = KernelParams(0.9)
         K = kernel_matrix(X, X, params)
-        src = support_kernel(X, np.arange(2, 40), params)
-        rows = [src[i] for i in (0, 5, 1, 7, 3)]  # 1, 7, 3 past the cache
-        for i, row in zip((0, 5, 1, 7, 3), rows):
-            assert_array_equal(row, K[i])
-        assert_array_equal(src[0], K[0])
-        assert_array_equal(src[5], K[5])
+        monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", 2 * 8 * len(X))
+        src = SupportKernel(X, params)
+        shapes = recorded_kernel_calls(monkeypatch)
+        for i in (0, 5, 0, 7, 5, 0):
+            assert_array_equal(src[i], K[i])
+        # 7 evicts 5 (0 was read after it), 5 evicts 0, and 0 evicts 7
+        assert len(shapes) == 5
+
+    @pytest.mark.parametrize("cap_rows", [1, 3])
+    def test_a_small_cache_changes_no_bit(self, rng, monkeypatch, cap_rows):
+        X, y = xor_problem(rng, 150)
+        params = KernelParams(0.7)
+        K = kernel_matrix(X, X, params)
+        cold = solve_svm_dual(K, y, 100.0)
+        alpha = cold.alpha
+        Xm = 1.05 * X
+        sv = np.flatnonzero(alpha > 0)
+        warm = solve_svm_dual(support_kernel(Xm, sv, params), y, 100.0, warm_alpha=alpha)
+        assert cold.n_iter > 100 and warm.n_iter > 5
+        monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", cap_rows * 8 * len(X))
+        for got, want in ((solve_svm_dual(SupportKernel(X, params), y, 100.0), cold),
+                          (solve_svm_dual(support_kernel(Xm, sv, params), y, 100.0,
+                                          warm_alpha=alpha), warm)):
+            assert_array_equal(got.alpha, want.alpha)
+            assert (got.objective, got.bias, got.stop, got.n_iter) == \
+                (want.objective, want.bias, want.stop, want.n_iter)
 
     @staticmethod
     def warm_case(rng, scale):
