@@ -12,7 +12,6 @@ from .signals import (
     FilterBank,
     ToyParams,
     apply_filter,
-    decimate,
     generate_toy,
     make_average_filter,
     make_delta_filter,
@@ -41,7 +40,6 @@ from .filter_learning import (
 from .decoding import (
     TransitionMatrix,
     decode_offline,
-    decode_online,
     estimate_transitions,
     viterbi,
 )
@@ -68,10 +66,8 @@ __all__ = [
     "apply_filter",
     "bank_scores",
     "class_probabilities",
-    "decimate",
     "decision_scores",
     "decode_offline",
-    "decode_online",
     "error_rate",
     "estimate_transitions",
     "fit_shared_filter",

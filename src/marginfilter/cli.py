@@ -244,6 +244,9 @@ def _cmd_sweep(args) -> int:
     if values is None:
         values = list(DEFAULT_AXIS_VALUES[args.axis])
     if args.axis in ("size", "lag", "f"):
+        bad = [v for v in values if not float(v).is_integer()]
+        if bad:
+            raise ValueError(f"--axis {args.axis} takes integer values, got {bad}")
         values = [int(v) for v in values]
     grids = None
     if args.config:
@@ -283,15 +286,21 @@ def _read_result_rows(path, method=None, decode=None):
         except ValueError as exc:
             raise persistence.DataFormatError(
                 f"{path}: missing result column ({exc})") from exc
-        for ln in fh:
-            cells = ln.strip().split(",")
-            if len(cells) != len(header) or not ln.strip():
+        for lineno, ln in enumerate(fh, start=2):
+            if not ln.strip():
                 continue
+            cells = ln.strip().split(",")
+            if len(cells) != len(header):
+                raise persistence.DataFormatError(
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
             if method is not None and cells[mi] != method:
                 continue
             if decode is not None and cells[di] != decode:
                 continue
-            rows.append(((cells[vi], int(cells[si])), float(cells[ei])))
+            try:
+                rows.append(((cells[vi], int(cells[si])), float(cells[ei])))
+            except ValueError as exc:
+                raise persistence.DataFormatError(f"{path}:{lineno}: {exc}") from exc
     out = dict(rows)
     if len(out) != len(rows):
         raise ValueError(

@@ -1,10 +1,10 @@
-"""Sequence decoding: online per-sample voting and offline Viterbi.
+"""Offline sequence decoding: Viterbi over calibrated class probabilities.
 
 Offline decoding scores label sequences by calibrated class
 log-probabilities plus bigram transition log-probabilities and returns the
-maximum-likelihood path; online decoding labels each sample independently
-by one-against-one voting and needs no lookahead beyond the filter's own
-support.
+maximum-likelihood path.  Online decoding labels each sample independently
+by one-against-one voting (``svm.oao_vote``) and needs no lookahead beyond
+the filter's own support.
 
 Viterbi is evaluated as a blocked max-plus matrix product with array
 steps only, in O(n c) memory.  Its labels are those of the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import as_labels
-from .svm import MulticlassModel, PlattParams, class_probabilities, oao_vote
+from .svm import MulticlassModel, PlattParams, class_probabilities
 
 
 @dataclass(frozen=True)
@@ -192,23 +192,12 @@ def viterbi(logprobs, transitions: TransitionMatrix) -> np.ndarray:
     return path[:n] + 1
 
 
-def decode_online(mc: MulticlassModel, Xte_filtered) -> np.ndarray:
-    """Per-sample one-against-one voting over an already filtered signal."""
-    return oao_vote(mc, Xte_filtered)
-
-
 def decode_offline(mc: MulticlassModel, platt: list[PlattParams],
-                   transitions: TransitionMatrix, Xte_filtered,
-                   scale_by_prior: bool = False) -> np.ndarray:
+                   transitions: TransitionMatrix, Xte_filtered) -> np.ndarray:
     """Viterbi decoding of calibrated per-sample class probabilities.
 
-    With ``scale_by_prior`` the posteriors are divided by the class prior
-    (scaled-likelihood emissions) before decoding.  Returns labels in the
-    model's original class values.
+    Returns labels in the model's original class values.
     """
     probs = class_probabilities(mc, platt, Xte_filtered)
-    if scale_by_prior:
-        probs = probs / transitions.prior[None, :]
-        probs /= probs.sum(axis=1, keepdims=True)
     path = viterbi(np.log(probs), transitions)
     return mc.classes[path - 1]

@@ -113,15 +113,6 @@ def mixed_norm(F: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(F, axis=0)))
 
 
-def regularizer_value(F: np.ndarray, reg: RegularizerSpec) -> float:
-    """lambda-scaled penalty value (any kind)."""
-    if reg.kind == "frobenius":
-        return reg.lam * frobenius_reg(F)[0]
-    if reg.kind == "weighted_frobenius":
-        return reg.lam * weighted_frobenius_reg(F, reg.weights)[0]
-    return reg.lam * mixed_norm(F)
-
-
 def regularizer_value_grad(F: np.ndarray, reg: RegularizerSpec):
     """lambda-scaled penalty value and gradient for the differentiable kinds."""
     if reg.kind == "frobenius":
@@ -134,14 +125,29 @@ def regularizer_value_grad(F: np.ndarray, reg: RegularizerSpec):
     return reg.lam * val, reg.lam * grad
 
 
+# Line-search and majorization constants, the same for every fit: the
+# descent stops when the objective changes by less than TOL_REL_J
+# relatively; a trial step passes Armijo's test with ARMIJO_C1, else it
+# shrinks by BACKTRACK, at most MAX_HALVINGS times; MM_EPS clamps a
+# column norm in the majorization weights.
+TOL_REL_J = 1e-5
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+MAX_HALVINGS = 30
+MM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     """Everything the filter learner needs besides the data.
 
     f and n0 fix the filter geometry; C and kernel parametrize the inner
-    SVM; reg the filter penalty.  The remaining fields control the
-    conjugate-gradient loop, the Armijo backtracking line search, the
-    majorization-minimization outer loop, and the inner SVM solver.
+    SVM; reg the filter penalty.  max_cg_iters and tol_dF bound the
+    conjugate-gradient loop, mm_max_outer the majorization-minimization
+    outer loop, and svm_tol is the inner solver's KKT tolerance.  The line
+    search and the MM clamp use the module constants TOL_REL_J, ARMIJO_C1,
+    BACKTRACK, MAX_HALVINGS and MM_EPS, fixed because every fit uses the
+    same values; the inner solver keeps ``solve_svm_dual``'s iteration cap.
     """
 
     C: float = 100.0
@@ -150,25 +156,17 @@ class LearnerConfig:
     f: int = 1
     n0: int = 0
     max_cg_iters: int = 200
-    tol_rel_J: float = 1e-5
     tol_dF: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_halvings: int = 30
     mm_max_outer: int = 20
-    mm_eps: float = 1e-8
     svm_tol: float = 1e-3
-    svm_max_iter: int = 2_000_000
 
     def __post_init__(self):
         if self.f < 1 or not 0 <= self.n0 <= self.f - 1:
             raise ValueError("need f >= 1 and 0 <= n0 <= f-1")
-        for name in ("C", "tol_rel_J", "tol_dF", "armijo_c1", "mm_eps", "svm_tol"):
+        for name in ("C", "tol_dF", "svm_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack factor must be in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +255,7 @@ class _Subproblem:
             K = SupportKernel(Xsub, cfg.kernel, sv, K_s)
         model = solve_svm_dual(
             K, self.y_pm, cfg.C, kernel=cfg.kernel,
-            tol=cfg.svm_tol, max_iter=cfg.svm_max_iter, warm_alpha=self.alpha,
-            stop_above=stop_above)
+            tol=cfg.svm_tol, warm_alpha=self.alpha, stop_above=stop_above)
         if model.objective <= stop_above:
             self._last = (model, Xf, K.block(np.flatnonzero(model.alpha > 0)))
         return model.objective
@@ -283,7 +280,7 @@ def _evaluate(problems, F, X, cfg, *, reject_above: float = np.inf) -> float:
     skipped and the value returned is a lower bound above it.
     """
     Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
-    reg_val = regularizer_value(F, cfg.reg)
+    reg_val = regularizer_value_grad(F, cfg.reg)[0]
     total = 0.0
     for p in problems:
         if total > reject_above - reg_val:
@@ -358,14 +355,14 @@ def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
         # iterations (doubled) so the search adapts to the local scale
         t = min(step * 2.0, 1e6)
         accepted = False
-        for _ in range(cfg.max_halvings):
-            bound = J + cfg.armijo_c1 * t * slope
+        for _ in range(MAX_HALVINGS):
+            bound = J + ARMIJO_C1 * t * slope
             J_try = _evaluate(problems, F + t * D, X, cfg,
                               reject_above=bound + _REJECT_SLACK * max(abs(bound), 1.0))
             if J_try <= bound:
                 accepted = True
                 break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         if not accepted:
             break  # no descent at line-search resolution: not converged
 
@@ -376,20 +373,20 @@ def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
         F, J, step = F_new, J_try, t
         history.append(J)
         norms.append(float(np.linalg.norm(F)))
-        if rel < cfg.tol_rel_J or dF < cfg.tol_dF:
+        if rel < TOL_REL_J or dF < cfg.tol_dF:
             converged = True
             break
 
     return F, history, norms, converged
 
 
-def mm_weight_update(F: np.ndarray, mm_eps: float) -> np.ndarray:
-    """Per-channel majorization weights 1 / max(||column||, mm_eps).
+def mm_weight_update(F: np.ndarray) -> np.ndarray:
+    """Per-channel majorization weights 1 / max(||column||, MM_EPS).
 
     The clamp saturates the weight of a vanished column, freezing it at
     zero instead of dividing by zero.
     """
-    return 1.0 / np.maximum(np.linalg.norm(np.asarray(F), axis=0), mm_eps)
+    return 1.0 / np.maximum(np.linalg.norm(np.asarray(F), axis=0), MM_EPS)
 
 
 def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
@@ -397,7 +394,7 @@ def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
 
     The bound ||col|| <= ||col_0||/2 + ||col||^2 / (2 ||col_0||) is tight
     at the previous iterate, so the inner weighted problem uses weight
-    lambda * d_v / 2 per channel with d_v = 1 / max(||col_0||, mm_eps);
+    lambda * d_v / 2 per channel with d_v = 1 / max(||col_0||, MM_EPS);
     warm-starting the inner solver at the previous filter makes the true
     mixed-norm objective non-increasing across outer iterations.
 
@@ -421,7 +418,7 @@ def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
         norms.append(float(np.linalg.norm(F_new)))
         dF = float(np.linalg.norm(F_new - F))
         F = F_new
-        weights = mm_weight_update(F, cfg.mm_eps)
+        weights = mm_weight_update(F)
         if dF < cfg.tol_dF:
             converged = True
             break

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decoding import TransitionMatrix, decode_offline, decode_online, estimate_transitions
+from .decoding import TransitionMatrix, decode_offline, estimate_transitions
 from .filter_learning import LearnerConfig, RegularizerSpec, committed_bank, fit_shared_filter
 from .signals import (
     ToyParams,
@@ -42,6 +42,7 @@ from .svm import (
     MulticlassModel,
     PlattParams,
     bank_scores,
+    oao_vote,
     platt_fit,
     train_multiclass,
 )
@@ -94,21 +95,12 @@ class Pipeline:
     def predict(self, X, decode: str = "online") -> np.ndarray:
         Xf = self.filtered(X)
         if decode == "online":
-            return decode_online(self.model, Xf)
+            return oao_vote(self.model, Xf)
         if decode == "viterbi":
             if self.platt is None:
                 raise ValueError("pipeline is not calibrated; fit Platt params first")
             return decode_offline(self.model, self.platt, self.transitions, Xf)
         raise ValueError(f"unknown decode mode {decode!r}")
-
-
-def build_learner_config(method: str, C: float, lam: float, sigma_k: float,
-                         f: int, n0: int, **overrides) -> LearnerConfig:
-    reg_kind = "mixed_norm" if method == "skf_svm" else "frobenius"
-    return LearnerConfig(
-        C=C, kernel=KernelParams(sigma_k),
-        reg=RegularizerSpec(reg_kind, lam),
-        f=f, n0=n0, **overrides)
 
 
 def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
@@ -119,7 +111,9 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     X = as_signal(X)
     y = as_labels(y, X.shape[0])
-    cfg = build_learner_config(method, C, lam, sigma_k, f, n0, **(learner_kwargs or {}))
+    reg = RegularizerSpec("mixed_norm" if method == "skf_svm" else "frobenius", lam)
+    cfg = LearnerConfig(C=C, kernel=KernelParams(sigma_k), reg=reg, f=f, n0=n0,
+                        **(learner_kwargs or {}))
     history: list[float] = []
     filter_norms: list[float] = []
 
@@ -187,6 +181,9 @@ class GridSpec:
             if not vals:
                 raise ValueError(f"grid axis {name} is empty")
             object.__setattr__(self, name, vals)
+        for name in ("C", "lam", "sigma_k"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"grid axis {name} must be finite")
         if any(c <= 0 for c in self.C) or any(s <= 0 for s in self.sigma_k):
             raise ValueError("C and sigma_k must be > 0")
         if any(l < 0 for l in self.lam):
@@ -384,9 +381,6 @@ def evaluate_method_on_seed(params: ToyParams, seed: int, method: str,
     gs = grid_search((Xtr, ytr), (Xval, yval), grid,
                      learner_kwargs=learner_kwargs, keep_pipeline=True)
     pipe = gs.pipeline
-    if pipe is None:
-        pipe = train_pipeline(Xtr, ytr, method, learner_kwargs=learner_kwargs,
-                              **gs.best)
     calibrate_pipeline(pipe, Xval, yval)
     online = error_rate(pipe.predict(Xte, decode="online"), yte)
     vit = error_rate(pipe.predict(Xte, decode="viterbi"), yte)

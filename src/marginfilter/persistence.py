@@ -1,10 +1,11 @@
 """Dataset, model and filter persistence.
 
 Datasets are wide CSVs with header ``t,ch1,...,chd[,label]``, one row per
-sample, '.' decimal separators and LF line endings.  Models, filters and
-transition matrices are versioned JSON; floats survive the round trip
-exactly (shortest-repr encoding), so reloaded models reproduce decision
-scores bit-for-bit.  A non-finite number is never written, and a model
+sample, '.' decimal separators and LF line endings.  Models and filters
+are versioned JSON, and a model file embeds the pipeline's transition
+matrix and class prior; floats survive the round trip exactly
+(shortest-repr encoding), so reloaded models reproduce decision scores
+bit-for-bit.  A non-finite number is never written, and a model
 file that holds one is rejected.  All writes go through a temp file and
 an atomic rename.
 
@@ -17,7 +18,7 @@ length-n dual vector and the training-row indices are not stored, as no
 scorer reads them (a loaded ``SvmModel`` has None for both).  Version-1
 model files, where every model holds its full dual vector and its own
 copy of its support rows, are still read; their models' stop reason is
-unknown (None).  Filter and transition files are at version 1.
+unknown (None).  Filter files are at version 1.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .svm import (
 
 # The format version written for each kind of JSON document, and the
 # versions read back.
-WRITE_VERSION = {"filter": 1, "transitions": 1, "model": 2}
-READ_VERSIONS = {"filter": (1,), "transitions": (1,), "model": (1, 2)}
+WRITE_VERSION = {"filter": 1, "model": 2}
+READ_VERSIONS = {"filter": (1,), "model": (1, 2)}
 # SvmModel.stop values a version-2 model file may hold; None where the
 # model was read from a version-1 file, which does not record it
 STOP_REASONS = (STOP_CONVERGED, STOP_BOUND, STOP_MAX_ITER, STOP_STUCK, None)
@@ -399,18 +400,6 @@ def _transitions_from_doc(doc: dict, path) -> TransitionMatrix:
         raise DataFormatError(f"{path}: missing transition field {exc}") from exc
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def save_transitions(path, t: TransitionMatrix):
-    doc = {"format_version": WRITE_VERSION["transitions"], "kind": "transitions"}
-    doc.update(_transitions_to_doc(t))
-    _write_json(path, doc)
-
-
-def load_transitions(path) -> TransitionMatrix:
-    doc = _load_json(path)
-    _check_version(doc, path, "transitions")
-    return _transitions_from_doc(doc, path)
 
 
 def save_model(path, pipe: Pipeline):

@@ -1,4 +1,4 @@
-"""Multichannel signal handling: FIR filtering, decimation and toy data.
+"""Multichannel signal handling: FIR filtering and toy data.
 
 Signals are plain ``(n, d)`` float arrays (n samples, d channels); label
 sequences are 1-based integer arrays of length n with values in ``1..c``.
@@ -144,44 +144,6 @@ def shift_signal(x: np.ndarray, k: int) -> np.ndarray:
     elif -k < len(x):
         out[:k] = x[-k:]
     return out
-
-
-def decimate(X, y, factor: int):
-    """Decimate by averaging non-overlapping blocks of `factor` samples.
-
-    Block label is the majority label of the block, ties going to the
-    label of the block's first sample.  A trailing partial block is
-    averaged over its actual length.  Output length is ceil(n / factor).
-
-    Args:
-        X: (n, d) signal.
-        y: length-n labels, or None for unlabeled data.
-        factor: block size, >= 1.
-
-    Returns:
-        (X_dec, y_dec) with y_dec None when y is None.
-    """
-    X = as_signal(X)
-    n, d = X.shape
-    if factor < 1:
-        raise ValueError("decimation factor must be >= 1")
-    if factor == 1:
-        return X.copy(), None if y is None else as_labels(y, n).copy()
-    n_out = -(-n // factor)
-    Xd = np.empty((n_out, d))
-    for b in range(n_out):
-        Xd[b] = X[b * factor : (b + 1) * factor].mean(axis=0)
-    if y is None:
-        return Xd, None
-    y = as_labels(y, n)
-    yd = np.empty(n_out, dtype=np.int64)
-    for b in range(n_out):
-        block = y[b * factor : (b + 1) * factor]
-        counts = np.bincount(block)
-        best = counts.max()
-        winners = np.flatnonzero(counts == best)
-        yd[b] = block[0] if block[0] in winners else winners[0]
-    return Xd, yd
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from marginfilter.decoding import (
     TransitionMatrix,
     _block_length,
     decode_offline,
-    decode_online,
     estimate_transitions,
     viterbi,
 )
@@ -285,13 +284,13 @@ class TestDecoders:
     def test_online_equals_per_sample_vote(self, toy_pipeline):
         pipe, Xte, _ = toy_pipeline
         Xf = pipe.filtered(Xte)
-        assert_array_equal(decode_online(pipe.model, Xf), oao_vote(pipe.model, Xf))
+        assert_array_equal(pipe.predict(Xte), oao_vote(pipe.model, Xf))
 
     def test_online_pointwise_on_identical_samples(self, toy_pipeline):
         pipe, Xte, _ = toy_pipeline
         Xf = pipe.filtered(Xte)
         row = np.repeat(Xf[10:11], 5, axis=0)
-        labels = decode_online(pipe.model, row)
+        labels = oao_vote(pipe.model, row)
         assert len(set(labels.tolist())) == 1
 
     def test_offline_uniform_transitions_is_argmax(self, toy_pipeline):
@@ -309,7 +308,7 @@ class TestDecoders:
     def test_sticky_transitions_reduce_switches(self, toy_pipeline):
         pipe, Xte, _ = toy_pipeline
         Xf = pipe.filtered(Xte)
-        online = decode_online(pipe.model, Xf)
+        online = oao_vote(pipe.model, Xf)
         sticky = TransitionMatrix(M=np.array([[0.99, 0.01], [0.01, 0.99]]),
                                   prior=np.array([0.5, 0.5]))
         smoothed = decode_offline(pipe.model, pipe.platt, sticky, Xf)
@@ -326,10 +325,3 @@ class TestDecoders:
             E = np.log(class_probabilities(pipe.model, pipe.platt, Xf))
             want = pipe.model.classes[brute_force_viterbi(E, pipe.transitions) - 1]
             assert_array_equal(got, want)
-
-    def test_scale_by_prior_changes_emissions_not_validity(self, toy_pipeline):
-        pipe, Xte, _ = toy_pipeline
-        Xf = pipe.filtered(Xte[:50])
-        labels = decode_offline(pipe.model, pipe.platt, pipe.transitions, Xf,
-                                scale_by_prior=True)
-        assert set(labels.tolist()) <= set(pipe.model.classes.tolist())

@@ -81,7 +81,7 @@ class ReferenceProblem:
             K = SupportKernel(Xsub, cfg.kernel, sv,
                               kernel_matrix(Xsub[sv], Xsub[sv], cfg.kernel))
         self.last = solve_svm_dual(K, self.y_pm, cfg.C, kernel=cfg.kernel, tol=cfg.svm_tol,
-                                   max_iter=cfg.svm_max_iter, warm_alpha=self.alpha)
+                                   warm_alpha=self.alpha)
         return self.last.objective
 
     def commit(self):
@@ -109,7 +109,9 @@ def reference_gradient(problems, F, X, cfg):
 
 def reference_cg(problems, X, cfg, F0, trials):
     """The conjugate-gradient descent with an unbounded line search; each
-    trial appends (J, t * slope, J_try) to ``trials``."""
+    trial appends (J, t * slope, J_try) to ``trials``.  The line-search
+    constants are read from ``filter_learning`` at each use, so a patched
+    value reaches this descent and the fit alike."""
     F = F0.copy()
     J = reference_evaluate(problems, F, X, cfg)
     for p in problems:
@@ -129,12 +131,12 @@ def reference_cg(problems, X, cfg, F0, trials):
             D, slope = -G, -gnorm2
         G_prev = G
         t = min(step * 2.0, 1e6)
-        for _ in range(cfg.max_halvings):
+        for _ in range(filter_learning.MAX_HALVINGS):
             J_try = reference_evaluate(problems, F + t * D, X, cfg)
             trials.append((J, t * slope, J_try))
-            if J_try <= J + cfg.armijo_c1 * t * slope:
+            if J_try <= J + filter_learning.ARMIJO_C1 * t * slope:
                 break
-            t *= cfg.backtrack
+            t *= filter_learning.BACKTRACK
         else:
             break
         for p in problems:
@@ -144,7 +146,7 @@ def reference_cg(problems, X, cfg, F0, trials):
         rel = abs(J - J_try) / max(abs(J), 1.0)
         F, J, step = F_new, J_try, t
         history.append(J)
-        if rel < cfg.tol_rel_J or dF < cfg.tol_dF:
+        if rel < filter_learning.TOL_REL_J or dF < cfg.tol_dF:
             converged = True
             break
     return F, history, converged
@@ -167,7 +169,7 @@ def reference_fit(X, y, cfg, trials=None):
                        + cfg.reg.lam * mixed_norm(F_new))
         dF = float(np.linalg.norm(F_new - F))
         F = F_new
-        weights = mm_weight_update(F, cfg.mm_eps)
+        weights = mm_weight_update(F)
         if dF < cfg.tol_dF:
             converged = True
             break
@@ -313,16 +315,18 @@ class TestObjective:
         assert abs(J_warm - J_cold) < 1e-6
 
     def test_mixed_norm_objective_value_supported(self, rng):
+        """The MM loop records the SVM optima plus lambda times the mixed
+        norm; with no descent step, at the starting average filter."""
         X, y = small_problem(rng)
-        F = rng.normal(size=(3, 2))
         lam = 2.5
-        cfg_mixed = LearnerConfig(C=5.0, f=3, n0=1,
-                                  reg=RegularizerSpec("mixed_norm", lam))
-        cfg_plain = LearnerConfig(C=5.0, f=3, n0=1,
-                                  reg=RegularizerSpec("frobenius", 0.0))
-        J_mixed, _ = objective(F, X, y, cfg_mixed)
+        cfg_mixed = LearnerConfig(C=5.0, f=3, n0=1, reg=RegularizerSpec("mixed_norm", lam),
+                                  max_cg_iters=0, mm_max_outer=1)
+        cfg_plain = LearnerConfig(C=5.0, f=3, n0=1, reg=RegularizerSpec("frobenius", 0.0))
+        F = make_average_filter(3, 1, 2).coeffs
         J_plain, _ = objective(F, X, y, cfg_plain)
-        assert_allclose(J_mixed - J_plain, lam * mixed_norm(F), atol=1e-9)
+        fit = fit_shared_filter(X, y, cfg_mixed)
+        assert_array_equal(fit.bank.coeffs, F)
+        assert_allclose(fit.history, [J_plain + lam * mixed_norm(F)], atol=1e-9)
 
 
 class TestGradient:
@@ -445,10 +449,11 @@ class TestFitSharedFilter:
         assert fit.bank.coeffs.shape == (11, 2)
         assert np.all(np.isfinite(fit.bank.coeffs))
 
-    def test_failed_line_search_is_not_converged(self):
+    def test_failed_line_search_is_not_converged(self, monkeypatch):
         X, y = toy_case(seed=6)
+        monkeypatch.setattr(filter_learning, "MAX_HALVINGS", 1)
         cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 0.5),
-                            max_cg_iters=15, max_halvings=1)
+                            max_cg_iters=15)
         fit = fit_shared_filter(X, y, cfg)
         assert len(fit.history) == 1  # the first trial step already failed
         assert not fit.converged
@@ -462,8 +467,7 @@ class TestFitSharedFilter:
 
 
 class TestLearnerConfig:
-    @pytest.mark.parametrize("name", ["C", "tol_rel_J", "tol_dF", "armijo_c1",
-                                      "mm_eps", "svm_tol"])
+    @pytest.mark.parametrize("name", ["C", "tol_dF", "svm_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_positive_finite_fields(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
@@ -504,16 +508,16 @@ class TestEarlyRejection:
                              max_cg_iters=1)
         trials = []
         reference_fit(X, y, base, trials)
-        J, t_slope, J_try = next(trial for trial in trials
-                                 if trial[2] <= trial[0] + base.armijo_c1 * trial[1])
+        J, t_slope, J_try = next(trial for trial in trials if trial[2]
+                                 <= trial[0] + filter_learning.ARMIJO_C1 * trial[1])
         # the c1 whose threshold J + c1 * t * slope is the smallest one >= J_try;
-        # it is stricter than base's, so the trials before stay rejected
+        # it is stricter than the module's, so the trials before stay rejected
         c1 = (J_try - J) / t_slope
         while J + c1 * t_slope < J_try:
             c1 = np.nextafter(c1, 0.0)
         while J + np.nextafter(c1, np.inf) * t_slope >= J_try:
             c1 = np.nextafter(c1, np.inf)
-        cfg = replace(base, armijo_c1=float(c1))
+        monkeypatch.setattr(filter_learning, "ARMIJO_C1", float(c1))
 
         solve = filter_learning.solve_svm_dual
 
@@ -523,7 +527,7 @@ class TestEarlyRejection:
             return solve(*args, stop_above=stop_above, **kwargs)
 
         monkeypatch.setattr(filter_learning, "solve_svm_dual", overstating)
-        fit = assert_same_fit(X, y, cfg)
+        fit = assert_same_fit(X, y, base)
         assert len(fit.history) == 2  # the trial at the threshold was taken
 
     def test_lost_warm_start_builds_only_the_support_block(self, monkeypatch):
@@ -647,7 +651,7 @@ class TestLearnSkfSvm:
     def test_weight_update_clamps_vanished_columns(self):
         F = np.zeros((3, 2))
         F[:, 0] = [0.0, 3.0, 4.0]
-        w = mm_weight_update(F, 1e-8)
+        w = mm_weight_update(F)
         assert_allclose(w[0], 0.2)
         assert_allclose(w[1], 1e8)
 

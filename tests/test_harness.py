@@ -140,6 +140,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="empty"):
             GridSpec(method="svm", C=())
 
+    @pytest.mark.parametrize("axis", ["C", "lam", "sigma_k"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_axis_value_rejected(self, axis, value):
+        with pytest.raises(ValueError, match=f"grid axis {axis} must be finite"):
+            GridSpec(method="kf_svm", **{axis: (1.0, value)})
+
     def test_cells_collapse_irrelevant_axes(self):
         grid = GridSpec(method="svm", C=(1.0, 2.0), lam=(0.1, 0.2),
                         f=(3, 5), n0=(0,))

@@ -15,12 +15,10 @@ from marginfilter.persistence import (
     load_filter,
     load_model,
     load_predictions,
-    load_transitions,
     save_dataset,
     save_filter,
     save_model,
     save_predictions,
-    save_transitions,
 )
 from marginfilter.signals import FilterBank, ToyParams, generate_toy, make_average_filter
 from marginfilter.svm import (
@@ -505,9 +503,10 @@ class TestModelRoundTrip:
         assert_rejected(edited(mp, doc), bank, "sigma_k")
 
     def test_transitions_roundtrip(self, tmp_path, trained_pipeline):
-        path = tmp_path / "transitions.json"
-        save_transitions(path, trained_pipeline.transitions)
-        t = load_transitions(path)
+        """The model file embeds the transition matrix and the class prior."""
+        path = tmp_path / "model.json"
+        save_model(path, trained_pipeline)
+        t = load_model(path, trained_pipeline.filter).transitions
         assert_array_equal(t.M, trained_pipeline.transitions.M)
         assert_array_equal(t.prior, trained_pipeline.transitions.prior)
 
@@ -638,6 +637,42 @@ class TestCli:
                       "--method-a", "svm", "--method-b", "avg-svm",
                       "--decode-a", "online", "--decode-b", "online")
         assert rc == 0
+
+    @staticmethod
+    def write_results(path, n_seeds, tail=""):
+        lines = ["axis_value,method,decode,seed,test_error"]
+        for seed in range(n_seeds):
+            lines.append(f"0.5,svm,online,{seed},{0.1 + 0.01 * seed!r}")
+            lines.append(f"0.5,avg_svm,online,{seed},{0.05 + 0.01 * seed!r}")
+        path.write_text("\n".join(lines) + "\n" + tail)
+        return path
+
+    def test_compare_skips_blank_lines(self, tmp_path, capsys):
+        results = self.write_results(tmp_path / "results.csv", 7, tail="\n\n")
+        rc = self.run("compare", "--file-a", results, "--file-b", results,
+                      "--method-a", "svm", "--method-b", "avg-svm")
+        assert rc == 0
+        assert "pairs=7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tail, message", [
+        ("0.5,avg_svm,online,7", "expected 5 columns, got 4"),
+        ("0.5,svm,online,7,0.2,x", "expected 5 columns, got 6"),
+        ("0.5,svm,online,x,0.2", "invalid literal for int"),
+    ], ids=["truncated", "extra-column", "bad-seed"])
+    def test_compare_rejects_a_malformed_row(self, tmp_path, capsys, tail, message):
+        results = self.write_results(tmp_path / "results.csv", 7, tail=tail + "\n")
+        rc = self.run("compare", "--file-a", results, "--file-b", results,
+                      "--method-a", "svm", "--method-b", "avg-svm")
+        assert rc == 1
+        assert f"{results}:16: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["f", "size", "lag"])
+    def test_sweep_rejects_non_integer_values(self, tmp_path, capsys, axis):
+        rc = self.run("sweep", "--axis", axis, "--values", "2.5,4", "--methods", "svm",
+                      "--seeds", 1, "--out-dir", tmp_path / "sweep")
+        assert rc == 1
+        assert "integer values, got [2.5]" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert self.run("frobnicate") != 0

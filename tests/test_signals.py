@@ -8,7 +8,6 @@ from marginfilter.signals import (
     FilterBank,
     ToyParams,
     apply_filter,
-    decimate,
     draw_label_runs,
     generate_toy,
     generate_toy_details,
@@ -118,49 +117,6 @@ class TestFilterBank:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             FilterBank(np.array([[np.nan]]), n0=0)
-
-
-class TestDecimate:
-    def test_factor_one_is_identity(self, rng):
-        X = rng.normal(size=(11, 2))
-        y = rng.integers(1, 3, size=11)
-        Xd, yd = decimate(X, y, 1)
-        assert_array_equal(Xd, X)
-        assert_array_equal(yd, y)
-
-    def test_block_means(self):
-        X = np.array([1.0, 2, 3, 4, 5, 6])[:, None]
-        Xd, _ = decimate(X, None, 2)
-        assert_allclose(Xd.ravel(), [1.5, 3.5, 5.5])
-
-    def test_unanimous_block_labels(self):
-        X = np.ones((4, 1))
-        _, yd = decimate(X, [1, 1, 2, 2], 2)
-        assert_array_equal(yd, [1, 2])
-
-    def test_trailing_partial_block(self):
-        X = np.array([2.0, 4.0, 9.0])[:, None]
-        Xd, yd = decimate(X, [1, 1, 2], 2)
-        assert_allclose(Xd.ravel(), [3.0, 9.0])
-        assert_array_equal(yd, [1, 2])
-
-    def test_tie_goes_to_first_sample_label(self):
-        X = np.zeros((4, 1))
-        _, yd = decimate(X, [2, 1, 1, 2], 4)
-        assert yd[0] == 2
-
-    def test_output_length_is_ceil(self, rng):
-        X = rng.normal(size=(10, 1))
-        Xd, _ = decimate(X, None, 3)
-        assert len(Xd) == 4
-
-    def test_double_decimate_factor_one_idempotent(self, rng):
-        X = rng.normal(size=(9, 2))
-        y = rng.integers(1, 3, size=9)
-        once = decimate(X, y, 3)
-        twice = decimate(*once, 1)
-        assert_array_equal(once[0], twice[0])
-        assert_array_equal(once[1], twice[1])
 
 
 class TestShift:
