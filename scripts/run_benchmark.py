@@ -32,9 +32,9 @@ def main():
         learner_kwargs={"max_cg_iters": args.max_cg_iters})
     methods = ("svm", "avg_svm", "kf_svm")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = run_benchmark(config, methods)
-    print(f"finished in {time.time() - t0:.0f}s\n")
+    print(f"finished in {time.perf_counter() - t0:.1f}s\n")
 
     print(f"{'method':10} {'online':>8} {'viterbi':>8}   per-seed online errors")
     for m in methods:

@@ -92,10 +92,6 @@ class FilterBank:
     def d(self) -> int:
         return self.coeffs.shape[1]
 
-    def column_norms(self) -> np.ndarray:
-        """Euclidean norm of each channel's filter column."""
-        return np.linalg.norm(self.coeffs, axis=0)
-
 
 def make_average_filter(f: int, n0: int, d: int) -> FilterBank:
     """Moving-average filter bank: every coefficient equals 1/f."""

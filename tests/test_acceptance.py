@@ -257,7 +257,7 @@ def test_criterion_09_noise_channels_zeroed(skf_benchmark):
     hits = 0
     details = []
     for pipe in skf_benchmark:
-        norms = pipe.filter.column_norms()
+        norms = np.linalg.norm(pipe.filter.coeffs, axis=0)
         ok = bool(np.all(norms[2:] < 1e-3) and np.all(norms[:2] > 1e-1))
         hits += ok
         details.append(f"{norms[2:].max():.1e}/{norms[:2].min():.2f}")

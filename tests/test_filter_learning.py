@@ -671,7 +671,7 @@ class TestLearnSkfSvm:
                             reg=RegularizerSpec("mixed_norm", 8.0),
                             max_cg_iters=20, mm_max_outer=10)
         fit = fit_shared_filter(X, y, cfg)
-        norms = fit.bank.column_norms()
+        norms = np.linalg.norm(fit.bank.coeffs, axis=0)
         assert np.all(norms[:2] > 10 * norms[2:].max())
 
 

@@ -1,4 +1,7 @@
 import itertools
+import multiprocessing
+import os
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from marginfilter.harness import (
     toy_split,
     wilcoxon_signed_rank,
 )
+from marginfilter.persistence import save_filter, save_model
 from marginfilter.signals import ToyParams, generate_toy
 from scipy.stats import rankdata
 
@@ -357,15 +361,108 @@ class TestTrainPipelineConfig:
 
 class TestMaxWorkers:
     @pytest.mark.parametrize("env, cpus, expected", [
-        (None, 8, 1), ("3", 8, 3), ("64", 2, 2), ("0", 2, 1), ("many", 2, 1),
-        ("4", None, 1)])
+        (None, 8, 8), ("3", 8, 3), ("64", 2, 2), ("4", None, 1)])
     def test_capped_at_cpu_count(self, monkeypatch, env, cpus, expected):
+        """``cpus`` is the size of the affinity set; None stands for a
+        platform with no affinity call whose CPU count is unknown."""
         if env is None:
             monkeypatch.delenv("MARGIN_FILTER_THREADS", raising=False)
         else:
             monkeypatch.setenv("MARGIN_FILTER_THREADS", env)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         assert harness.max_workers_from_env() == expected
+
+    def test_cpu_count_where_affinity_is_unavailable(self, monkeypatch):
+        monkeypatch.delenv("MARGIN_FILTER_THREADS", raising=False)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert harness.max_workers_from_env() == 3
+
+    @pytest.mark.parametrize("env", ["many", "0", "-1", "", "2.5"])
+    def test_malformed_value_raises(self, monkeypatch, env):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", env)
+        with pytest.raises(RuntimeError, match=re.escape(f"MARGIN_FILTER_THREADS={env!r}")):
+            harness.max_workers_from_env()
+
+    def test_malformed_value_is_not_a_cell_failure(self, monkeypatch):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "many")
+        tr, va, _ = tiny_split()
+        with pytest.raises(RuntimeError, match="MARGIN_FILTER_THREADS"):
+            grid_search(tr, va, GridSpec(method="svm", C=(1.0, 10.0)))
+        with pytest.raises(RuntimeError, match="MARGIN_FILTER_THREADS"):
+            run_toy_sweep("noise", [0.4], ["svm"], seeds=(0,), max_workers=1,
+                          grids={"svm": GridSpec(method="svm", C=(1.0, 10.0))},
+                          n_train=80, n_val=60, n_test=60)
+
+
+def _own_pid(_):
+    return os.getpid()
+
+
+class TestParallelMap:
+    """Grid cells run on worker processes and merge as a serial run would."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Two usable CPUs, so the parallel path runs on any machine."""
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    def _search(self, monkeypatch, threads, grid, **kwargs):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", str(threads))
+        tr, va, _ = tiny_split()
+        res = grid_search(tr, va, grid, **kwargs)
+        assert multiprocessing.active_children() == []
+        return res
+
+    def test_same_bits_serial_or_parallel(self, monkeypatch, two_cpus, tmp_path):
+        grid = GridSpec(method="kf_svm", C=(1.0, 10.0), lam=(0.1, 1.0), f=(3,), n0=(1,))
+        kwargs = dict(learner_kwargs={"max_cg_iters": 3}, keep_pipeline=True)
+        results = [self._search(monkeypatch, threads, grid, **kwargs) for threads in (1, 2)]
+        serial, parallel = results
+        assert parallel.table == serial.table
+        assert parallel.best == serial.best
+        assert parallel.failures == serial.failures
+        files = []
+        for res, name in zip(results, ("serial", "parallel")):
+            save_model(tmp_path / f"{name}-model.json", res.pipeline)
+            save_filter(tmp_path / f"{name}-filter.json", res.pipeline.filter)
+            files.append([(tmp_path / f"{name}-{kind}.json").read_bytes()
+                          for kind in ("model", "filter")])
+        assert files[0] == files[1]
+
+    def test_numerical_cell_failure_recorded_in_parallel(self, monkeypatch, two_cpus):
+        # a bandwidth of 1e300 overflows the kernel's 2 sigma^2
+        grid = GridSpec(method="svm", C=(1.0, 10.0), sigma_k=(1.0, 1e300))
+        serial, parallel = (self._search(monkeypatch, threads, grid) for threads in (1, 2))
+        assert [cell["sigma_k"] for cell, _ in parallel.table] == [1.0, 1.0]
+        assert [cell["sigma_k"] for cell, _ in parallel.failures] == [1e300, 1e300]
+        assert all(reason.startswith("OverflowError") for _, reason in parallel.failures)
+        assert (parallel.table, parallel.failures, parallel.best) == \
+            (serial.table, serial.failures, serial.best)
+
+    def test_worker_error_propagates(self, monkeypatch, two_cpus):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "2")
+        tr, va, _ = tiny_split()
+        with pytest.raises(TypeError, match="bogus"):
+            grid_search(tr, va, GridSpec(method="svm", C=(1.0, 10.0)),
+                        learner_kwargs={"bogus": 1})
+        assert multiprocessing.active_children() == []
+
+    def test_tasks_run_in_workers(self, monkeypatch, two_cpus):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "2")
+        pids = harness._parallel_map(_own_pid, range(4))
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_nested_map_runs_in_the_calling_process(self, monkeypatch, two_cpus):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "2")
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert harness._parallel_map(_own_pid, range(4)) == [os.getpid()] * 4
 
 
 class TestToySplit:
@@ -399,7 +496,7 @@ class TestRunToySweep:
         decodes = {(r["seed"], r["decode"]) for r in res.rows}
         assert decodes == {(0, "online"), (0, "viterbi"), (1, "online"), (1, "viterbi")}
         assert res.failures == []
-        errs = res.seed_errors(0, "svm", "online")
+        errs = np.array([r["test_error"] for r in res.rows if r["decode"] == "online"])
         assert len(errs) == 2  # one entry per seed
         assert np.all((0 <= errs) & (errs <= 1))
 
@@ -458,15 +555,18 @@ class TestRunToySweep:
         for method in ("svm", "avg_svm", "kf_svm"):
             assert res.mean_error(0.05, method, "online") < 0.05
 
-    def test_parallel_sweep_matches_sequential(self):
+    def test_parallel_sweep_matches_sequential(self, monkeypatch):
+        # the 2-cell grid of each task runs inside its worker
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         kwargs = dict(
             seeds=(0, 1), base=ToyParams(n=1, sigma_n=0.4, lag=1, nbtot=2,
                                          run_min=6, run_max=9),
-            grids={"svm": GridSpec(method="svm", C=(10.0,))},
+            grids={"svm": GridSpec(method="svm", C=(1.0, 10.0))},
             n_train=80, n_val=60, n_test=60)
         seq = run_toy_sweep("noise", [0.4], ["svm"], max_workers=1, **kwargs)
         par = run_toy_sweep("noise", [0.4], ["svm"], max_workers=2, **kwargs)
         assert sweep_rows_csv(seq) == sweep_rows_csv(par)
+        assert multiprocessing.active_children() == []
 
 
 class TestDefaultGrids:
