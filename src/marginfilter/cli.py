@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, RuntimeError, KeyError) as exc:
+    except (OSError, ValueError, ArithmeticError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

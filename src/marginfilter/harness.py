@@ -20,10 +20,11 @@ process map: at most min(#tasks, usable CPUs, MARGIN_FILTER_THREADS)
 worker processes, opened and closed inside the call, with results merged
 in task order, so a parallel run returns the same bits as a serial one.
 MARGIN_FILTER_THREADS defaults to the usable CPU count and is capped
-there.  A task already running in a worker runs its own inner map
-serially, so a sweep parallelizes over its tasks and starts no
-grandchildren.  Each worker holds its own kernel row cache of up to
-``svm.KERNEL_CACHE_BYTES``.
+there; by the same rule (``svm._worker_count``) it caps the threads that
+score a bank in ``svm.bank_scores``.  A task already running in a worker
+runs its own inner map and its scoring serially, so a sweep parallelizes
+over its tasks and starts no grandchildren.  Each worker holds its own
+kernel row cache of up to ``svm.KERNEL_CACHE_BYTES``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -52,6 +52,7 @@ from .svm import (
     KernelParams,
     MulticlassModel,
     PlattParams,
+    _worker_count,
     bank_scores,
     oao_vote,
     platt_fit,
@@ -486,35 +487,6 @@ class SweepResult:
         return float(np.mean(errs))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def max_workers_from_env() -> int:
-    """Worker cap from MARGIN_FILTER_THREADS (default: the usable CPU
-    count), at most the usable CPU count.
-
-    A value that is not a positive integer raises RuntimeError, which no
-    grid cell or sweep task records as a numerical failure.
-    """
-    cpus = _usable_cpus()
-    raw = os.environ.get("MARGIN_FILTER_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    if requested < 1:
-        raise RuntimeError(f"MARGIN_FILTER_THREADS={raw!r} is not a positive integer")
-    return min(requested, cpus)
-
-
 def _parallel_map(fn, tasks, max_workers: int | None = None) -> list:
     """``[fn(t) for t in tasks]`` on up to min(len(tasks), max_workers,
     usable CPUs) worker processes; ``max_workers`` defaults to
@@ -528,14 +500,13 @@ def _parallel_map(fn, tasks, max_workers: int | None = None) -> list:
     a forked pool of two starts in about 20 ms, a spawned one, which
     imports numpy, scipy and this package afresh, in about 1.5 s, longer
     than a whole grid search of the benchmark.  Forking is safe here: the
-    package starts no threads, and OpenBLAS resets its own thread pool in
-    a fork handler.
+    package's only threads, ``svm.bank_scores``'s, are joined before that
+    function returns, so none is alive at a fork, and OpenBLAS resets its
+    own thread pool in a fork handler.
     """
     tasks = list(tasks)
-    workers = max_workers_from_env() if max_workers is None \
-        else min(max_workers, _usable_cpus())
-    workers = min(workers, len(tasks))
-    if workers <= 1 or multiprocessing.parent_process() is not None:
+    workers = _worker_count(len(tasks), max_workers)
+    if workers == 1:
         return [fn(t) for t in tasks]
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)

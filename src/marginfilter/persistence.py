@@ -245,7 +245,7 @@ def _fields(path, what: str):
         raise DataFormatError(f"{path}: missing {what} field {exc}") from exc
     except DataFormatError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed {what} field ({exc})") from exc
 
 

@@ -14,11 +14,23 @@ the one-against-all bank is the pairwise machine in its two label
 orientations (the same dual solution), so a binary bank takes a single
 SMO solve, and its one-vs-all scorers are solves warm-started at that
 solution, which stop at their first optimality check.
+
+A bank scores its test samples in chunks of SCORE_CHUNK_ROWS rows on up
+to min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, opened and
+joined inside the call; the distance, exp and matrix product of a chunk
+release the interpreter lock.  Each chunk writes its own rows of the
+result, so every score is the same double as a serial run gives.  Inside
+a worker process of ``harness``'s process map the chunks run in the
+calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +38,13 @@ from scipy.spatial.distance import cdist
 
 # Support vectors are the alphas above this fraction of the box bound.
 SV_THRESHOLD_FRAC = 1e-8
-# Test samples scored per kernel block; bounds a test kernel's memory.
-# A block against ~1000 support vectors (2 MB) stays in a core's L2 cache
-# through the distance, exp and matmul passes; 1024 rows measured ~10%
-# slower on 60000-sample labeling.
+# Test samples scored per kernel block; bounds a test kernel's memory and
+# is the unit of work of a scoring thread.  A block against ~1000 support
+# vectors (2 MB) stays in a core's L2 cache through the distance, exp and
+# matmul passes; 1024 rows measured ~10% slower on 60000-sample labeling.
+# The block size also fixes the scores' bits: BLAS may sum a product of
+# another shape in another order (1024-row blocks gave other bits), so
+# it must not depend on the thread count.
 SCORE_CHUNK_ROWS = 256
 # Bytes of kernel rows one source keeps (LIBSVM's default cache_size,
 # Chang & Lin, ACM TIST 2011, section 5).
@@ -52,8 +67,21 @@ class KernelParams:
     sigma_k: float = 1.0
 
     def __post_init__(self):
+        """Reject a bandwidth whose 2 sigma_k^2 is not a finite positive
+        double: the kernel would divide by 0 (NaN entries) or by inf (all
+        ones).  A subnormal 2 sigma_k^2 still gives a kernel."""
         if not (np.isfinite(self.sigma_k) and self.sigma_k > 0):
             raise ValueError(f"sigma_k must be finite and > 0, got {self.sigma_k}")
+        try:
+            with np.errstate(over="ignore"):  # a numpy float gives inf
+                two_var = 2.0 * self.sigma_k**2
+        except OverflowError:  # a Python float raises
+            two_var = math.inf
+        if math.isinf(two_var):
+            # an ArithmeticError, as Python's own float overflow
+            raise OverflowError(f"2 sigma_k^2 overflows for sigma_k={self.sigma_k!r}")
+        if two_var == 0.0:
+            raise ValueError(f"2 sigma_k^2 underflows for sigma_k={self.sigma_k!r}")
 
 
 def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
@@ -498,6 +526,46 @@ def support_table(models):
     return table, np.split(inverse.ravel(), ends[:-1])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def max_workers_from_env() -> int:
+    """Worker cap from MARGIN_FILTER_THREADS (default: the usable CPU
+    count), at most the usable CPU count.
+
+    A value that is not a positive integer raises RuntimeError, which no
+    grid cell or sweep task records as a numerical failure.
+    """
+    cpus = _usable_cpus()
+    raw = os.environ.get("MARGIN_FILTER_THREADS")
+    if raw is None:
+        return cpus
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = 0
+    if requested < 1:
+        raise RuntimeError(f"MARGIN_FILTER_THREADS={raw!r} is not a positive integer")
+    return min(requested, cpus)
+
+
+def _worker_count(tasks: int, cap: int | None = None) -> int:
+    """Workers for ``tasks`` independent tasks: min(tasks, cap, usable
+    CPUs), at least 1, ``cap`` defaulting to MARGIN_FILTER_THREADS; 1
+    inside a worker process, so neither scoring threads nor worker
+    processes nest."""
+    cap = max_workers_from_env() if cap is None else min(cap, _usable_cpus())
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(tasks, cap))
+
+
 def bank_scores(models, Xte) -> np.ndarray:
     """Decision scores of a bank of models that share one kernel.
 
@@ -505,8 +573,13 @@ def bank_scores(models, Xte) -> np.ndarray:
     (``support_table``), and each model's alpha_j y_j is scattered into
     one (n_union, k) coefficient matrix.  ``Xte`` is then scored
     SCORE_CHUNK_ROWS rows at a time against the distinct rows, so one
-    test kernel serves the whole bank and its memory is bounded by
-    SCORE_CHUNK_ROWS x n_union floats.
+    test kernel serves the whole bank.  The chunks run on up to
+    min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, each with
+    its own SCORE_CHUNK_ROWS x n_union kernel buffer, allocated here;
+    each chunk writes its own rows of the result, so the scores are the
+    same doubles on any number of threads.  One chunk, or a call inside a
+    worker process, runs in the calling thread.  The threads are joined
+    before this returns or raises.
 
     Returns (m, len(models)); column k holds model k's scores.
     """
@@ -534,10 +607,36 @@ def bank_scores(models, Xte) -> np.ndarray:
     bias = np.array([m.bias for m in models])
 
     out = np.empty((len(Xte), len(models)))
-    for start in range(0, len(Xte), SCORE_CHUNK_ROWS):
-        rows = slice(start, start + SCORE_CHUNK_ROWS)
-        np.matmul(kernel_matrix(Xte[rows], union, kernel), coef, out=out[rows])
-        out[rows] += bias
+    chunks = deque(range(0, len(Xte), SCORE_CHUNK_ROWS))
+    workers = _worker_count(len(chunks))
+    # one kernel buffer per thread, allocated by this thread: kernels the
+    # scoring threads allocate per chunk come from their own malloc
+    # arenas, which raised 60000-sample labeling's peak RSS 90 -> 102 MB
+    buffers = np.empty((workers, min(len(Xte), SCORE_CHUNK_ROWS), len(union)))
+
+    def score_chunks(buffer):
+        while True:
+            try:
+                start = chunks.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            rows = slice(start, start + SCORE_CHUNK_ROWS)
+            block = Xte[rows]
+            try:
+                K = kernel_matrix(block, union, kernel, out=buffer[:len(block)])
+                np.matmul(K, coef, out=out[rows])
+                out[rows] += bias
+            except BaseException:
+                chunks.clear()  # the other threads stop at their next chunk
+                raise
+
+    if workers == 1:
+        score_chunks(buffers[0])
+        return out
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(score_chunks, buffer) for buffer in buffers]
+    for future in futures:  # all threads are joined here
+        future.result()
     return out
 
 

@@ -205,6 +205,17 @@ class TestGridSearch:
         res = grid_search(tr, va, grid)
         assert res.best in grid.cells()
 
+    @pytest.mark.parametrize("decode", ["online", "viterbi"])
+    def test_underflowing_bandwidth_recorded_as_failure(self, decode):
+        # 2 * (1e-300)**2 is 0: the kernel would divide by zero
+        tr, va, _ = tiny_split()
+        grid = GridSpec(method="svm", C=(10.0,), sigma_k=(1.0, 1e-300), decode=decode)
+        res = grid_search(tr, va, grid)
+        assert [cell["sigma_k"] for cell, _ in res.table] == [1.0]
+        assert [(cell["sigma_k"], reason) for cell, reason in res.failures] == [
+            (1e-300, "ValueError: 2 sigma_k^2 underflows for sigma_k=1e-300")]
+        assert res.best["sigma_k"] == 1.0
+
     def test_all_failures_raise(self):
         tr, va, _ = tiny_split()
         bad = (tr[0], np.ones(len(tr[1]), dtype=int))  # one class only
@@ -370,24 +381,24 @@ class TestMaxWorkers:
         else:
             monkeypatch.setenv("MARGIN_FILTER_THREADS", env)
         if cpus is None:
-            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+            monkeypatch.delattr(svm.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(svm.os, "cpu_count", lambda: None)
         else:
-            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
-        assert harness.max_workers_from_env() == expected
+            monkeypatch.setattr(svm.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(svm.os, "cpu_count", lambda: 64)
+        assert svm.max_workers_from_env() == expected
 
     def test_cpu_count_where_affinity_is_unavailable(self, monkeypatch):
         monkeypatch.delenv("MARGIN_FILTER_THREADS", raising=False)
-        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        assert harness.max_workers_from_env() == 3
+        monkeypatch.delattr(svm.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(svm.os, "cpu_count", lambda: 3)
+        assert svm.max_workers_from_env() == 3
 
     @pytest.mark.parametrize("env", ["many", "0", "-1", "", "2.5"])
     def test_malformed_value_raises(self, monkeypatch, env):
         monkeypatch.setenv("MARGIN_FILTER_THREADS", env)
         with pytest.raises(RuntimeError, match=re.escape(f"MARGIN_FILTER_THREADS={env!r}")):
-            harness.max_workers_from_env()
+            svm.max_workers_from_env()
 
     def test_malformed_value_is_not_a_cell_failure(self, monkeypatch):
         monkeypatch.setenv("MARGIN_FILTER_THREADS", "many")
@@ -410,7 +421,7 @@ class TestParallelMap:
     @pytest.fixture
     def two_cpus(self, monkeypatch):
         """Two usable CPUs, so the parallel path runs on any machine."""
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(svm, "_usable_cpus", lambda: 2)
 
     def _search(self, monkeypatch, threads, grid, **kwargs):
         monkeypatch.setenv("MARGIN_FILTER_THREADS", str(threads))
@@ -557,7 +568,7 @@ class TestRunToySweep:
 
     def test_parallel_sweep_matches_sequential(self, monkeypatch):
         # the 2-cell grid of each task runs inside its worker
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(svm, "_usable_cpus", lambda: 2)
         kwargs = dict(
             seeds=(0, 1), base=ToyParams(n=1, sigma_n=0.4, lag=1, nbtot=2,
                                          run_min=6, run_max=9),

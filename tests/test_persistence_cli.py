@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -467,6 +468,16 @@ class TestModelRoundTrip:
             doc["platt"][2][field[-1]] = value
         assert_rejected(edited(mp, doc), bank, "non-finite|sigma_k")
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("value", [1e-300, 1e200])
+    def test_bandwidth_out_of_range_rejected(self, tmp_path, three_class_pipeline,
+                                             version, value):
+        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+        for entry in [e["model"] for e in doc["pairwise"]] + doc["one_vs_all"] \
+                if version == 1 else [doc]:
+            entry["sigma_k"] = value
+        assert_rejected(edited(mp, doc), bank, re.escape(f"sigma_k={value!r}"))
+
     @pytest.mark.parametrize("field", ["bias", "platt"])
     def test_non_finite_numbers_never_written(self, tmp_path, three_class_pipeline, field):
         pipe = three_class_pipeline
@@ -685,6 +696,15 @@ class TestCli:
                       "--method", "svm", "--out-dir", tmp_path / "out")
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e200"])
+    def test_out_of_range_bandwidth_fails_cleanly(self, tmp_path, capsys, toy_files, sigma):
+        # 2 sigma_k^2 underflows to 0 or overflows to inf
+        rc = self.run("train", "--data", toy_files[0], "--method", "svm",
+                      "--sigma-k", sigma, "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert "error: 2 sigma_k^2 " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_history_csv_written_for_learned_filters(self, tmp_path):
         data = tmp_path / "toy.csv"

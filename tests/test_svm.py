@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,22 @@ class TestKernelMatrix:
     def test_positive_bandwidth_required(self):
         with pytest.raises(ValueError):
             KernelParams(0.0)
+
+    @pytest.mark.parametrize("sigma, error, word", [
+        (1e-300, ValueError, "underflows"), (1e-162, ValueError, "underflows"),
+        (1e154, OverflowError, "overflows"), (1e200, OverflowError, "overflows"),
+        (np.float64(1e200), OverflowError, "overflows")])
+    def test_bandwidth_with_no_finite_positive_divisor_rejected(self, sigma, error, word):
+        match = re.escape(f"2 sigma_k^2 {word} for sigma_k=") + ".*" + re.escape(repr(float(sigma)))
+        with pytest.raises(error, match=match):
+            KernelParams(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e150])
+    def test_extreme_bandwidth_with_finite_divisor_accepted(self, sigma):
+        A = np.array([[0.0], [1.0]])
+        with np.errstate(over="ignore"):  # -1 / 2e-320 is -inf, exp(-inf) 0
+            K = kernel_matrix(A, A, KernelParams(sigma))
+        assert np.all(np.isfinite(K)) and np.all(np.diag(K) == 1.0)
 
     @staticmethod
     def wide_range_points(rng, m):

@@ -13,6 +13,10 @@ the distinct support vectors instead of one product per model), so scores
 agree to 1e-12 of their largest magnitude and labels exactly.
 """
 
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -566,6 +570,100 @@ class TestBankScoresMatchReference:
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             bank_scores([], np.zeros((3, 2)))
+
+
+class TestThreadedBankScores:
+    """Chunks scored on threads give the serial scores bit for bit, and no
+    thread outlives the call."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Pretend this many CPUs are usable, so threads run on any machine."""
+        def set_cpus(n):
+            monkeypatch.setattr(svm, "_usable_cpus", lambda: n)
+        set_cpus(2)
+        return set_cpus
+
+    @pytest.fixture
+    def chunk_threads(self, monkeypatch):
+        """The thread ident of every kernel_matrix call bank_scores makes."""
+        idents = []
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return kernel_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(svm, "kernel_matrix", recording)
+        return idents
+
+    @staticmethod
+    def scores(monkeypatch, threads, models, Xte):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", str(threads))
+        return bank_scores(models, Xte)
+
+    @pytest.mark.parametrize("m", [0, 1, SCORE_CHUNK_ROWS - 1, SCORE_CHUNK_ROWS,
+                                   SCORE_CHUNK_ROWS + 1, 1000])
+    def test_same_bits_on_one_or_two_threads(self, monkeypatch, rng, cpus, m):
+        models = random_bank(rng, 4, rng.normal(size=(60, 2)))
+        Xte = rng.normal(size=(m, 2))
+        serial, threaded = (self.scores(monkeypatch, t, models, Xte) for t in (1, 2))
+        assert threaded.shape == (m, 4)
+        assert_array_equal(threaded, serial)
+
+    def test_chunks_run_on_pool_threads(self, monkeypatch, rng, cpus, chunk_threads):
+        models = random_bank(rng, 3, rng.normal(size=(30, 2)))
+        before = threading.active_count()
+        self.scores(monkeypatch, 2, models, rng.normal(size=(4 * SCORE_CHUNK_ROWS, 2)))
+        assert threading.active_count() == before
+        assert len(chunk_threads) == 4
+        assert threading.get_ident() not in chunk_threads
+
+    @pytest.mark.parametrize("m", [1, SCORE_CHUNK_ROWS])
+    def test_one_chunk_runs_in_the_calling_thread(self, monkeypatch, rng, cpus,
+                                                  chunk_threads, m):
+        models = random_bank(rng, 3, rng.normal(size=(30, 2)))
+        self.scores(monkeypatch, 2, models, rng.normal(size=(m, 2)))
+        assert chunk_threads == [threading.get_ident()]
+
+    def test_worker_process_scores_in_the_calling_thread(self, monkeypatch, rng, cpus,
+                                                         chunk_threads):
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        models = random_bank(rng, 3, rng.normal(size=(30, 2)))
+        self.scores(monkeypatch, 2, models, rng.normal(size=(1000, 2)))
+        assert chunk_threads == [threading.get_ident()] * 4
+
+    def test_chunk_error_propagates_after_join(self, monkeypatch, rng, cpus):
+        calls = []
+
+        def failing(A, *args, **kwargs):
+            calls.append(len(A))
+            if len(calls) == 2:
+                raise FloatingPointError("chunk failed")
+            return kernel_matrix(A, *args, **kwargs)
+
+        monkeypatch.setattr(svm, "kernel_matrix", failing)
+        models = random_bank(rng, 3, rng.normal(size=(30, 2)))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="chunk failed"):
+            self.scores(monkeypatch, 2, models, rng.normal(size=(20 * SCORE_CHUNK_ROWS, 2)))
+        assert threading.active_count() == before
+        # the other thread stops at its next chunk
+        assert len(calls) < 20
+
+    def test_stress_more_threads_than_cores(self, monkeypatch, rng, cpus):
+        """Eight threads switching every microsecond still score each chunk
+        exactly once: a chunk lost or scored twice changes the result."""
+        cpus(8)
+        models = random_bank(rng, 5, rng.normal(size=(40, 3)))
+        Xte = rng.normal(size=(40 * SCORE_CHUNK_ROWS + 3, 3))
+        serial = self.scores(monkeypatch, 1, models, Xte)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self.scores(monkeypatch, 8, models, Xte)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_array_equal(threaded, serial)
 
 
 class TestLabelsMatchReference:
