@@ -232,7 +232,7 @@ def _cmd_grid_search(args) -> int:
             {"cell": cell, "error": msg} for cell, msg in result.failures
         ],
     }
-    persistence.atomic_write_text(args.out, json.dumps(doc, indent=1) + "\n")
+    persistence.write_json(args.out, doc)
     print(f"best {args.method} cell: {result.best} "
           f"(validation error {result.best_error:.4f})")
     return 0

@@ -1,13 +1,17 @@
 """Dataset, model and filter persistence.
 
 Datasets are wide CSVs with header ``t,ch1,...,chd[,label]``, one row per
-sample, '.' decimal separators and LF line endings.  Models and filters
-are versioned JSON, and a model file embeds the pipeline's transition
-matrix and class prior; floats survive the round trip exactly
-(shortest-repr encoding), so reloaded models reproduce decision scores
-bit-for-bit.  A non-finite number is never written, and a model
-file that holds one is rejected.  All writes go through a temp file and
-an atomic rename.
+sample, '.' decimal separators and LF line endings.  They are read by
+numpy's C reader (np.loadtxt), with the strict row parser as the fallback
+for any file it does not take.  Models and filters are versioned JSON,
+written on one line with no whitespace (``python -m json.tool`` prints
+one indented), and a model file embeds the pipeline's transition matrix
+and class prior; floats survive the round trip exactly (shortest-repr
+encoding), so reloaded models reproduce decision scores bit-for-bit.  A
+non-finite number is never written, and a model file that holds one, or
+a string or boolean where a number belongs, is rejected.  All writes go
+through a temp file and an atomic rename, and a written file gets the
+mode a plain ``open(path, "w")`` gives it.
 
 A model file (format version 2) stores each support vector once: one
 table of the distinct support-vector rows of every model in both banks,
@@ -25,10 +29,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from contextlib import contextmanager
 from functools import partial
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -54,9 +58,12 @@ READ_VERSIONS = {"filter": (1,), "model": (1, 2)}
 # SvmModel.stop values a version-2 model file may hold; None where the
 # model was read from a version-1 file, which does not record it
 STOP_REASONS = (STOP_CONVERGED, STOP_BOUND, STOP_MAX_ITER, STOP_STUCK, None)
-# Dataset rows formatted or parsed at a time; bounds the Python floats and
-# strings alive at once.
+# Dataset rows formatted at a time by save_dataset; bounds the Python
+# floats and strings alive at once.
 CSV_CHUNK_ROWS = 256
+# ASCII separators 0x1c-0x1f: np.loadtxt strips them around a cell as
+# whitespace, where float() and int() reject the cell
+LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class DataFormatError(ValueError):
@@ -64,12 +71,24 @@ class DataFormatError(ValueError):
 
 
 def atomic_write_text(path, text: str):
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    A new file gets mode 0o666 less the umask, and a replaced file keeps
+    its mode, as with a plain ``open(path, "w")``.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # O_EXCL as in tempfile.mkstemp, which would create the file 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -108,6 +127,21 @@ def save_dataset(path, X, y=None):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _header(line: str, path) -> tuple[int, bool]:
+    """The channel count and whether there is a label column, of a header line."""
+    header = line.split(",")
+    if len(header) < 2 or header[0] != "t":
+        raise DataFormatError(f"{path}:1: expected header 't,ch1,...[,label]'")
+    labeled = header[-1] == "label"
+    d = len(header) - 1 - (1 if labeled else 0)
+    if d < 1:
+        raise DataFormatError(f"{path}:1: no channel columns in header")
+    expected = [f"ch{v + 1}" for v in range(d)]
+    if header[1 : 1 + d] != expected:
+        raise DataFormatError(f"{path}:1: channel columns must be ch1..ch{d}")
+    return d, labeled
+
+
 def _parse_rows(path, rows, d: int, labeled: bool):
     """Row-by-row parse of the data lines; names the first bad line."""
     n = len(rows)
@@ -131,52 +165,61 @@ def _parse_rows(path, rows, d: int, labeled: bool):
     return X, y
 
 
-def load_dataset(path):
-    """Parse a dataset CSV strictly.
-
-    Returns (X, y) with y None when the label column is absent.  Ragged
-    rows, non-numeric cells and empty files are rejected with the
-    offending line number.  The body is parsed as tables of
-    CSV_CHUNK_ROWS rows, with float() and int() semantics per cell; a
-    file that fails that is parsed again row by row to name its first
-    bad line.
-    """
+def _load_rows(path):
+    """The whole file parsed line by line; names the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     lines = [ln for ln in lines if ln != ""]
     if not lines:
         raise DataFormatError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
-    if len(header) < 2 or header[0] != "t":
-        raise DataFormatError(f"{path}:1: expected header 't,ch1,...[,label]'")
-    labeled = header[-1] == "label"
-    d = len(header) - 1 - (1 if labeled else 0)
-    if d < 1:
-        raise DataFormatError(f"{path}:1: no channel columns in header")
-    expected = [f"ch{v + 1}" for v in range(d)]
-    if header[1 : 1 + d] != expected:
-        raise DataFormatError(f"{path}:1: channel columns must be ch1..ch{d}")
-
+    d, labeled = _header(lines[0], path)
     rows = lines[1:]
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    width = len(header)
-    X = np.empty((len(rows), d))
-    y = np.empty(len(rows), dtype=np.int64) if labeled else None
-    try:
-        if any(c != width - 1 for c in map(str.count, rows, repeat(","))):
-            raise ValueError("ragged rows")
-        # CSV_CHUNK_ROWS rows at a time, so that few cells exist as
-        # Python strings at once; casting an object cell calls float() or
-        # int() on it, as the row parser does
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            part = rows[start : start + CSV_CHUNK_ROWS]
-            table = np.array(",".join(part).split(","), dtype=object).reshape(len(part), width)
-            X[start : start + len(part)] = table[:, 1 : 1 + d].astype(np.float64)
+    return _parse_rows(path, rows, d, labeled)
+
+
+def _load_table(path):
+    """(X, y) as np.loadtxt reads them, or None for a file the row parser must read.
+
+    np.loadtxt accepts a subset of the cells float() and int() accept and
+    reads each as the same number, except that it strips the separators in
+    LOADTXT_ONLY_SPACES around a cell.  None for a file that holds one of
+    those, whose first line is no header, whose body has no data line (on
+    which np.loadtxt warns), or that np.loadtxt rejects.
+    """
+    with open(path, "rb") as fh:
+        if any(map(fh.read().__contains__, LOADTXT_ONLY_SPACES)):
+            return None
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            d, labeled = _header(fh.readline().rstrip("\n"), path)
+            first = next((ln for ln in fh if ln != "\n"), None)
+            if first is None:
+                return None
+            fields = [("t", np.float64), ("X", np.float64, (d,))]
             if labeled:
-                y[start : start + len(part)] = table[:, -1].astype(np.int64)
-    except ValueError:
-        X, y = _parse_rows(path, rows, d, labeled)
+                fields.append(("label", np.int64))
+            table = np.loadtxt(chain([first], fh), dtype=fields, delimiter=",",
+                               comments=None, ndmin=1)
+        except ValueError:  # DataFormatError and UnicodeDecodeError among them
+            return None
+    return (np.ascontiguousarray(table["X"]),
+            np.ascontiguousarray(table["label"]) if labeled else None)
+
+
+def load_dataset(path):
+    """Parse a dataset CSV strictly.
+
+    Returns (X, y) with y None when the label column is absent.  Ragged
+    rows, non-numeric cells and empty files are rejected with the
+    offending line number; each cell reads as float() (samples) or int()
+    (labels) reads it.  The body is parsed by numpy's C reader
+    (np.loadtxt); a file it does not take is parsed again row by row, to
+    give float() and int() semantics or to name the first bad line.
+    """
+    table = _load_table(path)
+    X, y = table if table is not None else _load_rows(path)
     if not np.all(np.isfinite(X)):
         raise DataFormatError(f"{path}: non-finite sample values")
     if y is not None and y.min() < 1:
@@ -230,10 +273,15 @@ def _load_json(path) -> dict:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _write_json(path, doc: dict):
-    # allow_nan=False: a non-finite number raises here instead of being
-    # written as the non-JSON NaN or Infinity
-    atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
+def write_json(path, doc: dict):
+    """Write ``doc`` as one line of JSON with no whitespace.
+
+    Without ``indent`` json.dumps takes its C encoder.  allow_nan=False: a
+    non-finite number raises here instead of being written as the non-JSON
+    NaN or Infinity.
+    """
+    text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 @contextmanager
@@ -249,23 +297,44 @@ def _fields(path, what: str):
         raise DataFormatError(f"{path}: malformed {what} field ({exc})") from exc
 
 
+def _numbers(values, path, name: str, kinds: str, what: str) -> np.ndarray:
+    """A JSON number, or list (of lists) of them, as an array of a dtype kind
+    in ``kinds``; DataFormatError for any other value.
+
+    A cast would parse a string ("2") and read a boolean as 0 or 1; numpy
+    reads a boolean among numbers as one of them, so the leaves' types are
+    checked too.
+    """
+    array = np.asarray(values)
+    if array.size == 0:
+        return array.astype(np.float64)
+    if (array.dtype.kind not in kinds
+            or bool in set(map(type, np.asarray(values, dtype=object).flat))):
+        raise DataFormatError(f"{path}: field {name!r} must hold {what}")
+    return array
+
+
 def _finite(values, path, name: str) -> np.ndarray:
-    """``values`` as a float64 array; DataFormatError if one is not finite."""
-    values = np.asarray(values, dtype=np.float64)
+    """A JSON number, or list (of lists) of them, as float64;
+    DataFormatError for any other value or one that is not finite."""
+    values = _numbers(values, path, name, "iuf", "numbers").astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise DataFormatError(f"{path}: non-finite value in field {name!r}")
     return values
 
 
+def _number(value, path, name: str) -> float:
+    """A finite JSON number as a float; DataFormatError for anything else."""
+    value = _finite(value, path, name)
+    if value.ndim:
+        raise DataFormatError(f"{path}: field {name!r} must hold numbers")
+    return float(value)
+
+
 def _integers(values, path, name: str) -> np.ndarray:
     """A JSON integer, or list of them, as int64; DataFormatError for any
     other value, which int() would truncate (1.5 to 1) or parse ("2")."""
-    values = np.asarray(values)
-    if values.size == 0:
-        values = values.astype(np.int64)
-    if values.dtype.kind != "i":
-        raise DataFormatError(f"{path}: field {name!r} must hold integers")
-    return values.astype(np.int64)
+    return _numbers(values, path, name, "i", "integers").astype(np.int64)
 
 
 def _integer(value, path, name: str) -> int:
@@ -298,7 +367,7 @@ def save_filter(path, bank: FilterBank):
         "n0": bank.n0,
         "coeffs": [float(x) for x in bank.coeffs.ravel(order="C")],
     }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def load_filter(path) -> FilterBank:
@@ -308,7 +377,7 @@ def load_filter(path) -> FilterBank:
         if key not in doc:
             raise DataFormatError(f"{path}: missing field {key!r}")
     f, d, n0 = (_integer(doc[key], path, key) for key in ("f", "d", "n0"))
-    coeffs = np.asarray(doc["coeffs"], dtype=np.float64)
+    coeffs = _finite(doc["coeffs"], path, "coeffs")
     if coeffs.size != f * d:
         raise DataFormatError(
             f"{path}: field 'coeffs' has {coeffs.size} values, expected f*d={f * d}")
@@ -332,7 +401,7 @@ def _svm_to_doc(model: SvmModel, where) -> dict:
 
 
 def _svm_scalars(doc: dict, path) -> dict:
-    return {key: float(_finite(doc[key], path, key)) for key in ("bias", "C", "box", "objective")}
+    return {key: _number(doc[key], path, key) for key in ("bias", "C", "box", "objective")}
 
 
 def _svm_from_v1(doc: dict, path, d: int) -> SvmModel:
@@ -343,7 +412,7 @@ def _svm_from_v1(doc: dict, path, d: int) -> SvmModel:
         sv_labels = _integers(doc["sv_labels"], path, "sv_labels")
         sv_alpha = _finite(doc["sv_alpha"], path, "sv_alpha")
         sv_rows = _rows(doc["sv_rows"], path, "sv_rows", d)
-        kernel = KernelParams(float(doc["sigma_k"]))
+        kernel = KernelParams(_number(doc["sigma_k"], path, "sigma_k"))
         scalars = _svm_scalars(doc, path)
     # a bank's coefficients are scattered by row, so one model's mismatch
     # would shift its pulls onto other rows
@@ -393,13 +462,9 @@ def _transitions_to_doc(t: TransitionMatrix) -> dict:
 
 
 def _transitions_from_doc(doc: dict, path) -> TransitionMatrix:
-    try:
-        return TransitionMatrix(M=np.asarray(doc["M"], dtype=np.float64),
-                                prior=np.asarray(doc["prior"], dtype=np.float64))
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing transition field {exc}") from exc
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    with _fields(path, "transition"):
+        return TransitionMatrix(M=_finite(doc["M"], path, "M"),
+                                prior=_finite(doc["prior"], path, "prior"))
 
 
 def save_model(path, pipe: Pipeline):
@@ -436,7 +501,7 @@ def save_model(path, pipe: Pipeline):
         ],
         "transitions": _transitions_to_doc(pipe.transitions),
     }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def load_model(path, bank: FilterBank) -> Pipeline:
@@ -455,15 +520,15 @@ def load_model(path, bank: FilterBank) -> Pipeline:
         else:
             parse = partial(_svm_from_v2, path=path,
                             table=_rows(doc["support_vectors"], path, "support_vectors", bank.d),
-                            kernel=KernelParams(float(doc["sigma_k"])))
+                            kernel=KernelParams(_number(doc["sigma_k"], path, "sigma_k")))
         pairs = [(_integer(e["a"], path, "a"), _integer(e["b"], path, "b"))
                  for e in doc["pairwise"]]
         pairwise = dict(zip(pairs, (parse(e["model"]) for e in doc["pairwise"])))
         one_vs_all = [parse(e) for e in doc["one_vs_all"]]
         platt = doc["platt"]
         if platt is not None:
-            platt = [PlattParams(A=float(_finite(p["A"], path, "A")),
-                                 B=float(_finite(p["B"], path, "B"))) for p in platt]
+            platt = [PlattParams(A=_number(p["A"], path, "A"),
+                                 B=_number(p["B"], path, "B")) for p in platt]
         transitions = _transitions_from_doc(doc["transitions"], path)
         method = doc["method"]
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +124,9 @@ class TestDatasetRoundTrip:
 
     @pytest.mark.parametrize("bad_line", [None, 2, 4, 5, 9])
     def test_chunked_csv(self, tmp_path, rng, monkeypatch, bad_line):
-        # 8 rows in chunks of 3: the last chunk is short
+        """8 rows written in chunks of 3 (the last chunk short) read back; a bad
+        cell on any line is named by the row parser; CSV_CHUNK_ROWS governs
+        only the writer."""
         monkeypatch.setattr(persistence, "CSV_CHUNK_ROWS", 3)
         X, y = rng.normal(size=(8, 2)), rng.integers(1, 4, size=8)
         path = tmp_path / "data.csv"
@@ -156,12 +161,135 @@ class TestDatasetRoundTrip:
             assert_array_equal(X2, X)
             assert y2 is None if labels is None else np.array_equal(y2, labels)
 
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_c_reader_matches_the_row_parser(self, tmp_path, rng, d, labeled):
+        """np.loadtxt reads every double as float() does: any finite bit pattern,
+        both zeros, the extremes, in shortest, 17-digit and exponent form."""
+        n = 400
+        X = rng.integers(0, 2**64, size=(n, d), dtype=np.uint64).view(np.float64)
+        X[~np.isfinite(X)] = 1.0
+        edges = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 0.0, -0.0, 1.0]
+        X.flat[: len(edges)] = edges
+        y = rng.integers(1, 2**62, size=n)
+        forms = [repr, "{:.17g}".format, "{:.25e}".format, "{:+.3E}".format, " {!r} ".format]
+        header = "t," + ",".join(f"ch{v + 1}" for v in range(d)) + (",label" if labeled else "")
+        lines = [header]
+        for i in range(n):
+            cells = [str(i)] + [forms[(i + v) % len(forms)](float(x)) for v, x in enumerate(X[i])]
+            lines.append(",".join(cells + ([str(y[i])] if labeled else [])))
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        table = persistence._load_table(path)
+        assert table is not None
+        rows = persistence._load_rows(path)
+        for fast, slow in zip(table, rows):
+            if slow is None:
+                assert fast is None
+                continue
+            assert fast.dtype == slow.dtype and fast.flags.c_contiguous
+            assert_array_equal(fast, slow)
+            assert_array_equal(np.signbit(fast), np.signbit(slow))
+        assert np.signbit(table[0].flat[6]) and not np.signbit(table[0].flat[5])
+
+    @pytest.mark.parametrize("body, value", [
+        ("0,1_0,1\n", ([[10.0]], [1])),
+        ("0,\u0661.5,1\n", ([[1.5]], [1])),  # Arabic-Indic digit one
+        ("0,1.5,\u0662\n", ([[1.5]], [2])),
+        ("x,1.5,2\n", ([[1.5]], [2])),  # the t cell is not read
+        ("0,1.5,1.0\n", "data.csv:2: non-integer label"),
+        ("0,0x1p3,1\n", "data.csv:2: non-numeric cell"),
+        ("0,1.5\x1f,1\n", "data.csv:2: non-numeric cell"),
+        ("0,1.5,\x1c1\n", "data.csv:2: non-integer label"),
+        ("0,1.5,1\n\x1d\n", "data.csv:3: expected 3 columns, got 1"),
+        ("0,1.5,1\n  \n", "data.csv:3: expected 3 columns, got 1"),
+    ], ids=["underscore", "arabic-digit", "arabic-label", "text-t", "float-label", "hex",
+            "x1f-after", "x1c-before", "x1d-line", "space-line"])
+    def test_cells_the_c_reader_rejects_fall_back(self, tmp_path, body, value):
+        path = tmp_path / "data.csv"
+        path.write_text("t,ch1,label\n" + body)
+        assert persistence._load_table(path) is None
+        if isinstance(value, str):
+            with pytest.raises(DataFormatError, match=re.escape(value)):
+                load_dataset(path)
+        else:
+            X, y = load_dataset(path)
+            assert_array_equal(X, value[0])
+            assert_array_equal(y, value[1])
+
+    def test_header_after_a_blank_line_falls_back(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\nt,ch1\n0,1.5\n\n1,2.5\n")
+        assert persistence._load_table(path) is None
+        X, y = load_dataset(path)
+        assert_array_equal(X, [[1.5], [2.5]])
+        assert y is None
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n\r\n"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text("t,ch1,label\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="no data rows"):
+                load_dataset(path)
+
+    def test_crlf_and_blank_lines_read_by_the_c_reader(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"t,ch1,label\r\n\r\n0,+.5,+1\r\n1, 5. , 2\r\n\n2,-0,3")
+        table = persistence._load_table(path)
+        assert table is not None
+        X, y = load_dataset(path)
+        assert_array_equal(X, [[0.5], [5.0], [-0.0]])
+        assert np.signbit(X[2, 0])
+        assert_array_equal(y, [1, 2, 3])
+
     def test_lf_line_endings_and_dot_decimals(self, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(path, np.array([[1.25]]), [1])
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert b"1.25" in raw
+
+
+@pytest.fixture
+def restore_umask():
+    """Restore the process umask after a test that sets it."""
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+class TestFileModes:
+    """Written files get the mode a plain open(path, "w") gives them."""
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, restore_umask, mask, mode):
+        os.umask(mask)
+        for name, save in (("data.csv", lambda p: save_dataset(p, np.ones((2, 1)), [1, 2])),
+                           ("pred.csv", lambda p: save_predictions(p, [1, 2])),
+                           ("filter.json", lambda p: save_filter(p, make_average_filter(3, 1, 2)))):
+            save(tmp_path / name)
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "filter.json",
+                                                              "pred.csv"]
+
+    def test_overwritten_file_keeps_its_mode(self, tmp_path, restore_umask):
+        path = tmp_path / "pred.csv"
+        path.write_text("old\n")
+        os.chmod(path, 0o640)
+        save_predictions(path, [1, 2])
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert load_predictions(path).tolist() == [1, 2]
+        assert [p.name for p in tmp_path.iterdir()] == ["pred.csv"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            persistence.write_json(tmp_path / "doc.json", {"x": float("nan")})
+        with pytest.raises(TypeError):
+            persistence.atomic_write_text(tmp_path / "doc.json", None)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPredictionFile:
@@ -411,13 +539,51 @@ class TestModelRoundTrip:
         (1, lambda d: d["pairwise"][0].__setitem__("b", 1.0), "b"),
         (2, lambda d: d["pairwise"][0].__setitem__("b", "1"), "b"),
         (2, lambda d: d["pairwise"][0].__setitem__("b", [1]), "b"),
+        (2, lambda d: d["classes"].__setitem__(0, True), "classes"),
     ], ids=["v1-classes", "v2-classes", "v1-label", "v1-idx", "v1-a", "v2-a",
-            "v1-b-float", "v2-b-string", "v2-b-list"])
+            "v1-b-float", "v2-b-string", "v2-b-list", "v2-classes-boolean"])
     def test_non_integers_rejected(self, tmp_path, three_class_pipeline, version, edit, field):
         # int() and an int64 cast would read 2.5 as 2 and 1.5 as 1
         mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
         edit(doc)
         assert_rejected(edited(mp, doc), bank, f"field '{field}' must hold integers")
+
+    @pytest.mark.parametrize("bad", ["1.5", True], ids=["string", "boolean"])
+    @pytest.mark.parametrize("version, edit, field", [
+        (1, lambda d, m, v: m.__setitem__("bias", v), "bias"),
+        (2, lambda d, m, v: m.__setitem__("bias", v), "bias"),
+        (2, lambda d, m, v: m.__setitem__("C", v), "C"),
+        (2, lambda d, m, v: m.__setitem__("box", v), "box"),
+        (2, lambda d, m, v: m.__setitem__("objective", v), "objective"),
+        (1, lambda d, m, v: m.__setitem__("sigma_k", v), "sigma_k"),
+        (2, lambda d, m, v: d.__setitem__("sigma_k", v), "sigma_k"),
+        (1, lambda d, m, v: m["sv_alpha"].__setitem__(0, v), "sv_alpha"),
+        (2, lambda d, m, v: m["sv_coef"].__setitem__(0, v), "sv_coef"),
+        (1, lambda d, m, v: m["sv_rows"][-1].__setitem__(1, v), "sv_rows"),
+        (2, lambda d, m, v: d["support_vectors"][-1].__setitem__(1, v), "support_vectors"),
+        (2, lambda d, m, v: d["platt"][1].__setitem__("A", v), "A"),
+        (2, lambda d, m, v: d["platt"][1].__setitem__("B", v), "B"),
+        (2, lambda d, m, v: d["transitions"]["M"][1].__setitem__(2, v), "M"),
+        (2, lambda d, m, v: d["transitions"]["prior"].__setitem__(0, v), "prior"),
+    ], ids=["v1-bias", "v2-bias", "C", "box", "objective", "v1-sigma_k", "v2-sigma_k",
+            "v1-sv_alpha", "v2-sv_coef", "v1-sv_rows", "v2-support_vectors", "platt-A",
+            "platt-B", "transitions-M", "prior"])
+    def test_float_fields_take_numbers_only(self, tmp_path, three_class_pipeline,
+                                            version, edit, field, bad):
+        """A float field holds JSON numbers: a cast would parse a string and read
+        a boolean, alone or among numbers, as 0 or 1."""
+        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+        edit(doc, doc["pairwise"][1]["model"], bad)
+        assert_rejected(edited(mp, doc), bank, f"field '{field}' must hold numbers")
+
+    @pytest.mark.parametrize("coeffs", [["1", "2"], [True, 2.0], [1.0, None], "1.0"],
+                             ids=["strings", "boolean", "null", "string"])
+    def test_filter_coefficients_take_numbers_only(self, tmp_path, coeffs):
+        path = tmp_path / "filter.json"
+        path.write_text(json.dumps({"format_version": 1, "kind": "filter",
+                                    "f": 2, "d": 1, "n0": 0, "coeffs": coeffs}))
+        with pytest.raises(DataFormatError, match="field 'coeffs' must hold numbers"):
+            load_filter(path)
 
     @pytest.mark.parametrize("field", ["f", "d", "n0"])
     def test_filter_non_integers_rejected(self, tmp_path, field):
@@ -512,6 +678,35 @@ class TestModelRoundTrip:
         mp, doc, bank = model_file(1, tmp_path, None)
         doc["pairwise"][0]["model"]["sigma_k"] *= 2.0
         assert_rejected(edited(mp, doc), bank, "sigma_k")
+
+    @pytest.mark.parametrize("method, nbtot, n_classes", [
+        ("kf_svm", 2, 2), ("skf_svm", 6, 2), ("avg_svm", 2, 3)],
+        ids=["headline-kf_svm", "skf-select-skf_svm", "label-long-avg_svm"])
+    def test_workload_pipelines_roundtrip_exactly(self, tmp_path, rng, method, nbtot,
+                                                  n_classes):
+        """Each benchmark workload's pipeline type, saved and loaded, scores
+        bit for bit as trained; its files are single-line compact JSON."""
+        X, y = generate_toy(ToyParams(n=160, sigma_n=0.5, lag=1, nbtot=nbtot,
+                                      run_min=10, run_max=15, n_classes=n_classes, seed=3))
+        pipe = train_pipeline(X[:100], y[:100], method, C=10.0, sigma_k=1.0,
+                              lam=2.0 if method == "skf_svm" else 0.0, f=3, n0=1,
+                              learner_kwargs={"max_cg_iters": 3, "mm_max_outer": 2}
+                              if method == "skf_svm" else {"max_cg_iters": 3})
+        calibrate_pipeline(pipe, X[100:], y[100:])
+        mp, fp = tmp_path / "model.json", tmp_path / "filter.json"
+        save_model(mp, pipe)
+        save_filter(fp, pipe.filter)
+        for path in (mp, fp):
+            text = path.read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+        loaded = load_model(mp, load_filter(fp))
+        assert_array_equal(loaded.filter.coeffs, pipe.filter.coeffs)
+        Xf = pipe.filtered(rng.normal(size=(300, nbtot)))
+        mc, mc2 = pipe.model, loaded.model
+        for bank, bank2 in ((list(mc.pairwise.values()), list(mc2.pairwise.values())),
+                            (mc.one_vs_all, mc2.one_vs_all)):
+            assert_array_equal(bank_scores(bank2, Xf), bank_scores(bank, Xf))
 
     def test_transitions_roundtrip(self, tmp_path, trained_pipeline):
         """The model file embeds the transition matrix and the class prior."""
@@ -631,9 +826,15 @@ class TestCli:
                       "--sigma-k-grid", "1.0", "--f-grid", "3", "--n0-grid", "1",
                       "-o", best)
         assert rc == 0
-        doc = json.loads(best.read_text())
+        text = best.read_text()
+        assert text.count("\n") == 1  # the compact writer of model files
+        doc = json.loads(text)
+        assert set(doc) == {"method", "decode", "best", "validation_error",
+                            "cells_evaluated", "cells_failed"}
+        assert doc["method"] == "avg-svm" and doc["decode"] == "online"
         assert doc["best"]["C"] in (1.0, 20.0)
         assert 0.0 <= doc["validation_error"] <= 1.0
+        assert doc["cells_evaluated"] == 2 and doc["cells_failed"] == []
 
     def test_sweep_and_compare_pipeline(self, tmp_path):
         out = tmp_path / "sweep"
