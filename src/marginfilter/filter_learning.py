@@ -13,21 +13,22 @@ to optimality: it only has to be shown to miss the Armijo threshold.
 Every dual optimum is >= 0, and the warm-started SMO solver ascends the
 dual monotonically, so the running dual of each subproblem, added to the
 optima already summed and the penalty, is a lower bound on the trial's
-objective.  A trial stops (before any kernel entry off the support
-set, when the support-vector block of the warm start already proves it
-lost, else inside the solver) once that bound clears the threshold by a
-relative slack of 1e-9, far above the solver's ~1e-12 rounding.  An
-accepted trial never reaches the bound, so it is solved exactly as
-without it: the accepted steps, filters and models are the same bits.
+objective.  A trial stops once that bound clears the threshold by a
+relative slack of 1e-9, far above the solver's ~1e-12 rounding: the
+solver tests it first on the dual at the warm start, from the product's
+rows of the start's support set, and then after every step.  An accepted
+trial never reaches the bound, so it is solved exactly as without it:
+the accepted steps, filters and models are the same bits.
 
 A trial computes only the kernel it reads (``svm.SupportKernel``).  A
-warm one computes the block K[S, S] of its start's support set S, which
-the bound needs, then, once the trial survives that, the rest of the
-columns K[:, S], a block of rows at a time, which give the start
-K @ (alpha * y), and the rows its SMO steps touch; the fit's first, cold
-evaluation computes the rows its steps touch.  The committed gradient
-block K[S', S'] comes from the same entries, as S' lies in S and the
-touched rows.  No evaluation builds a subproblem's whole kernel.
+warm one computes the columns K[:, S] of its start's support set S, a
+block of rows at a time and the rows of S first, which give the start
+K @ (alpha * y) (a trial lost at its start stops after the rows of S),
+and the rows its SMO steps touch; the fit's first, cold evaluation
+computes the rows its steps touch.  No evaluation builds a subproblem's
+whole kernel.  The gradient at a committed filter computes the kernel
+K[S', S'] among the committed support set S', holds it for that one
+subproblem's term, and drops it: no |S|^2 block outlives the gradient.
 
 Channel selection uses a sum-of-column-norms penalty, handled by
 majorization-minimization: each outer step replaces the column norms by a
@@ -175,14 +176,15 @@ class LearnerConfig:
 
 def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
                     rows: np.ndarray, y_pm: np.ndarray, alpha: np.ndarray,
-                    K_ss: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
+                    cfg: LearnerConfig) -> np.ndarray:
     """Gradient of the SVM optimum wrt the filter, at fixed optimal alpha.
 
     ``Xf`` is the whole signal filtered by F; ``rows`` selects the
-    subproblem's samples within it.  Only support-vector pairs contribute:
-    ``K_ss`` is the kernel among the rows with alpha > 0, in row order.
-    Uses the Laplacian identity sum_ij w_ij (a_i - a_j)(b_i - b_j) =
-    2 a' (diag(W 1) - W) b to avoid materializing pair differences.
+    subproblem's samples within it.  Only support-vector pairs contribute,
+    so only the kernel among the rows with alpha > 0 is computed, and it
+    is freed on return.  Uses the Laplacian identity
+    sum_ij w_ij (a_i - a_j)(b_i - b_j) = 2 a' (diag(W 1) - W) b to avoid
+    materializing pair differences.
     """
     sv = np.flatnonzero(alpha > 0)
     grad = np.zeros(F.shape)
@@ -192,7 +194,8 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
 
     Xf_s = Xf[r]
     ay = alpha[sv] * y_pm[sv]
-    W = K_ss * np.outer(ay, ay)
+    W = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
+    W *= np.outer(ay, ay)
     # T = (diag(row sums) - W) @ Xf_s, so grad[u, v] = T[:, v] . shifted_X[r, v]
     T = Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s
     scale = 1.0 / cfg.kernel.sigma_k**2
@@ -212,8 +215,8 @@ class _Subproblem:
 
     Trial solves warm-start from the last committed solution; committing
     promotes the most recent trial to the warm-start state, together with
-    the filtered signal it was solved on and its kernel among the rows
-    with alpha > 0 (all the gradient at the committed filter needs).
+    the filtered signal it was solved on (all the gradient at the
+    committed filter needs besides alpha).
     """
 
     def __init__(self, pair: tuple[int, int], rows: np.ndarray, y_pm: np.ndarray):
@@ -223,7 +226,6 @@ class _Subproblem:
         self.alpha = None  # committed warm-start state
         self.model = None
         self.Xf = None
-        self.K_ss = None
         self._last = None
 
     def solve(self, Xf: np.ndarray, cfg: LearnerConfig, *,
@@ -231,37 +233,22 @@ class _Subproblem:
         """Dual optimum on the filtered signal ``Xf``.
 
         Once a lower bound on the optimum exceeds ``stop_above``, returns
-        that bound instead and leaves nothing to commit.  A cold solve
-        computes the rows its steps touch; a warm one computes the support
-        block K[S, S] of its start S first, and only if the trial survives
-        the bound the rest of the columns K[:, S], a block of rows at a
-        time, and the rows its steps touch.
+        that bound instead and leaves nothing to commit.  One solve through
+        one ``SupportKernel``, warm from the committed alpha where there is
+        one; a warm start whose own dual exceeds ``stop_above`` computes
+        K[:, S] only up to the block of rows that completes the rows of S,
+        and takes no step.
         """
         self._last = None
-        Xsub = Xf[self.rows]
-        if self.alpha is None:
-            K = SupportKernel(Xsub, cfg.kernel)
-        else:
-            sv = np.flatnonzero(self.alpha > 0)
-            Xs = Xsub[sv]
-            K_s = kernel_matrix(Xs, Xs, cfg.kernel)
-            if stop_above < np.inf:
-                # the dual at the warm start lower-bounds the optimum, and
-                # only the support rows enter it
-                w = self.alpha[sv] * self.y_pm[sv]
-                warm = float(self.alpha.sum() - 0.5 * (w @ K_s @ w))
-                if warm > stop_above:
-                    return warm
-            K = SupportKernel(Xsub, cfg.kernel, sv, K_s)
         model = solve_svm_dual(
-            K, self.y_pm, cfg.C, kernel=cfg.kernel,
+            SupportKernel(Xf[self.rows], cfg.kernel), self.y_pm, cfg.C, kernel=cfg.kernel,
             tol=cfg.svm_tol, warm_alpha=self.alpha, stop_above=stop_above)
         if model.objective <= stop_above:
-            self._last = (model, Xf, K.block(np.flatnonzero(model.alpha > 0)))
+            self._last = (model, Xf)
         return model.objective
 
     def commit(self):
-        self.model, self.Xf, self.K_ss = self._last
+        self.model, self.Xf = self._last
         self.alpha = self.model.alpha
 
 
@@ -296,15 +283,10 @@ def _commit_all(problems):
 
 
 def _gradient(problems, F, X, cfg) -> np.ndarray:
-    """Gradient at the committed filter F, from the committed solves.
-
-    Each committed kernel block serves this one gradient, so it is
-    released here rather than held through the next line search.
-    """
+    """Gradient at the committed filter F, from the committed solves."""
     grad = np.zeros_like(F)
     for p in problems:
-        grad += _inner_gradient(F, X, p.Xf, p.rows, p.y_pm, p.alpha, p.K_ss, cfg)
-        p.K_ss = None
+        grad += _inner_gradient(F, X, p.Xf, p.rows, p.y_pm, p.alpha, cfg)
     _, reg_grad = regularizer_value_grad(F, cfg.reg)
     return grad + reg_grad
 

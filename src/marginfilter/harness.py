@@ -23,8 +23,10 @@ MARGIN_FILTER_THREADS defaults to the usable CPU count and is capped
 there; by the same rule (``svm._worker_count``) it caps the threads that
 score a bank in ``svm.bank_scores``.  A task already running in a worker
 runs its own inner map and its scoring serially, so a sweep parallelizes
-over its tasks and starts no grandchildren.  Each worker holds its own
-kernel row cache of up to ``svm.KERNEL_CACHE_BYTES``.
+over its tasks and starts no grandchildren.  The workers of one map
+share one kernel-cache budget, each keeping at most
+``svm.KERNEL_CACHE_BYTES // workers`` of rows; a smaller cache only
+computes rows again, the same doubles, so the results keep their bits.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import svm
 from .decoding import TransitionMatrix, decode_offline, estimate_transitions
 from .filter_learning import LearnerConfig, RegularizerSpec, committed_bank, fit_shared_filter
 from .signals import (
@@ -487,6 +490,12 @@ class SweepResult:
         return float(np.mean(errs))
 
 
+def _share_kernel_cache(workers: int):
+    """Initializer of a process map's workers: each keeps 1/workers of
+    the kernel-cache budget."""
+    svm.KERNEL_CACHE_BYTES //= workers
+
+
 def _parallel_map(fn, tasks, max_workers: int | None = None) -> list:
     """``[fn(t) for t in tasks]`` on up to min(len(tasks), max_workers,
     usable CPUs) worker processes; ``max_workers`` defaults to
@@ -510,7 +519,8 @@ def _parallel_map(fn, tasks, max_workers: int | None = None) -> list:
         return [fn(t) for t in tasks]
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=_share_kernel_cache, initargs=(workers,)) as pool:
         try:
             return list(pool.map(fn, tasks))
         except BaseException:

@@ -162,6 +162,8 @@ def _parse_rows(path, rows, d: int, labeled: bool):
                 y[i - 2] = int(cells[-1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{i}: non-integer label") from exc
+            except OverflowError as exc:
+                raise DataFormatError(f"{path}:{i}: label outside the int64 range") from exc
     return X, y
 
 
@@ -239,14 +241,32 @@ def save_predictions(path, labels):
 
 
 def load_predictions(path):
+    """Parse a prediction CSV strictly, as save_predictions writes it.
+
+    The header ``t,label``, then one row ``t,label`` per sample: t counts
+    the rows from 0, and the label is an integer >= 1 (each cell as int()
+    reads it).  A malformed file is rejected with the offending line
+    number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     if not lines or lines[0] != "t,label":
-        raise DataFormatError(f"{path}: expected header 't,label'")
-    try:
-        return np.array([int(ln.split(",")[1]) for ln in lines[1:]], dtype=np.int64)
-    except (IndexError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed prediction row ({exc})") from exc
+        raise DataFormatError(f"{path}:1: expected header 't,label'")
+    labels = np.empty(len(lines) - 1, dtype=np.int64)
+    for t, ln in enumerate(lines[1:]):
+        where = f"{path}:{t + 2}"
+        cells = ln.split(",")
+        if len(cells) != 2:
+            raise DataFormatError(f"{where}: expected 2 columns, got {len(cells)}")
+        try:
+            row, labels[t] = int(cells[0]), int(cells[1])
+        except (ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{where}: malformed cell ({exc})") from exc
+        if row != t:
+            raise DataFormatError(f"{where}: t is {row}, expected {t}")
+        if labels[t] < 1:
+            raise DataFormatError(f"{where}: labels must be >= 1")
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ and calibrated probabilities respectively.  Every solve of a fit or a
 bank reads its kernel from a ``SupportKernel``, which computes the rows
 the SMO steps touch, caches them up to KERNEL_CACHE_BYTES, and sums a
 warm start's product over the support columns a block of rows at a time:
-no array of n x n floats is made.
+no array of n x n floats is made.  A solve's one bound, ``stop_above``,
+is tested on its running dual, at a warm start as soon as the product has
+the support set's rows: a start already above it computes no row beyond
+their block.
 
 Where the mathematics gives one SVM, one SVM is solved: with two classes
 the one-against-all bank is the pairwise machine in its two label
@@ -143,16 +146,12 @@ class SupportKernel:
     which is computed again when next read (the kernel cache of Joachims
     1999 and of LIBSVM, Chang & Lin 2011).  A cache of fewer than two
     rows keeps none.  It computes the product PRODUCT_CHUNK_ROWS rows of
-    K[:, S] at a time and keeps none of them.  So it holds no n x n or
-    n x |S| array: at most K[S, S], the cache and one block of rows.
-
-    A cold solve's source has no support set.  A warm solve's may hold
-    ``support`` with its block K[S, S] (``support_block``, as the caller
-    computed it): the product then takes the rows of S from the block, and
-    ``block(idx)`` gathers K[np.ix_(idx, idx)] from the block and the
-    rows.  ``subset(rows)`` is the kernel of X[rows], whose rows are
-    slices of this source's rows, read through its cache: the solves of
-    one training set share one cache.
+    K[:, S] at a time, the rows of S first, and keeps none of them; a
+    caller may stop it once the rows of S are done (``product``).  So it
+    holds no n x n or n x |S| array: the cache and one block of rows.
+    ``subset(rows)`` is the kernel of X[rows], whose rows are slices of
+    this source's rows, read through its cache: the solves of one training
+    set share one cache.
 
     Every entry is the same double as in kernel_matrix(X, X).  The product
     sums each row of K[:, S] as the product of the whole K[:, S] (its rows
@@ -160,15 +159,11 @@ class SupportKernel:
     over every column, by rounding.
     """
 
-    def __init__(self, X, params: KernelParams, support=(), support_block=None):
+    def __init__(self, X, params: KernelParams):
         self._X = np.asarray(X, dtype=np.float64)
         self._params = params
         n = len(self._X)
         self.shape = (n, n)
-        self._support = np.asarray(support, dtype=np.int64)
-        self._block = support_block
-        self._col = np.full(n, -1)  # sample -> its row of the block
-        self._col[self._support] = np.arange(len(self._support))
         self._cache = {}  # sample -> its row, least recently used first
         self._free = []  # rows of the last slab not yet used
         self._capacity = KERNEL_CACHE_BYTES // (8 * max(n, 1))
@@ -204,11 +199,15 @@ class SupportKernel:
         self._cache[i] = row
         return row
 
-    def __matmul__(self, w) -> np.ndarray:
-        """K @ w, from the columns of the support of w alone.
+    def product(self, w, stop=None) -> np.ndarray:
+        """K @ w, from the columns of the support S of w alone.
 
-        The last product is kept: the solves of a binary bank start from
-        one alpha in both label orientations, and K @ -w is -(K @ w)
+        ``stop``, when given, is called with the product once the block
+        of rows that completes the rows of S is done, the rows not yet
+        computed reading 0; if it returns True the product ends there.
+
+        The last whole product is kept: the solves of a binary bank start
+        from one alpha in both label orientations, and K @ -w is -(K @ w)
         exactly, as every term of each sum is negated.
         """
         w = np.asarray(w, dtype=np.float64)
@@ -224,36 +223,18 @@ class SupportKernel:
         in_support = np.zeros(n, dtype=bool)
         in_support[support] = True
         order = np.concatenate([support, np.flatnonzero(~in_support)])
-        block = self._block if np.array_equal(support, self._support) else None
         Xs, w_s = self._X[support], w[support]
-        out = np.empty(n)
+        out = np.zeros(n)
         buf = np.empty((min(n, PRODUCT_CHUNK_ROWS + 1), s))
         for lo, hi in _row_chunks(n):
-            k = 0 if block is None else min(max(s - lo, 0), hi - lo)  # rows in S
-            part = block[lo:hi] if k == hi - lo else buf[: hi - lo]
-            if k < hi - lo:
-                if k:
-                    part[:k] = block[lo:s]
-                kernel_matrix(self._X[order[lo + k : hi]], Xs, self._params, out=part[k:])
+            part = kernel_matrix(self._X[order[lo:hi]], Xs, self._params, out=buf[: hi - lo])
             out[order[lo:hi]] = part @ w_s
+            if stop is not None and lo < s <= hi and stop(out):
+                return out
         self._product = (w.copy(), out.copy())
         return out
 
-    def block(self, idx) -> np.ndarray:
-        """K[np.ix_(idx, idx)]: entries among the support set from the
-        block, the others from the rows (cached, when the solve read them)."""
-        idx = np.asarray(idx)
-        k = self._col[idx]
-        at = np.flatnonzero(k >= 0)
-        ks = k[at]
-        out = np.empty((len(idx), len(idx)))
-        # in chunks of 32 rows, so the gather's temporary stays small
-        for start in range(0, len(at), 32):
-            rows = slice(start, start + 32)
-            out[at[rows, None], at] = self._block[ks[rows, None], ks]
-        for b in np.flatnonzero(k < 0):
-            out[b] = out[:, b] = self[int(idx[b])][idx]
-        return out
+    __matmul__ = product
 
 
 # Why a solve stopped (SvmModel.stop).
@@ -326,7 +307,12 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     n x n array is made; a dense matrix serves too.  Both give the same
     entries, so a cold solve is the same either way; a warm start's
     product is summed over the support set only, so it, and the iterates
-    after it, differ by rounding.
+    after it, differ by rounding.  The dual at a warm start needs only the
+    support set S's rows of the product, which a ``SupportKernel``
+    computes first: when they put it above ``stop_above``, the product
+    stops after the block of rows that completes them, and the solve
+    returns the warm alpha, that dual as its objective, 0 steps and
+    STOP_BOUND.
 
     ``stop`` on the result tells why the solve ended: STOP_CONVERGED,
     STOP_BOUND (``stop_above``), STOP_MAX_ITER, or STOP_STUCK (no pair
@@ -364,6 +350,9 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         raise ValueError("C must be > 0")
     box = C / n
 
+    def dual_at(u):  # sum(alpha) - 0.5 * (alpha*y)' K (alpha*y), u = K @ (alpha*y)
+        return float(alpha.sum() - 0.5 * np.dot(alpha * y, u))
+
     if warm_alpha is None:
         alpha = np.zeros(n)
         u = np.zeros(n)  # u = K @ (alpha * y)
@@ -373,7 +362,12 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         # converge to the wrong constraint value
         if abs(np.dot(alpha, y)) > 1e-8 * max(1.0, C):
             raise ValueError("warm_alpha violates the equality constraint")
-        u = K @ (alpha * y)
+        if isinstance(K, SupportKernel):
+            # the product stops once its rows of S show the start's dual
+            # above stop_above; its other rows, still 0, meet alpha = 0
+            u = K.product(alpha * y, stop=lambda u: dual_at(u) > stop_above)
+        else:
+            u = K @ (alpha * y)
 
     diag = K.diagonal().copy()
     pos = y > 0
@@ -397,8 +391,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     it = 0
     stop = STOP_MAX_ITER
     m_val = M_val = 0.0
-    # running dual sum(alpha) - 0.5 * (alpha*y)' K (alpha*y); 0 when cold
-    dual = float(alpha.sum() - 0.5 * np.dot(alpha * y, u))
+    dual = dual_at(u)  # the running dual; 0 when cold
     while it < max_iter and dual <= stop_above:
         # v_t = -y_t * grad_t = y_t - u_t; b estimates for free points
         np.subtract(y_up, u, out=v_up)
@@ -461,8 +454,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     if stop == STOP_MAX_ITER and dual > stop_above:
         stop = STOP_BOUND
 
-    # dual value: sum(alpha) - 0.5 * (alpha*y)' K (alpha*y)
-    objective = float(alpha.sum() - 0.5 * np.dot(alpha * y, u))
+    objective = dual_at(u)
 
     free = (alpha > SV_THRESHOLD_FRAC * box) & (alpha < (1.0 - SV_THRESHOLD_FRAC) * box)
     if np.any(free):
@@ -487,19 +479,6 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         stop=stop,
     )
     return model
-
-
-def kkt_violation(K, y, model: SvmModel) -> float:
-    """Largest violation of the optimality conditions, given the bias."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    g = K @ (model.alpha * y) + model.bias
-    yg = y * g
-    at_zero = model.alpha <= SV_THRESHOLD_FRAC * model.box
-    at_box = model.alpha >= (1.0 - SV_THRESHOLD_FRAC) * model.box
-    viol = np.abs(yg - 1.0)
-    viol[at_zero] = np.maximum(0.0, 1.0 - yg[at_zero])
-    viol[at_box] = np.maximum(0.0, yg[at_box] - 1.0)
-    return float(viol.max())
 
 
 def decision_scores(model: SvmModel, Xte) -> np.ndarray:

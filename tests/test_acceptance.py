@@ -36,7 +36,8 @@ from marginfilter.harness import (
 )
 from marginfilter.persistence import load_dataset, load_filter, load_model, load_predictions
 from marginfilter.signals import FilterBank, ToyParams, apply_filter, make_average_filter
-from marginfilter.svm import KernelParams, decision_scores, kernel_matrix, kkt_violation, solve_svm_dual
+from marginfilter.svm import KernelParams, decision_scores, kernel_matrix, solve_svm_dual
+from test_svm import kkt_violation
 
 HEADLINE_PARAMS = ToyParams(n=1, sigma_n=1.0, lag=5, nbtot=2)
 SEEDS = tuple(range(10))

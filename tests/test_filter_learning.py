@@ -30,6 +30,7 @@ from marginfilter.signals import (
     make_average_filter,
 )
 from marginfilter.svm import (
+    STOP_BOUND,
     KernelParams,
     SupportKernel,
     decision_scores,
@@ -77,9 +78,7 @@ class ReferenceProblem:
         if self.alpha is None:
             K = kernel_matrix(Xsub, Xsub, cfg.kernel)
         else:
-            sv = np.flatnonzero(self.alpha > 0)
-            K = SupportKernel(Xsub, cfg.kernel, sv,
-                              kernel_matrix(Xsub[sv], Xsub[sv], cfg.kernel))
+            K = SupportKernel(Xsub, cfg.kernel)
         self.last = solve_svm_dual(K, self.y_pm, cfg.C, kernel=cfg.kernel, tol=cfg.svm_tol,
                                    warm_alpha=self.alpha)
         return self.last.objective
@@ -97,13 +96,11 @@ def reference_evaluate(problems, F, X, cfg):
 
 
 def reference_gradient(problems, F, X, cfg):
-    """Filters X again and rebuilds each support-vector kernel at F."""
+    """Filters X again at F for each subproblem's term."""
     Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
     grad = np.zeros_like(F)
     for p in problems:
-        Xs = Xf[p.rows[p.alpha > 0]]
-        grad += _inner_gradient(F, X, Xf, p.rows, p.y_pm, p.alpha,
-                                kernel_matrix(Xs, Xs, cfg.kernel), cfg)
+        grad += _inner_gradient(F, X, Xf, p.rows, p.y_pm, p.alpha, cfg)
     return grad + regularizer_value_grad(F, cfg.reg)[1]
 
 
@@ -221,9 +218,7 @@ def objective(F, X, y, cfg, warm_from=None):
 def inner_gradient(F, X, y_pm, alpha, cfg):
     """The SVM term's gradient at F for the given dual variables, over all rows."""
     Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
-    Xs = Xf[alpha > 0]
-    return _inner_gradient(F, X, Xf, np.arange(len(y_pm)), y_pm, alpha,
-                           kernel_matrix(Xs, Xs, cfg.kernel), cfg)
+    return _inner_gradient(F, X, Xf, np.arange(len(y_pm)), y_pm, alpha, cfg)
 
 
 class TestRegularizers:
@@ -530,30 +525,41 @@ class TestEarlyRejection:
         fit = assert_same_fit(X, y, base)
         assert len(fit.history) == 2  # the trial at the threshold was taken
 
-    def test_lost_warm_start_builds_only_the_support_block(self, monkeypatch):
-        X, y = toy_case(seed=6)
+    def test_lost_warm_start_stops_after_the_support_rows(self, monkeypatch):
+        """A trial whose warm start already exceeds the bound computes the
+        rows of K[:, S] up to the block that completes S's rows, takes no
+        SMO step, and returns the start's dual."""
+        X, y = toy_case(seed=6, n=1000)
         cfg = LearnerConfig(C=50.0, f=5, n0=2)
         p = _make_problems(y)[0]
         Xf = apply_filter(X, make_average_filter(5, 2, 2))
         J = p.solve(Xf, cfg)
         p.commit()
         n_sv = int(np.sum(p.alpha > 0))
-        assert 0 < n_sv < len(p.rows)
+        assert 0 < n_sv and n_sv + svm.PRODUCT_CHUNK_ROWS < len(p.rows)
 
-        shapes = []
+        shapes = TestKernelOnDemand.recorded_shapes(monkeypatch)
+        solve = filter_learning.solve_svm_dual
+        models = []
 
-        def recording(A, B, params):
-            shapes.append((len(A), len(B)))
-            return kernel_matrix(A, B, params)
+        def recording_solve(*args, **kwargs):
+            models.append(solve(*args, **kwargs))
+            return models[-1]
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a lost warm start must not reach the solver")
+        monkeypatch.setattr(filter_learning, "solve_svm_dual", recording_solve)
+        stop_above = 0.5 * J
+        bound = p.solve(Xf, cfg, stop_above=stop_above)
+        assert {b for _, b in shapes} == {n_sv}  # columns of S only
+        assert n_sv <= sum(a for a, _ in shapes) <= n_sv + svm.PRODUCT_CHUNK_ROWS
+        [model] = models
+        assert (model.n_iter, model.stop) == (0, STOP_BOUND)
+        assert_array_equal(model.alpha, p.alpha)
 
-        monkeypatch.setattr(filter_learning, "kernel_matrix", recording)
-        monkeypatch.setattr(filter_learning, "solve_svm_dual", no_solve)
-        bound = p.solve(Xf, cfg, stop_above=0.5 * J)
-        assert shapes == [(n_sv, n_sv)]
-        assert abs(bound - J) <= 1e-12 * J
+        Xsub = Xf[p.rows]
+        w = p.alpha * p.y_pm
+        start = p.alpha.sum() - 0.5 * w @ kernel_matrix(Xsub, Xsub, cfg.kernel) @ w
+        assert bound == model.objective > stop_above
+        assert abs(bound - start) <= 1e-12 * abs(start)
         with pytest.raises(TypeError):
             p.commit()  # nothing to commit from a lost trial
 

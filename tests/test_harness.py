@@ -26,6 +26,7 @@ from marginfilter.harness import (
 from marginfilter.persistence import save_filter, save_model
 from marginfilter.signals import ToyParams, generate_toy
 from scipy.stats import rankdata
+from test_svm import kkt_violation
 
 
 def exact_wilcoxon_oracle(a, b):
@@ -350,7 +351,7 @@ class TestBankSolves:
             assert_array_equal(model.sv_rows, Xf[p.rows[model.sv_idx]])
             # optimal at the returned filter, on a kernel built afresh there
             K = svm.kernel_matrix(Xf[p.rows], Xf[p.rows], model.kernel)
-            assert svm.kkt_violation(K, p.y_pm, model) <= kw["learner_kwargs"]["svm_tol"]
+            assert kkt_violation(K, p.y_pm, model) <= kw["learner_kwargs"]["svm_tol"]
 
 
 class TestTrainPipelineConfig:
@@ -415,6 +416,10 @@ def _own_pid(_):
     return os.getpid()
 
 
+def _cache_budget(_):
+    return os.getpid(), svm.KERNEL_CACHE_BYTES
+
+
 class TestParallelMap:
     """Grid cells run on worker processes and merge as a serial run would."""
 
@@ -474,6 +479,24 @@ class TestParallelMap:
         monkeypatch.setenv("MARGIN_FILTER_THREADS", "2")
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         assert harness._parallel_map(_own_pid, range(4)) == [os.getpid()] * 4
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_split_the_kernel_cache(self, monkeypatch, cpus):
+        # at most two workers, as in the other tests of the map; the rule
+        # for a larger count is checked below without starting workers
+        monkeypatch.setattr(svm, "_usable_cpus", lambda: cpus)
+        monkeypatch.delenv("MARGIN_FILTER_THREADS", raising=False)
+        budget = svm.KERNEL_CACHE_BYTES
+        seen = harness._parallel_map(_cache_budget, range(4))
+        assert len({pid for pid, _ in seen}) <= cpus
+        assert {b for _, b in seen} == {budget // cpus}
+        assert svm.KERNEL_CACHE_BYTES == budget  # the caller's own is untouched
+        assert multiprocessing.active_children() == []
+
+    def test_the_worker_share_of_the_kernel_cache(self, monkeypatch):
+        monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", 100 * 2**20)
+        harness._share_kernel_cache(32)
+        assert svm.KERNEL_CACHE_BYTES == 100 * 2**20 // 32
 
 
 class TestToySplit:

@@ -101,6 +101,9 @@ class TestDatasetRoundTrip:
         ("0,1.0,1\n1,2.0,2,3\n2,3\n", 3, "expected 3 columns, got 4"),
         ("0,1.0,1\n1,2.0,1.0\n", 3, "label"),  # int(), not float()
         ("0,1.0,1\n1,,2\n", 3, "non-numeric"),
+        # int() takes it, int64 does not
+        ("0,1.0,99999999999999999999\n", 2, "label outside the int64 range"),
+        ("0,1.0,1\n1,2.0,-9223372036854775809\n", 3, "label outside the int64 range"),
     ])
     def test_table_parse_falls_back_to_name_the_line(self, tmp_path, body, line, match):
         path = tmp_path / "bad.csv"
@@ -303,6 +306,25 @@ class TestPredictionFile:
         lines = ["t,label"] + [f"{i},{int(v)}" for i, v in enumerate(labels)]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert_array_equal(load_predictions(path), np.asarray(labels, dtype=np.int64))
+
+    @pytest.mark.parametrize("text, line, match", [
+        ("", 1, "expected header 't,label'"),
+        ("t,lab\n0,1\n", 1, "expected header 't,label'"),
+        ("t,label\n0,1,junk\n7,2\n", 2, "expected 2 columns, got 3"),
+        ("t,label\n0,1\n1\n", 3, "expected 2 columns, got 1"),
+        ("t,label\n0,1\n\n", 3, "expected 2 columns, got 1"),
+        ("t,label\n0,1\n7,2\n", 3, "t is 7, expected 1"),
+        ("t,label\n1,1\n", 2, "t is 1, expected 0"),
+        ("t,label\n0,1.0\n", 2, "malformed cell"),
+        ("t,label\nzero,1\n", 2, "malformed cell"),
+        ("t,label\n0,99999999999999999999\n", 2, "malformed cell"),
+        ("t,label\n0,1\n1,0\n", 3, "labels must be >= 1"),
+    ])
+    def test_malformed_file_rejected_with_line(self, tmp_path, text, line, match):
+        path = tmp_path / "pred.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"pred.csv:{line}: {match}"):
+            load_predictions(path)
 
 
 class TestFilterRoundTrip:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import cdist
 
 from marginfilter.svm import (
+    SV_THRESHOLD_FRAC,
     KernelParams,
     MulticlassModel,
     PlattParams,
@@ -16,7 +17,6 @@ from marginfilter.svm import (
     class_probabilities,
     decision_scores,
     kernel_matrix,
-    kkt_violation,
     oao_vote,
     platt_fit,
     solve_svm_dual,
@@ -33,6 +33,19 @@ def random_problem(rng, n_max=20):
     C = float(rng.uniform(0.5, 20.0))
     K = kernel_matrix(X, X, KernelParams(float(rng.uniform(0.5, 3.0))))
     return K, y, C
+
+
+def kkt_violation(K, y, model: SvmModel) -> float:
+    """Largest violation of the optimality conditions, given the bias."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    g = K @ (model.alpha * y) + model.bias
+    yg = y * g
+    at_zero = model.alpha <= SV_THRESHOLD_FRAC * model.box
+    at_box = model.alpha >= (1.0 - SV_THRESHOLD_FRAC) * model.box
+    viol = np.abs(yg - 1.0)
+    viol[at_zero] = np.maximum(0.0, 1.0 - yg[at_zero])
+    viol[at_box] = np.maximum(0.0, yg[at_box] - 1.0)
+    return float(viol.max())
 
 
 class TestKernelMatrix:

@@ -38,7 +38,6 @@ from marginfilter.svm import (
     class_probabilities,
     decision_scores,
     kernel_matrix,
-    kkt_violation,
     oao_vote,
     solve_svm_dual,
     support_table,
@@ -46,6 +45,7 @@ from marginfilter.svm import (
 )
 from marginfilter.harness import train_pipeline
 from marginfilter.persistence import load_model, save_model
+from test_svm import kkt_violation
 
 
 def reference_solve(K, y, C, *, tol=1e-3, max_iter=2_000_000, warm_alpha=None):
@@ -288,10 +288,6 @@ class TestRunningDual:
             assert_array_equal(m.alpha, kw["warm_alpha"])
 
 
-def support_kernel(X, sv, params):
-    return SupportKernel(X, params, sv, kernel_matrix(X[sv], X[sv], params))
-
-
 def recorded_kernel_calls(monkeypatch):
     """Route svm.kernel_matrix through a recorder; returns its (m, p) shapes."""
     shapes = []
@@ -316,23 +312,50 @@ class TestSupportKernel:
         params = KernelParams(0.9)
         K = kernel_matrix(X, X, params)
         sv = np.sort(rng.choice(len(X), size=n_sv, replace=False))
-        src = support_kernel(X, sv, params)
+        src = SupportKernel(X, params)
         assert src.shape == K.shape
         assert_array_equal(src.diagonal(), np.diag(K))
         for i in rng.permutation(len(X)):  # rows inside and outside S
             assert_array_equal(src[int(i)], K[i])
-        src = support_kernel(X, sv, params)  # no row cached yet
-        idx = np.sort(rng.choice(len(X), size=30, replace=False))
-        assert_array_equal(src.block(idx), K[np.ix_(idx, idx)])
-        assert_array_equal(src.block(sv), K[np.ix_(sv, sv)])
 
         w = np.zeros(len(X))
         w[sv] = rng.normal(size=n_sv)
         assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
         if n_sv < len(X):
-            # off the block's support set the product computes its columns
+            # another support set: the kept product is not reused
             w[np.setdiff1d(np.arange(len(X)), sv)[0]] = 1.0
             assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
+
+    @pytest.mark.parametrize("n_sv", [1, 255, 256, 300, 699])
+    @pytest.mark.parametrize("stops", [True, False])
+    def test_a_stop_ends_the_product_after_the_rows_of_the_support(
+            self, rng, monkeypatch, n_sv, stops):
+        n = 700
+        X = rng.normal(size=(n, 2))
+        params = KernelParams(0.9)
+        sv = np.sort(rng.choice(n, size=n_sv, replace=False))
+        w = np.zeros(n)
+        w[sv] = rng.normal(size=n_sv)
+        full = SupportKernel(X, params) @ w
+        shapes = recorded_kernel_calls(monkeypatch)
+        seen = []
+        src = SupportKernel(X, params)
+        u = src.product(w, stop=lambda u: seen.append(u[sv].copy()) or stops)
+        # asked once, after the block of rows that completes S's rows
+        assert len(seen) == 1
+        assert_array_equal(seen[0], full[sv])
+        if not stops:
+            assert_array_equal(u, full)
+            return
+        rows = min(-(-n_sv // svm.PRODUCT_CHUNK_ROWS) * svm.PRODUCT_CHUNK_ROWS, n)
+        assert sum(m for m, _ in shapes) == rows
+        off = np.setdiff1d(np.arange(n), sv)  # the rows after S, in order
+        done = np.concatenate([sv, off[: rows - n_sv]])
+        assert_array_equal(u[done], full[done])
+        assert not u[off[rows - n_sv:]].any()  # the rows not computed read 0
+        # a stopped product is not kept: the next one computes its rows
+        assert_array_equal(src @ w, full)
+        assert sum(m for m, _ in shapes) == rows + n
 
     def test_subset_rows_are_slices_of_the_shared_rows(self, rng, monkeypatch):
         X = rng.normal(size=(90, 2))
@@ -348,7 +371,6 @@ class TestSupportKernel:
         assert_array_equal(src[int(rows[7])], K[rows[7]])
         # one full row per sample, read through the source's cache
         assert shapes == [(1, len(X)), (1, len(X))]
-        assert_array_equal(view.block(np.arange(0, 50, 5)), K[np.ix_(rows[::5], rows[::5])])
 
     def test_cache_full_rows_are_computed_on_each_use(self, rng, monkeypatch):
         # a cache of two rows: each row past them evicts the least
@@ -372,12 +394,11 @@ class TestSupportKernel:
         cold = solve_svm_dual(K, y, 100.0)
         alpha = cold.alpha
         Xm = 1.05 * X
-        sv = np.flatnonzero(alpha > 0)
-        warm = solve_svm_dual(support_kernel(Xm, sv, params), y, 100.0, warm_alpha=alpha)
+        warm = solve_svm_dual(SupportKernel(Xm, params), y, 100.0, warm_alpha=alpha)
         assert cold.n_iter > 100 and warm.n_iter > 5
         monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", cap_rows * 8 * len(X))
         for got, want in ((solve_svm_dual(SupportKernel(X, params), y, 100.0), cold),
-                          (solve_svm_dual(support_kernel(Xm, sv, params), y, 100.0,
+                          (solve_svm_dual(SupportKernel(Xm, params), y, 100.0,
                                           warm_alpha=alpha), warm)):
             assert_array_equal(got.alpha, want.alpha)
             assert (got.objective, got.bias, got.stop, got.n_iter) == \
@@ -385,19 +406,19 @@ class TestSupportKernel:
 
     @staticmethod
     def warm_case(rng, scale):
-        """A warm start optimal at X, and the kernel moved to scale * X."""
+        """A warm start optimal at X, the kernel moved to scale * X, and a
+        function giving a new source of the moved kernel."""
         X, y = xor_problem(rng, 150)
         params = KernelParams(0.7)
         alpha = solve_svm_dual(kernel_matrix(X, X, params), y, 100.0).alpha
-        sv = np.flatnonzero(alpha > 0)
-        assert 0 < len(sv) < len(X)
+        assert 0 < np.sum(alpha > 0) < len(X)
         Xm = scale * X
-        return kernel_matrix(Xm, Xm, params), support_kernel(Xm, sv, params), y, alpha
+        return kernel_matrix(Xm, Xm, params), lambda: SupportKernel(Xm, params), y, alpha
 
     @pytest.mark.parametrize("bounded", [False, True])
     def test_warm_solve_matches_the_dense_solve(self, rng, bounded):
         # a small move, as between line-search trials: ~40 SMO steps
-        K, src, y, alpha = self.warm_case(rng, 1.02)
+        K, source, y, alpha = self.warm_case(rng, 1.02)
         kw = {"warm_alpha": alpha}
         if bounded:
             start = solve_svm_dual(K, y, 100.0, max_iter=0, **kw).objective
@@ -405,7 +426,7 @@ class TestSupportKernel:
             # the dual climbs steeply at first: a bound near the optimum
             kw["stop_above"] = full.objective - 1e-3 * (full.objective - start)
         dense = solve_svm_dual(K, y, 100.0, **kw)
-        m = solve_svm_dual(src, y, 100.0, **kw)
+        m = solve_svm_dual(source(), y, 100.0, **kw)
         assert dense.n_iter > 10
         assert (m.n_iter, m.stop) == (dense.n_iter, dense.stop)
         assert dense.stop == (STOP_BOUND if bounded else STOP_CONVERGED)
@@ -417,13 +438,27 @@ class TestSupportKernel:
         # after a step that leaves both alphas free, v_i == v_j up to
         # rounding; here a later choice between two such rows falls the
         # other way at step 52, and the paths part; both end optimal
-        K, src, y, alpha = self.warm_case(rng, 1.1)
+        K, source, y, alpha = self.warm_case(rng, 1.1)
         dense = solve_svm_dual(K, y, 100.0, warm_alpha=alpha)
-        m = solve_svm_dual(src, y, 100.0, warm_alpha=alpha)
+        m = solve_svm_dual(source(), y, 100.0, warm_alpha=alpha)
         assert m.n_iter != dense.n_iter
         assert m.converged and dense.converged
         assert kkt_violation(K, y, m) <= 1e-3
         assert abs(m.objective - dense.objective) <= 1e-3 * abs(dense.objective)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1.0])
+    def test_a_warm_start_above_the_bound_takes_no_step(self, rng, gap):
+        # the product's rows off S are 0 where the stop leaves them, and
+        # alpha is 0 there: the dual is the same double as from the whole
+        K, source, y, alpha = self.warm_case(rng, 1.02)
+        start = solve_svm_dual(source(), y, 100.0, warm_alpha=alpha, max_iter=0)
+        m = solve_svm_dual(source(), y, 100.0, warm_alpha=alpha,
+                           stop_above=start.objective - gap)
+        assert (m.n_iter, m.stop) == (0, STOP_BOUND)
+        assert_array_equal(m.alpha, alpha)
+        assert (m.objective, m.bias) == (start.objective, start.bias)
+        dense = solve_svm_dual(K, y, 100.0, warm_alpha=alpha, max_iter=0)
+        assert abs(m.objective - dense.objective) <= 1e-12 * abs(dense.objective)
 
 
 def sv_model(score: float, sv_rows=None, sv_alpha=None) -> SvmModel:
