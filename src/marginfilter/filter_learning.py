@@ -61,6 +61,7 @@ from .svm import (
     KernelParams,
     MulticlassModel,
     SupportKernel,
+    _row_chunks,
     class_pairs,
     kernel_matrix,
     solve_svm_dual,
@@ -182,7 +183,9 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
     ``Xf`` is the whole signal filtered by F; ``rows`` selects the
     subproblem's samples within it.  Only support-vector pairs contribute,
     so only the kernel among the rows with alpha > 0 is computed, and it
-    is freed on return.  Uses the Laplacian identity
+    is freed on return.  The pair weights alpha_i y_i alpha_j y_j are
+    multiplied into it by row blocks, so it is the one |S'|^2 array held.
+    Uses the Laplacian identity
     sum_ij w_ij (a_i - a_j)(b_i - b_j) = 2 a' (diag(W 1) - W) b to avoid
     materializing pair differences.
     """
@@ -195,7 +198,8 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
     Xf_s = Xf[r]
     ay = alpha[sv] * y_pm[sv]
     W = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
-    W *= np.outer(ay, ay)
+    for lo, hi in _row_chunks(len(ay)):
+        W[lo:hi] *= np.outer(ay[lo:hi], ay)
     # T = (diag(row sums) - W) @ Xf_s, so grad[u, v] = T[:, v] . shifted_X[r, v]
     T = Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s
     scale = 1.0 / cfg.kernel.sigma_k**2

@@ -15,15 +15,21 @@ pair at the fit's committed solve, which is optimal at the returned
 filter, so after the fit only the c one-vs-rest scorers of a c >= 3 bank
 take SMO steps.
 
+The synthetic experiments have one runner, ``run_toy_sweep``: per axis
+value, method and seed it draws a split, selects hyperparameters on
+validation and records the test error of both decoders.  The headline
+table is its one-point noise sweep at the base parameters.
+
 Grid cells and sweep tasks are independent, so both run through one
 process map: at most min(#tasks, usable CPUs, MARGIN_FILTER_THREADS)
 worker processes, opened and closed inside the call, with results merged
 in task order, so a parallel run returns the same bits as a serial one.
-MARGIN_FILTER_THREADS defaults to the usable CPU count and is capped
-there; by the same rule (``svm._worker_count``) it caps the threads that
-score a bank in ``svm.bank_scores``.  A task already running in a worker
-runs its own inner map and its scoring serially, so a sweep parallelizes
-over its tasks and starts no grandchildren.  The workers of one map
+MARGIN_FILTER_THREADS is the one worker setting: it defaults to the
+usable CPU count and is capped there, and by the same rule
+(``svm._worker_count``) it caps the threads that score a bank in
+``svm.bank_scores``.  A task already running in a worker runs its own
+inner map and its scoring serially, so a sweep parallelizes over its
+tasks and starts no grandchildren.  The workers of one map
 share one kernel-cache budget, each keeping at most
 ``svm.KERNEL_CACHE_BYTES // workers`` of rows; a smaller cache only
 computes rows again, the same doubles, so the results keep their bits.
@@ -372,18 +378,6 @@ def default_grid(method: str, decode: str = "online") -> GridSpec:
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Generation and selection settings for one benchmark run."""
-
-    base: ToyParams = ToyParams(n=1000, sigma_n=1.0, lag=5, nbtot=2)
-    n_train: int = 1000
-    n_val: int = 1000
-    n_test: int = 10000
-    seeds: tuple = DEFAULT_SEEDS
-    learner_kwargs: dict | None = None
-
-
 def toy_split(params: ToyParams, seed: int, n_train: int, n_val: int, n_test: int):
     """Train/validation/test split for one benchmark seed.
 
@@ -423,25 +417,6 @@ def evaluate_method_on_seed(params: ToyParams, seed: int, method: str,
     }
 
 
-def run_benchmark(config: ExperimentConfig, methods, grids: dict | None = None):
-    """Run the multi-seed benchmark for several methods.
-
-    Returns {method: {"online": errors, "viterbi": errors}} with one test
-    error per seed in each array.
-    """
-    grids = grids or {}
-    out = {m: {"online": [], "viterbi": []} for m in methods}
-    for seed in config.seeds:
-        for method in methods:
-            r = evaluate_method_on_seed(
-                config.base, seed, method, grids.get(method, default_grid(method)),
-                n_train=config.n_train, n_val=config.n_val, n_test=config.n_test,
-                learner_kwargs=config.learner_kwargs)
-            out[method]["online"].append(r["online"])
-            out[method]["viterbi"].append(r["viterbi"])
-    return {m: {k: np.array(v) for k, v in d.items()} for m, d in out.items()}
-
-
 def _axis_apply(axis: str, value, params: ToyParams, grid: GridSpec):
     """Bind one sweep-axis value into the generator params or the grid."""
     if axis == "noise":
@@ -479,15 +454,19 @@ class SweepResult:
     axis: str
     rows: list[dict]
     failures: list[tuple]
-    seeds: tuple
 
-    def mean_error(self, value, method: str, decode: str) -> float:
+    def errors(self, value, method: str, decode: str) -> np.ndarray:
+        """Test errors of one (value, method, decode), one per seed in the
+        order of the sweep's seeds; a failed task has none."""
         errs = [r["test_error"] for r in self.rows
                 if r["axis_value"] == value and r["method"] == method
                 and r["decode"] == decode]
         if not errs:
             raise KeyError(f"no rows for ({value}, {method}, {decode})")
-        return float(np.mean(errs))
+        return np.array(errs)
+
+    def mean_error(self, value, method: str, decode: str) -> float:
+        return float(np.mean(self.errors(value, method, decode)))
 
 
 def _share_kernel_cache(workers: int):
@@ -496,10 +475,9 @@ def _share_kernel_cache(workers: int):
     svm.KERNEL_CACHE_BYTES //= workers
 
 
-def _parallel_map(fn, tasks, max_workers: int | None = None) -> list:
-    """``[fn(t) for t in tasks]`` on up to min(len(tasks), max_workers,
-    usable CPUs) worker processes; ``max_workers`` defaults to
-    MARGIN_FILTER_THREADS.
+def _parallel_map(fn, tasks) -> list:
+    """``[fn(t) for t in tasks]`` on up to min(len(tasks),
+    MARGIN_FILTER_THREADS, usable CPUs) worker processes.
 
     Runs in the calling process when that comes to one worker, or when the
     caller is itself a worker process.  Results are in task order.  An
@@ -514,12 +492,12 @@ def _parallel_map(fn, tasks, max_workers: int | None = None) -> list:
     own thread pool in a fork handler.
     """
     tasks = list(tasks)
-    workers = _worker_count(len(tasks), max_workers)
+    workers = _worker_count(len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+    with ProcessPoolExecutor(workers, mp_context=context,
                              initializer=_share_kernel_cache, initargs=(workers,)) as pool:
         try:
             return list(pool.map(fn, tasks))
@@ -531,16 +509,19 @@ def _parallel_map(fn, tasks, max_workers: int | None = None) -> list:
 def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
                   base: ToyParams | None = None, grids: dict | None = None,
                   n_train: int = 1000, n_val: int = 1000, n_test: int = 10000,
-                  learner_kwargs: dict | None = None,
-                  max_workers: int | None = None) -> SweepResult:
+                  learner_kwargs: dict | None = None) -> SweepResult:
     """Benchmark the given methods along one generator or model axis.
 
-    For each (axis value, seed, method): draw train/validation/test sets,
+    For each (axis value, method, seed): draw train/validation/test sets,
     select hyperparameters on validation, and record the test error of
     both the online and the Viterbi decoder.  Deterministic given seeds;
-    tasks are independent and run through the process map, on up to
-    ``max_workers`` (default MARGIN_FILTER_THREADS) workers, with results
-    merged in a fixed order.
+    the tasks are independent and run through the process map, with
+    results merged in task order.  A task that fails numerically is
+    recorded in ``failures`` and leaves no rows.
+
+    The headline table is the one-point sweep
+    ``run_toy_sweep("noise", [base.sigma_n], methods, base=base, ...)``:
+    that value binds ``base`` unchanged.
     """
     if axis not in DEFAULT_AXIS_VALUES:
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -556,7 +537,7 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
         for value in values for method in methods for seed in seeds
     ]
     rows, failures = [], []
-    for (value, method, seed), res, err in _parallel_map(_sweep_task, tasks, max_workers):
+    for (value, method, seed), res, err in _parallel_map(_sweep_task, tasks):
         if err is not None:
             failures.append(((value, method, seed), err))
             continue
@@ -565,7 +546,7 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
                 "axis_value": value, "method": method, "decode": decode,
                 "seed": seed, "test_error": res[decode],
             })
-    return SweepResult(axis=axis, rows=rows, failures=failures, seeds=tuple(seeds))
+    return SweepResult(axis=axis, rows=rows, failures=failures)
 
 
 def sweep_rows_csv(result: SweepResult) -> str:

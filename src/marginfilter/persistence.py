@@ -127,39 +127,41 @@ def save_dataset(path, X, y=None):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _header(line: str, path) -> tuple[int, bool]:
-    """The channel count and whether there is a label column, of a header line."""
+def _header(line: str, path, lineno: int = 1) -> tuple[int, bool]:
+    """The channel count and whether there is a label column, of the
+    header line ``line``, which is line ``lineno`` of the file."""
     header = line.split(",")
     if len(header) < 2 or header[0] != "t":
-        raise DataFormatError(f"{path}:1: expected header 't,ch1,...[,label]'")
+        raise DataFormatError(f"{path}:{lineno}: expected header 't,ch1,...[,label]'")
     labeled = header[-1] == "label"
     d = len(header) - 1 - (1 if labeled else 0)
     if d < 1:
-        raise DataFormatError(f"{path}:1: no channel columns in header")
+        raise DataFormatError(f"{path}:{lineno}: no channel columns in header")
     expected = [f"ch{v + 1}" for v in range(d)]
     if header[1 : 1 + d] != expected:
-        raise DataFormatError(f"{path}:1: channel columns must be ch1..ch{d}")
+        raise DataFormatError(f"{path}:{lineno}: channel columns must be ch1..ch{d}")
     return d, labeled
 
 
 def _parse_rows(path, rows, d: int, labeled: bool):
-    """Row-by-row parse of the data lines; names the first bad line."""
+    """Row-by-row parse of the data lines, given as (line number, text)
+    pairs; names the first bad line."""
     n = len(rows)
     X = np.empty((n, d))
     y = np.empty(n, dtype=np.int64) if labeled else None
     width = d + 1 + labeled
-    for i, ln in enumerate(rows, start=2):
+    for k, (i, ln) in enumerate(rows):
         cells = ln.split(",")
         if len(cells) != width:
             raise DataFormatError(
                 f"{path}:{i}: expected {width} columns, got {len(cells)}")
         try:
-            X[i - 2] = [float(c) for c in cells[1 : 1 + d]]
+            X[k] = [float(c) for c in cells[1 : 1 + d]]
         except ValueError as exc:
             raise DataFormatError(f"{path}:{i}: non-numeric cell ({exc})") from exc
         if labeled:
             try:
-                y[i - 2] = int(cells[-1])
+                y[k] = int(cells[-1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{i}: non-integer label") from exc
             except OverflowError as exc:
@@ -168,13 +170,16 @@ def _parse_rows(path, rows, d: int, labeled: bool):
 
 
 def _load_rows(path):
-    """The whole file parsed line by line; names the first bad line."""
+    """The whole file parsed line by line; names the first bad line.
+
+    Blank lines are skipped, and every other line keeps its number in
+    the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    lines = [ln for ln in lines if ln != ""]
+        lines = [(i, ln.rstrip("\n").rstrip("\r")) for i, ln in enumerate(fh, start=1)]
+    lines = [(i, ln) for i, ln in lines if ln != ""]
     if not lines:
         raise DataFormatError(f"{path}: empty dataset file")
-    d, labeled = _header(lines[0], path)
+    d, labeled = _header(lines[0][1], path, lines[0][0])
     rows = lines[1:]
     if not rows:
         raise DataFormatError(f"{path}: no data rows")

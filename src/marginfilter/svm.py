@@ -514,35 +514,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def max_workers_from_env() -> int:
-    """Worker cap from MARGIN_FILTER_THREADS (default: the usable CPU
-    count), at most the usable CPU count.
+def _worker_count(tasks: int) -> int:
+    """Workers for ``tasks`` independent tasks: min(tasks,
+    MARGIN_FILTER_THREADS, usable CPUs), at least 1; 1 inside a worker
+    process, so neither scoring threads nor worker processes nest.
 
-    A value that is not a positive integer raises RuntimeError, which no
-    grid cell or sweep task records as a numerical failure.
+    MARGIN_FILTER_THREADS defaults to the usable CPU count.  A value that
+    is not a positive integer raises RuntimeError, which no grid cell or
+    sweep task records as a numerical failure.
     """
     cpus = _usable_cpus()
     raw = os.environ.get("MARGIN_FILTER_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    if requested < 1:
-        raise RuntimeError(f"MARGIN_FILTER_THREADS={raw!r} is not a positive integer")
-    return min(requested, cpus)
-
-
-def _worker_count(tasks: int, cap: int | None = None) -> int:
-    """Workers for ``tasks`` independent tasks: min(tasks, cap, usable
-    CPUs), at least 1, ``cap`` defaulting to MARGIN_FILTER_THREADS; 1
-    inside a worker process, so neither scoring threads nor worker
-    processes nest."""
-    cap = max_workers_from_env() if cap is None else min(cap, _usable_cpus())
+    requested = cpus
+    if raw is not None:
+        try:
+            requested = int(raw)
+        except ValueError:
+            requested = 0
+        if requested < 1:
+            raise RuntimeError(f"MARGIN_FILTER_THREADS={raw!r} is not a positive integer")
     if multiprocessing.parent_process() is not None:
         return 1
-    return max(1, min(tasks, cap))
+    return max(1, min(tasks, requested, cpus))
 
 
 def bank_scores(models, Xte) -> np.ndarray:
@@ -612,10 +605,21 @@ def bank_scores(models, Xte) -> np.ndarray:
     if workers == 1:
         score_chunks(buffers[0])
         return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(score_chunks, buffer) for buffer in buffers]
     for future in futures:  # all threads are joined here
         future.result()
+    return out
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)) elementwise, computed as exp(-z) / (1 + exp(-z))
+    where z >= 0, so exp never overflows."""
+    out = np.empty_like(z)
+    nonneg = z >= 0
+    e = np.exp(-z[nonneg])
+    out[nonneg] = e / (1.0 + e)
+    out[~nonneg] = 1.0 / (1.0 + np.exp(z[~nonneg]))
     return out
 
 
@@ -627,12 +631,7 @@ class PlattParams:
     B: float
 
     def probability(self, scores) -> np.ndarray:
-        z = self.A * np.asarray(scores, dtype=np.float64) + self.B
-        out = np.empty_like(z)
-        nonneg = z >= 0
-        out[nonneg] = np.exp(-z[nonneg]) / (1.0 + np.exp(-z[nonneg]))
-        out[~nonneg] = 1.0 / (1.0 + np.exp(z[~nonneg]))
-        return out
+        return _logistic(self.A * np.asarray(scores, dtype=np.float64) + self.B)
 
 
 def _platt_objective(scores, targets, A, B):
@@ -672,15 +671,7 @@ def platt_fit(scores, labels) -> PlattParams:
 
     for _ in range(100):
         z = A * scores + B
-        p = np.empty_like(z)
-        q = np.empty_like(z)
-        nonneg = z >= 0
-        ez = np.exp(-z[nonneg])
-        p[nonneg] = ez / (1.0 + ez)
-        q[nonneg] = 1.0 / (1.0 + ez)
-        ez = np.exp(z[~nonneg])
-        p[~nonneg] = 1.0 / (1.0 + ez)
-        q[~nonneg] = ez / (1.0 + ez)
+        p, q = _logistic(z), _logistic(-z)
 
         d2 = p * q
         h11 = sigma + np.sum(scores * scores * d2)

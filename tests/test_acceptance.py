@@ -23,12 +23,10 @@ from marginfilter.filter_learning import (
     regularizer_value_grad,
 )
 from marginfilter.harness import (
-    ExperimentConfig,
     GridSpec,
     default_grid,
     error_rate,
     grid_search,
-    run_benchmark,
     run_toy_sweep,
     toy_split,
     train_pipeline,
@@ -58,9 +56,13 @@ def report(num: int, ok: bool, detail: str):
 def headline_benchmark():
     """10-seed benchmark at sigma_n=1, lag=5, nbtot=2, f=11, n0=6 with
     train/val/test = 1000/1000/10000 and validation-selected C, lambda."""
-    config = ExperimentConfig(base=HEADLINE_PARAMS, seeds=SEEDS,
-                              learner_kwargs=BENCH_KWARGS)
-    return run_benchmark(config, ("svm", "avg_svm", "kf_svm"))
+    methods = ("svm", "avg_svm", "kf_svm")
+    sigma_n = HEADLINE_PARAMS.sigma_n
+    res = run_toy_sweep("noise", [sigma_n], methods, seeds=SEEDS,
+                        base=HEADLINE_PARAMS, learner_kwargs=BENCH_KWARGS)
+    assert not res.failures, res.failures
+    return {m: {d: res.errors(sigma_n, m, d) for d in ("online", "viterbi")}
+            for m in methods}
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,7 @@ from marginfilter.signals import (
     apply_filter,
     generate_toy,
     make_average_filter,
+    shift_signal,
 )
 from marginfilter.svm import (
     STOP_BOUND,
@@ -347,6 +348,42 @@ class TestGradient:
         G = inner_gradient(rng.normal(size=(f, 2)), X, y, alpha, cfg)
         assert_allclose(G[:, 1], 0.0, atol=1e-12)
         assert np.abs(G[:, 0]).max() > 0
+
+    def test_one_support_block_at_the_peak(self, rng):
+        """The pair weights go into the support kernel by row blocks: the
+        gradient has the bits of the whole-block product and holds one
+        |S'|^2 array at its peak (|S'| = 1620 of n = 2000, as at C = 10)."""
+        import tracemalloc
+
+        n, f, n0 = 2000, 11, 6
+        X = rng.normal(size=(n, 2))
+        y_pm = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        alpha = np.zeros(n)
+        alpha[rng.choice(n, size=1620, replace=False)] = rng.uniform(0.1, 10.0, size=1620)
+        cfg = LearnerConfig(C=10.0, f=f, n0=n0, reg=RegularizerSpec("frobenius", 1.0))
+        F = rng.normal(size=(f, 2))
+        Xf = apply_filter(X, FilterBank(F, n0=n0))
+
+        r = np.flatnonzero(alpha > 0)
+        Xf_s, ay = Xf[r], alpha[r] * y_pm[r]
+        W = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
+        W *= np.outer(ay, ay)
+        T = Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s
+        want = np.zeros(F.shape)
+        for u in range(f):
+            want[u] = (1.0 / cfg.kernel.sigma_k**2) * np.einsum(
+                "ij,ij->j", T, shift_signal(X, u - n0)[r])
+        block = W.nbytes
+        del W, T
+
+        tracemalloc.start()
+        try:
+            got = _inner_gradient(F, X, Xf, np.arange(n), y_pm, alpha, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 1.2 * block
 
     def test_matches_finite_differences(self, rng):
         """The descent's gradient (``_gradient`` on the committed solves)

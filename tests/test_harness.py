@@ -387,29 +387,34 @@ class TestMaxWorkers:
         else:
             monkeypatch.setattr(svm.os, "sched_getaffinity", lambda pid: set(range(cpus)))
             monkeypatch.setattr(svm.os, "cpu_count", lambda: 64)
-        assert svm.max_workers_from_env() == expected
+        assert svm._worker_count(64) == expected
 
     def test_cpu_count_where_affinity_is_unavailable(self, monkeypatch):
         monkeypatch.delenv("MARGIN_FILTER_THREADS", raising=False)
         monkeypatch.delattr(svm.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(svm.os, "cpu_count", lambda: 3)
-        assert svm.max_workers_from_env() == 3
+        assert svm._worker_count(64) == 3
 
     @pytest.mark.parametrize("env", ["many", "0", "-1", "", "2.5"])
     def test_malformed_value_raises(self, monkeypatch, env):
         monkeypatch.setenv("MARGIN_FILTER_THREADS", env)
         with pytest.raises(RuntimeError, match=re.escape(f"MARGIN_FILTER_THREADS={env!r}")):
-            svm.max_workers_from_env()
+            svm._worker_count(64)
 
     def test_malformed_value_is_not_a_cell_failure(self, monkeypatch):
         monkeypatch.setenv("MARGIN_FILTER_THREADS", "many")
         tr, va, _ = tiny_split()
         with pytest.raises(RuntimeError, match="MARGIN_FILTER_THREADS"):
             grid_search(tr, va, GridSpec(method="svm", C=(1.0, 10.0)))
+        grid = GridSpec(method="svm", C=(1.0, 10.0))
         with pytest.raises(RuntimeError, match="MARGIN_FILTER_THREADS"):
-            run_toy_sweep("noise", [0.4], ["svm"], seeds=(0,), max_workers=1,
-                          grids={"svm": GridSpec(method="svm", C=(1.0, 10.0))},
+            run_toy_sweep("noise", [0.4], ["svm"], seeds=(0,), grids={"svm": grid},
                           n_train=80, n_val=60, n_test=60)
+        # a task's own grid search reads the setting too, as in a worker
+        task = ("noise", 0.4, 0, "svm", ToyParams(n=1, sigma_n=0.4, lag=5, nbtot=2),
+                grid, (80, 60, 60), None)
+        with pytest.raises(RuntimeError, match="MARGIN_FILTER_THREADS"):
+            harness._sweep_task(task)
 
 
 def _own_pid(_):
@@ -533,6 +538,9 @@ class TestRunToySweep:
         errs = np.array([r["test_error"] for r in res.rows if r["decode"] == "online"])
         assert len(errs) == 2  # one entry per seed
         assert np.all((0 <= errs) & (errs <= 1))
+        by_seed = {r["seed"]: r["test_error"] for r in res.rows if r["decode"] == "online"}
+        assert_array_equal(res.errors(0, "svm", "online"), [by_seed[0], by_seed[1]])
+        assert res.mean_error(0, "svm", "online") == np.mean([by_seed[0], by_seed[1]])
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
@@ -554,8 +562,9 @@ class TestRunToySweep:
             raise TypeError("bug in a task")
 
         monkeypatch.setattr(harness, "evaluate_method_on_seed", broken)
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "1")
         with pytest.raises(TypeError, match="bug in a task"):
-            run_toy_sweep("noise", [0.3], ["svm"], seeds=(0,), max_workers=1,
+            run_toy_sweep("noise", [0.3], ["svm"], seeds=(0,),
                           n_train=60, n_val=60, n_test=60)
 
     def test_csv_shape(self):
@@ -597,8 +606,10 @@ class TestRunToySweep:
                                          run_min=6, run_max=9),
             grids={"svm": GridSpec(method="svm", C=(1.0, 10.0))},
             n_train=80, n_val=60, n_test=60)
-        seq = run_toy_sweep("noise", [0.4], ["svm"], max_workers=1, **kwargs)
-        par = run_toy_sweep("noise", [0.4], ["svm"], max_workers=2, **kwargs)
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "1")
+        seq = run_toy_sweep("noise", [0.4], ["svm"], **kwargs)
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "2")
+        par = run_toy_sweep("noise", [0.4], ["svm"], **kwargs)
         assert sweep_rows_csv(seq) == sweep_rows_csv(par)
         assert multiprocessing.active_children() == []
 

@@ -229,6 +229,17 @@ class TestDatasetRoundTrip:
         assert_array_equal(X, [[1.5], [2.5]])
         assert y is None
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,ch1,label\n0,1.0,1\n\n1,oops,2\n", "data.csv:4: non-numeric cell"),
+        ("\nt,ch1,label\n0,1.0,1\n1,oops,2\n", "data.csv:4: non-numeric cell"),
+        ("\nt,x1,label\n0,1.0,1\n", "data.csv:2: channel columns must be ch1..ch1"),
+    ], ids=["blank-in-body", "blank-before-header", "bad-header-on-line-2"])
+    def test_lines_are_numbered_as_in_the_file(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_dataset(path)
+
     @pytest.mark.parametrize("body", ["", "\n", "\n\n\r\n"])
     def test_header_only_file_has_no_data_rows(self, tmp_path, body):
         path = tmp_path / "data.csv"

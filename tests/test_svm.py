@@ -13,6 +13,7 @@ from marginfilter.svm import (
     MulticlassModel,
     PlattParams,
     SvmModel,
+    _logistic,
     _platt_objective,
     class_probabilities,
     decision_scores,
@@ -273,6 +274,26 @@ class TestPlattFit:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             platt_fit(np.array([1.0, 2.0]), np.array([1, 1]))
+
+    def test_one_logistic_gives_both_sigmoid_sides(self, rng):
+        """``_logistic(z)`` and ``_logistic(-z)`` are the same doubles as
+        the sign-branch formulas for p = 1/(1 + e^z) and q = 1 - p."""
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 800.0, -800.0,
+                 tiny, -tiny, 2.2250738585072014e-308, -1e-310, 1e-310]
+        z = np.concatenate([rng.normal(scale=30.0, size=100_000), edges])
+        p, q = np.empty_like(z), np.empty_like(z)
+        nonneg = z >= 0
+        ez = np.exp(-z[nonneg])
+        p[nonneg] = ez / (1.0 + ez)
+        q[nonneg] = 1.0 / (1.0 + ez)
+        ez = np.exp(z[~nonneg])
+        p[~nonneg] = 1.0 / (1.0 + ez)
+        q[~nonneg] = ez / (1.0 + ez)
+        assert_array_equal(_logistic(z).view(np.uint64), p.view(np.uint64))
+        assert_array_equal(_logistic(-z).view(np.uint64), q.view(np.uint64))
+        assert_array_equal(PlattParams(1.0, 0.0).probability(z).view(np.uint64),
+                           p.view(np.uint64))
 
 
 def _stub_model(rows, labels, alphas, bias, sigma=1.0):
