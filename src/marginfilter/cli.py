@@ -261,13 +261,17 @@ def _cmd_sweep(args) -> int:
         args.axis, values, methods, seeds=tuple(range(args.seeds)), base=base,
         grids=grids, n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
         learner_kwargs={"max_cg_iters": args.max_cg_iters})
+    for key, msg in result.failures:
+        print(f"warning: cell {key} failed: {msg}", file=sys.stderr)
+    if not result.rows:
+        print(f"error: every sweep task failed ({len(result.failures)}); nothing written",
+              file=sys.stderr)
+        return 1
     os.makedirs(args.out_dir, exist_ok=True)
     persistence.atomic_write_text(os.path.join(args.out_dir, "results.csv"),
                                   harness.sweep_rows_csv(result))
     persistence.atomic_write_text(os.path.join(args.out_dir, "summary.csv"),
                                   harness.sweep_summary_csv(result))
-    for key, msg in result.failures:
-        print(f"warning: cell {key} failed: {msg}", file=sys.stderr)
     print(f"wrote {args.out_dir}/results.csv and summary.csv "
           f"({len(result.rows)} rows, {len(result.failures)} failures)")
     return 0

@@ -427,7 +427,8 @@ class FilterFit:
     problems: list
 
 
-def fit_shared_filter(X, y, cfg: LearnerConfig) -> FilterFit:
+def fit_shared_filter(X, y, cfg: LearnerConfig, *,
+                      start: FilterFit | None = None) -> FilterFit:
     """Learn one filter bank shared by all pairwise class subproblems.
 
     The objective is the sum of the pairwise SVM optima plus the penalty;
@@ -435,13 +436,32 @@ def fit_shared_filter(X, y, cfg: LearnerConfig) -> FilterFit:
     joint filter/SVM problem.  The filter starts as the average filter, so
     with max_cg_iters=0 the fit is the fixed-average-filter baseline.  The
     mixed-norm penalty runs the majorization-minimization outer loop.
+
+    ``start``, a fit on the same data at the same C, kernel, f and n0
+    (typically another lambda: a regularization path), replaces that
+    start: the descent begins at its filter, each subproblem warm from its
+    committed alpha.  Those alphas are feasible, as the box C/n and the
+    subproblems are the same, and were solved on the same filtered signal,
+    so the first evaluation takes no SMO step where they converged.
     """
     X = as_signal(X)
     y = as_labels(y, X.shape[0])
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes")
     problems = _make_problems(y)
-    F0 = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
+    if start is None:
+        F0 = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
+    else:
+        F0 = start.bank.coeffs
+        same = (F0.shape == (cfg.f, X.shape[1]) and start.bank.n0 == cfg.n0
+                and len(start.problems) == len(problems)
+                and all(q.model.C == cfg.C and q.model.kernel == cfg.kernel
+                        and np.array_equal(q.rows, p.rows)
+                        for p, q in zip(problems, start.problems)))
+        if not same:
+            raise ValueError("start fit differs in its samples, C, kernel, f or n0")
+        for p, q in zip(problems, start.problems):
+            p.alpha = q.alpha
     if cfg.reg.kind == "mixed_norm":
         F, history, norms, converged = _mm_loop(problems, X, cfg, F0)
     else:

@@ -20,10 +20,15 @@ value, method and seed it draws a split, selects hyperparameters on
 validation and records the test error of both decoders.  The headline
 table is its one-point noise sweep at the base parameters.
 
-Grid cells and sweep tasks are independent, so both run through one
-process map: at most min(#tasks, usable CPUs, MARGIN_FILTER_THREADS)
-worker processes, opened and closed inside the call, with results merged
-in task order, so a parallel run returns the same bits as a serial one.
+A grid search fits a learned filter's cells as regularization paths:
+the cells that share C, sigma_k, f and n0 form one chain, run from the
+largest lambda down, each cell starting from the previous cell's filter
+and committed dual solutions (``grid_search``).  The cells of a
+fixed-filter grid are chains of one.  Grid chains and sweep tasks are
+independent, so both run through one process map: at most min(#tasks,
+usable CPUs, MARGIN_FILTER_THREADS) worker processes, opened and closed
+inside the call, with results merged in task order, so a parallel run
+returns the same bits as a serial one.
 MARGIN_FILTER_THREADS is the one worker setting: it defaults to the
 usable CPU count and is capped there, and by the same rule
 (``svm._worker_count``) it caps the threads that score a bank in
@@ -47,7 +52,13 @@ import numpy as np
 
 from . import svm
 from .decoding import TransitionMatrix, decode_offline, estimate_transitions
-from .filter_learning import LearnerConfig, RegularizerSpec, committed_bank, fit_shared_filter
+from .filter_learning import (
+    FilterFit,
+    LearnerConfig,
+    RegularizerSpec,
+    committed_bank,
+    fit_shared_filter,
+)
 from .signals import (
     ToyParams,
     apply_filter,
@@ -100,15 +111,28 @@ def error_rate(pred, truth) -> float:
 
 @dataclass
 class Pipeline:
-    """A trained end-to-end labeling pipeline."""
+    """A trained end-to-end labeling pipeline.
+
+    ``fit`` is the filter fit of a learned-filter pipeline trained here,
+    and None for a fixed filter or a pipeline loaded from a file.
+    """
 
     method: str
     filter: object  # FilterBank
     model: MulticlassModel
     transitions: TransitionMatrix
     platt: list[PlattParams] | None = None
-    history: list[float] = field(default_factory=list)
-    filter_norms: list[float] = field(default_factory=list)
+    fit: FilterFit | None = None
+
+    @property
+    def history(self) -> list[float]:
+        """The fit's objective per accepted step (empty without a fit)."""
+        return self.fit.history if self.fit is not None else []
+
+    @property
+    def filter_norms(self) -> list[float]:
+        """The fit's filter norm per accepted step (empty without a fit)."""
+        return self.fit.filter_norms if self.fit is not None else []
 
     def filtered(self, X) -> np.ndarray:
         return apply_filter(as_signal(X), self.filter)
@@ -126,8 +150,14 @@ class Pipeline:
 
 def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
                    lam: float = 0.0, f: int = 1, n0: int = 0,
-                   learner_kwargs: dict | None = None) -> Pipeline:
-    """Train one method end to end on labeled data (any class count)."""
+                   learner_kwargs: dict | None = None,
+                   start: FilterFit | None = None) -> Pipeline:
+    """Train one method end to end on labeled data (any class count).
+
+    A learned filter starts at the average filter, or at ``start``, a fit
+    on the same data at the same C, sigma_k, f and n0
+    (``fit_shared_filter``); a fixed-filter method takes no start.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     X = as_signal(X)
@@ -135,27 +165,24 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
     reg = RegularizerSpec("mixed_norm" if method == "skf_svm" else "frobenius", lam)
     cfg = LearnerConfig(C=C, kernel=KernelParams(sigma_k), reg=reg, f=f, n0=n0,
                         **(learner_kwargs or {}))
-    history: list[float] = []
-    filter_norms: list[float] = []
-
+    fit = None
     if method in ("svm", "avg_svm"):
+        if start is not None:
+            raise ValueError(f"{method} learns no filter and takes no start")
         bank = make_delta_filter(X.shape[1]) if method == "svm" \
             else make_average_filter(f, n0, X.shape[1])
         mc = train_multiclass(apply_filter(X, bank), y, cfg.C, cfg.kernel,
                               tol=cfg.svm_tol)
     else:
-        fit = fit_shared_filter(X, y, cfg)
+        fit = fit_shared_filter(X, y, cfg, start=start)
         bank = fit.bank
-        history = fit.history
-        filter_norms = fit.filter_norms
         mc = committed_bank(fit, X, y, cfg)
 
     classes = mc.classes
     y_idx = np.searchsorted(classes, y) + 1
     transitions = estimate_transitions(y_idx, len(classes))
     return Pipeline(method=method, filter=bank, model=mc,
-                    transitions=transitions, history=history,
-                    filter_norms=filter_norms)
+                    transitions=transitions, fit=fit)
 
 
 def calibrate_pipeline(pipe: Pipeline, Xval, yval) -> Pipeline:
@@ -238,21 +265,58 @@ class GridSearchResult:
     pipeline: Pipeline | None = None
 
 
-def _grid_cell(task):
-    """Train and validate one grid cell.
+def _grid_chains(cells: list[dict]) -> list[list[int]]:
+    """The grid's cells as regularization paths: indices of the cells that
+    share C, sigma_k, f and n0, in order of first appearance, each chain
+    ordered by lambda, largest first.  A fixed-filter grid has one lambda,
+    so its chains are of one cell."""
+    chains: dict[tuple, list[int]] = {}
+    for idx, cell in enumerate(cells):
+        key = (cell["C"], cell["sigma_k"], cell["f"], cell["n0"])
+        chains.setdefault(key, []).append(idx)
+    return [sorted(chain, key=lambda idx: cells[idx]["lam"], reverse=True)
+            for chain in chains.values()]
 
-    Returns (error, pipeline or None, None), or (None, None, reason) for a
-    numerical failure; the pipeline comes back only when it is kept.
+
+def _rank(cell: dict, err: float) -> tuple:
+    """Selection order: validation error, then the more regularized cell
+    (larger lambda, smaller C, larger sigma_k, f and n0).  A grid's cells
+    are distinct, so no two of its ranks tie."""
+    return (err, -cell["lam"], cell["C"], -cell["sigma_k"], -cell["f"], -cell["n0"])
+
+
+def _grid_chain(task):
+    """Train and validate one chain of grid cells, in the chain's order.
+
+    Each cell of a learned filter starts from the previous cell's fit (its
+    filter and committed alphas); the first cell, and a cell after one
+    that failed numerically, start from the average filter.  Returns one
+    (error, pipeline or None, None), or (None, None, reason) for a
+    numerical failure, per cell.  A pipeline comes back only when it is
+    kept, and only for the chain's best-ranked cell: the grid's best cell
+    is the best of its chains' best.
     """
-    train, validation, method, cell, decode, learner_kwargs, keep = task
-    try:
-        pipe = train_pipeline(*train, method, learner_kwargs=learner_kwargs, **cell)
-        if decode == "viterbi":
-            calibrate_pipeline(pipe, *validation)
-        err = error_rate(pipe.predict(validation[0], decode=decode), validation[1])
-    except (ValueError, ArithmeticError) as exc:  # numerical failures are data
-        return None, None, f"{type(exc).__name__}: {exc}"
-    return err, (pipe if keep else None), None
+    train, validation, method, cells, decode, learner_kwargs, keep = task
+    outcomes, pipes, start = [], {}, None
+    for k, cell in enumerate(cells):
+        try:
+            pipe = train_pipeline(*train, method, learner_kwargs=learner_kwargs,
+                                  start=start, **cell)
+            if decode == "viterbi":
+                calibrate_pipeline(pipe, *validation)
+            err = error_rate(pipe.predict(validation[0], decode=decode), validation[1])
+        except (ValueError, ArithmeticError) as exc:  # numerical failures are data
+            outcomes.append((None, None, f"{type(exc).__name__}: {exc}"))
+            start = None
+            continue
+        outcomes.append((err, None, None))
+        if keep:
+            pipes[k] = pipe
+        start = pipe.fit
+    if pipes:
+        k = min(pipes, key=lambda k: _rank(cells[k], outcomes[k][0]))
+        outcomes[k] = (outcomes[k][0], pipes[k], None)
+    return outcomes
 
 
 def grid_search(train, validation, grid: GridSpec, *,
@@ -260,8 +324,16 @@ def grid_search(train, validation, grid: GridSpec, *,
                 keep_pipeline: bool = False) -> GridSearchResult:
     """Exhaustive validation search over the grid.
 
-    ``train`` and ``validation`` are (X, y) pairs.  Cells run through the
-    process map (see the module docstring).  Cells that fail with a
+    ``train`` and ``validation`` are (X, y) pairs.  The cells of a learned
+    filter that differ only in lambda form one chain, a regularization
+    path fitted from the largest lambda down, each cell warm from the
+    previous one's fit (Friedman, Hastie & Tibshirani, J. Stat. Softw.
+    2010; for the non-convex filter objective a heuristic: a continued
+    cell may end in another local optimum than a fit from the average
+    filter).  So only a chain's first cell is the fit ``train_pipeline``
+    gives for that cell.  The chains run through the process map (see the
+    module docstring); the table, the failures and the tie-break keep the
+    grid's cell order, whatever the worker count.  Cells that fail with a
     numerical error (ValueError, including LinAlgError, or
     ArithmeticError) are recorded and skipped; if every cell fails an
     error is raised.  Any other exception propagates.
@@ -269,31 +341,28 @@ def grid_search(train, validation, grid: GridSpec, *,
     Xtr, ytr = train
     Xval, yval = validation
     cells = grid.cells()
-    outcomes = _parallel_map(_grid_cell, [
-        ((Xtr, ytr), (Xval, yval), grid.method, cell, grid.decode, learner_kwargs,
-         keep_pipeline)
-        for cell in cells])
+    chains = _grid_chains(cells)
+    outcomes = [None] * len(cells)
+    for chain, results in zip(chains, _parallel_map(_grid_chain, [
+            ((Xtr, ytr), (Xval, yval), grid.method, [cells[idx] for idx in chain],
+             grid.decode, learner_kwargs, keep_pipeline)
+            for chain in chains])):
+        for idx, outcome in zip(chain, results):
+            outcomes[idx] = outcome
     table, failures = [], []
-    pipelines = {}
-    for idx, (cell, (err, pipe, reason)) in enumerate(zip(cells, outcomes)):
+    for idx, (cell, (err, _, reason)) in enumerate(zip(cells, outcomes)):
         if reason is not None:
             failures.append((cell, reason))
             continue
         table.append((idx, cell, err))
-        if keep_pipeline:
-            pipelines[idx] = pipe
     if not table:
         raise RuntimeError(f"every grid cell failed: {failures}")
 
-    def rank(entry):
-        _, cell, err = entry
-        return (err, -cell["lam"], cell["C"], -cell["sigma_k"], -cell["f"], -cell["n0"])
-
-    best_idx, best_cell, best_err = min(table, key=rank)
+    best_idx, best_cell, best_err = min(table, key=lambda entry: _rank(*entry[1:]))
     return GridSearchResult(
         method=grid.method, best=dict(best_cell), best_error=best_err,
         table=[(cell, err) for _, cell, err in table], failures=failures,
-        pipeline=pipelines.get(best_idx))
+        pipeline=outcomes[best_idx][1])
 
 
 # ---------------------------------------------------------------------------

@@ -110,14 +110,30 @@ def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
         A, B = np.atleast_2d(A), np.atleast_2d(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"channel mismatch: {A.shape[1]} vs {B.shape[1]}")
-    sq = cdist(A, B, metric="sqeuclidean", out=out)
-    # in place, so no m x p temporaries: (-a) / b == a / (-b) exactly; the
-    # reciprocal of a power of two below 2**-1023 would overflow
+    return _gaussian(A, B, _distance_scale(params), out)
+
+
+def _distance_scale(params: KernelParams) -> tuple[bool, float]:
+    """How ``_gaussian`` scales a squared distance: (True, -1/(2 sigma_k^2))
+    to multiply by, where that reciprocal is exact, else (False,
+    -2 sigma_k^2) to divide by (see ``kernel_matrix``)."""
     two_var = 2.0 * params.sigma_k**2
+    # the reciprocal of a power of two below 2**-1023 would overflow
     if math.frexp(two_var)[0] == 0.5 and two_var >= 2.0**-1023:
-        sq *= -1.0 / two_var
+        return True, -1.0 / two_var
+    return False, -two_var
+
+
+def _gaussian(A: np.ndarray, B: np.ndarray, scale: tuple[bool, float], out=None) -> np.ndarray:
+    """``kernel_matrix`` on 2-D float64 A and B of equal width, with
+    ``_distance_scale``'s scale: the one formula of every kernel entry."""
+    sq = cdist(A, B, metric="sqeuclidean", out=out)
+    # in place, so no m x p temporaries: (-a) / b == a / (-b) exactly
+    multiply, factor = scale
+    if multiply:
+        sq *= factor
     else:
-        sq /= -two_var
+        sq /= factor
     return np.exp(sq, out=sq)
 
 
@@ -153,15 +169,20 @@ class SupportKernel:
     this source's rows, read through its cache: the solves of one training
     set share one cache.
 
-    Every entry is the same double as in kernel_matrix(X, X).  The product
-    sums each row of K[:, S] as the product of the whole K[:, S] (its rows
-    ordered S first) does, so it differs from a dense K @ w, which sums
-    over every column, by rounding.
+    Every entry is the same double as in kernel_matrix(X, X): a row comes
+    from kernel_matrix's own formula (``_gaussian``), with the samples
+    checked once, here, not at each of the thousands of rows a solve
+    fetches.  The product sums each row of K[:, S] as the product of the
+    whole K[:, S] (its rows ordered S first) does, so it differs from a
+    dense K @ w, which sums over every column, by rounding.
     """
 
     def __init__(self, X, params: KernelParams):
         self._X = np.asarray(X, dtype=np.float64)
+        if self._X.ndim != 2:
+            raise ValueError(f"samples must be 2-D (n, d), got shape {self._X.shape}")
         self._params = params
+        self._scale = _distance_scale(params)
         n = len(self._X)
         self.shape = (n, n)
         self._cache = {}  # sample -> its row, least recently used first
@@ -185,7 +206,7 @@ class SupportKernel:
         row = self._cache.pop(i, None)
         if row is None:
             if self._capacity < 2:  # a row evicted by K[j] could be the step's K[i]
-                return kernel_matrix(self._X[i : i + 1], self._X, self._params)[0]
+                return _gaussian(self._X[i : i + 1], self._X, self._scale)[0]
             if len(self._cache) >= self._capacity:
                 row = self._cache.pop(next(iter(self._cache)))  # overwritten below
             else:
@@ -195,7 +216,7 @@ class SupportKernel:
                     slab = max(min(CACHE_SLAB_BYTES // (8 * n), room), 1)
                     self._free = list(np.empty((slab, n)))
                 row = self._free.pop()
-            kernel_matrix(self._X[i : i + 1], self._X, self._params, out=row[None])
+            _gaussian(self._X[i : i + 1], self._X, self._scale, out=row[None])
         self._cache[i] = row
         return row
 

@@ -490,6 +490,47 @@ class TestFitSharedFilter:
         assert len(fit.history) == 1  # the first trial step already failed
         assert not fit.converged
 
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_a_start_continues_where_its_fit_ended(self, n_classes):
+        X, y = generate_toy(ToyParams(n=240, sigma_n=0.6, lag=2, n_classes=n_classes,
+                                      seed=12))
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 2.0),
+                            max_cg_iters=5)
+        first = fit_shared_filter(X, y, cfg)
+        # no descent step: the start's filter, each pair at its committed
+        # alpha, optimal on the same filtered signal
+        again = fit_shared_filter(X, y, replace(cfg, max_cg_iters=0), start=first)
+        assert_array_equal(again.bank.coeffs, first.bank.coeffs)
+        for p, q in zip(again.problems, first.problems, strict=True):
+            assert p.model.n_iter == 0 and p.model.converged
+            assert_array_equal(p.alpha, q.alpha)
+        # a smaller lambda descends from there
+        path = fit_shared_filter(X, y, replace(cfg, reg=RegularizerSpec("frobenius", 0.2)),
+                                 start=first)
+        assert path.problems[0].model is not first.problems[0].model
+        assert np.all(np.diff(path.history) <= 1e-10)
+
+    @pytest.mark.parametrize("change", [
+        {"C": 20.0}, {"kernel": KernelParams(0.5)}, {"f": 4}, {"n0": 1}, {"samples": 1}])
+    def test_a_start_must_match_the_fit(self, change):
+        X, y = toy_case(seed=6)
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 1.0),
+                            max_cg_iters=1)
+        start = fit_shared_filter(X, y, cfg)
+        if "samples" in change:
+            X, y = X[1:], y[1:]
+        else:
+            cfg = replace(cfg, **change)
+        with pytest.raises(ValueError, match="start fit differs"):
+            fit_shared_filter(X, y, cfg, start=start)
+
+    @pytest.mark.parametrize("method", ["svm", "avg_svm"])
+    def test_a_fixed_filter_takes_no_start(self, method):
+        X, y = toy_case(seed=6)
+        start = fit_shared_filter(X, y, LearnerConfig(C=50.0, f=5, n0=2, max_cg_iters=1))
+        with pytest.raises(ValueError, match="takes no start"):
+            train_pipeline(X, y, method, C=50.0, sigma_k=1.0, f=5, n0=2, start=start)
+
     @pytest.mark.parametrize("n_labels", [150, 210])
     def test_label_count_must_match_samples(self, n_labels):
         X, y = toy_case(seed=6, n=200)
@@ -611,12 +652,14 @@ class TestKernelOnDemand:
     def recorded_shapes(monkeypatch):
         shapes = []
 
-        def recording(A, B, params, out=None):
-            shapes.append((len(A), len(B)))
-            return kernel_matrix(A, B, params, out=out)
+        gaussian = svm._gaussian
 
-        for module in (svm, filter_learning):
-            monkeypatch.setattr(module, "kernel_matrix", recording)
+        def recording(A, B, scale, out=None):
+            shapes.append((len(A), len(B)))
+            return gaussian(A, B, scale, out=out)
+
+        # every kernel entry, a kernel_matrix block or a cached row, comes from here
+        monkeypatch.setattr(svm, "_gaussian", recording)
         return shapes
 
     @pytest.mark.parametrize("n_classes", [2, 3])

@@ -2,6 +2,7 @@ import itertools
 import multiprocessing
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,120 @@ class TestGridSearch:
             grid_search(tr, va, GridSpec(method="svm", C=(1.0,)))
 
 
+class TestGridChains:
+    """A learned-filter grid runs as regularization paths: the cells that
+    differ only in lambda form one chain, fitted from the largest lambda
+    down, each from the previous cell's fit."""
+
+    # lambda out of order on purpose; 2 chains (C) of 3 cells
+    GRID = GridSpec(method="kf_svm", C=(10.0, 1.0), lam=(1.0, 4.0, 0.25), f=(3,), n0=(1,))
+    KWARGS = {"max_cg_iters": 3, "mm_max_outer": 2}
+
+    @staticmethod
+    def record_fits(monkeypatch, fail_lam=None):
+        """Serial run; records each fit's (C, lambda, start) and the solves
+        after it began as (warm, SMO steps); raises a ValueError in the fit
+        at lambda ``fail_lam``."""
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "1")
+        fits = []
+        fit_shared_filter, solve = harness.fit_shared_filter, filter_learning.solve_svm_dual
+
+        def recording_fit(X, y, cfg, *, start=None):
+            fits.append({"C": cfg.C, "lam": cfg.reg.lam, "start": start, "solves": []})
+            if cfg.reg.lam == fail_lam:
+                raise ValueError("injected failure")
+            fits[-1]["fit"] = fit_shared_filter(X, y, cfg, start=start)
+            return fits[-1]["fit"]
+
+        def recording_solve(*args, **kwargs):
+            model = solve(*args, **kwargs)
+            fits[-1]["solves"].append((kwargs.get("warm_alpha") is not None, model.n_iter))
+            return model
+
+        monkeypatch.setattr(harness, "fit_shared_filter", recording_fit)
+        monkeypatch.setattr(filter_learning, "solve_svm_dual", recording_solve)
+        return fits
+
+    @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
+    def test_a_chain_runs_the_largest_lambda_first(self, monkeypatch, method):
+        fits = self.record_fits(monkeypatch)
+        tr, va, _ = tiny_split()
+        grid = replace(self.GRID, method=method)
+        res = grid_search(tr, va, grid, learner_kwargs=self.KWARGS)
+        assert [(f["C"], f["lam"]) for f in fits] == [
+            (C, lam) for C in (10.0, 1.0) for lam in (4.0, 1.0, 0.25)]
+        # each chain starts at the average filter, then from the fit before
+        assert [f["start"] is None for f in fits] == [True, False, False] * 2
+        for before, after in zip(fits, fits[1:]):
+            if after["start"] is not None:
+                assert after["start"] is before["fit"]
+        # the table keeps the grid's cell order
+        assert [cell for cell, _ in res.table] == grid.cells()
+        assert res.failures == []
+
+    def test_a_continued_cell_starts_without_an_smo_step(self, monkeypatch):
+        fits = self.record_fits(monkeypatch)
+        tr, va, _ = tiny_split()
+        grid_search(tr, va, self.GRID, learner_kwargs=self.KWARGS)
+        # a chain's first fit solves cold; a continued one starts warm at
+        # the last fit's committed alphas, optimal on the same signal
+        for fit in fits:
+            warm, steps = fit["solves"][0]
+            if fit["start"] is None:
+                assert not warm and steps > 0
+            else:
+                assert warm and steps == 0
+                committed = fit["start"].problems[0]
+                assert committed.model.converged
+        assert sum(f["start"] is None for f in fits) == 2
+
+    def test_a_failed_cell_restarts_its_chain(self, monkeypatch):
+        fits = self.record_fits(monkeypatch, fail_lam=1.0)
+        tr, va, _ = tiny_split()
+        res = grid_search(tr, va, self.GRID, learner_kwargs=self.KWARGS)
+        assert [(cell["C"], cell["lam"], reason) for cell, reason in res.failures] == [
+            (C, 1.0, "ValueError: injected failure") for C in (10.0, 1.0)]
+        assert [cell for cell, _ in res.table] == [
+            cell for cell in self.GRID.cells() if cell["lam"] != 1.0]
+        # after the failure at lambda 1 the chain starts again at the average filter
+        assert [(f["lam"], f["start"] is None) for f in fits] == \
+            [(4.0, True), (1.0, False), (0.25, True)] * 2
+        restarted = [f for f in fits if f["lam"] == 0.25]
+        assert all(not f["solves"][0][0] for f in restarted)
+
+    def test_a_chain_sends_back_only_its_best_pipeline(self):
+        tr, va, _ = tiny_split()
+        cells = [cell for cell in self.GRID.cells() if cell["C"] == 10.0][::-1]
+        for keep in (True, False):
+            out = harness._grid_chain((tr, va, "kf_svm", cells, "online", self.KWARGS, keep))
+            kept = [k for k, (_, pipe, _) in enumerate(out) if pipe is not None]
+            best = min(range(len(cells)), key=lambda k: harness._rank(cells[k], out[k][0]))
+            assert kept == ([best] if keep else [])
+
+    def test_same_bits_on_one_or_two_workers(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(svm, "_usable_cpus", lambda: 2)
+        tr, va, _ = tiny_split()
+        results, files = [], []
+        for threads in (1, 2):
+            monkeypatch.setenv("MARGIN_FILTER_THREADS", str(threads))
+            res = grid_search(tr, va, self.GRID, learner_kwargs=self.KWARGS,
+                              keep_pipeline=True)
+            assert multiprocessing.active_children() == []
+            save_model(tmp_path / f"{threads}-model.json", res.pipeline)
+            save_filter(tmp_path / f"{threads}-filter.json", res.pipeline.filter)
+            results.append((res.table, res.failures, res.best, res.best_error))
+            files.append([(tmp_path / f"{threads}-{kind}.json").read_bytes()
+                          for kind in ("model", "filter")])
+        assert results[0] == results[1]
+        assert files[0] == files[1]
+        # a chain's first cell, the largest lambda, is the cell's own fit
+        for cell, err in results[0][0]:
+            if cell["lam"] == 4.0:
+                pipe = harness.train_pipeline(*tr, "kf_svm", learner_kwargs=self.KWARGS,
+                                              **cell)
+                assert err == error_rate(pipe.predict(va[0]), va[1])
+
+
 class SolveCounter:
     """Records the SVM solves (as their SMO step counts and warm flags) and
     the shapes of the kernel blocks computed before and after the filter fit of
@@ -247,7 +362,8 @@ class SolveCounter:
         self.kernels = ([], [])
         for module in (svm, filter_learning):
             monkeypatch.setattr(module, "solve_svm_dual", self._solving(module.solve_svm_dual))
-            monkeypatch.setattr(module, "kernel_matrix", self._building(module.kernel_matrix))
+        # every kernel entry, a kernel_matrix block or a cached row, comes from here
+        monkeypatch.setattr(svm, "_gaussian", self._building(svm._gaussian))
         fit_shared_filter = harness.fit_shared_filter
 
         def recording_fit(*args, **kwargs):

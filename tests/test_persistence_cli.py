@@ -911,6 +911,19 @@ class TestCli:
         assert rc == 1
         assert f"{results}:16: {message}" in capsys.readouterr().err
 
+    def test_sweep_with_no_rows_fails(self, tmp_path, capsys):
+        # an empty test set fails every task after its grid search
+        out = tmp_path / "sweep"
+        rc = self.run("sweep", "--axis", "noise", "--values", "0.5,1.0", "--methods", "svm",
+                      "--seeds", 1, "--n-train", 200, "--n-val", 200, "--n-test", 0,
+                      "--out-dir", out)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [ln.split(" failed:")[0] for ln in err[:2]] == [
+            "warning: cell (0.5, 'svm', 0)", "warning: cell (1.0, 'svm', 0)"]
+        assert err[2:] == ["error: every sweep task failed (2); nothing written"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis", ["f", "size", "lag"])
     def test_sweep_rejects_non_integer_values(self, tmp_path, capsys, axis):
         rc = self.run("sweep", "--axis", axis, "--values", "2.5,4", "--methods", "svm",

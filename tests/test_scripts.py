@@ -54,3 +54,19 @@ def test_run_sweeps_writes_its_tables(tmp_path):
     # four default noise levels, two decoders, one seed
     assert len(results) == len(summary) == 1 + 4 * 2
     assert "noise: 8 rows, 0 failures" in proc.stdout
+
+
+def test_run_sweeps_reports_an_axis_without_rows(tmp_path):
+    # an empty test set fails every task after its grid search
+    out = tmp_path / "out"
+    proc = run_script("run_sweeps.py", "--axes", "noise", "--methods", "svm",
+                      "--seeds", "1", "--n-test", "0", "--out-dir", str(out),
+                      cwd=tmp_path)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    # one line per failed task: four default noise levels, one seed
+    assert [ln.split(" failed:")[0] for ln in err[:4]] == \
+        [f"noise {v!r} svm seed 0" for v in (0.25, 0.5, 1.0, 2.0)]
+    assert all(": " in ln.split(" failed:")[1] for ln in err[:4])
+    assert err[4:] == ["noise: 0 rows, 4 failures, nothing written"]
+    assert list(out.iterdir()) == []

@@ -289,14 +289,16 @@ class TestRunningDual:
 
 
 def recorded_kernel_calls(monkeypatch):
-    """Route svm.kernel_matrix through a recorder; returns its (m, p) shapes."""
+    """Route svm._gaussian, which computes every kernel block and cached
+    row, through a recorder; returns its (m, p) shapes."""
     shapes = []
+    gaussian = svm._gaussian
 
-    def recording(A, B, params, out=None):
+    def recording(A, B, scale, out=None):
         shapes.append((len(A), len(B)))
-        return kernel_matrix(A, B, params, out=out)
+        return gaussian(A, B, scale, out=out)
 
-    monkeypatch.setattr(svm, "kernel_matrix", recording)
+    monkeypatch.setattr(svm, "_gaussian", recording)
     return shapes
 
 
@@ -325,6 +327,26 @@ class TestSupportKernel:
             # another support set: the kept product is not reused
             w[np.setdiff1d(np.arange(len(X)), sv)[0]] = 1.0
             assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
+
+    @pytest.mark.parametrize("d", [2, 6])
+    @pytest.mark.parametrize("sigma_k", [1.0, 0.7])  # a reciprocal multiply, a divide
+    @pytest.mark.parametrize("cache_bytes", [svm.KERNEL_CACHE_BYTES, 0])
+    def test_rows_are_the_rows_of_kernel_matrix(self, rng, monkeypatch, d, sigma_k,
+                                                cache_bytes):
+        # cached rows and, with no cache, rows computed on each read skip
+        # kernel_matrix's checks but not one bit of its formula
+        monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", cache_bytes)
+        X = rng.normal(size=(300, d)) * 3.0
+        params = KernelParams(sigma_k)
+        src = SupportKernel(X, params)
+        for i in [*rng.permutation(len(X)), 0, len(X) - 1]:
+            want = kernel_matrix(X[i : i + 1], X, params)[0]
+            assert src[int(i)].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("X", [np.ones(4), np.ones((2, 3, 2))])
+    def test_samples_must_be_a_matrix(self, X):
+        with pytest.raises(ValueError, match="2-D"):
+            SupportKernel(X, KernelParams(1.0))
 
     @pytest.mark.parametrize("n_sv", [1, 255, 256, 300, 699])
     @pytest.mark.parametrize("stops", [True, False])
