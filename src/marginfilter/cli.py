@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, default=5)
     p.add_argument("--nbtot", type=int, default=2)
     p.add_argument("--max-cg-iters", type=int, default=30,
-                   help="conjugate-gradient cap for sweep-scale runs")
+                   help="cap on the L-BFGS filter descent's steps for sweep-scale runs")
     p.add_argument("--config", help="JSON file overriding per-method grids")
     p.add_argument("--out-dir", required=True,
                    help="directory for results.csv and summary.csv")

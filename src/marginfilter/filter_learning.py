@@ -4,12 +4,13 @@ The training objective is the optimal value of the SVM problem on the
 filtered samples, seen as a function of the filter coefficients, plus a
 filter regularizer.  Because the SVM optimum is differentiable in the
 filter (the optimal dual variables act as constants when differentiating),
-the filter is learned by nonlinear conjugate gradient with Fletcher-Reeves
-updates and a backtracking line search, re-solving the SVM (warm-started)
-at every trial point.
+the filter is learned by limited-memory BFGS (L-BFGS, Liu & Nocedal 1989;
+Nocedal & Wright 2006, Alg. 7.4) over the last LBFGS_MEMORY steps, with a
+backtracking Armijo line search, re-solving the SVM (warm-started) at
+every trial point.
 
-Most trial points are rejected, and a rejected trial need not be solved
-to optimality: it only has to be shown to miss the Armijo threshold.
+A rejected trial point need not be solved to optimality: it only has
+to be shown to miss the Armijo threshold.
 Every dual optimum is >= 0, and the warm-started SMO solver ascends the
 dual monotonically, so the running dual of each subproblem, added to the
 optima already summed and the penalty, is a lower bound on the trial's
@@ -33,7 +34,9 @@ subproblem's term, and drops it: no |S|^2 block outlives the gradient.
 Channel selection uses a sum-of-column-norms penalty, handled by
 majorization-minimization: each outer step replaces the column norms by a
 tight quadratic upper bound, which turns the subproblem back into a
-weighted-Frobenius one that the conjugate-gradient solver handles.
+weighted-Frobenius one that the L-BFGS descent handles.  Each outer step
+runs a fresh descent, so its curvature memory starts empty whenever the
+weights change.
 
 The fit ends with every pairwise subproblem solved at the returned
 filter: the last committed solves.  ``fit_shared_filter`` is the one
@@ -127,16 +130,19 @@ def regularizer_value_grad(F: np.ndarray, reg: RegularizerSpec):
     return reg.lam * val, reg.lam * grad
 
 
-# Line-search and majorization constants, the same for every fit: the
-# descent stops when the objective changes by less than TOL_REL_J
-# relatively; a trial step passes Armijo's test with ARMIJO_C1, else it
-# shrinks by BACKTRACK, at most MAX_HALVINGS times; MM_EPS clamps a
-# column norm in the majorization weights.
+# Descent, line-search and majorization constants, the same for every
+# fit: the descent stops when the objective changes by less than
+# TOL_REL_J relatively; L-BFGS keeps the last LBFGS_MEMORY curvature
+# pairs; a trial step passes Armijo's test with ARMIJO_C1, else it shrinks
+# by BACKTRACK, at most MAX_HALVINGS times; MM_EPS clamps a column norm in
+# the majorization weights.
 TOL_REL_J = 1e-5
+LBFGS_MEMORY = 5
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 30
 MM_EPS = 1e-8
+_CURVATURE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,11 +151,13 @@ class LearnerConfig:
 
     f and n0 fix the filter geometry; C and kernel parametrize the inner
     SVM; reg the filter penalty.  max_cg_iters and tol_dF bound the
-    conjugate-gradient loop, mm_max_outer the majorization-minimization
-    outer loop, and svm_tol is the inner solver's KKT tolerance.  The line
-    search and the MM clamp use the module constants TOL_REL_J, ARMIJO_C1,
-    BACKTRACK, MAX_HALVINGS and MM_EPS, fixed because every fit uses the
-    same values; the inner solver keeps ``solve_svm_dual``'s iteration cap.
+    L-BFGS descent (its accepted steps, and the step norm that stops it),
+    mm_max_outer the majorization-minimization outer loop, and svm_tol is
+    the inner solver's KKT tolerance.  The descent, the line search and
+    the MM clamp use the module constants TOL_REL_J, LBFGS_MEMORY,
+    ARMIJO_C1, BACKTRACK, MAX_HALVINGS and MM_EPS, fixed because every fit
+    uses the same values; the inner solver keeps ``solve_svm_dual``'s
+    iteration cap.
     """
 
     C: float = 100.0
@@ -210,7 +218,7 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# conjugate-gradient descent over the filter
+# L-BFGS descent over the filter
 # ---------------------------------------------------------------------------
 
 class _Subproblem:
@@ -264,14 +272,16 @@ _REJECT_SLACK = 1e-9
 
 
 def _evaluate(problems, F, X, cfg, *, reject_above: float = np.inf) -> float:
-    """Objective at F: the sum of the subproblem optima, plus the penalty.
+    """Objective at F: the sum of the subproblem optima, plus the penalty
+    (any kind, the mixed norm too).
 
     Once a lower bound on it exceeds ``reject_above`` (each optimum is
     >= 0, so a partial sum bounds the whole), the remaining work is
     skipped and the value returned is a lower bound above it.
     """
     Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
-    reg_val = regularizer_value_grad(F, cfg.reg)[0]
+    reg_val = cfg.reg.lam * mixed_norm(F) if cfg.reg.kind == "mixed_norm" \
+        else regularizer_value_grad(F, cfg.reg)[0]
     total = 0.0
     for p in problems:
         if total > reject_above - reg_val:
@@ -295,8 +305,52 @@ def _gradient(problems, F, X, cfg) -> np.ndarray:
     return grad + reg_grad
 
 
-def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
-    """Fletcher-Reeves conjugate gradient with Armijo backtracking.
+def _lbfgs_direction(G: np.ndarray, pairs) -> tuple[np.ndarray, float]:
+    """L-BFGS direction -H G and its slope G . D (Nocedal & Wright 2006,
+    Alg. 7.4).
+
+    H is the inverse-Hessian approximation of the two-loop recursion over
+    ``pairs``, the (s, y) pairs of flattened filter steps and gradient
+    changes, oldest first, started from H0 = (s'y / y'y) I of the newest
+    pair (N&W eq. 7.20); without pairs the direction is -G.  If that
+    direction is not a descent direction, ``pairs`` is cleared and the
+    direction is -G.
+    """
+    q = G.ravel().copy()
+    rhos = [1.0 / float(s @ y) for s, y in pairs]
+    coefs = []
+    for (s, y), rho in zip(reversed(pairs), reversed(rhos)):
+        a = rho * float(s @ q)
+        q -= a * y
+        coefs.append(a)
+    if pairs:
+        s, y = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y), rho, a in zip(pairs, rhos, reversed(coefs)):
+        q += (a - rho * float(y @ q)) * s
+    D = -q.reshape(G.shape)
+    slope = float(np.sum(G * D))
+    if not slope < 0.0:
+        pairs.clear()
+        D, slope = -G, -float(np.sum(G * G))
+    return D, slope
+
+
+def _remember(pairs, s: np.ndarray, y: np.ndarray):
+    """Store the pair (s, y) if its curvature s'y > _CURVATURE_EPS ||s|| ||y||.
+
+    The line search tests Armijo's condition only and the objective is not
+    convex, so s'y can be <= 0; such a pair would make H indefinite.  The
+    memory keeps the newest LBFGS_MEMORY pairs.
+    """
+    if float(s @ y) > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        pairs.append((s, y))
+        del pairs[:-LBFGS_MEMORY]
+
+
+def _lbfgs_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray,
+                   J0: float | None = None):
+    """L-BFGS descent over the filter with Armijo backtracking.
 
     Every line-search evaluation re-solves each SVM subproblem warm-started
     from the last accepted solution, but stops as soon as a lower bound on
@@ -304,42 +358,39 @@ def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
     slack ``_REJECT_SLACK``: such a trial would be rejected anyway.  A
     trial that meets the threshold never reaches that bound, so accepted
     steps are computed exactly as by a full solve of every trial.  The
-    direction resets to steepest descent when it stops being a descent
-    direction or every f*d steps.
+    direction comes from the last LBFGS_MEMORY curvature pairs
+    (``_lbfgs_direction``); the trial step is 1 once the memory holds a
+    pair, and twice the last accepted step before.  ``J0``, when given, is
+    the objective at F0, where every subproblem is committed already.
 
     Returns (F, history, norms, converged).
     """
     F = F0.copy()
-    J = _evaluate(problems, F, X, cfg)
-    _commit_all(problems)
+    if J0 is None:
+        J0 = _evaluate(problems, F, X, cfg)
+        _commit_all(problems)
+    J = J0
     history = [J]
     norms = [float(np.linalg.norm(F))]
-    G_prev = None
-    D = np.zeros_like(F)
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    G_prev = s = None
     step = 1.0
     converged = False
-    restart_every = max(F.size, 1)
 
-    for it in range(cfg.max_cg_iters):
+    for _ in range(cfg.max_cg_iters):
         G = _gradient(problems, F, X, cfg)
-        gnorm2 = float(np.sum(G * G))
-        if gnorm2 == 0.0:
+        if s is not None:
+            _remember(pairs, s, (G - G_prev).ravel())
+        if not np.any(G):
             converged = True
             break
-        if G_prev is None or it % restart_every == 0:
-            beta = 0.0
-        else:
-            beta = gnorm2 / float(np.sum(G_prev * G_prev))
-        D = -G + beta * D
-        slope = float(np.sum(G * D))
-        if slope >= 0.0:
-            D = -G
-            slope = -gnorm2
+        D, slope = _lbfgs_direction(G, pairs)
         G_prev = G
 
-        # Armijo backtracking; the trial step carries over between
-        # iterations (doubled) so the search adapts to the local scale
-        t = min(step * 2.0, 1e6)
+        # Armijo backtracking; without curvature pairs the trial step
+        # carries over between iterations (doubled) so the search adapts
+        # to the local scale
+        t = 1.0 if pairs else min(step * 2.0, 1e6)
         accepted = False
         for _ in range(MAX_HALVINGS):
             bound = J + ARMIJO_C1 * t * slope
@@ -354,7 +405,8 @@ def _cg_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
 
         _commit_all(problems)  # promote the accepted trial's solutions
         F_new = F + t * D
-        dF = float(np.linalg.norm(F_new - F))
+        s = (F_new - F).ravel()
+        dF = float(np.linalg.norm(s))
         rel = abs(J - J_try) / max(abs(J), 1.0)
         F, J, step = F_new, J_try, t
         history.append(J)
@@ -397,7 +449,7 @@ def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
         inner_reg = RegularizerSpec("weighted_frobenius", cfg.reg.lam,
                                     weights=0.5 * weights)
         inner_cfg = replace(cfg, reg=inner_reg)
-        F_new, _, _, _ = _cg_descent(problems, X, inner_cfg, F)
+        F_new, _, _, _ = _lbfgs_descent(problems, X, inner_cfg, F)
         # the committed solves sit at F_new: the true group-sparse objective
         history.append(sum(p.model.objective for p in problems)
                        + cfg.reg.lam * mixed_norm(F_new))
@@ -427,6 +479,27 @@ class FilterFit:
     problems: list
 
 
+def _lower_start(problems, X, cfg: LearnerConfig, F_start: np.ndarray,
+                 F_avg: np.ndarray) -> tuple[np.ndarray, float]:
+    """(F0, J0): of the start filter and the average filter, the one with
+    the lower objective under ``cfg.reg`` (ties keep the start), with
+    every subproblem committed there.
+
+    The subproblems hold the start fit's alphas, so the start filter's
+    evaluation takes no SMO step where they converged.  The average
+    filter is solved warm from them and stops early once a lower bound on
+    its objective clears the start's by ``_REJECT_SLACK``.
+    """
+    J_start = _evaluate(problems, F_start, X, cfg)
+    _commit_all(problems)
+    J_avg = _evaluate(problems, F_avg, X, cfg,
+                      reject_above=J_start + _REJECT_SLACK * max(abs(J_start), 1.0))
+    if J_avg < J_start:
+        _commit_all(problems)
+        return F_avg, J_avg
+    return F_start, J_start
+
+
 def fit_shared_filter(X, y, cfg: LearnerConfig, *,
                       start: FilterFit | None = None) -> FilterFit:
     """Learn one filter bank shared by all pairwise class subproblems.
@@ -438,22 +511,26 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
     mixed-norm penalty runs the majorization-minimization outer loop.
 
     ``start``, a fit on the same data at the same C, kernel, f and n0
-    (typically another lambda: a regularization path), replaces that
-    start: the descent begins at its filter, each subproblem warm from its
-    committed alpha.  Those alphas are feasible, as the box C/n and the
+    (typically another lambda: a regularization path), offers a second
+    start: the descent begins at whichever of its filter and the average
+    filter has the lower objective at this fit's penalty (for the mixed
+    norm, the mixed-norm objective), each subproblem warm from the start's
+    committed alphas.  Those alphas are feasible, as the box C/n and the
     subproblems are the same, and were solved on the same filtered signal,
-    so the first evaluation takes no SMO step where they converged.
+    so the evaluation at the start's filter takes no SMO step where they
+    converged.  The comparison keeps a path from staying where a large
+    lambda collapsed the filter to about 0, where the gradient vanishes.
     """
     X = as_signal(X)
     y = as_labels(y, X.shape[0])
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes")
     problems = _make_problems(y)
-    if start is None:
-        F0 = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
-    else:
-        F0 = start.bank.coeffs
-        same = (F0.shape == (cfg.f, X.shape[1]) and start.bank.n0 == cfg.n0
+    F0 = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
+    J0 = None
+    if start is not None:
+        F_start = start.bank.coeffs
+        same = (F_start.shape == F0.shape and start.bank.n0 == cfg.n0
                 and len(start.problems) == len(problems)
                 and all(q.model.C == cfg.C and q.model.kernel == cfg.kernel
                         and np.array_equal(q.rows, p.rows)
@@ -462,10 +539,11 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
             raise ValueError("start fit differs in its samples, C, kernel, f or n0")
         for p, q in zip(problems, start.problems):
             p.alpha = q.alpha
+        F0, J0 = _lower_start(problems, X, cfg, F_start, F0)
     if cfg.reg.kind == "mixed_norm":
         F, history, norms, converged = _mm_loop(problems, X, cfg, F0)
     else:
-        F, history, norms, converged = _cg_descent(problems, X, cfg, F0)
+        F, history, norms, converged = _lbfgs_descent(problems, X, cfg, F0, J0)
     return FilterFit(bank=FilterBank(F, n0=cfg.n0), history=history,
                      filter_norms=norms, converged=converged, problems=problems)
 

@@ -22,8 +22,9 @@ table is its one-point noise sweep at the base parameters.
 
 A grid search fits a learned filter's cells as regularization paths:
 the cells that share C, sigma_k, f and n0 form one chain, run from the
-largest lambda down, each cell starting from the previous cell's filter
-and committed dual solutions (``grid_search``).  The cells of a
+largest lambda down, each cell warm from the previous cell's committed
+dual solutions and starting from whichever of that cell's filter and the
+average filter has the lower objective (``grid_search``).  The cells of a
 fixed-filter grid are chains of one.  Grid chains and sweep tasks are
 independent, so both run through one process map: at most min(#tasks,
 usable CPUs, MARGIN_FILTER_THREADS) worker processes, opened and closed
@@ -154,9 +155,10 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
                    start: FilterFit | None = None) -> Pipeline:
     """Train one method end to end on labeled data (any class count).
 
-    A learned filter starts at the average filter, or at ``start``, a fit
-    on the same data at the same C, sigma_k, f and n0
-    (``fit_shared_filter``); a fixed-filter method takes no start.
+    A learned filter starts at the average filter; given ``start``, a fit
+    on the same data at the same C, sigma_k, f and n0, it starts warm from
+    that fit's solves at the lower of its filter and the average filter
+    (``fit_shared_filter``).  A fixed-filter method takes no start.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -289,8 +291,10 @@ def _grid_chain(task):
     """Train and validate one chain of grid cells, in the chain's order.
 
     Each cell of a learned filter starts from the previous cell's fit (its
-    filter and committed alphas); the first cell, and a cell after one
-    that failed numerically, start from the average filter.  Returns one
+    committed alphas, and its filter or the average filter, whichever has
+    the lower objective at the cell's lambda: ``fit_shared_filter``); the
+    first cell, and a cell after one that failed numerically, start from
+    the average filter.  Returns one
     (error, pipeline or None, None), or (None, None, reason) for a
     numerical failure, per cell.  A pipeline comes back only when it is
     kept, and only for the chain's best-ranked cell: the grid's best cell
@@ -330,13 +334,16 @@ def grid_search(train, validation, grid: GridSpec, *,
     previous one's fit (Friedman, Hastie & Tibshirani, J. Stat. Softw.
     2010; for the non-convex filter objective a heuristic: a continued
     cell may end in another local optimum than a fit from the average
-    filter).  So only a chain's first cell is the fit ``train_pipeline``
-    gives for that cell.  The chains run through the process map (see the
-    module docstring); the table, the failures and the tie-break keep the
-    grid's cell order, whatever the worker count.  Cells that fail with a
-    numerical error (ValueError, including LinAlgError, or
-    ArithmeticError) are recorded and skipped; if every cell fails an
-    error is raised.  Any other exception propagates.
+    filter).  A continued cell begins at the previous cell's filter or
+    at the average filter, whichever has the lower objective at its
+    lambda, so a path does not stay where a large lambda collapsed the
+    filter to about 0.  So only a chain's first cell is the fit
+    ``train_pipeline`` gives for that cell.  The chains run through the
+    process map (see the module docstring); the table, the failures and
+    the tie-break keep the grid's cell order, whatever the worker count.
+    Cells that fail with a numerical error (ValueError, including
+    LinAlgError, or ArithmeticError) are recorded and skipped; if every
+    cell fails an error is raised.  Any other exception propagates.
     """
     Xtr, ytr = train
     Xval, yval = validation

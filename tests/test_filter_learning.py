@@ -12,7 +12,9 @@ from marginfilter.filter_learning import (
     _evaluate,
     _gradient,
     _inner_gradient,
+    _lbfgs_direction,
     _make_problems,
+    _remember,
     committed_bank,
     fit_shared_filter,
     frobenius_reg,
@@ -105,30 +107,28 @@ def reference_gradient(problems, F, X, cfg):
     return grad + regularizer_value_grad(F, cfg.reg)[1]
 
 
-def reference_cg(problems, X, cfg, F0, trials):
-    """The conjugate-gradient descent with an unbounded line search; each
-    trial appends (J, t * slope, J_try) to ``trials``.  The line-search
-    constants are read from ``filter_learning`` at each use, so a patched
-    value reaches this descent and the fit alike."""
+def reference_lbfgs(problems, X, cfg, F0, trials):
+    """The L-BFGS descent with an unbounded line search; each trial appends
+    (J, t * slope, J_try) to ``trials``.  The direction and the curvature
+    memory are the fit's own helpers, tested on their own against the
+    dense BFGS update (``TestLbfgsDirection``); the line-search constants
+    are read from ``filter_learning`` at each use, so a patched value
+    reaches this descent and the fit alike."""
     F = F0.copy()
     J = reference_evaluate(problems, F, X, cfg)
     for p in problems:
         p.commit()
-    history, G_prev, D, step, converged = [J], None, np.zeros_like(F), 1.0, False
-    for it in range(cfg.max_cg_iters):
+    history, pairs, G_prev, s, step, converged = [J], [], None, None, 1.0, False
+    for _ in range(cfg.max_cg_iters):
         G = reference_gradient(problems, F, X, cfg)
-        gnorm2 = float(np.sum(G * G))
-        if gnorm2 == 0.0:
+        if s is not None:
+            _remember(pairs, s, (G - G_prev).ravel())
+        if not np.any(G):
             converged = True
             break
-        beta = 0.0 if G_prev is None or it % max(F.size, 1) == 0 \
-            else gnorm2 / float(np.sum(G_prev * G_prev))
-        D = -G + beta * D
-        slope = float(np.sum(G * D))
-        if slope >= 0.0:
-            D, slope = -G, -gnorm2
+        D, slope = _lbfgs_direction(G, pairs)
         G_prev = G
-        t = min(step * 2.0, 1e6)
+        t = 1.0 if pairs else min(step * 2.0, 1e6)
         for _ in range(filter_learning.MAX_HALVINGS):
             J_try = reference_evaluate(problems, F + t * D, X, cfg)
             trials.append((J, t * slope, J_try))
@@ -140,7 +140,8 @@ def reference_cg(problems, X, cfg, F0, trials):
         for p in problems:
             p.commit()
         F_new = F + t * D
-        dF = float(np.linalg.norm(F_new - F))
+        s = (F_new - F).ravel()
+        dF = float(np.linalg.norm(s))
         rel = abs(J - J_try) / max(abs(J), 1.0)
         F, J, step = F_new, J_try, t
         history.append(J)
@@ -157,12 +158,12 @@ def reference_fit(X, y, cfg, trials=None):
     problems = [ReferenceProblem(p.rows, p.y_pm) for p in _make_problems(y)]
     F = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
     if cfg.reg.kind != "mixed_norm":
-        return (*reference_cg(problems, X, cfg, F, trials), problems)
+        return (*reference_lbfgs(problems, X, cfg, F, trials), problems)
     weights, history, converged = np.ones(X.shape[1]), [], False
     for _ in range(cfg.mm_max_outer):
         inner = replace(cfg, reg=RegularizerSpec("weighted_frobenius", cfg.reg.lam,
                                                  weights=0.5 * weights))
-        F_new, _, _ = reference_cg(problems, X, inner, F, trials)
+        F_new, _, _ = reference_lbfgs(problems, X, inner, F, trials)
         history.append(sum(p.model.objective for p in problems)
                        + cfg.reg.lam * mixed_norm(F_new))
         dF = float(np.linalg.norm(F_new - F))
@@ -270,6 +271,65 @@ class TestRegularizers:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="weights"):
             RegularizerSpec("weighted_frobenius", 1.0, weights=np.array([1.0, 0.0]))
+
+
+def dense_bfgs_direction(G, pairs):
+    """-H G with H from the dense BFGS inverse-Hessian update (Nocedal &
+    Wright 2006, eq. 6.17), H <- (I - rho s y') H (I - rho y s') + rho s s',
+    over ``pairs`` oldest first, from H0 = (s'y / y'y) I of the newest."""
+    n = G.size
+    s, y = pairs[-1]
+    H = (s @ y) / (y @ y) * np.eye(n)
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        V = np.eye(n) - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    return -(H @ G.ravel()).reshape(G.shape)
+
+
+class TestLbfgsDirection:
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_matches_the_dense_bfgs_update(self, rng, m):
+        G = rng.normal(size=(4, 3))
+        M = rng.normal(size=(G.size, G.size))
+        A = M @ M.T + G.size * np.eye(G.size)  # positive definite: s'As > 0
+        steps = [rng.normal(size=G.size) for _ in range(m)]
+        pairs = []
+        for s in steps:
+            _remember(pairs, s, A @ s)
+        kept = steps[-filter_learning.LBFGS_MEMORY:]
+        assert [s for s, _ in pairs] == kept
+        D, slope = _lbfgs_direction(G, pairs)
+        assert_allclose(D, dense_bfgs_direction(G, [(s, A @ s) for s in kept]),
+                        rtol=1e-10, atol=1e-12)
+        assert slope == pytest.approx(float(np.sum(G * D)), rel=1e-14) and slope < 0
+        assert len(pairs) == len(kept)
+
+    def test_no_pairs_is_steepest_descent(self, rng):
+        G = rng.normal(size=(3, 2))
+        D, slope = _lbfgs_direction(G, [])
+        assert_array_equal(D, -G)
+        assert slope == -float(np.sum(G * G))
+
+    @pytest.mark.parametrize("y, stored", [
+        ([-1.0, 0.0], False),    # negative curvature
+        ([0.0, 1.0], False),     # s'y = 0
+        ([1e-14, 1.0], False),   # s'y below 1e-12 ||s|| ||y||
+        ([1e-11, 1.0], True),
+    ])
+    def test_a_pair_without_curvature_is_not_stored(self, y, stored):
+        pairs = []
+        _remember(pairs, np.array([1.0, 0.0]), np.array(y))
+        assert len(pairs) == stored
+
+    def test_a_non_descent_direction_resets_to_steepest_descent(self, rng):
+        G = rng.normal(size=(3, 2))
+        s = rng.normal(size=G.size)
+        pairs = [(s, -s)]  # negative curvature, as _remember would not store
+        D, slope = _lbfgs_direction(G, pairs)
+        assert_array_equal(D, -G)
+        assert slope == -float(np.sum(G * G))
+        assert pairs == []
 
 
 class TestObjective:
@@ -414,7 +474,7 @@ def toy_case(seed, n=220, sigma_n=0.6, lag=2, nbtot=2):
 
 
 class TestLearnKfSvm:
-    """The binary kf-svm fit: Frobenius penalty, conjugate-gradient descent."""
+    """The binary kf-svm fit: Frobenius penalty, L-BFGS descent."""
 
     def test_zero_iterations_is_average_filter_baseline(self):
         X, y = toy_case(seed=4)

@@ -25,7 +25,7 @@ from marginfilter.harness import (
     wilcoxon_signed_rank,
 )
 from marginfilter.persistence import save_filter, save_model
-from marginfilter.signals import ToyParams, generate_toy
+from marginfilter.signals import ToyParams, generate_toy, make_average_filter
 from scipy.stats import rankdata
 from test_svm import kkt_violation
 
@@ -301,6 +301,36 @@ class TestGridChains:
                 committed = fit["start"].problems[0]
                 assert committed.model.converged
         assert sum(f["start"] is None for f in fits) == 2
+
+    @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
+    @pytest.mark.parametrize("lams, collapsed", [((1000.0, 0.25), True), ((1.0, 0.25), False)])
+    def test_a_continued_cell_starts_where_the_objective_is_lower(self, monkeypatch, method,
+                                                                  lams, collapsed):
+        """After a lambda large enough to collapse the filter to about 0,
+        where the gradient vanishes, the next cell starts from the average
+        filter; otherwise from the previous cell's filter, whose
+        evaluation takes no SMO step."""
+        fits = self.record_fits(monkeypatch)
+        starts = []
+        lower_start = filter_learning._lower_start
+
+        def recording_start(problems, X, cfg, F_start, F_avg):
+            F0, J0 = lower_start(problems, X, cfg, F_start, F_avg)
+            starts.append(F0 is F_avg)
+            return F0, J0
+
+        monkeypatch.setattr(filter_learning, "_lower_start", recording_start)
+        tr, va, _ = tiny_split()
+        grid = GridSpec(method=method, C=(10.0,), lam=lams, f=(3,), n0=(1,))
+        grid_search(tr, va, grid, learner_kwargs=self.KWARGS)
+        first, second = fits
+        assert second["start"] is first["fit"]
+        assert (np.linalg.norm(first["fit"].bank.coeffs) < 1e-3) == collapsed
+        assert starts == [collapsed]
+        assert second["solves"][0] == (True, 0)
+        if collapsed and method == "kf_svm":
+            assert second["fit"].filter_norms[0] == np.linalg.norm(
+                make_average_filter(3, 1, tr[0].shape[1]).coeffs)
 
     def test_a_failed_cell_restarts_its_chain(self, monkeypatch):
         fits = self.record_fits(monkeypatch, fail_lam=1.0)

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end at tiny sizes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +71,18 @@ def test_run_sweeps_reports_an_axis_without_rows(tmp_path):
     assert all(": " in ln.split(" failed:")[1] for ln in err[:4])
     assert err[4:] == ["noise: 0 rows, 4 failures, nothing written"]
     assert list(out.iterdir()) == []
+
+
+def test_perturb_check_prints_its_summary(tmp_path):
+    proc = run_script("perturb_check.py", "--seeds", "2", "--n-train", "120",
+                      "--n-test", "100", "--max-cg-iters", "2", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["seed", "rel_filter_change", "online_error", "moved_error"]
+    for seed, line in enumerate(lines[1:3]):
+        cells = line.split()
+        assert int(cells[0]) == seed and float(cells[1]) >= 0.0
+        assert all(0.0 <= float(c) <= 1.0 for c in cells[2:])
+    assert re.fullmatch(r"moved fits: [0-2] of 2 \(relative filter change > 1e-09\)", lines[4])
+    assert lines[5].startswith("largest relative filter change: ")
+    assert lines[6].startswith("largest online test-error change: ")
