@@ -2,7 +2,7 @@
 """Perturbation check: how far a learned-filter fit moves under 1 ulp.
 
 For each headline seed (sigma_n 1, lag 5, two channels; train 1000, test
-10000) it fits kf_svm at one fixed cell twice: on the training signal X
+10000) it fits kf_svm at one fixed cell (C 100, lambda 1, f 11, n0 6) twice: on the training signal X
 and on X moved by 1 ulp toward +inf (``np.nextafter``).  It prints per
 seed the relative filter change ||F' - F|| / ||F|| and the online test
 error of both fits, then how many fits moved (relative change above
@@ -30,13 +30,11 @@ def main():
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--n-train", type=int, default=1000)
     ap.add_argument("--n-test", type=int, default=10000)
-    ap.add_argument("--C", type=float, default=100.0)
-    ap.add_argument("--lam", type=float, default=1.0)
     ap.add_argument("--max-cg-iters", type=int, default=30)
     args = ap.parse_args()
 
     params = ToyParams(n=1, sigma_n=1.0, lag=5, nbtot=2)
-    cell = {"C": args.C, "sigma_k": 1.0, "lam": args.lam, "f": 11, "n0": 6}
+    cell = {"C": 100.0, "sigma_k": 1.0, "lam": 1.0, "f": 11, "n0": 6}
     kwargs = {"max_cg_iters": args.max_cg_iters}
     rel_changes, err_changes = [], []
     print(f"{'seed':>4} {'rel_filter_change':>18} {'online_error':>13} {'moved_error':>12}")

@@ -118,13 +118,25 @@ def mixed_norm(F: np.ndarray) -> float:
     return float(np.sum(np.linalg.norm(F, axis=0)))
 
 
+def _penalty(F: np.ndarray, reg: RegularizerSpec):
+    """Unscaled value and gradient of reg's penalty kind; the mixed norm,
+    not differentiable where a column vanishes, has gradient None."""
+    if reg.kind == "frobenius":
+        return frobenius_reg(F)
+    if reg.kind == "weighted_frobenius":
+        return weighted_frobenius_reg(F, reg.weights)
+    return mixed_norm(F), None
+
+
+def regularizer_value(F: np.ndarray, reg: RegularizerSpec) -> float:
+    """lambda-scaled penalty value, for every kind."""
+    return reg.lam * _penalty(F, reg)[0]
+
+
 def regularizer_value_grad(F: np.ndarray, reg: RegularizerSpec):
     """lambda-scaled penalty value and gradient for the differentiable kinds."""
-    if reg.kind == "frobenius":
-        val, grad = frobenius_reg(F)
-    elif reg.kind == "weighted_frobenius":
-        val, grad = weighted_frobenius_reg(F, reg.weights)
-    else:
+    val, grad = _penalty(F, reg)
+    if grad is None:
         raise ValueError("mixed_norm is not differentiable; fit_shared_filter "
                          "handles it by majorization-minimization")
     return reg.lam * val, reg.lam * grad
@@ -280,8 +292,7 @@ def _evaluate(problems, F, X, cfg, *, reject_above: float = np.inf) -> float:
     skipped and the value returned is a lower bound above it.
     """
     Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
-    reg_val = cfg.reg.lam * mixed_norm(F) if cfg.reg.kind == "mixed_norm" \
-        else regularizer_value_grad(F, cfg.reg)[0]
+    reg_val = regularizer_value(F, cfg.reg)
     total = 0.0
     for p in problems:
         if total > reject_above - reg_val:
@@ -348,8 +359,7 @@ def _remember(pairs, s: np.ndarray, y: np.ndarray):
         del pairs[:-LBFGS_MEMORY]
 
 
-def _lbfgs_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray,
-                   J0: float | None = None):
+def _lbfgs_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
     """L-BFGS descent over the filter with Armijo backtracking.
 
     Every line-search evaluation re-solves each SVM subproblem warm-started
@@ -360,16 +370,13 @@ def _lbfgs_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray,
     steps are computed exactly as by a full solve of every trial.  The
     direction comes from the last LBFGS_MEMORY curvature pairs
     (``_lbfgs_direction``); the trial step is 1 once the memory holds a
-    pair, and twice the last accepted step before.  ``J0``, when given, is
-    the objective at F0, where every subproblem is committed already.
+    pair, and twice the last accepted step before.
 
     Returns (F, history, norms, converged).
     """
     F = F0.copy()
-    if J0 is None:
-        J0 = _evaluate(problems, F, X, cfg)
-        _commit_all(problems)
-    J = J0
+    J = _evaluate(problems, F, X, cfg)
+    _commit_all(problems)
     history = [J]
     norms = [float(np.linalg.norm(F))]
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -452,7 +459,7 @@ def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
         F_new, _, _, _ = _lbfgs_descent(problems, X, inner_cfg, F)
         # the committed solves sit at F_new: the true group-sparse objective
         history.append(sum(p.model.objective for p in problems)
-                       + cfg.reg.lam * mixed_norm(F_new))
+                       + regularizer_value(F_new, cfg.reg))
         norms.append(float(np.linalg.norm(F_new)))
         dF = float(np.linalg.norm(F_new - F))
         F = F_new
@@ -480,10 +487,10 @@ class FilterFit:
 
 
 def _lower_start(problems, X, cfg: LearnerConfig, F_start: np.ndarray,
-                 F_avg: np.ndarray) -> tuple[np.ndarray, float]:
-    """(F0, J0): of the start filter and the average filter, the one with
-    the lower objective under ``cfg.reg`` (ties keep the start), with
-    every subproblem committed there.
+                 F_avg: np.ndarray) -> np.ndarray:
+    """Of the start filter and the average filter, the one with the lower
+    objective under ``cfg.reg`` (ties keep the start), with every
+    subproblem committed there.
 
     The subproblems hold the start fit's alphas, so the start filter's
     evaluation takes no SMO step where they converged.  The average
@@ -496,8 +503,8 @@ def _lower_start(problems, X, cfg: LearnerConfig, F_start: np.ndarray,
                       reject_above=J_start + _REJECT_SLACK * max(abs(J_start), 1.0))
     if J_avg < J_start:
         _commit_all(problems)
-        return F_avg, J_avg
-    return F_start, J_start
+        return F_avg
+    return F_start
 
 
 def fit_shared_filter(X, y, cfg: LearnerConfig, *,
@@ -527,7 +534,6 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
         raise ValueError("need at least 2 classes")
     problems = _make_problems(y)
     F0 = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
-    J0 = None
     if start is not None:
         F_start = start.bank.coeffs
         same = (F_start.shape == F0.shape and start.bank.n0 == cfg.n0
@@ -539,11 +545,11 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
             raise ValueError("start fit differs in its samples, C, kernel, f or n0")
         for p, q in zip(problems, start.problems):
             p.alpha = q.alpha
-        F0, J0 = _lower_start(problems, X, cfg, F_start, F0)
+        F0 = _lower_start(problems, X, cfg, F_start, F0)
     if cfg.reg.kind == "mixed_norm":
         F, history, norms, converged = _mm_loop(problems, X, cfg, F0)
     else:
-        F, history, norms, converged = _lbfgs_descent(problems, X, cfg, F0, J0)
+        F, history, norms, converged = _lbfgs_descent(problems, X, cfg, F0)
     return FilterFit(bank=FilterBank(F, n0=cfg.n0), history=history,
                      filter_norms=norms, converged=converged, problems=problems)
 

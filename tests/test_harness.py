@@ -315,9 +315,9 @@ class TestGridChains:
         lower_start = filter_learning._lower_start
 
         def recording_start(problems, X, cfg, F_start, F_avg):
-            F0, J0 = lower_start(problems, X, cfg, F_start, F_avg)
+            F0 = lower_start(problems, X, cfg, F_start, F_avg)
             starts.append(F0 is F_avg)
-            return F0, J0
+            return F0
 
         monkeypatch.setattr(filter_learning, "_lower_start", recording_start)
         tr, va, _ = tiny_split()
