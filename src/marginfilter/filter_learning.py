@@ -7,10 +7,13 @@ filter (the optimal dual variables act as constants when differentiating),
 the filter is learned by limited-memory BFGS (L-BFGS, Liu & Nocedal 1989;
 Nocedal & Wright 2006, Alg. 7.4) over the last LBFGS_MEMORY steps, with a
 backtracking Armijo line search, re-solving the SVM (warm-started) at
-every trial point.
+every trial point.  The channel-selecting sum of column norms is handled
+exactly by proximal-gradient descent instead (Beck & Teboulle 2009;
+Wright, Nowak & Figueiredo 2009), whose group soft-threshold sets a
+dropped channel to exactly 0.
 
 A rejected trial point need not be solved to optimality: it only has
-to be shown to miss the Armijo threshold.
+to be shown to miss its acceptance threshold.
 Every dual optimum is >= 0, and the warm-started SMO solver ascends the
 dual monotonically, so the running dual of each subproblem, added to the
 optima already summed and the penalty, is a lower bound on the trial's
@@ -30,13 +33,6 @@ computes the rows its steps touch.  No evaluation builds a subproblem's
 whole kernel.  The gradient at a committed filter computes the kernel
 K[S', S'] among the committed support set S', holds it for that one
 subproblem's term, and drops it: no |S|^2 block outlives the gradient.
-
-Channel selection uses a sum-of-column-norms penalty, handled by
-majorization-minimization: each outer step replaces the column norms by a
-tight quadratic upper bound, which turns the subproblem back into a
-weighted-Frobenius one that the L-BFGS descent handles.  Each outer step
-runs a fresh descent, so its curvature memory starts empty whenever the
-weights change.
 
 The fit ends with every pairwise subproblem solved at the returned
 filter: the last committed solves.  ``fit_shared_filter`` is the one
@@ -74,29 +70,17 @@ from .svm import (
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Filter penalty: 'frobenius', 'weighted_frobenius' or 'mixed_norm'.
-
-    weighted_frobenius scales each channel's squared column norm by its
-    entry in ``weights``; mixed_norm is the sum of column norms (zeroes
-    whole channels) and is only reachable through the MM solver.
-    """
+    """Filter penalty: 'frobenius' (sum of squares) or 'mixed_norm' (sum of
+    column norms, which zeroes whole channels)."""
 
     kind: str = "frobenius"
     lam: float = 0.0
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("frobenius", "weighted_frobenius", "mixed_norm"):
+        if self.kind not in ("frobenius", "mixed_norm"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lambda must be finite and >= 0")
-        if self.kind == "weighted_frobenius":
-            if self.weights is None:
-                raise ValueError("weighted_frobenius needs per-channel weights")
-            w = np.asarray(self.weights, dtype=np.float64)
-            if np.any(~np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("weights must be finite and > 0")
-            object.__setattr__(self, "weights", w)
 
 
 def frobenius_reg(F: np.ndarray):
@@ -105,55 +89,47 @@ def frobenius_reg(F: np.ndarray):
     return float(np.sum(F * F)), 2.0 * F
 
 
-def weighted_frobenius_reg(F: np.ndarray, weights: np.ndarray):
-    """Per-channel weighted filter energy sum_v w_v ||F_col_v||^2."""
-    F = np.asarray(F, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    return float(np.sum(w * np.sum(F * F, axis=0))), 2.0 * F * w[None, :]
-
-
 def mixed_norm(F: np.ndarray) -> float:
     """Sum of column norms sum_v ||F_col_v||_2 (group penalty over channels)."""
     F = np.asarray(F, dtype=np.float64)
     return float(np.sum(np.linalg.norm(F, axis=0)))
 
 
-def _penalty(F: np.ndarray, reg: RegularizerSpec):
-    """Unscaled value and gradient of reg's penalty kind; the mixed norm,
-    not differentiable where a column vanishes, has gradient None."""
-    if reg.kind == "frobenius":
-        return frobenius_reg(F)
-    if reg.kind == "weighted_frobenius":
-        return weighted_frobenius_reg(F, reg.weights)
-    return mixed_norm(F), None
+def group_shrink(F: np.ndarray, tau: float) -> np.ndarray:
+    """Proximal map of tau * mixed_norm, the group soft-threshold: a
+    column whose norm is <= tau becomes exactly 0, and every other column
+    is scaled by 1 - tau / ||column||."""
+    norms = np.linalg.norm(F, axis=0)
+    keep = norms > tau
+    scale = np.zeros_like(norms)
+    scale[keep] = 1.0 - tau / norms[keep]
+    return F * scale
 
 
 def regularizer_value(F: np.ndarray, reg: RegularizerSpec) -> float:
-    """lambda-scaled penalty value, for every kind."""
-    return reg.lam * _penalty(F, reg)[0]
+    """lambda-scaled penalty value, for either kind."""
+    return reg.lam * (frobenius_reg(F)[0] if reg.kind == "frobenius" else mixed_norm(F))
 
 
 def regularizer_value_grad(F: np.ndarray, reg: RegularizerSpec):
-    """lambda-scaled penalty value and gradient for the differentiable kinds."""
-    val, grad = _penalty(F, reg)
-    if grad is None:
+    """lambda-scaled penalty value and gradient of the differentiable kind."""
+    if reg.kind == "mixed_norm":
         raise ValueError("mixed_norm is not differentiable; fit_shared_filter "
-                         "handles it by majorization-minimization")
+                         "handles it by proximal descent")
+    val, grad = frobenius_reg(F)
     return reg.lam * val, reg.lam * grad
 
 
-# Descent, line-search and majorization constants, the same for every
-# fit: the descent stops when the objective changes by less than
-# TOL_REL_J relatively; L-BFGS keeps the last LBFGS_MEMORY curvature
-# pairs; a trial step passes Armijo's test with ARMIJO_C1, else it shrinks
-# by BACKTRACK, at most MAX_HALVINGS times; MM_EPS clamps a column norm in
-# the majorization weights.
+# Descent and line-search constants, the same for every fit: either
+# descent stops when the objective changes by less than TOL_REL_J
+# relatively; L-BFGS keeps the last LBFGS_MEMORY curvature pairs; an
+# L-BFGS trial step passes Armijo's test with ARMIJO_C1; a rejected trial
+# step of either descent shrinks by BACKTRACK, at most MAX_HALVINGS times.
 TOL_REL_J = 1e-5
 LBFGS_MEMORY = 5
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 30
-MM_EPS = 1e-8
 _CURVATURE_EPS = 1e-12
 
 
@@ -163,13 +139,16 @@ class LearnerConfig:
 
     f and n0 fix the filter geometry; C and kernel parametrize the inner
     SVM; reg the filter penalty.  max_cg_iters and tol_dF bound the
-    L-BFGS descent (its accepted steps, and the step norm that stops it),
-    mm_max_outer the majorization-minimization outer loop, and svm_tol is
-    the inner solver's KKT tolerance.  The descent, the line search and
-    the MM clamp use the module constants TOL_REL_J, LBFGS_MEMORY,
-    ARMIJO_C1, BACKTRACK, MAX_HALVINGS and MM_EPS, fixed because every fit
-    uses the same values; the inner solver keeps ``solve_svm_dual``'s
-    iteration cap.
+    descent, L-BFGS or proximal (its accepted steps, and the step norm
+    that stops it), and svm_tol is the inner solver's KKT tolerance.  The
+    descents and their line searches use the module constants TOL_REL_J,
+    LBFGS_MEMORY, ARMIJO_C1, BACKTRACK and MAX_HALVINGS, fixed because
+    every fit uses the same values; the inner solver keeps
+    ``solve_svm_dual``'s iteration cap.
+
+    mm_max_outer is read by nothing: it capped the majorization-minimization
+    loop that the proximal descent replaced, and stays because
+    ``SKF_KWARGS`` in ``perfbench/workloads.py`` still passes it.
     """
 
     C: float = 100.0
@@ -425,48 +404,67 @@ def _lbfgs_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
     return F, history, norms, converged
 
 
-def mm_weight_update(F: np.ndarray) -> np.ndarray:
-    """Per-channel majorization weights 1 / max(||column||, MM_EPS).
+def _prox_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
+    """Proximal-gradient descent for the mixed-norm penalty.
 
-    The clamp saturates the weight of a vanished column, freezing it at
-    zero instead of dividing by zero.
+    f, the sum of the SVM optima, is evaluated and differentiated with no
+    penalty.  A step is F+ = group_shrink(F - t G, t lambda); t is
+    Barzilai-Borwein's s's / s'y (1/||G|| at first, the last accepted t
+    where s'y shows no curvature), halved by BACKTRACK until
+    f(F+) <= f(F) + G . D + ||D||^2 / (2t) with D = F+ - F, which lowers
+    the objective by ||D||^2 / (2t) at least; that threshold bounds a trial
+    as Armijo's bounds an L-BFGS one.  A step that leaves F in place is
+    stationary.  Returns (F, history, norms, converged), as L-BFGS does.
     """
-    return 1.0 / np.maximum(np.linalg.norm(np.asarray(F), axis=0), MM_EPS)
-
-
-def _mm_loop(problems, X: np.ndarray, cfg: LearnerConfig, F0: np.ndarray):
-    """Majorization-minimization over the column-norm penalty.
-
-    The bound ||col|| <= ||col_0||/2 + ||col||^2 / (2 ||col_0||) is tight
-    at the previous iterate, so the inner weighted problem uses weight
-    lambda * d_v / 2 per channel with d_v = 1 / max(||col_0||, MM_EPS);
-    warm-starting the inner solver at the previous filter makes the true
-    mixed-norm objective non-increasing across outer iterations.
-
-    Returns (F, history, norms, converged) with one history entry (the
-    mixed-norm objective) per outer iteration.
-    """
-    d = F0.shape[1]
-    weights = np.ones(d)
+    smooth = replace(cfg, reg=RegularizerSpec())
     F = F0.copy()
-    history: list[float] = []
-    norms: list[float] = []
+    f = _evaluate(problems, F, X, smooth)
+    _commit_all(problems)
+    J = f + regularizer_value(F, cfg.reg)
+    history = [J]
+    norms = [float(np.linalg.norm(F))]
+    G_prev = s = None
     converged = False
-    for _ in range(cfg.mm_max_outer):
-        inner_reg = RegularizerSpec("weighted_frobenius", cfg.reg.lam,
-                                    weights=0.5 * weights)
-        inner_cfg = replace(cfg, reg=inner_reg)
-        F_new, _, _, _ = _lbfgs_descent(problems, X, inner_cfg, F)
-        # the committed solves sit at F_new: the true group-sparse objective
-        history.append(sum(p.model.objective for p in problems)
-                       + regularizer_value(F_new, cfg.reg))
-        norms.append(float(np.linalg.norm(F_new)))
-        dF = float(np.linalg.norm(F_new - F))
-        F = F_new
-        weights = mm_weight_update(F)
-        if dF < cfg.tol_dF:
+
+    for _ in range(cfg.max_cg_iters):
+        G = _gradient(problems, F, X, smooth)
+        if s is None:
+            t = 1.0 / np.linalg.norm(G) if np.any(G) else 1.0
+        else:
+            y = (G - G_prev).ravel()
+            if float(s @ y) > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
+                t = float(s @ s) / float(s @ y)
+        G_prev = G
+
+        accepted = False
+        for _ in range(MAX_HALVINGS):
+            F_try = group_shrink(F - t * G, t * cfg.reg.lam)
+            D = F_try - F
+            if not np.any(D):
+                break
+            bound = f + float(np.sum(G * D)) + float(np.sum(D * D)) / (2.0 * t)
+            f_try = _evaluate(problems, F_try, X, smooth,
+                              reject_above=bound + _REJECT_SLACK * max(abs(bound), 1.0))
+            if f_try <= bound:
+                accepted = True
+                break
+            t *= BACKTRACK
+        if not accepted:
+            converged = not np.any(D)  # else no descent at line-search resolution
+            break
+
+        _commit_all(problems)
+        s = D.ravel()
+        dF = float(np.linalg.norm(s))
+        J_try = f_try + regularizer_value(F_try, cfg.reg)
+        rel = abs(J - J_try) / max(abs(J), 1.0)
+        F, f, J = F_try, f_try, J_try
+        history.append(J)
+        norms.append(float(np.linalg.norm(F)))
+        if rel < TOL_REL_J or dF < cfg.tol_dF:
             converged = True
             break
+
     return F, history, norms, converged
 
 
@@ -515,7 +513,8 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
     gradients add over subproblems.  With two classes this is the plain
     joint filter/SVM problem.  The filter starts as the average filter, so
     with max_cg_iters=0 the fit is the fixed-average-filter baseline.  The
-    mixed-norm penalty runs the majorization-minimization outer loop.
+    Frobenius penalty runs the L-BFGS descent, the mixed-norm penalty the
+    proximal descent.
 
     ``start``, a fit on the same data at the same C, kernel, f and n0
     (typically another lambda: a regularization path), offers a second
@@ -547,7 +546,7 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
             p.alpha = q.alpha
         F0 = _lower_start(problems, X, cfg, F_start, F0)
     if cfg.reg.kind == "mixed_norm":
-        F, history, norms, converged = _mm_loop(problems, X, cfg, F0)
+        F, history, norms, converged = _prox_descent(problems, X, cfg, F0)
     else:
         F, history, norms, converged = _lbfgs_descent(problems, X, cfg, F0)
     return FilterFit(bank=FilterBank(F, n0=cfg.n0), history=history,
@@ -558,9 +557,9 @@ def committed_bank(fit: FilterFit, X, y, cfg: LearnerConfig) -> MulticlassModel:
     """The multiclass banks at the fit's filter, warm from the fit's solves.
 
     Each subproblem's committed solve was made on the signal filtered by
-    the returned bank (the accepted trial's filter ``F + t*D`` is the same
-    expression as the returned one, so the filtered signal is the same
-    bits).  ``train_multiclass`` starts each pair there, so the pairs and
+    the returned bank (the accepted trial's filter, or by L-BFGS the same
+    expression ``F + t*D``, so the filtered signal is the same bits).
+    ``train_multiclass`` starts each pair there, so the pairs and
     the two one-vs-all scorers of a binary bank take no SMO step; only the
     c one-vs-rest scorers of a c >= 3 bank are solved from scratch.
     """

@@ -18,10 +18,9 @@ from marginfilter.filter_learning import (
     committed_bank,
     fit_shared_filter,
     frobenius_reg,
+    group_shrink,
     mixed_norm,
-    mm_weight_update,
     regularizer_value_grad,
-    weighted_frobenius_reg,
 )
 from marginfilter.harness import train_pipeline
 from marginfilter.signals import (
@@ -151,28 +150,66 @@ def reference_lbfgs(problems, X, cfg, F0, trials):
     return F, history, converged
 
 
+def reference_prox(problems, X, cfg, F0, trials):
+    """The proximal descent with every trial solved to the end; each trial
+    appends (f, bound, f_try) to ``trials``.  The step is the fit's
+    ``group_shrink`` (tested on its own), with the Barzilai-Borwein length
+    and the sufficient-decrease test written out again here; the
+    constants are read from ``filter_learning`` at each use."""
+    smooth = replace(cfg, reg=RegularizerSpec())
+    lam = cfg.reg.lam
+    F = F0.copy()
+    f = reference_evaluate(problems, F, X, smooth)
+    for p in problems:
+        p.commit()
+    J = f + lam * mixed_norm(F)
+    history, G_prev, s, converged = [J], None, None, False
+    for _ in range(cfg.max_cg_iters):
+        G = reference_gradient(problems, F, X, smooth)
+        if s is None:
+            t = 1.0 / np.linalg.norm(G) if np.any(G) else 1.0
+        else:
+            y = (G - G_prev).ravel()
+            if s @ y > filter_learning._CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
+                t = (s @ s) / (s @ y)
+        G_prev = G
+        for _ in range(filter_learning.MAX_HALVINGS):
+            F_try = group_shrink(F - t * G, t * lam)
+            D = F_try - F
+            if not np.any(D):
+                break
+            bound = f + np.sum(G * D) + np.sum(D * D) / (2.0 * t)
+            f_try = reference_evaluate(problems, F_try, X, smooth)
+            trials.append((f, bound, f_try))
+            if f_try <= bound:
+                break
+            t *= filter_learning.BACKTRACK
+        else:
+            break
+        if not np.any(D):
+            converged = True
+            break
+        for p in problems:
+            p.commit()
+        s = D.ravel()
+        J_try = f_try + lam * mixed_norm(F_try)
+        rel = abs(J - J_try) / max(abs(J), 1.0)
+        F, f, J = F_try, f_try, J_try
+        history.append(J)
+        if rel < filter_learning.TOL_REL_J or np.linalg.norm(s) < cfg.tol_dF:
+            converged = True
+            break
+    return F, history, converged
+
+
 def reference_fit(X, y, cfg, trials=None):
     """(F, history, converged, problems) of ``fit_shared_filter`` with every
     line-search trial solved to the end."""
     trials = [] if trials is None else trials
     problems = [ReferenceProblem(p.rows, p.y_pm) for p in _make_problems(y)]
     F = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
-    if cfg.reg.kind != "mixed_norm":
-        return (*reference_lbfgs(problems, X, cfg, F, trials), problems)
-    weights, history, converged = np.ones(X.shape[1]), [], False
-    for _ in range(cfg.mm_max_outer):
-        inner = replace(cfg, reg=RegularizerSpec("weighted_frobenius", cfg.reg.lam,
-                                                 weights=0.5 * weights))
-        F_new, _, _ = reference_lbfgs(problems, X, inner, F, trials)
-        history.append(sum(p.model.objective for p in problems)
-                       + cfg.reg.lam * mixed_norm(F_new))
-        dF = float(np.linalg.norm(F_new - F))
-        F = F_new
-        weights = mm_weight_update(F)
-        if dF < cfg.tol_dF:
-            converged = True
-            break
-    return F, history, converged, problems
+    descent = reference_prox if cfg.reg.kind == "mixed_norm" else reference_lbfgs
+    return (*descent(problems, X, cfg, F, trials), problems)
 
 
 def assert_same_fit(X, y, cfg):
@@ -244,13 +281,6 @@ class TestRegularizers:
                 fd = (frobenius_reg(F + E)[0] - frobenius_reg(F - E)[0]) / (2 * h)
                 assert abs(grad[u, v] - fd) < 1e-6
 
-    def test_weighted_frobenius(self, rng):
-        F = rng.normal(size=(3, 2))
-        w = np.array([2.0, 0.5])
-        val, grad = weighted_frobenius_reg(F, w)
-        assert_allclose(val, 2.0 * np.sum(F[:, 0] ** 2) + 0.5 * np.sum(F[:, 1] ** 2))
-        assert_allclose(grad, 2.0 * F * w)
-
     def test_mixed_norm_zero(self):
         assert mixed_norm(np.zeros((5, 3))) == 0.0
 
@@ -268,9 +298,27 @@ class TestRegularizers:
         with pytest.raises(ValueError, match="differentiable"):
             regularizer_value_grad(np.ones((2, 2)), RegularizerSpec("mixed_norm", 1.0))
 
-    def test_weights_must_be_positive(self):
-        with pytest.raises(ValueError, match="weights"):
-            RegularizerSpec("weighted_frobenius", 1.0, weights=np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("kind, lam, message", [
+        ("weighted_frobenius", 1.0, "unknown regularizer kind"),
+        ("frobenius", -1.0, "lambda must be finite"),
+        ("mixed_norm", np.nan, "lambda must be finite"),
+    ])
+    def test_invalid_spec_is_rejected(self, kind, lam, message):
+        with pytest.raises(ValueError, match=message):
+            RegularizerSpec(kind, lam)
+
+    def test_group_shrink(self):
+        """Columns below and at tau become exactly 0, a column above it
+        shrinks by tau in norm, and an all-zero column stays 0 (no NaN)."""
+        F = np.zeros((2, 4))
+        F[:, 0] = [0.6, 0.8]  # norm 1 < tau
+        F[:, 1] = [0.0, 2.0]  # norm 2 == tau
+        F[:, 2] = [3.0, 4.0]  # norm 5 > tau
+        with np.errstate(all="raise"):
+            out = group_shrink(F, 2.0)
+            assert_array_equal(group_shrink(F, 0.0), F)
+        assert_array_equal(out[:, [0, 1, 3]], 0.0)
+        assert_allclose(out[:, 2], 0.6 * F[:, 2], rtol=1e-15)
 
 
 def dense_bfgs_direction(G, pairs):
@@ -371,12 +419,12 @@ class TestObjective:
         assert abs(J_warm - J_cold) < 1e-6
 
     def test_mixed_norm_objective_value_supported(self, rng):
-        """The MM loop records the SVM optima plus lambda times the mixed
-        norm; with no descent step, at the starting average filter."""
+        """The proximal descent records the SVM optima plus lambda times the
+        mixed norm; with no descent step, at the starting average filter."""
         X, y = small_problem(rng)
         lam = 2.5
         cfg_mixed = LearnerConfig(C=5.0, f=3, n0=1, reg=RegularizerSpec("mixed_norm", lam),
-                                  max_cg_iters=0, mm_max_outer=1)
+                                  max_cg_iters=0)
         cfg_plain = LearnerConfig(C=5.0, f=3, n0=1, reg=RegularizerSpec("frobenius", 0.0))
         F = make_average_filter(3, 1, 2).coeffs
         J_plain, _ = objective(F, X, y, cfg_plain)
@@ -550,11 +598,12 @@ class TestFitSharedFilter:
         assert len(fit.history) == 1  # the first trial step already failed
         assert not fit.converged
 
+    @pytest.mark.parametrize("kind", ["frobenius", "mixed_norm"])
     @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_a_start_continues_where_its_fit_ended(self, n_classes):
+    def test_a_start_continues_where_its_fit_ended(self, n_classes, kind):
         X, y = generate_toy(ToyParams(n=240, sigma_n=0.6, lag=2, n_classes=n_classes,
                                       seed=12))
-        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 2.0),
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec(kind, 2.0),
                             max_cg_iters=5)
         first = fit_shared_filter(X, y, cfg)
         # no descent step: the start's filter, each pair at its committed
@@ -565,7 +614,7 @@ class TestFitSharedFilter:
             assert p.model.n_iter == 0 and p.model.converged
             assert_array_equal(p.alpha, q.alpha)
         # a smaller lambda descends from there
-        path = fit_shared_filter(X, y, replace(cfg, reg=RegularizerSpec("frobenius", 0.2)),
+        path = fit_shared_filter(X, y, replace(cfg, reg=RegularizerSpec(kind, 0.2)),
                                  start=first)
         assert path.problems[0].model is not first.problems[0].model
         assert np.all(np.diff(path.history) <= 1e-10)
@@ -626,10 +675,10 @@ class TestEarlyRejection:
         fit = assert_same_fit(X, y, cfg)
         assert len(fit.problems) == 3 and len(fit.history) > 3
 
-    def test_mixed_norm_mm_fit(self):
+    def test_mixed_norm_proximal_fit(self):
         X, y = toy_case(seed=12, n=200, sigma_n=0.5, lag=0, nbtot=6)
         cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("mixed_norm", 8.0),
-                            max_cg_iters=12, mm_max_outer=4)
+                            max_cg_iters=12)
         fit = assert_same_fit(X, y, cfg)
         assert len(fit.history) > 1
 
@@ -744,7 +793,7 @@ class TestKernelOnDemand:
                                       n_classes=n_classes, seed=22))
         shapes = self.recorded_shapes(monkeypatch)
         pipe = train_pipeline(X, y, method, C=50.0, sigma_k=1.0, lam=1.0, f=5, n0=2,
-                              learner_kwargs={"max_cg_iters": 4, "mm_max_outer": 2})
+                              learner_kwargs={"max_cg_iters": 4})
         classes = pipe.model.classes
         sizes = {len(y)} | {int(np.sum((y == classes[a]) | (y == classes[b])))
                             for a, b in pipe.model.pairwise}
@@ -770,42 +819,14 @@ class TestKernelOnDemand:
 
 
 class TestLearnSkfSvm:
-    """The channel-selecting skf-svm fit: mixed-norm penalty by MM."""
-
-    def test_majorization_touches_at_expansion_point(self):
-        # sqrt(x) == sqrt(x0) + (x - x0) / (2 sqrt(x0)) at x == x0
-        for x0 in (0.25, 1.0, 7.5):
-            assert_allclose(np.sqrt(x0), x0**0.5 + 0.5 * x0**-0.5 * (x0 - x0))
-
-    def test_first_outer_iteration_uses_unit_weights(self):
-        """One MM outer step must equal a single weighted-Frobenius solve
-        with uniform weights (the documented exact-majorization halving
-        folded in)."""
-        X, y = toy_case(seed=10, n=150)
-        lam = 2.0
-        cfg = LearnerConfig(C=20.0, f=3, n0=1,
-                            reg=RegularizerSpec("mixed_norm", lam),
-                            max_cg_iters=10, mm_max_outer=1)
-        skf = fit_shared_filter(X, y, cfg)
-        cfg_w = LearnerConfig(C=20.0, f=3, n0=1,
-                              reg=RegularizerSpec("weighted_frobenius", lam,
-                                                  weights=np.full(2, 0.5)),
-                              max_cg_iters=10)
-        ref = fit_shared_filter(X, y, cfg_w)
-        assert_allclose(skf.bank.coeffs, ref.bank.coeffs, atol=1e-12)
-
-    def test_weight_update_clamps_vanished_columns(self):
-        F = np.zeros((3, 2))
-        F[:, 0] = [0.0, 3.0, 4.0]
-        w = mm_weight_update(F)
-        assert_allclose(w[0], 0.2)
-        assert_allclose(w[1], 1e8)
+    """The channel-selecting skf-svm fit: mixed-norm penalty by proximal
+    descent."""
 
     def test_mixed_norm_objective_non_increasing(self):
         X, y = toy_case(seed=11, n=200, nbtot=4)
         cfg = LearnerConfig(C=30.0, f=5, n0=2,
                             reg=RegularizerSpec("mixed_norm", 3.0),
-                            max_cg_iters=12, mm_max_outer=8)
+                            max_cg_iters=12)
         fit = fit_shared_filter(X, y, cfg)
         hist = np.array(fit.history)
         assert len(hist) >= 2
@@ -815,10 +836,22 @@ class TestLearnSkfSvm:
         X, y = toy_case(seed=12, n=400, sigma_n=0.5, lag=0, nbtot=4)
         cfg = LearnerConfig(C=50.0, f=5, n0=2,
                             reg=RegularizerSpec("mixed_norm", 8.0),
-                            max_cg_iters=20, mm_max_outer=10)
+                            max_cg_iters=20)
         fit = fit_shared_filter(X, y, cfg)
         norms = np.linalg.norm(fit.bank.coeffs, axis=0)
-        assert np.all(norms[:2] > 10 * norms[2:].max())
+        assert_array_equal(norms[2:], 0.0)
+        assert np.all(norms[:2] > 0.1)
+
+    def test_a_filter_shrunk_to_zero_is_stationary(self):
+        """A lambda that drops every channel ends at F = 0, where the SVM
+        gradient vanishes and the proximal step stays put: the fit stops
+        there, converged, after that one step."""
+        X, y = toy_case(seed=5, n=200, nbtot=4)
+        cfg = LearnerConfig(C=10.0, f=3, n0=1, reg=RegularizerSpec("mixed_norm", 1000.0),
+                            max_cg_iters=5)
+        fit = fit_shared_filter(X, y, cfg)
+        assert_array_equal(fit.bank.coeffs, 0.0)
+        assert fit.converged and len(fit.history) == 2
 
 
 class TestMulticlassFilter:

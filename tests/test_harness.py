@@ -242,7 +242,7 @@ class TestGridChains:
 
     # lambda out of order on purpose; 2 chains (C) of 3 cells
     GRID = GridSpec(method="kf_svm", C=(10.0, 1.0), lam=(1.0, 4.0, 0.25), f=(3,), n0=(1,))
-    KWARGS = {"max_cg_iters": 3, "mm_max_outer": 2}
+    KWARGS = {"max_cg_iters": 3}
 
     @staticmethod
     def record_fits(monkeypatch, fail_lam=None):
@@ -328,7 +328,7 @@ class TestGridChains:
         assert (np.linalg.norm(first["fit"].bank.coeffs) < 1e-3) == collapsed
         assert starts == [collapsed]
         assert second["solves"][0] == (True, 0)
-        if collapsed and method == "kf_svm":
+        if collapsed:
             assert second["fit"].filter_norms[0] == np.linalg.norm(
                 make_average_filter(3, 1, tr[0].shape[1]).coeffs)
 
@@ -425,7 +425,7 @@ def learned_filter_case(method, n_classes=2):
                                   n_classes=n_classes, seed=5))
     assert len(np.unique(y)) == n_classes
     lam = 4.0 if method == "skf_svm" else 0.5
-    kwargs = {"max_cg_iters": 6, "mm_max_outer": 3, "svm_tol": 1e-3}
+    kwargs = {"max_cg_iters": 6, "svm_tol": 1e-3}
     return X, y, dict(C=50.0, sigma_k=1.0, lam=lam, f=5, n0=2, learner_kwargs=kwargs)
 
 

@@ -723,8 +723,7 @@ class TestModelRoundTrip:
                                       run_min=10, run_max=15, n_classes=n_classes, seed=3))
         pipe = train_pipeline(X[:100], y[:100], method, C=10.0, sigma_k=1.0,
                               lam=2.0 if method == "skf_svm" else 0.0, f=3, n0=1,
-                              learner_kwargs={"max_cg_iters": 3, "mm_max_outer": 2}
-                              if method == "skf_svm" else {"max_cg_iters": 3})
+                              learner_kwargs={"max_cg_iters": 3})
         calibrate_pipeline(pipe, X[100:], y[100:])
         mp, fp = tmp_path / "model.json", tmp_path / "filter.json"
         save_model(mp, pipe)
