@@ -88,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", "-o", required=True, help="output labels CSV")
         if name == "decode":
             p.add_argument("--mode", choices=("online", "viterbi"), default="online")
+        else:
+            p.set_defaults(mode="online")
 
     p = sub.add_parser("grid-search", help="validation grid search for one method")
     p.add_argument("--train", required=True, help="training dataset CSV")
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, default=5)
     p.add_argument("--nbtot", type=int, default=2)
     p.add_argument("--max-cg-iters", type=int, default=30,
-                   help="cap on the L-BFGS filter descent's steps for sweep-scale runs")
+                   help="cap on the filter descent's steps for sweep-scale runs")
     p.add_argument("--config", help="JSON file overriding per-method grids")
     p.add_argument("--out-dir", required=True,
                    help="directory for results.csv and summary.csv")
@@ -193,16 +195,7 @@ def _load_pipeline(args) -> Pipeline:
     return persistence.load_model(args.model, bank)
 
 
-def _cmd_predict(args) -> int:
-    pipe = _load_pipeline(args)
-    X, _ = persistence.load_dataset(args.data)
-    labels = pipe.predict(X, decode="online")
-    persistence.save_predictions(args.out, labels)
-    print(f"wrote {args.out}: {len(labels)} labels")
-    return 0
-
-
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> int:  # also ``predict``, whose mode is online
     pipe = _load_pipeline(args)
     X, _ = persistence.load_dataset(args.data)
     labels = pipe.predict(X, decode=args.mode)
@@ -238,6 +231,28 @@ def _cmd_grid_search(args) -> int:
     return 0
 
 
+def _read_grids(path) -> dict:
+    """Per-method grids of a sweep config: a JSON object that maps each
+    method to lists of grid-axis values and, optionally, a decode mode,
+    such as ``{"kf_svm": {"C": [10, 100], "lam": [1.0]}}``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict) or not all(isinstance(s, dict) for s in raw.values()):
+            raise ValueError("a sweep config maps each method to an object of grid axes")
+        for method, spec in raw.items():
+            for key, value in spec.items():
+                if key not in ("C", "lam", "sigma_k", "f", "n0", "decode"):
+                    raise ValueError(f"{method}: unknown grid axis {key!r}")
+                if key != "decode" and not isinstance(value, list):
+                    raise ValueError(f"{method}: grid axis {key} must be a list")
+        return {m: GridSpec(method=m, **{k: v if k == "decode" else tuple(v)
+                                          for k, v in spec.items()})
+                for m, spec in raw.items()}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_sweep(args) -> int:
     methods = [METHOD_FLAGS[m.strip()] for m in args.methods.split(",") if m.strip()]
     values = args.values
@@ -248,13 +263,7 @@ def _cmd_sweep(args) -> int:
         if bad:
             raise ValueError(f"--axis {args.axis} takes integer values, got {bad}")
         values = [int(v) for v in values]
-    grids = None
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        grids = {m: GridSpec(method=m, **{k: tuple(v) if isinstance(v, list) else v
-                                          for k, v in spec.items()})
-                 for m, spec in raw.items()}
+    grids = _read_grids(args.config) if args.config else None
     base = ToyParams(n=args.n_train, sigma_n=args.sigma_n, lag=args.lag,
                      nbtot=args.nbtot)
     result = run_toy_sweep(
@@ -333,7 +342,7 @@ def _cmd_compare(args) -> int:
 _COMMANDS = {
     "generate-toy": _cmd_generate_toy,
     "train": _cmd_train,
-    "predict": _cmd_predict,
+    "predict": _cmd_decode,
     "decode": _cmd_decode,
     "grid-search": _cmd_grid_search,
     "sweep": _cmd_sweep,

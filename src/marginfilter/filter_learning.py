@@ -4,13 +4,13 @@ The training objective is the optimal value of the SVM problem on the
 filtered samples, seen as a function of the filter coefficients, plus a
 filter regularizer.  Because the SVM optimum is differentiable in the
 filter (the optimal dual variables act as constants when differentiating),
-the filter is learned by limited-memory BFGS (L-BFGS, Liu & Nocedal 1989;
-Nocedal & Wright 2006, Alg. 7.4) over the last LBFGS_MEMORY steps, with a
-backtracking Armijo line search, re-solving the SVM (warm-started) at
-every trial point.  The channel-selecting sum of column norms is handled
-exactly by proximal-gradient descent instead (Beck & Teboulle 2009;
-Wright, Nowak & Figueiredo 2009), whose group soft-threshold sets a
-dropped channel to exactly 0.
+the filter is learned by one backtracking descent that re-solves the SVM
+(warm-started) at every trial point.  Its step depends on the penalty:
+for the Frobenius penalty a limited-memory BFGS step (L-BFGS, Liu &
+Nocedal 1989; Nocedal & Wright 2006, Alg. 7.4) over the last LBFGS_MEMORY
+steps with Armijo's test, for the channel-selecting sum of column norms a
+proximal-gradient step (Beck & Teboulle 2009; Wright, Nowak & Figueiredo
+2009), whose group soft-threshold sets a dropped channel to exactly 0.
 
 A rejected trial point need not be solved to optimality: it only has
 to be shown to miss its acceptance threshold.
@@ -115,16 +115,16 @@ def regularizer_value_grad(F: np.ndarray, reg: RegularizerSpec):
     """lambda-scaled penalty value and gradient of the differentiable kind."""
     if reg.kind == "mixed_norm":
         raise ValueError("mixed_norm is not differentiable; fit_shared_filter "
-                         "handles it by proximal descent")
+                         "handles it by proximal steps")
     val, grad = frobenius_reg(F)
     return reg.lam * val, reg.lam * grad
 
 
-# Descent and line-search constants, the same for every fit: either
+# Descent and line-search constants, the same for every fit: the
 # descent stops when the objective changes by less than TOL_REL_J
 # relatively; L-BFGS keeps the last LBFGS_MEMORY curvature pairs; an
 # L-BFGS trial step passes Armijo's test with ARMIJO_C1; a rejected trial
-# step of either descent shrinks by BACKTRACK, at most MAX_HALVINGS times.
+# step of either kind shrinks by BACKTRACK, at most MAX_HALVINGS times.
 TOL_REL_J = 1e-5
 LBFGS_MEMORY = 5
 ARMIJO_C1 = 1e-4
@@ -139,15 +139,15 @@ class LearnerConfig:
 
     f and n0 fix the filter geometry; C and kernel parametrize the inner
     SVM; reg the filter penalty.  max_cg_iters and tol_dF bound the
-    descent, L-BFGS or proximal (its accepted steps, and the step norm
-    that stops it), and svm_tol is the inner solver's KKT tolerance.  The
-    descents and their line searches use the module constants TOL_REL_J,
-    LBFGS_MEMORY, ARMIJO_C1, BACKTRACK and MAX_HALVINGS, fixed because
-    every fit uses the same values; the inner solver keeps
-    ``solve_svm_dual``'s iteration cap.
+    descent, whose steps are L-BFGS or proximal by penalty (its accepted
+    steps, and the step norm that stops it), and svm_tol is the inner
+    solver's KKT tolerance.  The descent and its line search use the
+    module constants TOL_REL_J, LBFGS_MEMORY, ARMIJO_C1, BACKTRACK and
+    MAX_HALVINGS, fixed because every fit uses the same values; the inner
+    solver keeps ``solve_svm_dual``'s iteration cap.
 
     mm_max_outer is read by nothing: it capped the majorization-minimization
-    loop that the proximal descent replaced, and stays because
+    loop that the proximal steps replaced, and stays because
     ``SKF_KWARGS`` in ``perfbench/workloads.py`` still passes it.
     """
 
@@ -209,7 +209,7 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# L-BFGS descent over the filter
+# descent over the filter
 # ---------------------------------------------------------------------------
 
 class _Subproblem:
@@ -218,8 +218,8 @@ class _Subproblem:
 
     Trial solves warm-start from the last committed solution; committing
     promotes the most recent trial to the warm-start state, together with
-    the filtered signal it was solved on (all the gradient at the
-    committed filter needs besides alpha).
+    the filtered signal it was solved on (all the gradient and
+    ``committed_bank`` need at the committed filter besides alpha).
     """
 
     def __init__(self, pair: tuple[int, int], rows: np.ndarray, y_pm: np.ndarray):
@@ -255,7 +255,7 @@ class _Subproblem:
         self.alpha = self.model.alpha
 
 
-# Relative margin by which a trial's lower bound must clear the Armijo
+# Relative margin by which a trial's lower bound must clear the acceptance
 # threshold before the trial is cut short; the running dual tracks the
 # solver's objective to ~1e-12, so a trial within the margin is solved
 # to the end and decided on its exact objective.
@@ -326,146 +326,132 @@ def _lbfgs_direction(G: np.ndarray, pairs) -> tuple[np.ndarray, float]:
     return D, slope
 
 
-def _remember(pairs, s: np.ndarray, y: np.ndarray):
-    """Store the pair (s, y) if its curvature s'y > _CURVATURE_EPS ||s|| ||y||.
+def _has_curvature(s: np.ndarray, y: np.ndarray) -> bool:
+    """s'y > _CURVATURE_EPS ||s|| ||y||.  The line search tests a sufficient
+    decrease only and the objective is not convex, so s'y can be <= 0,
+    which would make the L-BFGS H indefinite and the Barzilai-Borwein t < 0."""
+    return float(s @ y) > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y))
 
-    The line search tests Armijo's condition only and the objective is not
-    convex, so s'y can be <= 0; such a pair would make H indefinite.  The
-    memory keeps the newest LBFGS_MEMORY pairs.
-    """
-    if float(s @ y) > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
+
+def _remember(pairs, s: np.ndarray, y: np.ndarray):
+    """Store the pair (s, y) if it has curvature (``_has_curvature``); the
+    memory keeps the newest LBFGS_MEMORY pairs."""
+    if _has_curvature(s, y):
         pairs.append((s, y))
         del pairs[:-LBFGS_MEMORY]
 
 
-def _lbfgs_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
-    """L-BFGS descent over the filter with Armijo backtracking.
+class _LbfgsStep:
+    """The L-BFGS step, for the Frobenius penalty (h = 0, all of it in f).
 
-    Every line-search evaluation re-solves each SVM subproblem warm-started
-    from the last accepted solution, but stops as soon as a lower bound on
-    the trial's objective exceeds the Armijo threshold by the relative
-    slack ``_REJECT_SLACK``: such a trial would be rejected anyway.  A
-    trial that meets the threshold never reaches that bound, so accepted
-    steps are computed exactly as by a full solve of every trial.  The
-    direction comes from the last LBFGS_MEMORY curvature pairs
-    (``_lbfgs_direction``); the trial step is 1 once the memory holds a
-    pair, and twice the last accepted step before.
+    The direction comes from the last LBFGS_MEMORY curvature pairs
+    (``_lbfgs_direction``); the first trial length is 1 once the memory
+    holds a pair, and twice the last accepted one before, so the search
+    adapts to the local scale.  A trial F + tD passes Armijo's test
+    f + ARMIJO_C1 t G . D.
+    """
+
+    def __init__(self):
+        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def penalty(self, F) -> float:
+        return 0.0
+
+    def first_t(self, G, s, y, t) -> float:
+        if s is not None:
+            _remember(self.pairs, s, y)
+        self.D, self.slope = _lbfgs_direction(G, self.pairs)
+        return 1.0 if self.pairs else min(t * 2.0, 1e6)
+
+    def trial(self, F, G, f, t):
+        return F + t * self.D, f + ARMIJO_C1 * t * self.slope
+
+
+class _ProxStep:
+    """The proximal-gradient step, for the mixed norm h = lam sum_v ||F_v||
+    (Beck & Teboulle 2009; Wright, Nowak & Figueiredo 2009).
+
+    A trial is F+ = group_shrink(F - t G, t lam), which sets a dropped
+    channel to exactly 0.  t is Barzilai-Borwein's s's / s'y (1/||G|| at
+    first, the last accepted t where s'y shows no curvature).  The trial
+    passes f(F+) <= f(F) + G . D + ||D||^2 / (2t), D = F+ - F, which
+    lowers f + h by ||D||^2 / (2t) at least.
+    """
+
+    def __init__(self, lam: float):
+        self.lam = lam
+
+    def penalty(self, F) -> float:
+        return self.lam * mixed_norm(F)
+
+    def first_t(self, G, s, y, t) -> float:
+        if s is None:
+            return 1.0 / np.linalg.norm(G) if np.any(G) else 1.0
+        return float(s @ s) / float(s @ y) if _has_curvature(s, y) else t
+
+    def trial(self, F, G, f, t):
+        F_try = group_shrink(F - t * G, t * self.lam)
+        D = F_try - F
+        return F_try, f + float(np.sum(G * D)) + float(np.sum(D * D)) / (2.0 * t)
+
+
+def _descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
+    """Backtracking descent over the filter on J = f + h.
+
+    f, the sum of the SVM optima plus the Frobenius penalty when that is
+    the penalty, goes through ``_evaluate`` and ``_gradient``; h, the
+    mixed norm (0 for the Frobenius penalty), enters only through the
+    step and the recorded J.  The step rule, ``_LbfgsStep`` or
+    ``_ProxStep`` by penalty, gives the first trial length, and a trial
+    point with the threshold f must meet there; a rejected trial shrinks
+    t by BACKTRACK, at most MAX_HALVINGS times, and is cut short once it
+    is shown to miss the threshold (``_REJECT_SLACK``).  A trial point
+    equal to F is stationary and ends the fit as converged.
 
     Returns (F, history, norms, converged).
     """
-    F = F0.copy()
-    J = _evaluate(problems, F, X, cfg)
-    _commit_all(problems)
-    history = [J]
-    norms = [float(np.linalg.norm(F))]
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    G_prev = s = None
-    step = 1.0
-    converged = False
-
-    for _ in range(cfg.max_cg_iters):
-        G = _gradient(problems, F, X, cfg)
-        if s is not None:
-            _remember(pairs, s, (G - G_prev).ravel())
-        if not np.any(G):
-            converged = True
-            break
-        D, slope = _lbfgs_direction(G, pairs)
-        G_prev = G
-
-        # Armijo backtracking; without curvature pairs the trial step
-        # carries over between iterations (doubled) so the search adapts
-        # to the local scale
-        t = 1.0 if pairs else min(step * 2.0, 1e6)
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            bound = J + ARMIJO_C1 * t * slope
-            J_try = _evaluate(problems, F + t * D, X, cfg,
-                              reject_above=bound + _REJECT_SLACK * max(abs(bound), 1.0))
-            if J_try <= bound:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
-            break  # no descent at line-search resolution: not converged
-
-        _commit_all(problems)  # promote the accepted trial's solutions
-        F_new = F + t * D
-        s = (F_new - F).ravel()
-        dF = float(np.linalg.norm(s))
-        rel = abs(J - J_try) / max(abs(J), 1.0)
-        F, J, step = F_new, J_try, t
-        history.append(J)
-        norms.append(float(np.linalg.norm(F)))
-        if rel < TOL_REL_J or dF < cfg.tol_dF:
-            converged = True
-            break
-
-    return F, history, norms, converged
-
-
-def _prox_descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
-    """Proximal-gradient descent for the mixed-norm penalty.
-
-    f, the sum of the SVM optima, is evaluated and differentiated with no
-    penalty.  A step is F+ = group_shrink(F - t G, t lambda); t is
-    Barzilai-Borwein's s's / s'y (1/||G|| at first, the last accepted t
-    where s'y shows no curvature), halved by BACKTRACK until
-    f(F+) <= f(F) + G . D + ||D||^2 / (2t) with D = F+ - F, which lowers
-    the objective by ||D||^2 / (2t) at least; that threshold bounds a trial
-    as Armijo's bounds an L-BFGS one.  A step that leaves F in place is
-    stationary.  Returns (F, history, norms, converged), as L-BFGS does.
-    """
-    smooth = replace(cfg, reg=RegularizerSpec())
+    if cfg.reg.kind == "mixed_norm":
+        smooth, rule = replace(cfg, reg=RegularizerSpec()), _ProxStep(cfg.reg.lam)
+    else:
+        smooth, rule = cfg, _LbfgsStep()
     F = F0.copy()
     f = _evaluate(problems, F, X, smooth)
     _commit_all(problems)
-    J = f + regularizer_value(F, cfg.reg)
+    J = f + rule.penalty(F)
     history = [J]
     norms = [float(np.linalg.norm(F))]
     G_prev = s = None
-    converged = False
+    t = 1.0
 
     for _ in range(cfg.max_cg_iters):
         G = _gradient(problems, F, X, smooth)
-        if s is None:
-            t = 1.0 / np.linalg.norm(G) if np.any(G) else 1.0
-        else:
-            y = (G - G_prev).ravel()
-            if float(s @ y) > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
-                t = float(s @ s) / float(s @ y)
+        y = None if s is None else (G - G_prev).ravel()
+        t = rule.first_t(G, s, y, t)
         G_prev = G
 
-        accepted = False
         for _ in range(MAX_HALVINGS):
-            F_try = group_shrink(F - t * G, t * cfg.reg.lam)
-            D = F_try - F
-            if not np.any(D):
-                break
-            bound = f + float(np.sum(G * D)) + float(np.sum(D * D)) / (2.0 * t)
+            F_try, bound = rule.trial(F, G, f, t)
+            s = (F_try - F).ravel()
+            if not np.any(s):
+                return F, history, norms, True  # stationary
             f_try = _evaluate(problems, F_try, X, smooth,
                               reject_above=bound + _REJECT_SLACK * max(abs(bound), 1.0))
             if f_try <= bound:
-                accepted = True
                 break
             t *= BACKTRACK
-        if not accepted:
-            converged = not np.any(D)  # else no descent at line-search resolution
-            break
+        else:
+            break  # no descent at line-search resolution: not converged
 
-        _commit_all(problems)
-        s = D.ravel()
-        dF = float(np.linalg.norm(s))
-        J_try = f_try + regularizer_value(F_try, cfg.reg)
+        _commit_all(problems)  # promote the accepted trial's solutions
+        J_try = f_try + rule.penalty(F_try)
         rel = abs(J - J_try) / max(abs(J), 1.0)
         F, f, J = F_try, f_try, J_try
         history.append(J)
         norms.append(float(np.linalg.norm(F)))
-        if rel < TOL_REL_J or dF < cfg.tol_dF:
-            converged = True
-            break
+        if rel < TOL_REL_J or np.linalg.norm(s) < cfg.tol_dF:
+            return F, history, norms, True
 
-    return F, history, norms, converged
+    return F, history, norms, False
 
 
 def _make_problems(y: np.ndarray) -> list[_Subproblem]:
@@ -512,9 +498,9 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
     The objective is the sum of the pairwise SVM optima plus the penalty;
     gradients add over subproblems.  With two classes this is the plain
     joint filter/SVM problem.  The filter starts as the average filter, so
-    with max_cg_iters=0 the fit is the fixed-average-filter baseline.  The
-    Frobenius penalty runs the L-BFGS descent, the mixed-norm penalty the
-    proximal descent.
+    with max_cg_iters=0 the fit is the fixed-average-filter baseline.  One
+    descent (``_descent``) fits either penalty, with L-BFGS steps for the
+    Frobenius penalty and proximal steps for the mixed norm.
 
     ``start``, a fit on the same data at the same C, kernel, f and n0
     (typically another lambda: a regularization path), offers a second
@@ -545,24 +531,21 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
         for p, q in zip(problems, start.problems):
             p.alpha = q.alpha
         F0 = _lower_start(problems, X, cfg, F_start, F0)
-    if cfg.reg.kind == "mixed_norm":
-        F, history, norms, converged = _prox_descent(problems, X, cfg, F0)
-    else:
-        F, history, norms, converged = _lbfgs_descent(problems, X, cfg, F0)
+    F, history, norms, converged = _descent(problems, X, cfg, F0)
     return FilterFit(bank=FilterBank(F, n0=cfg.n0), history=history,
                      filter_norms=norms, converged=converged, problems=problems)
 
 
-def committed_bank(fit: FilterFit, X, y, cfg: LearnerConfig) -> MulticlassModel:
+def committed_bank(fit: FilterFit, y, cfg: LearnerConfig) -> MulticlassModel:
     """The multiclass banks at the fit's filter, warm from the fit's solves.
 
-    Each subproblem's committed solve was made on the signal filtered by
-    the returned bank (the accepted trial's filter, or by L-BFGS the same
-    expression ``F + t*D``, so the filtered signal is the same bits).
-    ``train_multiclass`` starts each pair there, so the pairs and
-    the two one-vs-all scorers of a binary bank take no SMO step; only the
-    c one-vs-rest scorers of a c >= 3 bank are solved from scratch.
+    Every subproblem's committed solve was made on one array, the training
+    signal filtered by the returned bank, so the banks are trained on that
+    array without filtering again.  ``train_multiclass`` starts each pair
+    at its committed solution, so the pairs and the two one-vs-all scorers
+    of a binary bank take no SMO step; only the c one-vs-rest scorers of a
+    c >= 3 bank are solved from scratch.
     """
-    return train_multiclass(apply_filter(X, fit.bank), y, cfg.C, cfg.kernel,
+    return train_multiclass(fit.problems[0].Xf, y, cfg.C, cfg.kernel,
                             tol=cfg.svm_tol, warm={p.pair: p.alpha for p in fit.problems})
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -178,7 +179,7 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
     else:
         fit = fit_shared_filter(X, y, cfg, start=start)
         bank = fit.bank
-        mc = committed_bank(fit, X, y, cfg)
+        mc = committed_bank(fit, y, cfg)
 
     classes = mc.classes
     y_idx = np.searchsorted(classes, y) + 1
@@ -230,10 +231,14 @@ class GridSpec:
             vals = tuple(getattr(self, name))
             if not vals:
                 raise ValueError(f"grid axis {name} is empty")
-            object.__setattr__(self, name, vals)
-        for name in ("C", "lam", "sigma_k"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
+            kind, what = ((numbers.Integral, "integers") if name in ("f", "n0")
+                          else (numbers.Real, "numbers"))
+            bad = [v for v in vals if isinstance(v, bool) or not isinstance(v, kind)]
+            if bad:
+                raise ValueError(f"grid axis {name} takes {what}, got {bad}")
+            if not all(math.isfinite(v) for v in vals):
                 raise ValueError(f"grid axis {name} must be finite")
+            object.__setattr__(self, name, vals)
         if any(c <= 0 for c in self.C) or any(s <= 0 for s in self.sigma_k):
             raise ValueError("C and sigma_k must be > 0")
         if any(l < 0 for l in self.lam):

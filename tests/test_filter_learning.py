@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from marginfilter.filter_learning import (
     LearnerConfig,
     RegularizerSpec,
     _commit_all,
+    _descent,
     _evaluate,
     _gradient,
     _inner_gradient,
@@ -212,9 +214,19 @@ def reference_fit(X, y, cfg, trials=None):
     return (*descent(problems, X, cfg, F, trials), problems)
 
 
+def counted_evaluations():
+    """Patch ``filter_learning._evaluate`` with a wrapper that counts its calls."""
+    return mock.patch.object(filter_learning, "_evaluate", wraps=filter_learning._evaluate)
+
+
 def assert_same_fit(X, y, cfg):
-    F, history, converged, ref_problems = reference_fit(X, y, cfg)
-    fit = fit_shared_filter(X, y, cfg)
+    """The fit equals ``reference_fit``'s, bit for bit, and evaluates the
+    objective at the start and at each of the reference's trials, no more."""
+    trials = []
+    F, history, converged, ref_problems = reference_fit(X, y, cfg, trials)
+    with counted_evaluations() as evaluate:
+        fit = fit_shared_filter(X, y, cfg)
+    assert evaluate.call_count == 1 + len(trials)
     assert_array_equal(fit.bank.coeffs, F)
     assert fit.history == history
     assert fit.converged == converged
@@ -854,6 +866,25 @@ class TestLearnSkfSvm:
         assert fit.converged and len(fit.history) == 2
 
 
+class TestDescent:
+    """The one descent loop, with either step rule."""
+
+    @pytest.mark.parametrize("kind", ["frobenius", "mixed_norm"])
+    def test_a_zero_filter_is_stationary(self, kind):
+        """At F = 0 every filtered sample is 0, so the gradient vanishes and
+        the L-BFGS and the proximal trial points are both F: the descent
+        ends converged after its first evaluation."""
+        X, y = toy_case(seed=5, n=200)
+        cfg = LearnerConfig(C=10.0, f=3, n0=1, reg=RegularizerSpec(kind, 1.0),
+                            max_cg_iters=5)
+        F0 = np.zeros((3, 2))
+        with counted_evaluations() as evaluate:
+            F, history, norms, converged = _descent(_make_problems(y), X, cfg, F0)
+        assert converged and len(history) == 1 and norms == [0.0]
+        assert_array_equal(F, F0)
+        assert evaluate.call_count == 1
+
+
 class TestMulticlassFilter:
     """One filter shared by the pairwise subproblems of any class count."""
 
@@ -879,7 +910,7 @@ class TestMulticlassFilter:
         cfg = LearnerConfig(C=5.0, f=2, n0=0, reg=RegularizerSpec("frobenius", 0.5),
                             max_cg_iters=3)
         fit = fit_shared_filter(X, y, cfg)
-        mc = committed_bank(fit, X, y, cfg)
+        mc = committed_bank(fit, y, cfg)
         assert len(mc.pairwise) == 3
         assert np.all(np.isfinite(fit.bank.coeffs))
 

@@ -152,6 +152,20 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=f"grid axis {axis} must be finite"):
             GridSpec(method="kf_svm", **{axis: (1.0, value)})
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("f", (3, 2.5), "grid axis f takes integers, got [2.5]"),
+        ("n0", (1.0,), "grid axis n0 takes integers, got [1.0]"),
+        ("f", (True,), "grid axis f takes integers, got [True]"),
+        ("C", (1.0, "10"), "grid axis C takes numbers, got ['10']"),
+    ])
+    def test_axis_value_of_the_wrong_type_rejected(self, axis, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GridSpec(method="kf_svm", **{axis: values})
+
+    def test_numpy_integers_are_integers(self):
+        grid = GridSpec(method="avg_svm", f=(np.int64(3),), n0=(np.int32(1),))
+        assert grid.cells()[0]["f"] == 3
+
     def test_cells_collapse_irrelevant_axes(self):
         grid = GridSpec(method="svm", C=(1.0, 2.0), lam=(0.1, 0.2),
                         f=(3, 5), n0=(0,))

@@ -931,6 +931,38 @@ class TestCli:
         assert "integer values, got [2.5]" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kf_svm": {"lambda": [1.0]}}, "kf_svm: unknown grid axis 'lambda'"),
+        ({"kf_svm": {"C": 5}}, "kf_svm: grid axis C must be a list"),
+        ([1, 2], "a sweep config maps each method to an object of grid axes"),
+        ({"avg_svm": {"f": [2.5], "n0": [1]}}, "grid axis f takes integers, got [2.5]"),
+    ], ids=["unknown-axis", "scalar-axis", "not-an-object", "float-f"])
+    def test_sweep_rejects_a_malformed_config(self, tmp_path, capsys, doc, message):
+        config = tmp_path / "grids.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        rc = self.run("sweep", "--axis", "noise", "--values", "0.5", "--methods", "avg-svm",
+                      "--seeds", 1, "--n-train", 60, "--n-val", 60, "--n-test", 60,
+                      "--config", config, "--out-dir", out)
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {config}: {message}")
+        assert not out.exists()
+
+    def test_predict_is_online_decode(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        out = tmp_path / "run"
+        self.run("generate-toy", "--n", 240, "--run-min", 8, "--run-max", 12,
+                 "--sigma-n", 0.5, "-o", data)
+        self.run("train", "--data", data, "--method", "avg-svm", "--f", 3, "--n0", 1,
+                 "--out-dir", out)
+        files = ("--model", out / "model.json", "--filter", out / "filter.json",
+                 "--data", data)
+        assert self.run("predict", *files, "-o", tmp_path / "p.csv") == 0
+        assert self.run("decode", *files, "--mode", "online", "-o", tmp_path / "d.csv") == 0
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        assert capsys.readouterr().out.splitlines()[-2].endswith("240 labels (online)")
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert self.run("frobnicate") != 0
 
