@@ -254,7 +254,12 @@ def _read_grids(path) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    methods = [METHOD_FLAGS[m.strip()] for m in args.methods.split(",") if m.strip()]
+    names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    unknown = [m for m in names if m not in METHOD_FLAGS]
+    if unknown:
+        raise ValueError(f"--methods: unknown method(s) {', '.join(unknown)}; "
+                         f"expected a comma-separated list of {', '.join(METHOD_FLAGS)}")
+    methods = [METHOD_FLAGS[m] for m in names]
     values = args.values
     if values is None:
         values = list(DEFAULT_AXIS_VALUES[args.axis])

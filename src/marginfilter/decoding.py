@@ -193,11 +193,15 @@ def viterbi(logprobs, transitions: TransitionMatrix) -> np.ndarray:
 
 
 def decode_offline(mc: MulticlassModel, platt: list[PlattParams],
-                   transitions: TransitionMatrix, Xte_filtered) -> np.ndarray:
+                   transitions: TransitionMatrix, Xte_filtered=None, *,
+                   scores=None) -> np.ndarray:
     """Viterbi decoding of calibrated per-sample class probabilities.
 
-    Returns labels in the model's original class values.
+    The probabilities come from ``scores``, the one-vs-all bank's scores
+    of the samples, when the caller has them, else from scoring
+    ``Xte_filtered`` (``class_probabilities``).  Returns labels in the
+    model's original class values.
     """
-    probs = class_probabilities(mc, platt, Xte_filtered)
+    probs = class_probabilities(mc, platt, Xte_filtered, scores=scores)
     path = viterbi(np.log(probs), transitions)
     return mc.classes[path - 1]

@@ -15,6 +15,12 @@ pair at the fit's committed solve, which is optimal at the returned
 filter, so after the fit only the c one-vs-rest scorers of a c >= 3 bank
 take SMO steps.
 
+A pipeline labels a signal by both decoders from one test kernel
+(``Pipeline``): a calibrated pipeline scores its pairwise and one-vs-all
+banks together and keeps the last signal's scores, so labeling a test set
+online and then by Viterbi, as ``evaluate_method_on_seed`` does, scores
+it once.
+
 The synthetic experiments have one runner, ``run_toy_sweep``: per axis
 value, method and seed it draws a split, selects hyperparameters on
 validation and records the test error of both decoders.  The headline
@@ -33,8 +39,8 @@ returns the same bits as a serial one.
 MARGIN_FILTER_THREADS is the one worker setting: it defaults to the
 usable CPU count and is capped there, and by the same rule
 (``svm._worker_count``) it caps the threads that score a bank in
-``svm.bank_scores``.  A task already running in a worker runs its own
-inner map and its scoring serially, so a sweep parallelizes over its
+``svm.joint_bank_scores``.  A task already running in a worker runs its
+own inner map and its scoring serially, so a sweep parallelizes over its
 tasks and starts no grandchildren.  The workers of one map
 share one kernel-cache budget, each keeping at most
 ``svm.KERNEL_CACHE_BYTES // workers`` of rows; a smaller cache only
@@ -43,6 +49,7 @@ computes rows again, the same doubles, so the results keep their bits.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -76,6 +83,7 @@ from .svm import (
     PlattParams,
     _worker_count,
     bank_scores,
+    joint_bank_scores,
     oao_vote,
     platt_fit,
     train_multiclass,
@@ -117,6 +125,29 @@ class Pipeline:
 
     ``fit`` is the filter fit of a learned-filter pipeline trained here,
     and None for a fixed filter or a pipeline loaded from a file.
+
+    ``predict`` scores a signal once for both decoders: one
+    ``svm.joint_bank_scores`` call over the pairwise bank and, when the
+    pipeline is calibrated (``platt`` set), the one-vs-all bank too.  That
+    is one test kernel against the union of both banks' support rows,
+    which is the one-vs-all set when every pairwise support vector is also
+    a one-vs-all one (always so with two classes); each bank then takes
+    its own product with it.  Voting reads the pairwise scores, Viterbi
+    the one-vs-all scores.  An uncalibrated pipeline cannot decode by
+    Viterbi and scores the pairwise bank alone.
+
+    The pipeline keeps the scores of the last signal it scored, a
+    one-entry memo keyed by a digest of the signal's float64 bytes, its
+    shape, and the ``model`` and ``filter`` objects the scores came from.
+    A second ``predict`` of the same signal, by either decoder, reads
+    them.  Any other signal, the same array changed in place, a
+    reassigned ``model`` or ``filter``, or a pipeline calibrated since the
+    memo was made, scores again and replaces the memo; a model or filter
+    changed in place is not noticed.  A caller that decodes a calibrated
+    pipeline one way only pays for the other bank: its product, and the
+    kernel columns of support rows only it has.  Scoring a calibrated
+    3-class model's 60000 samples for both banks took 0.126 s against
+    0.101 s for the pairwise bank alone (2 cores).
     """
 
     method: str
@@ -125,6 +156,8 @@ class Pipeline:
     transitions: TransitionMatrix
     platt: list[PlattParams] | None = None
     fit: FilterFit | None = None
+    # (key, model, filter, pairwise scores, one-vs-all scores or None)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def history(self) -> list[float]:
@@ -139,15 +172,33 @@ class Pipeline:
     def filtered(self, X) -> np.ndarray:
         return apply_filter(as_signal(X), self.filter)
 
+    def _scores(self, X) -> tuple[np.ndarray, np.ndarray | None]:
+        """The pairwise and, when calibrated, the one-vs-all bank scores
+        of signal ``X`` (else None), read from the memo where it holds them."""
+        X = as_signal(X)
+        key = (hashlib.blake2b(np.ascontiguousarray(X)).digest(), X.shape)
+        calibrated = self.platt is not None
+        memo = self._memo
+        if (memo is not None and memo[0] == key and memo[1] is self.model
+                and memo[2] is self.filter and (memo[4] is not None or not calibrated)):
+            return memo[3], memo[4]
+        banks = [self.model.pairwise.values()]
+        if calibrated:
+            banks.append(self.model.one_vs_all)
+        pair_scores, *rest = joint_bank_scores(banks, apply_filter(X, self.filter))
+        ova_scores = rest[0] if rest else None
+        self._memo = (key, self.model, self.filter, pair_scores, ova_scores)
+        return pair_scores, ova_scores
+
     def predict(self, X, decode: str = "online") -> np.ndarray:
-        Xf = self.filtered(X)
+        if decode not in DECODE_MODES:
+            raise ValueError(f"unknown decode mode {decode!r}")
+        if decode == "viterbi" and self.platt is None:
+            raise ValueError("pipeline is not calibrated; fit Platt params first")
+        pair_scores, ova_scores = self._scores(X)
         if decode == "online":
-            return oao_vote(self.model, Xf)
-        if decode == "viterbi":
-            if self.platt is None:
-                raise ValueError("pipeline is not calibrated; fit Platt params first")
-            return decode_offline(self.model, self.platt, self.transitions, Xf)
-        raise ValueError(f"unknown decode mode {decode!r}")
+            return oao_vote(self.model, scores=pair_scores)
+        return decode_offline(self.model, self.platt, self.transitions, scores=ova_scores)
 
 
 def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
@@ -568,8 +619,8 @@ def _parallel_map(fn, tasks) -> list:
     a forked pool of two starts in about 20 ms, a spawned one, which
     imports numpy, scipy and this package afresh, in about 1.5 s, longer
     than a whole grid search of the benchmark.  Forking is safe here: the
-    package's only threads, ``svm.bank_scores``'s, are joined before that
-    function returns, so none is alive at a fork, and OpenBLAS resets its
+    package's only threads, ``svm.joint_bank_scores``'s, are joined before
+    that function returns, so none is alive at a fork, and OpenBLAS resets its
     own thread pool in a fork handler.
     """
     tasks = list(tasks)

@@ -24,7 +24,11 @@ joined inside the call; the distance, exp and matrix product of a chunk
 release the interpreter lock.  Each chunk writes its own rows of the
 result, so every score is the same double as a serial run gives.  Inside
 a worker process of ``harness``'s process map the chunks run in the
-calling thread.
+calling thread.  Several banks of one kernel can share a test kernel
+(``joint_bank_scores``): a calibrated ``harness.Pipeline`` scores its
+pairwise and one-vs-all banks so, once for both decoders, and hands their
+scores to ``oao_vote`` and ``class_probabilities`` through their
+``scores`` argument.
 """
 
 from __future__ import annotations
@@ -560,13 +564,23 @@ def _worker_count(tasks: int) -> int:
 
 
 def bank_scores(models, Xte) -> np.ndarray:
-    """Decision scores of a bank of models that share one kernel.
+    """Decision scores of a bank of models that share one kernel: the
+    one-bank case of ``joint_bank_scores``.
 
-    The support-vector rows of all models are deduplicated into one table
-    (``support_table``), and each model's alpha_j y_j is scattered into
-    one (n_union, k) coefficient matrix.  ``Xte`` is then scored
-    SCORE_CHUNK_ROWS rows at a time against the distinct rows, so one
-    test kernel serves the whole bank.  The chunks run on up to
+    Returns (m, len(models)); column k holds model k's scores.
+    """
+    return joint_bank_scores([models], Xte)[0]
+
+
+def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
+    """Decision scores of several banks of models through one test kernel.
+
+    The support-vector rows of all models of all banks are deduplicated
+    into one table (``support_table``), and each bank's alpha_j y_j are
+    scattered into its own (n_union, len(bank)) coefficient matrix.
+    ``Xte`` is then scored SCORE_CHUNK_ROWS rows at a time against the
+    distinct rows, so one test kernel serves every bank, and each bank
+    takes its own product with a chunk's kernel.  The chunks run on up to
     min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, each with
     its own SCORE_CHUNK_ROWS x n_union kernel buffer, allocated here;
     each chunk writes its own rows of the result, so the scores are the
@@ -574,10 +588,23 @@ def bank_scores(models, Xte) -> np.ndarray:
     worker process, runs in the calling thread.  The threads are joined
     before this returns or raises.
 
-    Returns (m, len(models)); column k holds model k's scores.
+    A bank's scores are the same doubles as when it is scored alone
+    wherever its own table is the whole table: a one-vs-all bank whose
+    support rows include every pairwise one, or either bank of a binary
+    model.  Elsewhere its product also sums rows of zero coefficient, in
+    another order, so its scores differ by rounding.  One product per
+    bank, not one of all their columns, keeps each product as narrow as
+    the bank's own: OpenBLAS 0.3.31 at its default thread count threads
+    a product of 6 columns against 1000 rows but not one of 3, and its
+    threads inside the scoring threads made scoring a 3-class model's
+    60000 samples 2.5 times slower on 2 cores.
+
+    Returns one (m, len(bank)) array per bank; column k holds model k's
+    scores.
     """
-    models = list(models)
-    if not models:
+    banks = [list(bank) for bank in banks]
+    models = [model for bank in banks for model in bank]
+    if not all(banks) or not models:
         raise ValueError("cannot score an empty bank")
     kernel = models[0].kernel
     Xte = np.atleast_2d(np.asarray(Xte, dtype=np.float64))
@@ -592,14 +619,17 @@ def bank_scores(models, Xte) -> np.ndarray:
                 f"channel mismatch: {Xte.shape[1]} vs model {model.sv_rows.shape[1]}")
 
     union, where = support_table(models)
-    column = np.repeat(np.arange(len(models)), [len(m.sv_rows) for m in models])
-    coef = np.zeros((len(union), len(models)))
-    # add.at, not assignment: a row repeated within one model sums its pulls
-    np.add.at(coef, (np.concatenate(where), column),
-              np.concatenate([m.sv_alpha * m.sv_labels for m in models]))
-    bias = np.array([m.bias for m in models])
+    where = iter(where)
+    products = []  # (coefficients, biases, scores) per bank
+    for bank in banks:
+        column = np.repeat(np.arange(len(bank)), [len(m.sv_rows) for m in bank])
+        coef = np.zeros((len(union), len(bank)))
+        # add.at, not assignment: a row repeated within one model sums its pulls
+        np.add.at(coef, (np.concatenate([next(where) for _ in bank]), column),
+                  np.concatenate([m.sv_alpha * m.sv_labels for m in bank]))
+        products.append((coef, np.array([m.bias for m in bank]),
+                         np.empty((len(Xte), len(bank)))))
 
-    out = np.empty((len(Xte), len(models)))
     chunks = deque(range(0, len(Xte), SCORE_CHUNK_ROWS))
     workers = _worker_count(len(chunks))
     # one kernel buffer per thread, allocated by this thread: kernels the
@@ -617,20 +647,21 @@ def bank_scores(models, Xte) -> np.ndarray:
             block = Xte[rows]
             try:
                 K = kernel_matrix(block, union, kernel, out=buffer[:len(block)])
-                np.matmul(K, coef, out=out[rows])
-                out[rows] += bias
+                for coef, bias, out in products:
+                    np.matmul(K, coef, out=out[rows])
+                    out[rows] += bias
             except BaseException:
                 chunks.clear()  # the other threads stop at their next chunk
                 raise
 
     if workers == 1:
         score_chunks(buffers[0])
-        return out
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(score_chunks, buffer) for buffer in buffers]
-    for future in futures:  # all threads are joined here
-        future.result()
-    return out
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(score_chunks, buffer) for buffer in buffers]
+        for future in futures:  # all threads are joined here
+            future.result()
+    return [out for _, _, out in products]
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -816,16 +847,30 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
     return mc
 
 
-def oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
+def _bank_columns(scores, models, what: str) -> np.ndarray:
+    """``scores`` as an (m, len(models)) array: one column per model."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != len(models):
+        raise ValueError(f"need one score column per {what} model ({len(models)}), "
+                         f"got shape {scores.shape}")
+    return scores
+
+
+def oao_vote(mc: MulticlassModel, Xte=None, *, scores=None) -> np.ndarray:
     """Label samples by pairwise voting.
 
     Each pairwise classifier votes by score sign; ties on vote count are
     broken by the largest summed |winning margin|, then the lowest class
-    index.  The pairwise bank is scored through one kernel against its
-    distinct support vectors (``bank_scores``).  Returns original class
-    label values.
+    index.  The votes are read from ``scores``, the pairwise bank's scores
+    of the samples, one column per model in ``mc.pairwise`` order, when
+    the caller has them (``harness.Pipeline`` scores both banks at once).
+    Without them the pairwise bank scores ``Xte`` through one kernel
+    against its distinct support vectors (``bank_scores``).  Returns
+    original class label values.
     """
-    scores = bank_scores(list(mc.pairwise.values()), Xte)
+    if scores is None:
+        scores = bank_scores(list(mc.pairwise.values()), Xte)
+    scores = _bank_columns(scores, mc.pairwise, "pairwise")
     m = len(scores)
     c = mc.n_classes
     votes = np.zeros((m, c), dtype=np.int64)
@@ -843,18 +888,23 @@ def oao_vote(mc: MulticlassModel, Xte) -> np.ndarray:
     return mc.classes[np.argmax(tied == tied.max(axis=1, keepdims=True), axis=1)]
 
 
-def class_probabilities(mc: MulticlassModel, platt: list[PlattParams], Xte) -> np.ndarray:
+def class_probabilities(mc: MulticlassModel, platt: list[PlattParams], Xte=None, *,
+                        scores=None) -> np.ndarray:
     """Calibrated per-class probabilities, renormalized to sum to 1.
 
-    Applies each class's sigmoid to its one-vs-all score; the one-vs-all
-    bank is scored through one kernel against its distinct support
-    vectors (``bank_scores``).  Returns (m, c) rows in (0, 1) summing to 1.
+    Applies each class's sigmoid to its one-vs-all score.  The scores are
+    ``scores``, one column per model of ``mc.one_vs_all``, when the caller
+    has them; without them the one-vs-all bank scores ``Xte`` through one
+    kernel against its distinct support vectors (``bank_scores``).
+    Returns (m, c) rows in (0, 1) summing to 1.
     """
     if not mc.one_vs_all:
         raise ValueError("model has no one-vs-all bank")
     if len(platt) != mc.n_classes:
         raise ValueError("need one calibration per class")
-    scores = bank_scores(mc.one_vs_all, Xte)
+    if scores is None:
+        scores = bank_scores(mc.one_vs_all, Xte)
+    scores = _bank_columns(scores, mc.one_vs_all, "one-vs-all")
     raw = np.column_stack([platt[k].probability(scores[:, k])
                            for k in range(mc.n_classes)])
     np.maximum(raw, np.finfo(np.float64).tiny, out=raw)

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import marginfilter.filter_learning as filter_learning
 import marginfilter.harness as harness
 import marginfilter.svm as svm
+from marginfilter.decoding import decode_offline
 from marginfilter.harness import (
     GridSpec,
     default_grid,
@@ -512,6 +513,145 @@ class TestBankSolves:
             # optimal at the returned filter, on a kernel built afresh there
             K = svm.kernel_matrix(Xf[p.rows], Xf[p.rows], model.kernel)
             assert kkt_violation(K, p.y_pm, model) <= kw["learner_kwargs"]["svm_tol"]
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["binary", "3-class"])
+def calibrated_case(request):
+    """A calibrated avg_svm pipeline and a test signal, shared by the
+    module's tests; each takes its own copies (``TestPipelineScoring.fresh``)."""
+    X, y = generate_toy(ToyParams(n=1100, sigma_n=0.8, lag=2, n_classes=request.param,
+                                  seed=11))
+    pipe = harness.train_pipeline(X[:300], y[:300], "avg_svm", C=20.0, sigma_k=1.0,
+                                  f=5, n0=2)
+    harness.calibrate_pipeline(pipe, X[300:500], y[300:500])
+    return pipe, X[500:]
+
+
+class KernelRows:
+    """The (rows, columns) of every kernel block computed while installed."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = []
+        gaussian = svm._gaussian
+
+        def counting(A, B, *args, **kwargs):
+            self.blocks.append((len(A), len(B)))
+            return gaussian(A, B, *args, **kwargs)
+
+        monkeypatch.setattr(svm, "_gaussian", counting)
+
+    def take(self) -> list:
+        blocks, self.blocks = self.blocks, []
+        return blocks
+
+
+class TestPipelineScoring:
+    """A pipeline scores a signal once, through one test kernel, for both decoders."""
+
+    @staticmethod
+    def fresh(case):
+        pipe, X = case
+        return harness.Pipeline(pipe.method, pipe.filter, pipe.model, pipe.transitions,
+                                pipe.platt), X.copy()
+
+    @staticmethod
+    def union_rows(models) -> int:
+        return len(svm.support_table(list(models))[0])
+
+    def test_online_then_viterbi_builds_one_test_kernel(self, monkeypatch, calibrated_case):
+        pipe, X = self.fresh(calibrated_case)
+        mc = pipe.model
+        kernel = KernelRows(monkeypatch)
+        pipe.predict(X, decode="online")
+        blocks = kernel.take()
+        # every test row once, against the union of both banks' support rows
+        assert sum(rows for rows, _ in blocks) == len(X)
+        assert {cols for _, cols in blocks} == {
+            self.union_rows([*mc.pairwise.values(), *mc.one_vs_all])}
+        pipe.predict(X, decode="viterbi")
+        pipe.predict(X, decode="online")
+        assert kernel.take() == []
+
+    def test_uncalibrated_pipeline_scores_the_pairwise_bank_alone(
+            self, monkeypatch, calibrated_case):
+        pipe, X = self.fresh(calibrated_case)
+        pipe.platt = None
+        kernel = KernelRows(monkeypatch)
+        pipe.predict(X)
+        blocks = kernel.take()
+        assert sum(rows for rows, _ in blocks) == len(X)
+        assert {cols for _, cols in blocks} == {self.union_rows(pipe.model.pairwise.values())}
+        with pytest.raises(ValueError, match="not calibrated"):
+            pipe.predict(X, decode="viterbi")
+
+    def test_the_memo_is_keyed_by_content_model_and_filter(self, monkeypatch, calibrated_case):
+        pipe, X = self.fresh(calibrated_case)
+        kernel = KernelRows(monkeypatch)
+
+        def scores_again(decode="online"):
+            pipe.predict(X_now, decode=decode)
+            return sum(rows for rows, _ in kernel.take()) == len(X_now)
+
+        X_now = X
+        assert scores_again()
+        # the same bytes in another shape miss, so the filter checks them
+        with pytest.raises(ValueError, match="channel"):
+            pipe.predict(X.reshape(-1, 2 * X.shape[1]))
+        X_now = X.copy()  # another array of the same content hits
+        assert not scores_again("viterbi")
+        X_now = X[:-1]  # another signal misses
+        assert scores_again()
+        X_now = X
+        assert scores_again()
+        X[7, 0] += 1.0  # the same array changed in place misses
+        assert scores_again("viterbi")
+        pipe.model = replace(pipe.model)  # a reassigned model misses
+        assert scores_again()
+        pipe.filter = replace(pipe.filter)  # a reassigned filter misses
+        assert scores_again()
+        assert not scores_again("viterbi")
+
+    def test_calibrating_later_scores_again(self, monkeypatch, calibrated_case):
+        pipe, X = self.fresh(calibrated_case)
+        platt, pipe.platt = pipe.platt, None
+        kernel = KernelRows(monkeypatch)
+        online = pipe.predict(X)
+        assert sum(rows for rows, _ in kernel.take()) == len(X)
+        pipe.platt = platt  # the memo has no one-vs-all columns
+        viterbi = pipe.predict(X, decode="viterbi")
+        assert sum(rows for rows, _ in kernel.take()) == len(X)
+        assert_array_equal(online, pipe.predict(X))
+        assert_array_equal(viterbi, self.fresh(calibrated_case)[0].predict(X, "viterbi"))
+
+    def test_labels_and_scores_match_the_separate_banks(self, calibrated_case):
+        pipe, X = self.fresh(calibrated_case)
+        mc = pipe.model
+        Xf = pipe.filtered(X)
+        pairs, ova = pipe._scores(X)
+        pairs_alone = svm.bank_scores(list(mc.pairwise.values()), Xf)
+        ova_alone = svm.bank_scores(mc.one_vs_all, Xf)
+        # against the union of both banks' support rows a bank's product
+        # also sums rows of zero coefficient, in another order
+        assert np.max(np.abs(pairs - pairs_alone)) <= 1e-13 * np.max(np.abs(pairs_alone))
+        # the union is the one-vs-all table, so that bank's own product
+        assert self.union_rows([*mc.pairwise.values(), *mc.one_vs_all]) == \
+            self.union_rows(mc.one_vs_all)
+        assert_array_equal(ova, ova_alone)
+        if mc.n_classes == 2:
+            # and the pairwise table too; the orientations are exact negations
+            assert_array_equal(pairs, pairs_alone)
+            assert_array_equal(ova[:, 1], -ova[:, 0])
+        assert_array_equal(pipe.predict(X), svm.oao_vote(mc, Xf))
+        assert_array_equal(pipe.predict(X, decode="viterbi"),
+                           decode_offline(mc, pipe.platt, pipe.transitions, Xf))
+
+    def test_score_columns_must_match_the_bank(self, calibrated_case):
+        pipe, X = self.fresh(calibrated_case)
+        pairs, ova = pipe._scores(X)
+        with pytest.raises(ValueError, match="one score column per pairwise model"):
+            svm.oao_vote(pipe.model, scores=pairs[:, :-1] if pairs.shape[1] > 1 else ova)
+        with pytest.raises(ValueError, match="one score column per one-vs-all model"):
+            svm.class_probabilities(pipe.model, pipe.platt, scores=ova[:, :1])
 
 
 class TestTrainPipelineConfig:

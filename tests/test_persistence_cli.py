@@ -931,6 +931,17 @@ class TestCli:
         assert "integer values, got [2.5]" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_sweep_rejects_an_unknown_method(self, tmp_path, capsys):
+        # --methods takes the flag spellings; the internal names are refused
+        out = tmp_path / "sweep"
+        rc = self.run("sweep", "--axis", "noise", "--methods", "svm,kf_svm", "--seeds", 1,
+                      "--out-dir", out)
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("error: --methods: unknown method(s) kf_svm; expected a "
+                        "comma-separated list of svm, avg-svm, kf-svm, skf-svm")
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, message", [
         ({"kf_svm": {"lambda": [1.0]}}, "kf_svm: unknown grid axis 'lambda'"),
         ({"kf_svm": {"C": 5}}, "kf_svm: grid axis C must be a list"),

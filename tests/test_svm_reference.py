@@ -37,6 +37,7 @@ from marginfilter.svm import (
     bank_scores,
     class_probabilities,
     decision_scores,
+    joint_bank_scores,
     kernel_matrix,
     oao_vote,
     solve_svm_dual,
@@ -627,6 +628,23 @@ class TestBankScoresMatchReference:
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             bank_scores([], np.zeros((3, 2)))
+
+    def test_joint_banks_score_as_each_bank_alone(self, rng):
+        pool = rng.normal(size=(40, 2))
+        narrow = random_bank(rng, 3, pool[:25])
+        # a scorer on every row of the pool: the joint table is this bank's own
+        every_row = sv_model(0.1, pool, rng.normal(size=40))
+        every_row.kernel = KernelParams(0.8)
+        wide = random_bank(rng, 2, pool) + [every_row]
+        Xte = rng.normal(size=(600, 2))
+        got_narrow, got_wide = joint_bank_scores([narrow, wide], Xte)
+        assert_array_equal(got_wide, bank_scores(wide, Xte))
+        # the narrow bank's product also sums the rows it has no pull on
+        assert_scores_close(got_narrow, bank_scores(narrow, Xte))
+        assert_scores_close(got_narrow, np.column_stack(
+            [reference_decision_scores(m, Xte) for m in narrow]))
+        with pytest.raises(ValueError, match="empty"):
+            joint_bank_scores([narrow, []], Xte)
 
 
 class TestThreadedBankScores:
