@@ -140,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_generate_toy(args) -> int:
+    if args.split is not None and (len(args.split) != 3 or any(v < 1 for v in args.split)):
+        raise ValueError("--split needs three positive sizes: NTRAIN,NVAL,NTEST")
     n = sum(args.split) if args.split else args.n
     params = ToyParams(n=n, sigma_n=args.sigma_n, lag=args.lag,
                        nbtot=args.nbtot, run_min=args.run_min,
@@ -147,8 +149,6 @@ def _cmd_generate_toy(args) -> int:
                        seed=args.seed)
     X, y = generate_toy(params)
     if args.split:
-        if len(args.split) != 3 or any(v < 1 for v in args.split):
-            raise ValueError("--split needs three positive sizes: NTRAIN,NVAL,NTEST")
         stem = args.out[:-4] if args.out.endswith(".csv") else args.out
         bounds = np.cumsum([0] + list(args.split))
         for part, lo, hi in zip(("train", "val", "test"), bounds[:-1], bounds[1:]):

@@ -60,7 +60,6 @@ from .svm import (
     KernelParams,
     MulticlassModel,
     SupportKernel,
-    _row_chunks,
     class_pairs,
     kernel_matrix,
     solve_svm_dual,
@@ -181,12 +180,21 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
 
     ``Xf`` is the whole signal filtered by F; ``rows`` selects the
     subproblem's samples within it.  Only support-vector pairs contribute,
-    so only the kernel among the rows with alpha > 0 is computed, and it
-    is freed on return.  The pair weights alpha_i y_i alpha_j y_j are
-    multiplied into it by row blocks, so it is the one |S'|^2 array held.
-    Uses the Laplacian identity
-    sum_ij w_ij (a_i - a_j)(b_i - b_j) = 2 a' (diag(W 1) - W) b to avoid
-    materializing pair differences.
+    so only the kernel K among the rows S' with alpha > 0 is computed, and
+    it is freed before the taps are summed: it is the one |S'|^2 array
+    held.  With pair weights W = K o a a', a = alpha * y on S', the
+    Laplacian identity sum_ij w_ij (x_i - x_j)(z_i - z_j) =
+    2 x' (diag(W 1) - W) z avoids materializing pair differences, and
+    (diag(W 1) - W) Xf_s = a o (Xf_s o (K a) - K (a o Xf_s)) needs K a
+    and K (a o Xf_s), and no pass over W.  K a is an einsum, not a BLAS
+    call, and K (a o Xf_s) a d-column product, so the gradient makes the
+    one BLAS call of d columns that the W form made.  At OpenBLAS's
+    default thread count a BLAS call on two worker processes sharing 2
+    cores can wait for a core: one product with the d + 1 columns
+    [a, a o Xf_s] made a 10-seed kf_svm sweep on two workers slower than
+    the W form in 10 of 10 runs (2.80 against 2.29 s, medians), and a
+    matrix-vector K a through BLAS in 9 of 10.  With one BLAS thread the
+    three forms take the same time.
     """
     sv = np.flatnonzero(alpha > 0)
     grad = np.zeros(F.shape)
@@ -195,12 +203,12 @@ def _inner_gradient(F: np.ndarray, X: np.ndarray, Xf: np.ndarray,
     r = rows[sv]
 
     Xf_s = Xf[r]
-    ay = alpha[sv] * y_pm[sv]
-    W = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
-    for lo, hi in _row_chunks(len(ay)):
-        W[lo:hi] *= np.outer(ay[lo:hi], ay)
-    # T = (diag(row sums) - W) @ Xf_s, so grad[u, v] = T[:, v] . shifted_X[r, v]
-    T = Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s
+    a = alpha[sv] * y_pm[sv]
+    K = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
+    Ka, KaX = np.einsum("ij,j->i", K, a), K @ (a[:, None] * Xf_s)
+    del K
+    # T = (diag(W 1) - W) @ Xf_s, so grad[u, v] = T[:, v] . shifted_X[r, v]
+    T = a[:, None] * (Xf_s * Ka[:, None] - KaX)
     scale = 1.0 / cfg.kernel.sigma_k**2
     for u in range(F.shape[0]):
         Su = shift_signal(X, u - cfg.n0)
@@ -341,14 +349,21 @@ def _remember(pairs, s: np.ndarray, y: np.ndarray):
         del pairs[:-LBFGS_MEMORY]
 
 
+def _unit_length(G: np.ndarray) -> float:
+    """1 / ||G||, the length that makes the step -t G of norm 1 (1 at G = 0):
+    the first trial length of either step rule."""
+    return 1.0 / np.linalg.norm(G) if np.any(G) else 1.0
+
+
 class _LbfgsStep:
     """The L-BFGS step, for the Frobenius penalty (h = 0, all of it in f).
 
     The direction comes from the last LBFGS_MEMORY curvature pairs
     (``_lbfgs_direction``); the first trial length is 1 once the memory
-    holds a pair, and twice the last accepted one before, so the search
-    adapts to the local scale.  A trial F + tD passes Armijo's test
-    f + ARMIJO_C1 t G . D.
+    holds a pair.  Before, the descent's first step tries 1/||G||, a step
+    of norm 1 along -G as ``_ProxStep``'s first, and a later step twice
+    the last accepted length, so the search adapts to the local scale.  A
+    trial F + tD passes Armijo's test f + ARMIJO_C1 t G . D.
     """
 
     def __init__(self):
@@ -361,7 +376,9 @@ class _LbfgsStep:
         if s is not None:
             _remember(self.pairs, s, y)
         self.D, self.slope = _lbfgs_direction(G, self.pairs)
-        return 1.0 if self.pairs else min(t * 2.0, 1e6)
+        if self.pairs:
+            return 1.0
+        return _unit_length(G) if s is None else min(t * 2.0, 1e6)
 
     def trial(self, F, G, f, t):
         return F + t * self.D, f + ARMIJO_C1 * t * self.slope
@@ -386,7 +403,7 @@ class _ProxStep:
 
     def first_t(self, G, s, y, t) -> float:
         if s is None:
-            return 1.0 / np.linalg.norm(G) if np.any(G) else 1.0
+            return _unit_length(G)
         return float(s @ s) / float(s @ y) if _has_curvature(s, y) else t
 
     def trial(self, F, G, f, t):

@@ -30,12 +30,15 @@ A grid search fits a learned filter's cells as regularization paths:
 the cells that share C, sigma_k, f and n0 form one chain, run from the
 largest lambda down, each cell warm from the previous cell's committed
 dual solutions and starting from whichever of that cell's filter and the
-average filter has the lower objective (``grid_search``).  The cells of a
-fixed-filter grid are chains of one.  Grid chains and sweep tasks are
-independent, so both run through one process map: at most min(#tasks,
-usable CPUs, MARGIN_FILTER_THREADS) worker processes, opened and closed
-inside the call, with results merged in task order, so a parallel run
-returns the same bits as a serial one.
+average filter has the lower objective (``grid_search``).  A fixed-filter
+grid runs as paths in C: the cells that share sigma_k, f and n0 form one
+chain, run from the largest C down, each cell's solves starting from the
+previous cell's alphas scaled by the ratio of the Cs, so the default svm
+and avg_svm grids are one task each, run in the calling process.  Grid
+chains and sweep tasks are independent, so both run through one process
+map: at most min(#tasks, usable CPUs, MARGIN_FILTER_THREADS) worker
+processes, opened and closed inside the call, with results merged in task
+order, so a parallel run returns the same bits as a serial one.
 MARGIN_FILTER_THREADS is the one worker setting: it defaults to the
 usable CPU count and is capped there, and by the same rule
 (``svm._worker_count``) it caps the threads that score a bank in
@@ -83,6 +86,7 @@ from .svm import (
     PlattParams,
     _worker_count,
     bank_scores,
+    class_pairs,
     joint_bank_scores,
     oao_vote,
     platt_fit,
@@ -90,6 +94,7 @@ from .svm import (
 )
 
 METHODS = ("svm", "avg_svm", "kf_svm", "skf_svm")
+FIXED_FILTER_METHODS = ("svm", "avg_svm")
 DECODE_MODES = ("online", "viterbi")
 
 # default sweep axes; chosen to bracket the benchmark operating points and
@@ -201,16 +206,59 @@ class Pipeline:
         return decode_offline(self.model, self.platt, self.transitions, scores=ova_scores)
 
 
+def _seed_alphas(start, method: str, bank, Xf: np.ndarray, y: np.ndarray,
+                 cfg: LearnerConfig) -> tuple[dict, list]:
+    """The starting alphas of a fixed-filter bank at ``cfg.C`` from the
+    pipeline ``start`` of another C: by class-index pair and by one-vs-rest
+    class, each of ``start``'s solves times C / C_start (alpha seeding,
+    DeCoste & Wagstaff, KDD 2000).
+
+    That start is feasible: the box C/n scales by the same factor, so an
+    alpha at 0 or at the box stays there, and sum(alpha * y) stays 0
+    (``solve_svm_dual`` clips to the box and checks the sum again).
+    ``start`` must be a ``method`` pipeline trained here on the same
+    samples, labels, filter and sigma_k: each of its solves has the
+    training set's length and support rows.
+    """
+    same = (isinstance(start, Pipeline) and start.method == method
+            and start.filter.n0 == bank.n0
+            and np.array_equal(start.filter.coeffs, bank.coeffs)
+            and np.array_equal(start.model.classes, np.unique(y))
+            and len(start.model.one_vs_all) == len(start.model.classes))
+    if same:
+        mc = start.model
+        solves = [(mc.pairwise[pair], rows, y_pm)
+                  for pair, rows, y_pm in class_pairs(y, mc.classes)]
+        solves += [(m, np.arange(len(y)), np.where(y == cls, 1.0, -1.0))
+                   for m, cls in zip(mc.one_vs_all, mc.classes)]
+        same = all(m.alpha is not None and len(m.alpha) == len(rows)
+                   and m.kernel == cfg.kernel
+                   and np.array_equal(m.sv_labels, y_pm[m.sv_idx])
+                   and np.array_equal(m.sv_rows, Xf[rows[m.sv_idx]])
+                   for m, rows, y_pm in solves)
+    if not same:
+        raise ValueError(f"{method} takes a start only from a {method} pipeline "
+                         "on the same samples, sigma_k, f and n0")
+    scale = cfg.C / mc.one_vs_all[0].C
+    return ({pair: m.alpha * scale for pair, m in mc.pairwise.items()},
+            [m.alpha * scale for m in mc.one_vs_all])
+
+
 def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
                    lam: float = 0.0, f: int = 1, n0: int = 0,
                    learner_kwargs: dict | None = None,
-                   start: FilterFit | None = None) -> Pipeline:
+                   start: FilterFit | Pipeline | None = None) -> Pipeline:
     """Train one method end to end on labeled data (any class count).
 
     A learned filter starts at the average filter; given ``start``, a fit
-    on the same data at the same C, sigma_k, f and n0, it starts warm from
-    that fit's solves at the lower of its filter and the average filter
-    (``fit_shared_filter``).  A fixed-filter method takes no start.
+    (``FilterFit``) on the same data at the same C, sigma_k, f and n0, it
+    starts warm from that fit's solves at the lower of its filter and the
+    average filter (``fit_shared_filter``).  A fixed filter's bank solves
+    cold; given ``start``, the pipeline of the same method on the same
+    data, sigma_k, f and n0 at another C, each solve starts from its
+    counterpart's alpha scaled to this C (``_seed_alphas``), so it ends at
+    the optimum within the solver's tolerance, not at the cold solve's
+    bits.  Any other start is a ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -220,14 +268,17 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
     cfg = LearnerConfig(C=C, kernel=KernelParams(sigma_k), reg=reg, f=f, n0=n0,
                         **(learner_kwargs or {}))
     fit = None
-    if method in ("svm", "avg_svm"):
-        if start is not None:
-            raise ValueError(f"{method} learns no filter and takes no start")
+    if method in FIXED_FILTER_METHODS:
         bank = make_delta_filter(X.shape[1]) if method == "svm" \
             else make_average_filter(f, n0, X.shape[1])
-        mc = train_multiclass(apply_filter(X, bank), y, cfg.C, cfg.kernel,
-                              tol=cfg.svm_tol)
+        Xf = apply_filter(X, bank)
+        warm, warm_ova = (None, None) if start is None \
+            else _seed_alphas(start, method, bank, Xf, y, cfg)
+        mc = train_multiclass(Xf, y, cfg.C, cfg.kernel, tol=cfg.svm_tol,
+                              warm=warm, warm_ova=warm_ova)
     else:
+        if start is not None and not isinstance(start, FilterFit):
+            raise ValueError(f"{method} takes a start only from a filter fit")
         fit = fit_shared_filter(X, y, cfg, start=start)
         bank = fit.bank
         mc = committed_bank(fit, y, cfg)
@@ -297,7 +348,7 @@ class GridSpec:
 
     def cells(self) -> list[dict]:
         """Unique hyperparameter combinations, irrelevant axes collapsed."""
-        lam = (0.0,) if self.method in ("svm", "avg_svm") else self.lam
+        lam = (0.0,) if self.method in FIXED_FILTER_METHODS else self.lam
         f = (1,) if self.method == "svm" else self.f
         n0 = (0,) if self.method == "svm" else self.n0
         seen, out = set(), []
@@ -323,16 +374,18 @@ class GridSearchResult:
     pipeline: Pipeline | None = None
 
 
-def _grid_chains(cells: list[dict]) -> list[list[int]]:
-    """The grid's cells as regularization paths: indices of the cells that
-    share C, sigma_k, f and n0, in order of first appearance, each chain
-    ordered by lambda, largest first.  A fixed-filter grid has one lambda,
-    so its chains are of one cell."""
+def _grid_chains(cells: list[dict], method: str) -> list[list[int]]:
+    """The grid's cells as regularization paths, in order of first
+    appearance, each ordered by its path's parameter, largest first: for a
+    learned filter the indices of the cells that share C, sigma_k, f and
+    n0, by lambda; for a fixed filter, whose grid has one lambda, those
+    that share sigma_k, f and n0, by C."""
+    along = "C" if method in FIXED_FILTER_METHODS else "lam"
     chains: dict[tuple, list[int]] = {}
     for idx, cell in enumerate(cells):
-        key = (cell["C"], cell["sigma_k"], cell["f"], cell["n0"])
+        key = tuple(cell[k] for k in ("C", "sigma_k", "f", "n0") if k != along)
         chains.setdefault(key, []).append(idx)
-    return [sorted(chain, key=lambda idx: cells[idx]["lam"], reverse=True)
+    return [sorted(chain, key=lambda idx: cells[idx][along], reverse=True)
             for chain in chains.values()]
 
 
@@ -350,7 +403,10 @@ def _grid_chain(task):
     committed alphas, and its filter or the average filter, whichever has
     the lower objective at the cell's lambda: ``fit_shared_filter``); the
     first cell, and a cell after one that failed numerically, start from
-    the average filter.  Returns one
+    the average filter.  Each cell of a fixed filter starts from the
+    previous cell's pipeline, its alphas scaled to the cell's C
+    (``train_pipeline``); the first cell, and a cell after one that
+    failed, solve cold.  Returns one
     (error, pipeline or None, None), or (None, None, reason) for a
     numerical failure, per cell.  A pipeline comes back only when it is
     kept, and only for the chain's best-ranked cell: the grid's best cell
@@ -372,7 +428,7 @@ def _grid_chain(task):
         outcomes.append((err, None, None))
         if keep:
             pipes[k] = pipe
-        start = pipe.fit
+        start = pipe if method in FIXED_FILTER_METHODS else pipe.fit
     if pipes:
         k = min(pipes, key=lambda k: _rank(cells[k], outcomes[k][0]))
         outcomes[k] = (outcomes[k][0], pipes[k], None)
@@ -393,10 +449,17 @@ def grid_search(train, validation, grid: GridSpec, *,
     filter).  A continued cell begins at the previous cell's filter or
     at the average filter, whichever has the lower objective at its
     lambda, so a path does not stay where a large lambda collapsed the
-    filter to about 0.  So only a chain's first cell is the fit
-    ``train_pipeline`` gives for that cell.  The chains run through the
-    process map (see the module docstring); the table, the failures and
-    the tie-break keep the grid's cell order, whatever the worker count.
+    filter to about 0.  The cells of a fixed filter that differ only in
+    C form one chain, a path in C (Hastie, Rosset, Tibshirani & Zhu,
+    JMLR 2004) solved from the largest C down, each cell's solves
+    starting from the previous cell's alphas times C'/C; each cell ends
+    at its optimum within the solver's tolerance.  So only a chain's
+    first cell is the fit ``train_pipeline`` gives for that cell, bit for
+    bit; a fixed filter's later cells match it within the solver's
+    tolerance, a learned filter's may end elsewhere.  The chains run
+    through the process map (see the module docstring); the table, the
+    failures and the tie-break keep the grid's cell order, whatever the
+    worker count.
     Cells that fail with a numerical error (ValueError, including
     LinAlgError, or ArithmeticError) are recorded and skipped; if every
     cell fails an error is raised.  Any other exception propagates.
@@ -404,7 +467,7 @@ def grid_search(train, validation, grid: GridSpec, *,
     Xtr, ytr = train
     Xval, yval = validation
     cells = grid.cells()
-    chains = _grid_chains(cells)
+    chains = _grid_chains(cells, grid.method)
     outcomes = [None] * len(cells)
     for chain, results in zip(chains, _parallel_map(_grid_chain, [
             ((Xtr, ytr), (Xval, yval), grid.method, [cells[idx] for idx in chain],

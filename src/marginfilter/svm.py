@@ -787,7 +787,8 @@ def class_pairs(y, classes):
 
 
 def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
-                     warm: dict | None = None) -> MulticlassModel:
+                     warm: dict | None = None,
+                     warm_ova: list | None = None) -> MulticlassModel:
     """Train the pairwise and one-vs-all banks on (already filtered) data.
 
     Every solve reads one ``SupportKernel`` of ``X``, a pair's rows being
@@ -803,7 +804,7 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
     its negation.  (A warm start that misses ``tol`` by rounding takes a
     few SMO steps per orientation; both are then optimal to ``tol`` but no
     longer exact negations.)  With c >= 3 classes the c one-vs-rest
-    scorers are c cold solves.
+    scorers are c solves, cold or from ``warm_ova``.
 
     Args:
         X: (n, d) filtered samples.
@@ -814,6 +815,9 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
         warm: optional starting alphas by class-index pair, e.g. a filter
             fit's committed solutions at this ``X``, which are optimal
             already and so take no SMO step.
+        warm_ova: optional starting alphas of the c one-vs-rest scorers
+            of a c >= 3 bank, in class order; a binary bank's scorers
+            start from its pair's solve whatever is given.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).ravel()
@@ -842,8 +846,9 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
         pairwise[(0, 1)] = mc.one_vs_all[0]
     else:
         mc.one_vs_all = [solve_svm_dual(K, np.where(y == cls, 1.0, -1.0), C, rows=X,
-                                        kernel=kernel, tol=tol)
-                         for cls in classes]
+                                        kernel=kernel, tol=tol,
+                                        warm_alpha=None if warm_ova is None else warm_ova[k])
+                         for k, cls in enumerate(classes)]
     return mc
 
 

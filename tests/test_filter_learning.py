@@ -129,7 +129,12 @@ def reference_lbfgs(problems, X, cfg, F0, trials):
             break
         D, slope = _lbfgs_direction(G, pairs)
         G_prev = G
-        t = 1.0 if pairs else min(step * 2.0, 1e6)
+        if pairs:
+            t = 1.0
+        elif s is None:  # the descent's first step: norm 1 along -G
+            t = 1.0 / np.linalg.norm(G)
+        else:
+            t = min(step * 2.0, 1e6)
         for _ in range(filter_learning.MAX_HALVINGS):
             J_try = reference_evaluate(problems, F + t * D, X, cfg)
             trials.append((J, t * slope, J_try))
@@ -469,32 +474,39 @@ class TestGradient:
         assert_allclose(G[:, 1], 0.0, atol=1e-12)
         assert np.abs(G[:, 0]).max() > 0
 
-    def test_one_support_block_at_the_peak(self, rng):
-        """The pair weights go into the support kernel by row blocks: the
-        gradient has the bits of the whole-block product and holds one
-        |S'|^2 array at its peak (|S'| = 1620 of n = 2000, as at C = 10)."""
-        import tracemalloc
-
-        n, f, n0 = 2000, 11, 6
-        X = rng.normal(size=(n, 2))
+    @staticmethod
+    def support_case(rng, n, d, n_sv, f=11, n0=6):
+        """(F, X, Xf, y_pm, alpha, cfg) with ``n_sv`` of ``n`` alphas > 0."""
+        X = rng.normal(size=(n, d))
         y_pm = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         alpha = np.zeros(n)
-        alpha[rng.choice(n, size=1620, replace=False)] = rng.uniform(0.1, 10.0, size=1620)
+        alpha[rng.choice(n, size=n_sv, replace=False)] = rng.uniform(0.1, 10.0, size=n_sv)
         cfg = LearnerConfig(C=10.0, f=f, n0=n0, reg=RegularizerSpec("frobenius", 1.0))
-        F = rng.normal(size=(f, 2))
-        Xf = apply_filter(X, FilterBank(F, n0=n0))
+        F = rng.normal(size=(f, d))
+        return F, X, apply_filter(X, FilterBank(F, n0=n0)), y_pm, alpha, cfg
 
+    @staticmethod
+    def taps(T, X, r, cfg, f):
+        return np.stack([(1.0 / cfg.kernel.sigma_k**2) * np.einsum(
+            "ij,ij->j", T, shift_signal(X, u - cfg.n0)[r]) for u in range(f)])
+
+    def test_one_support_block_at_the_peak(self, rng):
+        """The gradient takes the support kernel's products K a (an
+        einsum) and K (a o Xf_s), a = alpha * y, and no pass over the pair
+        weights: it has those products' bits and holds one |S'|^2 array at
+        its peak (|S'| = 1620 of n = 2000, as at C = 10)."""
+        import tracemalloc
+
+        n, f = 2000, 11
+        F, X, Xf, y_pm, alpha, cfg = self.support_case(rng, n, 2, 1620, f)
         r = np.flatnonzero(alpha > 0)
-        Xf_s, ay = Xf[r], alpha[r] * y_pm[r]
-        W = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
-        W *= np.outer(ay, ay)
-        T = Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s
-        want = np.zeros(F.shape)
-        for u in range(f):
-            want[u] = (1.0 / cfg.kernel.sigma_k**2) * np.einsum(
-                "ij,ij->j", T, shift_signal(X, u - n0)[r])
-        block = W.nbytes
-        del W, T
+        Xf_s, a = Xf[r], alpha[r] * y_pm[r]
+        K = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
+        Ka = np.einsum("ij,j->i", K, a)
+        T = a[:, None] * (Xf_s * Ka[:, None] - K @ (a[:, None] * Xf_s))
+        want = self.taps(T, X, r, cfg, f)
+        block = K.nbytes
+        del K, T
 
         tracemalloc.start()
         try:
@@ -504,6 +516,20 @@ class TestGradient:
             tracemalloc.stop()
         assert got.tobytes() == want.tobytes()
         assert peak < 1.2 * block
+
+    @pytest.mark.parametrize("d", [2, 6, 96])
+    def test_the_products_match_the_pair_weight_matrix(self, rng, d):
+        """T = a o (Xf_s o (K a) - K (a o Xf_s)) is the Laplacian form
+        (diag(W 1) - W) Xf_s of the pair weights W = K o a a', to 1e-12
+        relative in each gradient entry's scale."""
+        n, f = 300, 5
+        F, X, Xf, y_pm, alpha, cfg = self.support_case(rng, n, d, 240, f, n0=2)
+        r = np.flatnonzero(alpha > 0)
+        Xf_s, ay = Xf[r], alpha[r] * y_pm[r]
+        W = kernel_matrix(Xf_s, Xf_s, cfg.kernel) * np.outer(ay, ay)
+        want = self.taps(Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s, X, r, cfg, f)
+        got = _inner_gradient(F, X, Xf, np.arange(n), y_pm, alpha, cfg)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_matches_finite_differences(self, rng):
         """The descent's gradient (``_gradient`` on the committed solves)
@@ -646,11 +672,54 @@ class TestFitSharedFilter:
             fit_shared_filter(X, y, cfg, start=start)
 
     @pytest.mark.parametrize("method", ["svm", "avg_svm"])
-    def test_a_fixed_filter_takes_no_start(self, method):
+    def test_a_fixed_filter_starts_from_its_pipeline_at_another_C(self, method):
         X, y = toy_case(seed=6)
-        start = fit_shared_filter(X, y, LearnerConfig(C=50.0, f=5, n0=2, max_cg_iters=1))
-        with pytest.raises(ValueError, match="takes no start"):
-            train_pipeline(X, y, method, C=50.0, sigma_k=1.0, f=5, n0=2, start=start)
+        start = train_pipeline(X, y, method, C=50.0, sigma_k=1.0, f=5, n0=2)
+        pipe = train_pipeline(X, y, method, C=5.0, sigma_k=1.0, f=5, n0=2, start=start)
+        cold = train_pipeline(X, y, method, C=5.0, sigma_k=1.0, f=5, n0=2)
+        assert pipe.model.pairwise[(0, 1)].converged
+        assert pipe.model.pairwise[(0, 1)].objective == pytest.approx(
+            cold.model.pairwise[(0, 1)].objective, rel=1e-5)
+
+    @pytest.mark.parametrize("method", ["svm", "avg_svm"])
+    @pytest.mark.parametrize("change", [
+        "filter fit", "other method", "sigma_k", "samples", "labels", "geometry", "loaded"])
+    def test_a_fixed_filter_start_must_match_the_cell(self, method, change):
+        """A fixed filter starts only from a pipeline of its own method on
+        the same samples, labels, sigma_k, f and n0 that holds its solves."""
+        X, y = toy_case(seed=6)
+        cell = dict(C=50.0, sigma_k=1.0, f=5, n0=2)
+        other = "avg_svm" if method == "svm" else "svm"
+        if change == "filter fit":
+            start = fit_shared_filter(X, y, LearnerConfig(C=50.0, f=5, n0=2, max_cg_iters=1))
+        elif change == "other method":
+            start = train_pipeline(X, y, other, **cell)
+        elif change == "sigma_k":
+            start = train_pipeline(X, y, method, **{**cell, "sigma_k": 0.5})
+        elif change == "samples":
+            start = train_pipeline(X + 1e-3, y, method, **cell)
+        elif change == "labels":
+            start = train_pipeline(X, y[::-1], method, **cell)
+        elif change == "geometry":  # svm ignores f and n0: another channel count
+            start = (train_pipeline(X, y, method, **{**cell, "f": 4, "n0": 1})
+                     if method == "avg_svm" else
+                     train_pipeline(np.hstack([X, X]), y, method, **cell))
+        else:
+            start = train_pipeline(X, y, method, **cell)
+            for m in [*start.model.pairwise.values(), *start.model.one_vs_all]:
+                m.alpha = None  # as a model read from a file
+        with pytest.raises(ValueError, match=f"{method} takes a start only from a "
+                                             f"{method} pipeline"):
+            train_pipeline(X, y, method, **{**cell, "C": 5.0}, start=start)
+
+    @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
+    def test_a_learned_filter_starts_only_from_a_fit(self, method):
+        X, y = toy_case(seed=6)
+        start = train_pipeline(X, y, method, C=50.0, sigma_k=1.0, lam=1.0, f=5, n0=2,
+                               learner_kwargs={"max_cg_iters": 1})
+        with pytest.raises(ValueError, match=f"{method} takes a start only from a filter fit"):
+            train_pipeline(X, y, method, C=50.0, sigma_k=1.0, lam=0.5, f=5, n0=2,
+                           learner_kwargs={"max_cg_iters": 1}, start=start)
 
     @pytest.mark.parametrize("n_labels", [150, 210])
     def test_label_count_must_match_samples(self, n_labels):

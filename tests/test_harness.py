@@ -394,6 +394,174 @@ class TestGridChains:
                 assert err == error_rate(pipe.predict(va[0]), va[1])
 
 
+class TestFixedFilterPaths:
+    """A fixed-filter grid runs as C paths: the cells that share sigma_k, f
+    and n0 form one chain, run from the largest C down, each cell's solves
+    starting from the previous cell's alphas scaled to its C."""
+
+    @staticmethod
+    def record_cells(monkeypatch, fail_C=None):
+        """Records each cell's (C, sigma_k, start, pipeline, process id,
+        live worker processes) as ``train_pipeline`` is called; raises a
+        ValueError in the bank at C ``fail_C``.  In a worker process the
+        record would stay in the worker, so it holds what ran here."""
+        cells = []
+        train, bank = harness.train_pipeline, harness.train_multiclass
+
+        def recording(X, y, method, *, start=None, **cell):
+            cells.append({"C": cell["C"], "sigma_k": cell["sigma_k"], "start": start,
+                          "pid": os.getpid(),
+                          "children": multiprocessing.active_children()})
+            cells[-1]["pipe"] = train(X, y, method, start=start, **cell)
+            return cells[-1]["pipe"]
+
+        def failing(X, y, C, *args, **kwargs):
+            if C == fail_C:
+                raise ValueError("injected failure")
+            return bank(X, y, C, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_pipeline", recording)
+        monkeypatch.setattr(harness, "train_multiclass", failing)
+        return cells
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(method="svm", C=(1.0, 100.0, 10.0), sigma_k=(1.0, 0.5)),
+        GridSpec(method="avg_svm", C=(10.0, 1.0, 100.0), sigma_k=(1.0,), f=(3, 5),
+                 n0=(1,))], ids=["svm", "avg_svm"])
+    def test_a_chain_runs_the_largest_C_first(self, monkeypatch, grid):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "1")
+        cells = self.record_cells(monkeypatch)
+        tr, va, _ = tiny_split()
+        res = grid_search(tr, va, grid)
+        assert [cell["C"] for cell in cells] == [100.0, 10.0, 1.0] * 2
+        assert harness._grid_chains(grid.cells(), grid.method) == [
+            sorted(chain, key=lambda idx: -grid.cells()[idx]["C"])
+            for chain in ([0, 2, 4], [1, 3, 5])]
+        # each chain starts cold, then from the cell before
+        assert [cell["start"] is None for cell in cells] == [True, False, False] * 2
+        for before, after in zip(cells, cells[1:]):
+            if after["start"] is not None:
+                assert after["start"] is before["pipe"]
+        assert [cell for cell, _ in res.table] == grid.cells()
+        assert res.failures == []
+
+    @pytest.mark.parametrize("method", ["svm", "avg_svm"])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_a_later_cell_takes_fewer_smo_steps_to_the_same_optimum(
+            self, monkeypatch, method, n_classes):
+        """A later cell's bank takes fewer SMO steps than its cold solve and
+        ends within 1e-5 relative of each cold solve's dual optimum (at
+        svm_tol 1e-3; up to 1.2e-5 was seen on 3-class n = 1000 data).
+        Alpha seeding is a heuristic: here the 3-class avg_svm cell at
+        C = 10 takes 617 steps against 593 cold, so with three classes only
+        the chain's total is asserted."""
+        X, y = generate_toy(ToyParams(n=400, sigma_n=0.8, lag=2, n_classes=n_classes,
+                                      seed=11))
+        steps = []
+        solve = svm.solve_svm_dual
+
+        def counting(*args, **kwargs):
+            model = solve(*args, **kwargs)
+            steps.append(model.n_iter)
+            return model
+
+        monkeypatch.setattr(svm, "solve_svm_dual", counting)
+
+        def bank(C, start=None):
+            steps.clear()
+            pipe = harness.train_pipeline(X, y, method, C=C, sigma_k=1.0, f=5, n0=2,
+                                          start=start)
+            return pipe, sum(steps)
+
+        start, _ = bank(100.0)
+        counts = []
+        for C in (10.0, 1.0):
+            cold, cold_steps = bank(C)
+            warm, warm_steps = bank(C, start)
+            counts.append((warm_steps, cold_steps))
+            for w, c in zip([*warm.model.pairwise.values(), *warm.model.one_vs_all],
+                            [*cold.model.pairwise.values(), *cold.model.one_vs_all],
+                            strict=True):
+                assert w.converged and w.C == C
+                assert abs(w.objective - c.objective) <= 1e-5 * abs(c.objective)
+            start = warm
+        warm_steps, cold_steps = np.sum(counts, axis=0)
+        assert warm_steps < cold_steps
+        if n_classes == 2:
+            assert all(warm < cold for warm, cold in counts)
+
+    def test_a_scaled_alpha_at_the_box_stays_feasible(self):
+        """An alpha at the box C/n, scaled by C'/C, can round above C'/n;
+        the solve clips it to the box and keeps sum(alpha * y) at 0."""
+        tr, _, _ = tiny_split()
+        n = len(tr[1])
+        C0, C = next((C0, C) for C0 in (3.0, 10.0, 30.0) for C in (0.3, 0.7, 3.0)
+                     if C0 / n * (C / C0) > C / n)
+        start = harness.train_pipeline(*tr, "svm", C=C0, sigma_k=1.0)
+        for m in {id(m): m for m in [*start.model.pairwise.values(),
+                                     *start.model.one_vs_all]}.values():
+            m.alpha = np.zeros(len(m.alpha))
+            y_pm = np.zeros(len(m.alpha))
+            y_pm[m.sv_idx] = m.sv_labels
+            # every alpha at the box on an equal number of rows per side
+            k = min(np.sum(y_pm > 0), np.sum(y_pm < 0))
+            m.alpha[np.flatnonzero(y_pm > 0)[:k]] = m.box
+            m.alpha[np.flatnonzero(y_pm < 0)[:k]] = m.box
+        pipe = harness.train_pipeline(*tr, "svm", C=C, sigma_k=1.0, start=start)
+        for m, cls in zip(pipe.model.one_vs_all, pipe.model.classes, strict=True):
+            assert m.box == C / n and np.all((m.alpha >= 0) & (m.alpha <= m.box))
+            assert abs(np.dot(m.alpha, np.where(tr[1] == cls, 1.0, -1.0))) <= 1e-12 * C
+
+    def test_a_failed_cell_restarts_its_chain(self, monkeypatch):
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "1")
+        cells = self.record_cells(monkeypatch, fail_C=10.0)
+        tr, va, _ = tiny_split()
+        # a bandwidth of 1e300 overflows the kernel's 2 sigma^2 at every C
+        grid = GridSpec(method="svm", C=(1.0, 10.0, 100.0), sigma_k=(1.0, 1e300))
+        res = grid_search(tr, va, grid)
+        assert [(cell["C"], cell["sigma_k"], reason.split(":")[0])
+                for cell, reason in res.failures] == [
+            (1.0, 1e300, "OverflowError"), (10.0, 1.0, "ValueError"),
+            (10.0, 1e300, "OverflowError"), (100.0, 1e300, "OverflowError")]
+        assert [(cell["C"], cell["sigma_k"]) for cell, _ in res.table] == [
+            (1.0, 1.0), (100.0, 1.0)]
+        # after a failed cell the chain's next cell solves cold
+        assert [(cell["C"], cell["start"] is None) for cell in cells] == \
+            [(100.0, True), (10.0, False), (1.0, True)] + \
+            [(100.0, True), (10.0, True), (1.0, True)]
+
+    def test_a_fixed_filter_grid_starts_no_worker_process(self, monkeypatch):
+        monkeypatch.setattr(svm, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MARGIN_FILTER_THREADS", "2")
+        cells = self.record_cells(monkeypatch)
+        tr, va, _ = tiny_split()
+        for method in ("svm", "avg_svm"):
+            cells.clear()
+            grid_search(tr, va, GridSpec(method=method, C=(1.0, 10.0, 100.0),
+                                         f=(5,), n0=(2,)))
+            assert [(cell["pid"], cell["children"]) for cell in cells] == \
+                [(os.getpid(), [])] * 3
+
+    def test_same_bits_on_one_or_two_workers(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(svm, "_usable_cpus", lambda: 2)
+        tr, va, _ = tiny_split()
+        grid = GridSpec(method="avg_svm", C=(1.0, 10.0, 100.0), sigma_k=(1.0, 1e300, 0.5),
+                        f=(5,), n0=(2,))
+        results, files = [], []
+        for threads in (1, 2):
+            monkeypatch.setenv("MARGIN_FILTER_THREADS", str(threads))
+            res = grid_search(tr, va, grid, keep_pipeline=True)
+            assert multiprocessing.active_children() == []
+            save_model(tmp_path / f"{threads}-model.json", res.pipeline)
+            save_filter(tmp_path / f"{threads}-filter.json", res.pipeline.filter)
+            results.append((res.table, res.failures, res.best, res.best_error))
+            files.append([(tmp_path / f"{threads}-{kind}.json").read_bytes()
+                          for kind in ("model", "filter")])
+        assert len(results[0][1]) == 3
+        assert results[0] == results[1]
+        assert files[0] == files[1]
+
+
 class SolveCounter:
     """Records the SVM solves (as their SMO step counts and warm flags) and
     the shapes of the kernel blocks computed before and after the filter fit of

@@ -850,6 +850,19 @@ class TestCli:
         assert_allclose(np.vstack([Xtr, Xva, Xte]), X)
         assert_array_equal(ytr, y[:100])
 
+    @pytest.mark.parametrize("split", ["0,0,0", "10,20", "10,20,30,40", "10,-5,30", ""])
+    def test_split_is_checked_before_a_signal_is_generated(self, tmp_path, capsys,
+                                                            monkeypatch, split):
+        def generating(params):
+            raise AssertionError("a signal was generated")
+
+        monkeypatch.setattr("marginfilter.cli.generate_toy", generating)
+        rc = self.run("generate-toy", "--split", split, "-o", tmp_path / "bench.csv")
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: --split needs three positive sizes: NTRAIN,NVAL,NTEST"
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_search_writes_best_cell(self, tmp_path, toy_files):
         train, val, _ = toy_files
         best = tmp_path / "best.json"
