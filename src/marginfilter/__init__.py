@@ -14,7 +14,6 @@ from .signals import (
     apply_filter,
     generate_toy,
     make_average_filter,
-    make_delta_filter,
 )
 from .svm import (
     KernelParams,
@@ -76,7 +75,6 @@ __all__ = [
     "grid_search",
     "kernel_matrix",
     "make_average_filter",
-    "make_delta_filter",
     "mixed_norm",
     "oao_vote",
     "platt_fit",

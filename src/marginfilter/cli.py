@@ -180,9 +180,8 @@ def _cmd_train(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     persistence.save_filter(os.path.join(args.out_dir, "filter.json"), pipe.filter)
     persistence.save_model(os.path.join(args.out_dir, "model.json"), pipe)
-    if pipe.history:
-        persistence.save_history(os.path.join(args.out_dir, "history.csv"),
-                                 pipe.history, pipe.filter_norms)
+    persistence.save_history(os.path.join(args.out_dir, "history.csv"),
+                             pipe.history, pipe.filter_norms)
     calibrated = "calibrated" if pipe.platt is not None else "uncalibrated"
     print(f"trained {args.method} on {len(y)} samples "
           f"({len(pipe.model.classes)} classes, {calibrated}); "

@@ -34,16 +34,19 @@ whole kernel.  The gradient at a committed filter computes the kernel
 K[S', S'] among the committed support set S', holds it for that one
 subproblem's term, and drops it: no |S|^2 block outlives the gradient.
 
-The fit ends with every pairwise subproblem solved at the returned
-filter: the last committed solves.  ``fit_shared_filter`` is the one
-learner, for any class count and either penalty, and ``committed_bank``
-builds the pipeline's banks from its solves: each pair's final solve
-starts at its committed solution, which is optimal already, so no SMO step
-is taken after a fit except in the c one-vs-rest solves of a c >= 3 bank.
+The pair solves of one evaluation read one kernel source of the filtered
+signal through ``subset(rows)``.  The fit ends with every pairwise
+subproblem solved at the returned filter: the last committed solves.
+``fit_shared_filter`` is the one learner, for any class count and either
+penalty, a fixed filter being a fit of zero steps, and ``committed_bank``
+builds the pipeline's banks from its solves and their kernel, so no SMO
+step is taken after a fit except in the c one-vs-rest solves of a c >= 3
+bank.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,11 +142,11 @@ class LearnerConfig:
     f and n0 fix the filter geometry; C and kernel parametrize the inner
     SVM; reg the filter penalty.  max_cg_iters and tol_dF bound the
     descent, whose steps are L-BFGS or proximal by penalty (its accepted
-    steps, and the step norm that stops it), and svm_tol is the inner
-    solver's KKT tolerance.  The descent and its line search use the
-    module constants TOL_REL_J, LBFGS_MEMORY, ARMIJO_C1, BACKTRACK and
-    MAX_HALVINGS, fixed because every fit uses the same values; the inner
-    solver keeps ``solve_svm_dual``'s iteration cap.
+    steps, an integer >= 0, and the step norm that stops it), and svm_tol
+    is the inner solver's KKT tolerance.  The descent and its line search
+    use the module constants TOL_REL_J, LBFGS_MEMORY, ARMIJO_C1, BACKTRACK
+    and MAX_HALVINGS, fixed because every fit uses the same values; the
+    inner solver keeps ``solve_svm_dual``'s iteration cap.
 
     mm_max_outer is read by nothing: it capped the majorization-minimization
     loop that the proximal steps replaced, and stays because
@@ -163,6 +166,9 @@ class LearnerConfig:
     def __post_init__(self):
         if self.f < 1 or not 0 <= self.n0 <= self.f - 1:
             raise ValueError("need f >= 1 and 0 <= n0 <= f-1")
+        steps = self.max_cg_iters
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+            raise ValueError(f"max_cg_iters must be an integer >= 0, got {steps!r}")
         for name in ("C", "tol_dF", "svm_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -226,8 +232,11 @@ class _Subproblem:
 
     Trial solves warm-start from the last committed solution; committing
     promotes the most recent trial to the warm-start state, together with
-    the filtered signal it was solved on (all the gradient and
-    ``committed_bank`` need at the committed filter besides alpha).
+    the kernel source it read and that source's filtered signal (all the
+    gradient and ``committed_bank`` need at the committed filter besides
+    alpha).  The kernel, with its cached rows, is kept only while the fit
+    may still end at that commit: ``_descent`` drops it before the next
+    gradient, and ``committed_bank`` once the banks are built.
     """
 
     def __init__(self, pair: tuple[int, int], rows: np.ndarray, y_pm: np.ndarray):
@@ -236,31 +245,32 @@ class _Subproblem:
         self.y_pm = y_pm
         self.alpha = None  # committed warm-start state
         self.model = None
-        self.Xf = None
+        self.Xf = self.kernel = None
         self._last = None
 
-    def solve(self, Xf: np.ndarray, cfg: LearnerConfig, *,
+    def solve(self, K: SupportKernel, cfg: LearnerConfig, *,
               stop_above: float = np.inf) -> float:
-        """Dual optimum on the filtered signal ``Xf``.
+        """Dual optimum on the filtered signal of the kernel source ``K``.
 
         Once a lower bound on the optimum exceeds ``stop_above``, returns
         that bound instead and leaves nothing to commit.  One solve through
-        one ``SupportKernel``, warm from the committed alpha where there is
-        one; a warm start whose own dual exceeds ``stop_above`` computes
-        K[:, S] only up to the block of rows that completes the rows of S,
-        and takes no step.
+        ``K.subset(rows)`` (``K`` itself when the pair has every row), warm
+        from the committed alpha where there is one; a warm start whose own
+        dual exceeds ``stop_above`` computes K[:, S] only up to the block
+        of rows that completes the rows of S, and takes no step.
         """
         self._last = None
         model = solve_svm_dual(
-            SupportKernel(Xf[self.rows], cfg.kernel), self.y_pm, cfg.C, kernel=cfg.kernel,
-            tol=cfg.svm_tol, warm_alpha=self.alpha, stop_above=stop_above)
+            K if len(self.rows) == K.shape[0] else K.subset(self.rows), self.y_pm, cfg.C,
+            kernel=cfg.kernel, tol=cfg.svm_tol, warm_alpha=self.alpha, stop_above=stop_above)
         if model.objective <= stop_above:
-            self._last = (model, Xf)
+            self._last = (model, K)
         return model.objective
 
     def commit(self):
-        self.model, self.Xf = self._last
+        (self.model, self.kernel), self._last = self._last, None
         self.alpha = self.model.alpha
+        self.Xf = self.kernel.samples
 
 
 # Relative margin by which a trial's lower bound must clear the acceptance
@@ -278,13 +288,14 @@ def _evaluate(problems, F, X, cfg, *, reject_above: float = np.inf) -> float:
     >= 0, so a partial sum bounds the whole), the remaining work is
     skipped and the value returned is a lower bound above it.
     """
-    Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
+    K = SupportKernel(apply_filter(X, FilterBank(F, n0=cfg.n0)), cfg.kernel)
     reg_val = regularizer_value(F, cfg.reg)
     total = 0.0
     for p in problems:
         if total > reject_above - reg_val:
-            break
-        total += p.solve(Xf, cfg, stop_above=reject_above - reg_val - total)
+            p._last = None  # skipped: keeps no trial of an earlier evaluation
+        else:
+            total += p.solve(K, cfg, stop_above=reject_above - reg_val - total)
     # summed as without a bound: the optima first, then the penalty
     return total + reg_val
 
@@ -441,6 +452,10 @@ def _descent(problems, X, cfg: LearnerConfig, F0: np.ndarray):
     t = 1.0
 
     for _ in range(cfg.max_cg_iters):
+        # the committed rows serve committed_bank only if the fit ends at
+        # this commit; free them before the gradient's |S'|^2 block
+        for p in problems:
+            p.kernel = None
         G = _gradient(problems, F, X, smooth)
         y = None if s is None else (G - G_prev).ravel()
         t = rule.first_t(G, s, y, t)
@@ -478,7 +493,13 @@ def _make_problems(y: np.ndarray) -> list[_Subproblem]:
 
 @dataclass
 class FilterFit:
-    """Outcome of fitting a shared filter bank over pairwise subproblems."""
+    """Outcome of fitting a shared filter bank over pairwise subproblems.
+
+    ``history`` and ``filter_norms`` hold J and ||F|| at the start and
+    after each accepted step.  ``converged`` is True when the descent's
+    own test stopped it, False when the step cap or the line search did:
+    a fit of zero steps, such as a fixed filter's, reads False.
+    """
 
     bank: FilterBank
     history: list[float]
@@ -515,20 +536,23 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
     The objective is the sum of the pairwise SVM optima plus the penalty;
     gradients add over subproblems.  With two classes this is the plain
     joint filter/SVM problem.  The filter starts as the average filter, so
-    with max_cg_iters=0 the fit is the fixed-average-filter baseline.  One
-    descent (``_descent``) fits either penalty, with L-BFGS steps for the
-    Frobenius penalty and proximal steps for the mixed norm.
+    with max_cg_iters=0 the fit is the fixed-average-filter baseline (at
+    f = 1, n0 = 0 the identity).  One descent (``_descent``) fits either
+    penalty, with L-BFGS steps for the Frobenius penalty and proximal
+    steps for the mixed norm.
 
-    ``start``, a fit on the same data at the same C, kernel, f and n0
-    (typically another lambda: a regularization path), offers a second
-    start: the descent begins at whichever of its filter and the average
+    ``start``, a fit on the same samples and labels at the same kernel, f
+    and n0, starts each subproblem warm from its committed alpha times
+    C / C_start (alpha seeding, DeCoste & Wagstaff, KDD 2000): the box C/n
+    scales by the same factor, so the start is feasible.  At the start's
+    C (another lambda: a regularization path) the evaluation at the
+    start's filter takes no SMO step where those alphas converged; at
+    another C it ends at the optimum within the solver's tolerance.  The
+    descent begins at whichever of the start's filter and the average
     filter has the lower objective at this fit's penalty (for the mixed
-    norm, the mixed-norm objective), each subproblem warm from the start's
-    committed alphas.  Those alphas are feasible, as the box C/n and the
-    subproblems are the same, and were solved on the same filtered signal,
-    so the evaluation at the start's filter takes no SMO step where they
-    converged.  The comparison keeps a path from staying where a large
-    lambda collapsed the filter to about 0, where the gradient vanishes.
+    norm, the mixed-norm objective), which keeps a path from staying where
+    a large lambda collapsed the filter to about 0; a start at the average
+    filter needs no comparison.  Any other start is a ValueError.
     """
     X = as_signal(X)
     y = as_labels(y, X.shape[0])
@@ -537,32 +561,43 @@ def fit_shared_filter(X, y, cfg: LearnerConfig, *,
     problems = _make_problems(y)
     F0 = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
     if start is not None:
-        F_start = start.bank.coeffs
-        same = (F_start.shape == F0.shape and start.bank.n0 == cfg.n0
-                and len(start.problems) == len(problems)
-                and all(q.model.C == cfg.C and q.model.kernel == cfg.kernel
-                        and np.array_equal(q.rows, p.rows)
-                        for p, q in zip(problems, start.problems)))
+        same = (isinstance(start, FilterFit) and start.bank.coeffs.shape == F0.shape
+                and start.bank.n0 == cfg.n0 and len(start.problems) == len(problems)
+                and all(q.model.kernel == cfg.kernel and np.array_equal(q.rows, p.rows)
+                        and np.array_equal(q.y_pm, p.y_pm)
+                        for p, q in zip(problems, start.problems))
+                and np.array_equal(start.problems[0].Xf, apply_filter(X, start.bank)))
         if not same:
-            raise ValueError("start fit differs in its samples, C, kernel, f or n0")
+            raise ValueError("a fit takes a start only from a fit on the same samples, "
+                             "labels, kernel, f and n0")
         for p, q in zip(problems, start.problems):
-            p.alpha = q.alpha
-        F0 = _lower_start(problems, X, cfg, F_start, F0)
+            p.alpha = q.alpha * (cfg.C / q.model.C)
+        if not np.array_equal(start.bank.coeffs, F0):
+            F0 = _lower_start(problems, X, cfg, start.bank.coeffs, F0)
     F, history, norms, converged = _descent(problems, X, cfg, F0)
     return FilterFit(bank=FilterBank(F, n0=cfg.n0), history=history,
                      filter_norms=norms, converged=converged, problems=problems)
 
 
-def committed_bank(fit: FilterFit, y, cfg: LearnerConfig) -> MulticlassModel:
-    """The multiclass banks at the fit's filter, warm from the fit's solves.
+def committed_bank(fit: FilterFit, y, cfg: LearnerConfig, *,
+                   start: MulticlassModel | None = None) -> MulticlassModel:
+    """The multiclass banks at the fit's filter, from the fit's solves.
 
-    Every subproblem's committed solve was made on one array, the training
-    signal filtered by the returned bank, so the banks are trained on that
-    array without filtering again.  ``train_multiclass`` starts each pair
-    at its committed solution, so the pairs and the two one-vs-all scorers
-    of a binary bank take no SMO step; only the c one-vs-rest scorers of a
-    c >= 3 bank are solved from scratch.
+    ``train_multiclass`` reads the kernel source of the committed solves
+    where the fit ended at them, as a fit of zero steps does, so their
+    rows are not computed again, and the fit then drops it, keeping the
+    filtered array alone.  A c >= 3 bank takes the committed
+    solves as its pairwise models; a binary bank starts its pair and the
+    two one-vs-all scorers at the committed solution, optimal already, so
+    they take no SMO step.  The c one-vs-rest scorers of a c >= 3 bank
+    solve cold or, given ``start`` (the bank of the fit's start), from its
+    alphas times C / C_start.
     """
-    return train_multiclass(fit.problems[0].Xf, y, cfg.C, cfg.kernel,
-                            tol=cfg.svm_tol, warm={p.pair: p.alpha for p in fit.problems})
-
+    first = fit.problems[0]
+    warm_ova = None if start is None else [m.alpha * (cfg.C / m.C) for m in start.one_vs_all]
+    mc = train_multiclass(first.Xf if first.kernel is None else first.kernel, y, cfg.C,
+                          cfg.kernel, tol=cfg.svm_tol,
+                          pairwise={p.pair: p.model for p in fit.problems}, warm_ova=warm_ova)
+    for p in fit.problems:
+        p.kernel = p._last = None
+    return mc

@@ -7,13 +7,15 @@ name: 'svm' (no filtering), 'avg_svm' (fixed moving average), 'kf_svm'
 (learned filter, energy penalty) and 'skf_svm' (learned filter,
 channel-selecting penalty).
 
-Each pipeline's SVM banks take no more SMO work than the mathematics
-needs.  With two classes one-vs-all is the pairwise machine in its two
-label orientations, solved warm from the pair's solution, so a binary
-svm/avg_svm bank is one SMO solve.  A learned-filter pipeline starts each
-pair at the fit's committed solve, which is optimal at the returned
-filter, so after the fit only the c one-vs-rest scorers of a c >= 3 bank
-take SMO steps.
+Every method trains by one path (``train_pipeline``): a filter fit and
+the banks at its filter (``fit_shared_filter``, ``committed_bank``).  A
+fixed filter is a fit of zero steps at the average filter, svm's of one
+tap (the identity).  The banks take no more SMO work than the
+mathematics needs: the pairwise bank is the fit's committed solves, and
+with two classes one-vs-all is the pair in its two label orientations,
+solved warm from its solution, so a binary svm/avg_svm pipeline is one
+SMO solve.  After the fit only the c one-vs-rest scorers of a c >= 3
+bank take SMO steps.
 
 A pipeline labels a signal by both decoders from one test kernel
 (``Pipeline``): a calibrated pipeline scores its pairwise and one-vs-all
@@ -34,11 +36,13 @@ average filter has the lower objective (``grid_search``).  A fixed-filter
 grid runs as paths in C: the cells that share sigma_k, f and n0 form one
 chain, run from the largest C down, each cell's solves starting from the
 previous cell's alphas scaled by the ratio of the Cs, so the default svm
-and avg_svm grids are one task each, run in the calling process.  Grid
-chains and sweep tasks are independent, so both run through one process
-map: at most min(#tasks, usable CPUs, MARGIN_FILTER_THREADS) worker
-processes, opened and closed inside the call, with results merged in task
-order, so a parallel run returns the same bits as a serial one.
+and avg_svm grids are one task each, run in the calling process.  Both
+kinds of chain hand each cell the previous cell's pipeline as its
+``start``.  Grid chains and sweep tasks are independent, so both run
+through one process map: at most min(#tasks, usable CPUs,
+MARGIN_FILTER_THREADS) worker processes, opened and closed inside the
+call, with results merged in task order, so a parallel run returns the
+same bits as a serial one.
 MARGIN_FILTER_THREADS is the one worker setting: it defaults to the
 usable CPU count and is capped there, and by the same rule
 (``svm._worker_count``) it caps the threads that score a bank in
@@ -71,26 +75,16 @@ from .filter_learning import (
     committed_bank,
     fit_shared_filter,
 )
-from .signals import (
-    ToyParams,
-    apply_filter,
-    as_labels,
-    as_signal,
-    generate_toy,
-    make_average_filter,
-    make_delta_filter,
-)
+from .signals import ToyParams, apply_filter, as_labels, as_signal, generate_toy
 from .svm import (
     KernelParams,
     MulticlassModel,
     PlattParams,
     _worker_count,
     bank_scores,
-    class_pairs,
     joint_bank_scores,
     oao_vote,
     platt_fit,
-    train_multiclass,
 )
 
 METHODS = ("svm", "avg_svm", "kf_svm", "skf_svm")
@@ -128,8 +122,8 @@ def error_rate(pred, truth) -> float:
 class Pipeline:
     """A trained end-to-end labeling pipeline.
 
-    ``fit`` is the filter fit of a learned-filter pipeline trained here,
-    and None for a fixed filter or a pipeline loaded from a file.
+    ``fit`` is the filter fit the pipeline was trained by, of zero steps
+    for a fixed filter; it is None only for a pipeline loaded from a file.
 
     ``predict`` scores a signal once for both decoders: one
     ``svm.joint_bank_scores`` call over the pairwise bank and, when the
@@ -206,87 +200,46 @@ class Pipeline:
         return decode_offline(self.model, self.platt, self.transitions, scores=ova_scores)
 
 
-def _seed_alphas(start, method: str, bank, Xf: np.ndarray, y: np.ndarray,
-                 cfg: LearnerConfig) -> tuple[dict, list]:
-    """The starting alphas of a fixed-filter bank at ``cfg.C`` from the
-    pipeline ``start`` of another C: by class-index pair and by one-vs-rest
-    class, each of ``start``'s solves times C / C_start (alpha seeding,
-    DeCoste & Wagstaff, KDD 2000).
-
-    That start is feasible: the box C/n scales by the same factor, so an
-    alpha at 0 or at the box stays there, and sum(alpha * y) stays 0
-    (``solve_svm_dual`` clips to the box and checks the sum again).
-    ``start`` must be a ``method`` pipeline trained here on the same
-    samples, labels, filter and sigma_k: each of its solves has the
-    training set's length and support rows.
-    """
-    same = (isinstance(start, Pipeline) and start.method == method
-            and start.filter.n0 == bank.n0
-            and np.array_equal(start.filter.coeffs, bank.coeffs)
-            and np.array_equal(start.model.classes, np.unique(y))
-            and len(start.model.one_vs_all) == len(start.model.classes))
-    if same:
-        mc = start.model
-        solves = [(mc.pairwise[pair], rows, y_pm)
-                  for pair, rows, y_pm in class_pairs(y, mc.classes)]
-        solves += [(m, np.arange(len(y)), np.where(y == cls, 1.0, -1.0))
-                   for m, cls in zip(mc.one_vs_all, mc.classes)]
-        same = all(m.alpha is not None and len(m.alpha) == len(rows)
-                   and m.kernel == cfg.kernel
-                   and np.array_equal(m.sv_labels, y_pm[m.sv_idx])
-                   and np.array_equal(m.sv_rows, Xf[rows[m.sv_idx]])
-                   for m, rows, y_pm in solves)
-    if not same:
-        raise ValueError(f"{method} takes a start only from a {method} pipeline "
-                         "on the same samples, sigma_k, f and n0")
-    scale = cfg.C / mc.one_vs_all[0].C
-    return ({pair: m.alpha * scale for pair, m in mc.pairwise.items()},
-            [m.alpha * scale for m in mc.one_vs_all])
-
-
 def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
                    lam: float = 0.0, f: int = 1, n0: int = 0,
                    learner_kwargs: dict | None = None,
-                   start: FilterFit | Pipeline | None = None) -> Pipeline:
+                   start: Pipeline | None = None) -> Pipeline:
     """Train one method end to end on labeled data (any class count).
 
-    A learned filter starts at the average filter; given ``start``, a fit
-    (``FilterFit``) on the same data at the same C, sigma_k, f and n0, it
-    starts warm from that fit's solves at the lower of its filter and the
-    average filter (``fit_shared_filter``).  A fixed filter's bank solves
-    cold; given ``start``, the pipeline of the same method on the same
-    data, sigma_k, f and n0 at another C, each solve starts from its
-    counterpart's alpha scaled to this C (``_seed_alphas``), so it ends at
-    the optimum within the solver's tolerance, not at the cold solve's
-    bits.  Any other start is a ValueError.
+    Every method is one filter fit (``fit_shared_filter``) and the banks
+    at its filter (``committed_bank``).  A learned filter descends from
+    the average filter; a fixed filter is a fit of zero steps there,
+    without a penalty, whatever ``lam`` and ``max_cg_iters`` say, at f = 1
+    and n0 = 0 for svm (one coefficient of 1.0: the identity).  Its fit's
+    history is the one objective value.
+
+    ``start``, the pipeline of the same method trained here on the same
+    samples, labels, sigma_k, f and n0 at another C or lambda (the
+    previous cell of a grid chain), starts each solve from its
+    counterpart's alpha times C / C_start, and a learned filter at the
+    lower of the start's filter and the average filter.  At another C a
+    solve ends at the optimum within the solver's tolerance, not at the
+    cold solve's bits.  Any other start is a ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if start is not None and not (isinstance(start, Pipeline) and start.method == method
+                                  and start.fit is not None):
+        raise ValueError(f"{method} takes a start only from a {method} pipeline trained "
+                         "on the same samples, labels, sigma_k, f and n0")
     X = as_signal(X)
     y = as_labels(y, X.shape[0])
+    if method == "svm":
+        f, n0 = 1, 0
     reg = RegularizerSpec("mixed_norm" if method == "skf_svm" else "frobenius", lam)
     cfg = LearnerConfig(C=C, kernel=KernelParams(sigma_k), reg=reg, f=f, n0=n0,
                         **(learner_kwargs or {}))
-    fit = None
     if method in FIXED_FILTER_METHODS:
-        bank = make_delta_filter(X.shape[1]) if method == "svm" \
-            else make_average_filter(f, n0, X.shape[1])
-        Xf = apply_filter(X, bank)
-        warm, warm_ova = (None, None) if start is None \
-            else _seed_alphas(start, method, bank, Xf, y, cfg)
-        mc = train_multiclass(Xf, y, cfg.C, cfg.kernel, tol=cfg.svm_tol,
-                              warm=warm, warm_ova=warm_ova)
-    else:
-        if start is not None and not isinstance(start, FilterFit):
-            raise ValueError(f"{method} takes a start only from a filter fit")
-        fit = fit_shared_filter(X, y, cfg, start=start)
-        bank = fit.bank
-        mc = committed_bank(fit, y, cfg)
-
-    classes = mc.classes
-    y_idx = np.searchsorted(classes, y) + 1
-    transitions = estimate_transitions(y_idx, len(classes))
-    return Pipeline(method=method, filter=bank, model=mc,
+        cfg = replace(cfg, reg=RegularizerSpec(), max_cg_iters=0)
+    fit = fit_shared_filter(X, y, cfg, start=None if start is None else start.fit)
+    mc = committed_bank(fit, y, cfg, start=None if start is None else start.model)
+    transitions = estimate_transitions(np.searchsorted(mc.classes, y) + 1, len(mc.classes))
+    return Pipeline(method=method, filter=fit.bank, model=mc,
                     transitions=transitions, fit=fit)
 
 
@@ -399,14 +352,11 @@ def _rank(cell: dict, err: float) -> tuple:
 def _grid_chain(task):
     """Train and validate one chain of grid cells, in the chain's order.
 
-    Each cell of a learned filter starts from the previous cell's fit (its
-    committed alphas, and its filter or the average filter, whichever has
-    the lower objective at the cell's lambda: ``fit_shared_filter``); the
-    first cell, and a cell after one that failed numerically, start from
-    the average filter.  Each cell of a fixed filter starts from the
-    previous cell's pipeline, its alphas scaled to the cell's C
-    (``train_pipeline``); the first cell, and a cell after one that
-    failed, solve cold.  Returns one
+    Each cell starts from the previous cell's pipeline (``train_pipeline``):
+    its alphas scaled to the cell's C, and for a learned filter its filter
+    or the average filter, whichever has the lower objective at the cell's
+    lambda.  The first cell, and a cell after one that failed numerically,
+    solve cold at the average filter.  Returns one
     (error, pipeline or None, None), or (None, None, reason) for a
     numerical failure, per cell.  A pipeline comes back only when it is
     kept, and only for the chain's best-ranked cell: the grid's best cell
@@ -428,7 +378,7 @@ def _grid_chain(task):
         outcomes.append((err, None, None))
         if keep:
             pipes[k] = pipe
-        start = pipe if method in FIXED_FILTER_METHODS else pipe.fit
+        start = pipe
     if pipes:
         k = min(pipes, key=lambda k: _rank(cells[k], outcomes[k][0]))
         outcomes[k] = (outcomes[k][0], pipes[k], None)
@@ -462,8 +412,10 @@ def grid_search(train, validation, grid: GridSpec, *,
     worker count.
     Cells that fail with a numerical error (ValueError, including
     LinAlgError, or ArithmeticError) are recorded and skipped; if every
-    cell fails an error is raised.  Any other exception propagates.
+    cell fails an error is raised.  Any other exception propagates, and
+    so does a ValueError of ``learner_kwargs``, which no cell could use.
     """
+    LearnerConfig(**(learner_kwargs or {}))  # the caller's error, not a cell's
     Xtr, ytr = train
     Xval, yval = validation
     cells = grid.cells()
@@ -712,7 +664,9 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
     both the online and the Viterbi decoder.  Deterministic given seeds;
     the tasks are independent and run through the process map, with
     results merged in task order.  A task that fails numerically is
-    recorded in ``failures`` and leaves no rows.
+    recorded in ``failures`` and leaves no rows; a ValueError of
+    ``learner_kwargs``, which no task could use, is raised before any
+    task runs.
 
     The headline table is the one-point sweep
     ``run_toy_sweep("noise", [base.sigma_n], methods, base=base, ...)``:
@@ -723,6 +677,7 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    LearnerConfig(**(learner_kwargs or {}))  # the caller's error, not a task's
     base = base or ToyParams(n=n_train, sigma_n=1.0, lag=5, nbtot=2)
     grids = grids or {}
     sizes = (n_train, n_val, n_test)

@@ -94,15 +94,13 @@ class FilterBank:
 
 
 def make_average_filter(f: int, n0: int, d: int) -> FilterBank:
-    """Moving-average filter bank: every coefficient equals 1/f."""
+    """Moving-average filter bank: every coefficient equals 1/f.
+
+    At f = 1, n0 = 0 it is the identity: one coefficient of 1.0 per
+    channel, which passes the signal through unchanged."""
     if f < 1 or d < 1:
         raise ValueError("average filter needs f >= 1 and d >= 1")
     return FilterBank(np.full((f, d), 1.0 / f), n0=n0)
-
-
-def make_delta_filter(d: int) -> FilterBank:
-    """Identity (pass-through) filter bank: f=1, n0=0, unit coefficient."""
-    return FilterBank(np.ones((1, d)), n0=0)
 
 
 def apply_filter(X, bank: FilterBank) -> np.ndarray:

@@ -38,7 +38,7 @@ import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -155,7 +155,7 @@ def _row_chunks(n: int):
 
 
 class SupportKernel:
-    """The Gaussian kernel of ``X``, computed where a solve reads it.
+    """The Gaussian kernel of ``X`` (``samples``), computed where a solve reads it.
 
     A solve reads its kernel in four ways (``solve_svm_dual``): the shape,
     the diagonal, which is exp(0) = 1, the rows K[i] and K[j] of each SMO
@@ -182,12 +182,12 @@ class SupportKernel:
     """
 
     def __init__(self, X, params: KernelParams):
-        self._X = np.asarray(X, dtype=np.float64)
-        if self._X.ndim != 2:
-            raise ValueError(f"samples must be 2-D (n, d), got shape {self._X.shape}")
+        self.samples = np.asarray(X, dtype=np.float64)
+        if self.samples.ndim != 2:
+            raise ValueError(f"samples must be 2-D (n, d), got shape {self.samples.shape}")
         self._params = params
         self._scale = _distance_scale(params)
-        n = len(self._X)
+        n = len(self.samples)
         self.shape = (n, n)
         self._cache = {}  # sample -> its row, least recently used first
         self._free = []  # rows of the last slab not yet used
@@ -197,7 +197,7 @@ class SupportKernel:
 
     def subset(self, rows) -> SupportKernel:
         """The kernel of X[rows], reading its rows through this cache."""
-        view = SupportKernel(self._X[rows], self._params)
+        view = SupportKernel(self.samples[rows], self._params)
         view._parent, view._rows = self, np.asarray(rows)
         return view
 
@@ -210,7 +210,7 @@ class SupportKernel:
         row = self._cache.pop(i, None)
         if row is None:
             if self._capacity < 2:  # a row evicted by K[j] could be the step's K[i]
-                return _gaussian(self._X[i : i + 1], self._X, self._scale)[0]
+                return _gaussian(self.samples[i : i + 1], self.samples, self._scale)[0]
             if len(self._cache) >= self._capacity:
                 row = self._cache.pop(next(iter(self._cache)))  # overwritten below
             else:
@@ -220,7 +220,7 @@ class SupportKernel:
                     slab = max(min(CACHE_SLAB_BYTES // (8 * n), room), 1)
                     self._free = list(np.empty((slab, n)))
                 row = self._free.pop()
-            _gaussian(self._X[i : i + 1], self._X, self._scale, out=row[None])
+            _gaussian(self.samples[i : i + 1], self.samples, self._scale, out=row[None])
         self._cache[i] = row
         return row
 
@@ -248,11 +248,11 @@ class SupportKernel:
         in_support = np.zeros(n, dtype=bool)
         in_support[support] = True
         order = np.concatenate([support, np.flatnonzero(~in_support)])
-        Xs, w_s = self._X[support], w[support]
+        Xs, w_s = self.samples[support], w[support]
         out = np.zeros(n)
         buf = np.empty((min(n, PRODUCT_CHUNK_ROWS + 1), s))
         for lo, hi in _row_chunks(n):
-            part = kernel_matrix(self._X[order[lo:hi]], Xs, self._params, out=buf[: hi - lo])
+            part = kernel_matrix(self.samples[order[lo:hi]], Xs, self._params, out=buf[: hi - lo])
             out[order[lo:hi]] = part @ w_s
             if stop is not None and lo < s <= hi and stop(out):
                 return out
@@ -787,63 +787,70 @@ def class_pairs(y, classes):
 
 
 def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
-                     warm: dict | None = None,
+                     pairwise: dict | None = None,
                      warm_ova: list | None = None) -> MulticlassModel:
     """Train the pairwise and one-vs-all banks on (already filtered) data.
 
-    Every solve reads one ``SupportKernel`` of ``X``, a pair's rows being
-    slices of its rows, so the solves share one cache of rows.  Each pair
-    is solved cold, or from ``warm[pair]`` when given.  With two classes
-    one-vs-all is the pairwise machine (Hsu & Lin, IEEE TNN 2002): Q =
-    diag(y) K diag(y) and sum(alpha * y) = 0 do not change under y -> -y,
-    so the pair's alpha is optimal for both label orientations.  Each
-    orientation is solved warm from it, which costs one kernel product and
-    a KKT check and no SMO step, and the pair's model is orientation 0's
-    solve: the three models share one alpha and one K @ (alpha * y), so
-    one-vs-all[0] scores exactly as the pair and one-vs-all[1] exactly as
-    its negation.  (A warm start that misses ``tol`` by rounding takes a
-    few SMO steps per orientation; both are then optimal to ``tol`` but no
-    longer exact negations.)  With c >= 3 classes the c one-vs-rest
-    scorers are c solves, cold or from ``warm_ova``.
+    Every solve reads one ``SupportKernel``, ``X`` itself when it is one,
+    a pair's rows being slices of its rows, so the solves share one cache
+    of rows.  Each pair is solved cold, unless ``pairwise`` holds its
+    solve at ``X``, which a bank of c >= 3 classes takes as its model.
+    With two classes one-vs-all is the pairwise machine (Hsu & Lin, IEEE
+    TNN 2002): Q = diag(y) K diag(y) and sum(alpha * y) = 0 do not change
+    under y -> -y, so the pair's alpha is optimal for both label
+    orientations.  Each orientation is solved warm from it, which costs
+    one kernel product and a KKT check and no SMO step, and the pair's
+    model is orientation 0's solve: the three models share one alpha and
+    one K @ (alpha * y), so one-vs-all[0] scores exactly as the pair and
+    one-vs-all[1] exactly as its negation.  (A warm start that misses
+    ``tol`` by rounding takes a few SMO steps per orientation; both are
+    then optimal to ``tol`` but no longer exact negations.)  With c >= 3
+    classes the c one-vs-rest scorers are c solves, cold or from
+    ``warm_ova``.
 
     Args:
-        X: (n, d) filtered samples.
+        X: (n, d) filtered samples, or a SupportKernel of them (a filter
+            fit's, whose cached rows the solves then reuse).
         y: length-n labels (any integer values, >= 2 distinct).
         C: SVM constant; box per subproblem is C / n_sub.
         kernel: Gaussian bandwidth shared by all models.
         tol: solver tolerance.
-        warm: optional starting alphas by class-index pair, e.g. a filter
-            fit's committed solutions at this ``X``, which are optimal
-            already and so take no SMO step.
+        pairwise: optional solves of the pairs on ``X`` by class-index
+            pair, e.g. a filter fit's committed solves: a c >= 3 bank's
+            pairwise models, their support rows attached; a binary bank
+            solves its pair warm from the given alpha.
         warm_ova: optional starting alphas of the c one-vs-rest scorers
             of a c >= 3 bank, in class order; a binary bank's scorers
             start from its pair's solve whatever is given.
     """
-    X = np.asarray(X, dtype=np.float64)
+    K = X if isinstance(X, SupportKernel) else SupportKernel(X, kernel)
+    X = K.samples
     y = np.asarray(y).ravel()
     classes = np.unique(y)
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
-    K = SupportKernel(X, kernel)
+    binary = len(classes) == 2
 
-    pairwise = {}
+    mc = MulticlassModel(classes=classes, pairwise={})
     for pair, rows, y_pm in class_pairs(y, classes):
-        pairwise[pair] = solve_svm_dual(
-            K if len(rows) == len(y) else K.subset(rows), y_pm, C,
-            rows=X[rows], kernel=kernel, tol=tol,
-            warm_alpha=None if warm is None else warm[pair])
+        solved = None if pairwise is None else pairwise[pair]
+        if solved is not None and not binary:
+            mc.pairwise[pair] = replace(solved, sv_rows=X[rows[solved.sv_idx]])
+        else:
+            mc.pairwise[pair] = solve_svm_dual(
+                K if binary else K.subset(rows), y_pm, C, rows=X[rows], kernel=kernel,
+                tol=tol, warm_alpha=None if solved is None else solved.alpha)
 
-    mc = MulticlassModel(classes=classes, pairwise=pairwise)
-    if len(classes) == 2:
+    if binary:
         # solves rather than a copy with bias and sv_labels negated, which
         # would do: perfbench/test_perfbench.py counts three solves under
         # a binary train_multiclass
-        alpha = pairwise[(0, 1)].alpha
+        alpha = mc.pairwise[(0, 1)].alpha
         y_pm = np.where(y == classes[0], 1.0, -1.0)
         mc.one_vs_all = [solve_svm_dual(K, sign * y_pm, C, rows=X, kernel=kernel,
                                         tol=tol, warm_alpha=alpha)
                          for sign in (1.0, -1.0)]
-        pairwise[(0, 1)] = mc.one_vs_all[0]
+        mc.pairwise[(0, 1)] = mc.one_vs_all[0]
     else:
         mc.one_vs_all = [solve_svm_dual(K, np.where(y == cls, 1.0, -1.0), C, rows=X,
                                         kernel=kernel, tol=tol,

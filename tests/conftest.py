@@ -63,3 +63,36 @@ def solve_dual_qp(K, y, C):
 @pytest.fixture
 def qp_oracle():
     return solve_dual_qp
+
+
+class SolveLog:
+    """Every ``solve_svm_dual`` call the package makes, through both
+    bindings that call it (``svm``'s and ``filter_learning``'s), as
+    (warm, SMO steps) in call order.  A solve at C == ``fail_C`` raises a
+    ValueError instead."""
+
+    def __init__(self, monkeypatch):
+        from marginfilter import filter_learning, svm
+
+        self.solves = []
+        self.fail_C = None
+        solve = svm.solve_svm_dual
+
+        def logged(K, y, C, **kwargs):
+            if C == self.fail_C:
+                raise ValueError("injected failure")
+            model = solve(K, y, C, **kwargs)
+            self.solves.append((kwargs.get("warm_alpha") is not None, model.n_iter))
+            return model
+
+        for module in (svm, filter_learning):
+            monkeypatch.setattr(module, "solve_svm_dual", logged)
+
+    def steps(self) -> int:
+        """SMO steps of the solves logged so far."""
+        return sum(steps for _, steps in self.solves)
+
+
+@pytest.fixture
+def solve_log(monkeypatch):
+    return SolveLog(monkeypatch)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -25,6 +26,7 @@ from marginfilter.filter_learning import (
     regularizer_value_grad,
 )
 from marginfilter.harness import train_pipeline
+from marginfilter.persistence import load_model, save_model
 from marginfilter.signals import (
     FilterBank,
     ToyParams,
@@ -658,18 +660,48 @@ class TestFitSharedFilter:
         assert np.all(np.diff(path.history) <= 1e-10)
 
     @pytest.mark.parametrize("change", [
-        {"C": 20.0}, {"kernel": KernelParams(0.5)}, {"f": 4}, {"n0": 1}, {"samples": 1}])
+        {"kernel": KernelParams(0.5)}, {"f": 4}, {"n0": 1}, "fewer samples",
+        "other samples", "labels"])
     def test_a_start_must_match_the_fit(self, change):
         X, y = toy_case(seed=6)
         cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 1.0),
                             max_cg_iters=1)
         start = fit_shared_filter(X, y, cfg)
-        if "samples" in change:
+        if change == "fewer samples":
             X, y = X[1:], y[1:]
+        elif change == "other samples":  # the same class layout
+            X = X + 1e-3
+        elif change == "labels":
+            y = y[::-1]
         else:
             cfg = replace(cfg, **change)
-        with pytest.raises(ValueError, match="start fit differs"):
+        with pytest.raises(ValueError, match="a fit takes a start only from a fit on the "
+                                             "same samples, labels, kernel, f and n0"):
             fit_shared_filter(X, y, cfg, start=start)
+
+    @pytest.mark.parametrize("max_cg_iters", [0, 2])
+    def test_a_start_at_another_C_seeds_its_alphas_scaled(self, monkeypatch, max_cg_iters):
+        """Alpha seeding: each pair starts from the start's committed alpha
+        times C / C_start; at the average filter it ends within the
+        solver's tolerance of the cold fit's objective."""
+        X, y = toy_case(seed=6)
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec("frobenius", 1.0),
+                            max_cg_iters=max_cg_iters)
+        start = fit_shared_filter(X, y, cfg)
+        seeds = []
+        solve = filter_learning.solve_svm_dual
+
+        def recording(*args, warm_alpha=None, **kwargs):
+            seeds.append(warm_alpha)
+            return solve(*args, warm_alpha=warm_alpha, **kwargs)
+
+        monkeypatch.setattr(filter_learning, "solve_svm_dual", recording)
+        fit = fit_shared_filter(X, y, replace(cfg, C=5.0), start=start)
+        assert_array_equal(seeds[0], start.problems[0].alpha * (5.0 / 50.0))
+        assert fit.problems[0].model.C == 5.0 and fit.problems[0].model.converged
+        if max_cg_iters == 0:  # both at the average filter
+            cold = fit_shared_filter(X, y, replace(cfg, C=5.0))
+            assert fit.history == pytest.approx(cold.history, rel=1e-5)
 
     @pytest.mark.parametrize("method", ["svm", "avg_svm"])
     def test_a_fixed_filter_starts_from_its_pipeline_at_another_C(self, method):
@@ -681,45 +713,68 @@ class TestFitSharedFilter:
         assert pipe.model.pairwise[(0, 1)].objective == pytest.approx(
             cold.model.pairwise[(0, 1)].objective, rel=1e-5)
 
+    @staticmethod
+    def mismatched_start(method, change, cell, X, y, tmp_path):
+        """A start that differs from ``cell`` (train_pipeline keywords) of
+        ``method`` by ``change``."""
+        other = {"svm": "avg_svm", "avg_svm": "svm", "kf_svm": "skf_svm",
+                 "skf_svm": "kf_svm"}[method]
+        if change == "filter fit":
+            return fit_shared_filter(X, y, LearnerConfig(C=50.0, f=5, n0=2, max_cg_iters=1))
+        if change == "other method":
+            return train_pipeline(X, y, other, **cell)
+        if change == "sigma_k":
+            return train_pipeline(X, y, method, **{**cell, "sigma_k": 0.5})
+        if change == "samples":
+            return train_pipeline(X + 1e-3, y, method, **cell)
+        if change == "labels":
+            return train_pipeline(X, y[::-1], method, **cell)
+        if change == "geometry":  # svm ignores f and n0: another channel count
+            return (train_pipeline(np.hstack([X, X]), y, method, **cell) if method == "svm"
+                    else train_pipeline(X, y, method, **{**cell, "f": 4, "n0": 1}))
+        # a pipeline read from a file: no fit and no alphas
+        pipe = train_pipeline(X, y, method, **cell)
+        save_model(tmp_path / "model.json", pipe)
+        return load_model(tmp_path / "model.json", pipe.filter)
+
+    STARTS = ["filter fit", "other method", "sigma_k", "samples", "labels", "geometry",
+              "loaded"]
+
     @pytest.mark.parametrize("method", ["svm", "avg_svm"])
-    @pytest.mark.parametrize("change", [
-        "filter fit", "other method", "sigma_k", "samples", "labels", "geometry", "loaded"])
-    def test_a_fixed_filter_start_must_match_the_cell(self, method, change):
+    @pytest.mark.parametrize("change", STARTS)
+    def test_a_fixed_filter_start_must_match_the_cell(self, method, change, tmp_path):
         """A fixed filter starts only from a pipeline of its own method on
-        the same samples, labels, sigma_k, f and n0 that holds its solves."""
+        the same samples, labels, sigma_k, f and n0 that holds its fit."""
         X, y = toy_case(seed=6)
         cell = dict(C=50.0, sigma_k=1.0, f=5, n0=2)
-        other = "avg_svm" if method == "svm" else "svm"
-        if change == "filter fit":
-            start = fit_shared_filter(X, y, LearnerConfig(C=50.0, f=5, n0=2, max_cg_iters=1))
-        elif change == "other method":
-            start = train_pipeline(X, y, other, **cell)
-        elif change == "sigma_k":
-            start = train_pipeline(X, y, method, **{**cell, "sigma_k": 0.5})
-        elif change == "samples":
-            start = train_pipeline(X + 1e-3, y, method, **cell)
-        elif change == "labels":
-            start = train_pipeline(X, y[::-1], method, **cell)
-        elif change == "geometry":  # svm ignores f and n0: another channel count
-            start = (train_pipeline(X, y, method, **{**cell, "f": 4, "n0": 1})
-                     if method == "avg_svm" else
-                     train_pipeline(np.hstack([X, X]), y, method, **cell))
-        else:
-            start = train_pipeline(X, y, method, **cell)
-            for m in [*start.model.pairwise.values(), *start.model.one_vs_all]:
-                m.alpha = None  # as a model read from a file
-        with pytest.raises(ValueError, match=f"{method} takes a start only from a "
-                                             f"{method} pipeline"):
+        start = self.mismatched_start(method, change, cell, X, y, tmp_path)
+        with pytest.raises(ValueError, match="takes a start only from a"):
             train_pipeline(X, y, method, **{**cell, "C": 5.0}, start=start)
 
     @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
-    def test_a_learned_filter_starts_only_from_a_fit(self, method):
+    @pytest.mark.parametrize("change", STARTS)
+    def test_a_learned_filter_start_must_match_the_cell(self, method, change, tmp_path):
+        """The same start check as a fixed filter's: a start on other
+        samples with the same class layout, or on other labels, is
+        refused too."""
         X, y = toy_case(seed=6)
-        start = train_pipeline(X, y, method, C=50.0, sigma_k=1.0, lam=1.0, f=5, n0=2,
-                               learner_kwargs={"max_cg_iters": 1})
-        with pytest.raises(ValueError, match=f"{method} takes a start only from a filter fit"):
-            train_pipeline(X, y, method, C=50.0, sigma_k=1.0, lam=0.5, f=5, n0=2,
-                           learner_kwargs={"max_cg_iters": 1}, start=start)
+        cell = dict(C=50.0, sigma_k=1.0, lam=1.0, f=5, n0=2,
+                    learner_kwargs={"max_cg_iters": 1})
+        start = self.mismatched_start(method, change, cell, X, y, tmp_path)
+        with pytest.raises(ValueError, match="takes a start only from a"):
+            train_pipeline(X, y, method, **{**cell, "lam": 0.5}, start=start)
+
+    @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
+    def test_a_learned_filter_starts_from_its_pipeline(self, method):
+        X, y = toy_case(seed=6)
+        cell = dict(C=50.0, sigma_k=1.0, f=5, n0=2, learner_kwargs={"max_cg_iters": 2})
+        start = train_pipeline(X, y, method, lam=1.0, **cell)
+        pipe = train_pipeline(X, y, method, lam=0.5, start=start, **cell)
+        kind = "mixed_norm" if method == "skf_svm" else "frobenius"
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec(kind, 0.5), max_cg_iters=2)
+        fit = fit_shared_filter(X, y, cfg, start=start.fit)
+        assert_array_equal(pipe.filter.coeffs, fit.bank.coeffs)
+        assert pipe.history == fit.history
 
     @pytest.mark.parametrize("n_labels", [150, 210])
     def test_label_count_must_match_samples(self, n_labels):
@@ -735,6 +790,17 @@ class TestLearnerConfig:
     def test_positive_finite_fields(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
             LearnerConfig(**{name: value})
+
+
+    @pytest.mark.parametrize("value", [-3, -1, 2.5, True, "3", None])
+    def test_max_cg_iters_is_a_count(self, value):
+        with pytest.raises(ValueError, match=f"max_cg_iters must be an integer >= 0, "
+                                             f"got {re.escape(repr(value))}"):
+            LearnerConfig(max_cg_iters=value)
+
+    @pytest.mark.parametrize("value", [0, 1, np.int64(7)])
+    def test_max_cg_iters_takes_zero_and_numpy_integers(self, value):
+        assert LearnerConfig(max_cg_iters=value).max_cg_iters == value
 
 
 class TestEarlyRejection:
@@ -801,7 +867,7 @@ class TestEarlyRejection:
         cfg = LearnerConfig(C=50.0, f=5, n0=2)
         p = _make_problems(y)[0]
         Xf = apply_filter(X, make_average_filter(5, 2, 2))
-        J = p.solve(Xf, cfg)
+        J = p.solve(SupportKernel(Xf, cfg.kernel), cfg)
         p.commit()
         n_sv = int(np.sum(p.alpha > 0))
         assert 0 < n_sv and n_sv + svm.PRODUCT_CHUNK_ROWS < len(p.rows)
@@ -816,7 +882,7 @@ class TestEarlyRejection:
 
         monkeypatch.setattr(filter_learning, "solve_svm_dual", recording_solve)
         stop_above = 0.5 * J
-        bound = p.solve(Xf, cfg, stop_above=stop_above)
+        bound = p.solve(SupportKernel(Xf, cfg.kernel), cfg, stop_above=stop_above)
         assert {b for _, b in shapes} == {n_sv}  # columns of S only
         assert n_sv <= sum(a for a, _ in shapes) <= n_sv + svm.PRODUCT_CHUNK_ROWS
         [model] = models
@@ -861,10 +927,11 @@ class TestKernelOnDemand:
         shapes = self.recorded_shapes(monkeypatch)
         fit = fit_shared_filter(X, y, cfg)
         sizes = [len(p.rows) for p in fit.problems]
-        # the cold start reads rows, not the kernel of a subproblem
-        assert shapes[0] == (1, sizes[0])
+        # the cold start reads rows of the evaluation's one kernel, each
+        # pair through its subset, not the kernel of a subproblem
+        assert shapes[0] == (1, len(y))
         assert len(fit.history) > 3 and len(shapes) > 10 * len(sizes)
-        assert not {(m, m) for m in sizes} & set(shapes)
+        assert not {(m, m) for m in [*sizes, len(y)]} & set(shapes)
         assert all(len(p.model.sv_idx) < m for p, m in zip(fit.problems, sizes))
 
     @pytest.mark.parametrize("n_classes", [2, 3])

@@ -400,13 +400,13 @@ class TestFixedFilterPaths:
     starting from the previous cell's alphas scaled to its C."""
 
     @staticmethod
-    def record_cells(monkeypatch, fail_C=None):
+    def record_cells(monkeypatch):
         """Records each cell's (C, sigma_k, start, pipeline, process id,
-        live worker processes) as ``train_pipeline`` is called; raises a
-        ValueError in the bank at C ``fail_C``.  In a worker process the
-        record would stay in the worker, so it holds what ran here."""
+        live worker processes) as ``train_pipeline`` is called.  In a
+        worker process the record would stay in the worker, so it holds
+        what ran here."""
         cells = []
-        train, bank = harness.train_pipeline, harness.train_multiclass
+        train = harness.train_pipeline
 
         def recording(X, y, method, *, start=None, **cell):
             cells.append({"C": cell["C"], "sigma_k": cell["sigma_k"], "start": start,
@@ -415,13 +415,7 @@ class TestFixedFilterPaths:
             cells[-1]["pipe"] = train(X, y, method, start=start, **cell)
             return cells[-1]["pipe"]
 
-        def failing(X, y, C, *args, **kwargs):
-            if C == fail_C:
-                raise ValueError("injected failure")
-            return bank(X, y, C, *args, **kwargs)
-
         monkeypatch.setattr(harness, "train_pipeline", recording)
-        monkeypatch.setattr(harness, "train_multiclass", failing)
         return cells
 
     @pytest.mark.parametrize("grid", [
@@ -448,7 +442,7 @@ class TestFixedFilterPaths:
     @pytest.mark.parametrize("method", ["svm", "avg_svm"])
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_a_later_cell_takes_fewer_smo_steps_to_the_same_optimum(
-            self, monkeypatch, method, n_classes):
+            self, solve_log, method, n_classes):
         """A later cell's bank takes fewer SMO steps than its cold solve and
         ends within 1e-5 relative of each cold solve's dual optimum (at
         svm_tol 1e-3; up to 1.2e-5 was seen on 3-class n = 1000 data).
@@ -457,21 +451,11 @@ class TestFixedFilterPaths:
         the chain's total is asserted."""
         X, y = generate_toy(ToyParams(n=400, sigma_n=0.8, lag=2, n_classes=n_classes,
                                       seed=11))
-        steps = []
-        solve = svm.solve_svm_dual
-
-        def counting(*args, **kwargs):
-            model = solve(*args, **kwargs)
-            steps.append(model.n_iter)
-            return model
-
-        monkeypatch.setattr(svm, "solve_svm_dual", counting)
-
         def bank(C, start=None):
-            steps.clear()
+            solve_log.solves.clear()
             pipe = harness.train_pipeline(X, y, method, C=C, sigma_k=1.0, f=5, n0=2,
                                           start=start)
-            return pipe, sum(steps)
+            return pipe, solve_log.steps()
 
         start, _ = bank(100.0)
         counts = []
@@ -498,23 +482,22 @@ class TestFixedFilterPaths:
         C0, C = next((C0, C) for C0 in (3.0, 10.0, 30.0) for C in (0.3, 0.7, 3.0)
                      if C0 / n * (C / C0) > C / n)
         start = harness.train_pipeline(*tr, "svm", C=C0, sigma_k=1.0)
-        for m in {id(m): m for m in [*start.model.pairwise.values(),
-                                     *start.model.one_vs_all]}.values():
-            m.alpha = np.zeros(len(m.alpha))
-            y_pm = np.zeros(len(m.alpha))
-            y_pm[m.sv_idx] = m.sv_labels
-            # every alpha at the box on an equal number of rows per side
-            k = min(np.sum(y_pm > 0), np.sum(y_pm < 0))
-            m.alpha[np.flatnonzero(y_pm > 0)[:k]] = m.box
-            m.alpha[np.flatnonzero(y_pm < 0)[:k]] = m.box
+        # the committed alphas the next cell starts from: every alpha at
+        # the box on an equal number of rows per side
+        for p in start.fit.problems:
+            p.alpha = np.zeros(len(p.rows))
+            k = min(np.sum(p.y_pm > 0), np.sum(p.y_pm < 0))
+            p.alpha[np.flatnonzero(p.y_pm > 0)[:k]] = p.model.box
+            p.alpha[np.flatnonzero(p.y_pm < 0)[:k]] = p.model.box
         pipe = harness.train_pipeline(*tr, "svm", C=C, sigma_k=1.0, start=start)
         for m, cls in zip(pipe.model.one_vs_all, pipe.model.classes, strict=True):
             assert m.box == C / n and np.all((m.alpha >= 0) & (m.alpha <= m.box))
             assert abs(np.dot(m.alpha, np.where(tr[1] == cls, 1.0, -1.0))) <= 1e-12 * C
 
-    def test_a_failed_cell_restarts_its_chain(self, monkeypatch):
+    def test_a_failed_cell_restarts_its_chain(self, monkeypatch, solve_log):
         monkeypatch.setenv("MARGIN_FILTER_THREADS", "1")
-        cells = self.record_cells(monkeypatch, fail_C=10.0)
+        cells = self.record_cells(monkeypatch)
+        solve_log.fail_C = 10.0
         tr, va, _ = tiny_split()
         # a bandwidth of 1e300 overflows the kernel's 2 sigma^2 at every C
         grid = GridSpec(method="svm", C=(1.0, 10.0, 100.0), sigma_k=(1.0, 1e300))
@@ -563,37 +546,34 @@ class TestFixedFilterPaths:
 
 
 class SolveCounter:
-    """Records the SVM solves (as their SMO step counts and warm flags) and
-    the shapes of the kernel blocks computed before and after the filter fit of
-    ``harness.train_pipeline`` returns; keeps the fit and a copy of its
-    committed solves as they were when it returned."""
+    """Splits the solves of ``solve_log`` (as their warm flags and SMO step
+    counts) and records the shapes of the kernel blocks computed, before
+    and after the filter fit of ``harness.train_pipeline`` returns; keeps
+    the fit and a copy of its committed solves as they were when it
+    returned."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, solve_log, monkeypatch):
+        self.log = solve_log
         self.fit = None
         self.committed = None
-        self.solves = ([], [])
+        self.split = None
         self.kernels = ([], [])
-        for module in (svm, filter_learning):
-            monkeypatch.setattr(module, "solve_svm_dual", self._solving(module.solve_svm_dual))
         # every kernel entry, a kernel_matrix block or a cached row, comes from here
         monkeypatch.setattr(svm, "_gaussian", self._building(svm._gaussian))
         fit_shared_filter = harness.fit_shared_filter
 
         def recording_fit(*args, **kwargs):
             self.fit = fit_shared_filter(*args, **kwargs)
+            self.split = len(solve_log.solves)
             self.committed = [(p.model.alpha.copy(), p.model.bias, p.model.converged)
                               for p in self.fit.problems]
             return self.fit
 
         monkeypatch.setattr(harness, "fit_shared_filter", recording_fit)
 
-    def _solving(self, fn):
-        def solving(*args, **kwargs):
-            model = fn(*args, **kwargs)
-            warm = kwargs.get("warm_alpha") is not None
-            self.solves[self.fit is not None].append((warm, model.n_iter))
-            return model
-        return solving
+    @property
+    def solves(self) -> tuple[list, list]:
+        return self.log.solves[:self.split], self.log.solves[self.split:]
 
     def _building(self, fn):
         def building(A, B, *args, **kwargs):
@@ -616,28 +596,29 @@ class TestBankSolves:
     """The final banks take no SMO step the mathematics does not need."""
 
     @pytest.mark.parametrize("method", ["svm", "avg_svm"])
-    def test_binary_fixed_filter_bank_is_one_solve(self, monkeypatch, method):
-        counter = SolveCounter(monkeypatch)
+    def test_binary_fixed_filter_bank_is_one_solve(self, monkeypatch, solve_log, method):
+        counter = SolveCounter(solve_log, monkeypatch)
         X, y = generate_toy(ToyParams(n=200, sigma_n=0.6, lag=2, seed=6))
         pipe = harness.train_pipeline(X, y, method, C=50.0, sigma_k=1.0, f=5, n0=2)
-        # the pair is solved cold; both one-vs-all orientations start at
-        # its alpha and stop at their first optimality check
-        (cold, pair), *orientations = counter.solves[0]
+        # the fit of zero steps solves the pair cold; the bank's pair and
+        # both one-vs-all orientations start at its alpha and stop at
+        # their first optimality check
+        [(cold, pair)], after = counter.solves
         assert not cold and pair > 0
-        assert orientations == [(True, 0), (True, 0)]
-        # the cold solve computes each row it reads once, and both
-        # orientations start from one product over the support columns
+        assert after == [(True, 0)] * 3
+        # the cold solve computes each row it reads once, and the bank's
+        # solves start from one product over the support columns
         n, n_sv = len(y), np.count_nonzero(pipe.model.one_vs_all[0].alpha)
         rows = [s for s in counter.kernels[0] if s[0] == 1]
         assert set(rows) == {(1, n)} and len(rows) <= min(n, 2 * pair)
-        assert [s for s in counter.kernels[0] if s[0] > 1] == [(n, n_sv)]
-        assert counter.kernels[1] == []
+        assert [s for s in counter.kernels[0] if s[0] > 1] == []
+        assert counter.kernels[1] == [(n, n_sv)]
         assert len(pipe.model.one_vs_all) == 2
 
     @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
     def test_binary_learned_filter_bank_takes_no_smo_step_after_the_fit(
-            self, monkeypatch, method):
-        counter = SolveCounter(monkeypatch)
+            self, monkeypatch, solve_log, method):
+        counter = SolveCounter(solve_log, monkeypatch)
         X, y, kw = learned_filter_case(method)
         pipe = harness.train_pipeline(X, y, method, **kw)
         assert len(counter.solves[0]) > 0
@@ -649,22 +630,21 @@ class TestBankSolves:
 
     @pytest.mark.parametrize("method, n_classes", [("kf_svm", 2), ("skf_svm", 2),
                                                    ("kf_svm", 3)])
-    def test_pairwise_bank_is_the_committed_solves(self, monkeypatch, method, n_classes):
-        counter = SolveCounter(monkeypatch)
+    def test_pairwise_bank_is_the_committed_solves(self, monkeypatch, solve_log, method,
+                                                   n_classes):
+        counter = SolveCounter(solve_log, monkeypatch)
         X, y, kw = learned_filter_case(method, n_classes)
         pipe = harness.train_pipeline(X, y, method, **kw)
         # c >= 3 adds only the c cold one-vs-rest solves, which read their
-        # rows through the bank's one cache: each row is computed once
+        # rows through the fit's last kernel: each row is computed once
         c = n_classes
-        pairs = len(counter.fit.problems)
         after = counter.solves[1]
         if c == 2:
             assert after == [(True, 0)] * 3
         else:
-            assert after[:pairs] == [(True, 0)] * pairs
-            assert [warm for warm, _ in after[pairs:]] == [False] * c
+            assert [warm for warm, _ in after] == [False] * c
         rows = [s for s in counter.kernels[1] if s[0] == 1]
-        assert len(counter.kernels[1]) - len(rows) == (1 if c == 2 else pairs)
+        assert len(counter.kernels[1]) - len(rows) == (1 if c == 2 else 0)
         assert set(rows) <= {(1, len(y))} and len(rows) <= len(y)
         assert (len(rows) > 0) == (c > 2)
         assert len(pipe.history) > 1  # the filter moved off its start
@@ -681,6 +661,62 @@ class TestBankSolves:
             # optimal at the returned filter, on a kernel built afresh there
             K = svm.kernel_matrix(Xf[p.rows], Xf[p.rows], model.kernel)
             assert kkt_violation(K, p.y_pm, model) <= kw["learner_kwargs"]["svm_tol"]
+
+
+class TestOnePath:
+    """Every method trains through one filter fit and its banks: a fixed
+    filter is a fit of zero steps at the average filter."""
+
+    @staticmethod
+    def banks(pipe):
+        return [*pipe.model.pairwise.values(), *pipe.model.one_vs_all]
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("method, f, n0", [("svm", 1, 0), ("avg_svm", 5, 2)])
+    def test_a_fixed_filter_is_a_learned_one_of_zero_steps(self, method, f, n0, n_classes):
+        X, y = generate_toy(ToyParams(n=240, sigma_n=0.8, lag=2, n_classes=n_classes,
+                                      seed=17))
+        fixed = harness.train_pipeline(X, y, method, C=20.0, sigma_k=1.0, f=f, n0=n0)
+        learned = harness.train_pipeline(X, y, "kf_svm", C=20.0, sigma_k=1.0, lam=0.0,
+                                         f=f, n0=n0, learner_kwargs={"max_cg_iters": 0})
+        assert_array_equal(fixed.filter.coeffs, make_average_filter(f, n0, 2).coeffs)
+        assert fixed.filter.n0 == n0
+        assert_array_equal(fixed.filter.coeffs, learned.filter.coeffs)
+        assert len(self.banks(fixed)) == len(self.banks(learned)) == (
+            3 if n_classes == 2 else 6)
+        for a, b in zip(self.banks(fixed), self.banks(learned), strict=True):
+            assert_array_equal(a.alpha, b.alpha)
+            assert (a.bias, a.n_iter) == (b.bias, b.n_iter)
+        # the fit of zero steps: the one objective value, and no test passed
+        assert fixed.history == learned.history and len(fixed.history) == 1
+        assert fixed.filter_norms == [np.linalg.norm(fixed.filter.coeffs)]
+        assert not fixed.fit.converged
+
+    @pytest.mark.parametrize("method", ["svm", "avg_svm", "kf_svm"])
+    def test_kept_pipelines_hold_no_kernel(self, method):
+        tr, va, _ = tiny_split()
+        grid = replace(default_grid(method), C=(1.0, 10.0), f=(3,), n0=(1,))
+        res = grid_search(tr, va, grid, learner_kwargs={"max_cg_iters": 2},
+                          keep_pipeline=True)
+        assert all(p.kernel is None and p._last is None for p in res.pipeline.fit.problems)
+        assert res.pipeline.fit.problems[0].Xf is not None
+
+    def test_a_three_class_chain_seeds_its_one_vs_rest_scorers(self, solve_log):
+        """A c >= 3 bank's one-vs-rest scorers start from the start's,
+        scaled to the cell's C, and end within the solver's tolerance of
+        their cold solves at the same filter."""
+        X, y = generate_toy(ToyParams(n=300, sigma_n=0.8, lag=2, n_classes=3, seed=11))
+        cell = dict(sigma_k=1.0, lam=1.0, f=5, n0=2, learner_kwargs={"max_cg_iters": 2})
+        start = harness.train_pipeline(X, y, "kf_svm", C=50.0, **cell)
+        solve_log.solves.clear()
+        pipe = harness.train_pipeline(X, y, "kf_svm", C=20.0, start=start, **cell)
+        assert [warm for warm, _ in solve_log.solves[-3:]] == [True] * 3
+        Xf = pipe.filtered(X)
+        for model, cls in zip(pipe.model.one_vs_all, pipe.model.classes, strict=True):
+            cold = svm.solve_svm_dual(svm.SupportKernel(Xf, model.kernel),
+                                      np.where(y == cls, 1.0, -1.0), 20.0, tol=1e-3)
+            assert model.converged
+            assert abs(model.objective - cold.objective) <= 1e-5 * abs(cold.objective)
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["binary", "3-class"])

@@ -17,7 +17,7 @@ PUBLIC = {
     "apply_filter", "bank_scores", "class_probabilities",
     "decision_scores", "decode_offline", "error_rate",
     "estimate_transitions", "fit_shared_filter", "frobenius_reg", "generate_toy",
-    "grid_search", "kernel_matrix", "make_average_filter", "make_delta_filter",
+    "grid_search", "kernel_matrix", "make_average_filter",
     "mixed_norm", "oao_vote", "platt_fit", "run_toy_sweep", "solve_svm_dual",
     "train_multiclass", "train_pipeline", "viterbi", "wilcoxon_signed_rank",
 }

@@ -973,6 +973,31 @@ class TestCli:
         assert line.startswith(f"error: {config}: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_a_negative_max_cg_iters_is_rejected(self, tmp_path, capsys, toy_files, command):
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ("train", "--data", toy_files[0], "--method", "kf-svm", "--f", 3,
+                    "--n0", 1, "--max-cg-iters", -3, "--out-dir", out)
+        else:
+            argv = ("sweep", "--axis", "noise", "--values", "0.5", "--methods", "kf-svm",
+                    "--seeds", 1, "--n-train", 60, "--n-val", 60, "--n-test", 60,
+                    "--max-cg-iters", -3, "--out-dir", out)
+        assert self.run(*argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: max_cg_iters must be an integer >= 0, got -3"
+        assert not out.exists()
+
+    def test_a_fixed_filter_writes_a_one_row_history(self, tmp_path, toy_files):
+        """A fixed filter is a fit of zero steps: its history is the one
+        objective value at the average filter."""
+        out = tmp_path / "svm"
+        assert self.run("train", "--data", toy_files[0], "--method", "svm",
+                        "--out-dir", out) == 0
+        hist = (out / "history.csv").read_text().strip().split("\n")
+        assert hist[0] == "iter,J,normF" and len(hist) == 2
+        assert hist[1].startswith("0,")
+
     def test_predict_is_online_decode(self, tmp_path, capsys):
         data = tmp_path / "toy.csv"
         out = tmp_path / "run"
