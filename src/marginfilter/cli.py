@@ -262,11 +262,6 @@ def _cmd_sweep(args) -> int:
     values = args.values
     if values is None:
         values = list(DEFAULT_AXIS_VALUES[args.axis])
-    if args.axis in ("size", "lag", "f"):
-        bad = [v for v in values if not float(v).is_integer()]
-        if bad:
-            raise ValueError(f"--axis {args.axis} takes integer values, got {bad}")
-        values = [int(v) for v in values]
     grids = _read_grids(args.config) if args.config else None
     base = ToyParams(n=args.n_train, sigma_n=args.sigma_n, lag=args.lag,
                      nbtot=args.nbtot)

@@ -13,9 +13,10 @@ fixed filter is a fit of zero steps at the average filter, svm's of one
 tap (the identity).  The banks take no more SMO work than the
 mathematics needs: the pairwise bank is the fit's committed solves, and
 with two classes one-vs-all is the pair in its two label orientations,
-solved warm from its solution, so a binary svm/avg_svm pipeline is one
-SMO solve.  After the fit only the c one-vs-rest scorers of a c >= 3
-bank take SMO steps.
+solved warm from its solution and its running product, so a binary
+svm/avg_svm pipeline is one SMO solve and its banks compute no kernel
+entry.  After the fit only the c one-vs-rest scorers of a c >= 3 bank
+take SMO steps.
 
 A pipeline labels a signal by both decoders from one test kernel
 (``Pipeline``): a calibrated pipeline scores its pairwise and one-vs-all
@@ -30,15 +31,16 @@ table is its one-point noise sweep at the base parameters.
 
 A grid search fits a learned filter's cells as regularization paths:
 the cells that share C, sigma_k, f and n0 form one chain, run from the
-largest lambda down, each cell warm from the previous cell's committed
-dual solutions and starting from whichever of that cell's filter and the
-average filter has the lower objective (``grid_search``).  A fixed-filter
-grid runs as paths in C: the cells that share sigma_k, f and n0 form one
-chain, run from the largest C down, each cell's solves starting from the
-previous cell's alphas scaled by the ratio of the Cs, so the default svm
-and avg_svm grids are one task each, run in the calling process.  Both
-kinds of chain hand each cell the previous cell's pipeline as its
-``start``.  Grid chains and sweep tasks are independent, so both run
+largest lambda down, each cell starting from whichever of the previous
+cell's filter and the average filter has the lower objective, at the
+solves already committed there, so it solves nothing before its first
+trial step (``grid_search``).  A fixed-filter grid runs as paths in C:
+the cells that share sigma_k, f and n0 form one chain, run from the
+largest C down, each cell's solves starting from the previous cell's
+alphas and running products scaled by the ratio of the Cs, so the
+default svm and avg_svm grids are one task each, run in the calling
+process.  Both kinds of chain hand each cell the previous cell's
+pipeline as its ``start``.  Grid chains and sweep tasks are independent, so both run
 through one process map: at most min(#tasks, usable CPUs,
 MARGIN_FILTER_THREADS) worker processes, opened and closed inside the
 call, with results merged in task order, so a parallel run returns the
@@ -216,10 +218,11 @@ def train_pipeline(X, y, method: str, *, C: float, sigma_k: float,
     ``start``, the pipeline of the same method trained here on the same
     samples, labels, sigma_k, f and n0 at another C or lambda (the
     previous cell of a grid chain), starts each solve from its
-    counterpart's alpha times C / C_start, and a learned filter at the
-    lower of the start's filter and the average filter.  At another C a
-    solve ends at the optimum within the solver's tolerance, not at the
-    cold solve's bits.  Any other start is a ValueError.
+    counterpart's alpha and running product times C / C_start, and a
+    learned filter at the lower of the start's filter and the average
+    filter, with the solves committed there (``fit_shared_filter``).  At
+    another C a solve ends at the optimum within the solver's tolerance,
+    not at the cold solve's bits.  Any other start is a ValueError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -296,6 +299,8 @@ class GridSpec:
             object.__setattr__(self, name, vals)
         if any(c <= 0 for c in self.C) or any(s <= 0 for s in self.sigma_k):
             raise ValueError("C and sigma_k must be > 0")
+        if any(f < 1 for f in self.f) or any(n < 0 for n in self.n0):
+            raise ValueError("f must be >= 1 and n0 >= 0")
         if any(l < 0 for l in self.lam):
             raise ValueError("lambda must be >= 0")
 
@@ -353,10 +358,11 @@ def _grid_chain(task):
     """Train and validate one chain of grid cells, in the chain's order.
 
     Each cell starts from the previous cell's pipeline (``train_pipeline``):
-    its alphas scaled to the cell's C, and for a learned filter its filter
-    or the average filter, whichever has the lower objective at the cell's
-    lambda.  The first cell, and a cell after one that failed numerically,
-    solve cold at the average filter.  Returns one
+    its alphas and running products scaled to the cell's C, and for a
+    learned filter its filter or the average filter, whichever has the
+    lower objective at the cell's lambda, with the solves and the step
+    memory committed there.  The first cell, and a cell after one that
+    failed numerically, solve cold at the average filter.  Returns one
     (error, pipeline or None, None), or (None, None, reason) for a
     numerical failure, per cell.  A pipeline comes back only when it is
     kept, and only for the chain's best-ranked cell: the grid's best cell
@@ -399,14 +405,16 @@ def grid_search(train, validation, grid: GridSpec, *,
     filter).  A continued cell begins at the previous cell's filter or
     at the average filter, whichever has the lower objective at its
     lambda, so a path does not stay where a large lambda collapsed the
-    filter to about 0.  The cells of a fixed filter that differ only in
+    filter to about 0; both objectives come from solves already
+    committed, and a cell that goes on from the previous filter keeps its
+    L-BFGS memory.  The cells of a fixed filter that differ only in
     C form one chain, a path in C (Hastie, Rosset, Tibshirani & Zhu,
     JMLR 2004) solved from the largest C down, each cell's solves
-    starting from the previous cell's alphas times C'/C; each cell ends
-    at its optimum within the solver's tolerance.  So only a chain's
-    first cell is the fit ``train_pipeline`` gives for that cell, bit for
-    bit; a fixed filter's later cells match it within the solver's
-    tolerance, a learned filter's may end elsewhere.  The chains run
+    starting from the previous cell's alphas and running products times
+    C'/C; each cell ends at its optimum within the solver's tolerance.
+    So only a chain's first cell is the fit ``train_pipeline`` gives for
+    that cell, bit for bit; a fixed filter's later cells match it within
+    the solver's tolerance, a learned filter's may end elsewhere.  The chains run
     through the process map (see the module docstring); the table, the
     failures and the tie-break keep the grid's cell order, whatever the
     worker count.
@@ -564,6 +572,10 @@ def evaluate_method_on_seed(params: ToyParams, seed: int, method: str,
     }
 
 
+# sweep axes whose values are counts
+INTEGER_AXES = ("size", "lag", "f")
+
+
 def _axis_apply(axis: str, value, params: ToyParams, grid: GridSpec):
     """Bind one sweep-axis value into the generator params or the grid."""
     if axis == "noise":
@@ -664,9 +676,13 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
     both the online and the Viterbi decoder.  Deterministic given seeds;
     the tasks are independent and run through the process map, with
     results merged in task order.  A task that fails numerically is
-    recorded in ``failures`` and leaves no rows; a ValueError of
-    ``learner_kwargs``, which no task could use, is raised before any
-    task runs.
+    recorded in ``failures`` and leaves no rows.  What no task could use
+    raises a ValueError before any task runs: ``learner_kwargs`` that
+    make no ``LearnerConfig``, and an axis value that is not a finite
+    number or makes no valid ``ToyParams`` or ``GridSpec`` with ``base``
+    and a method's grid.  The axes in INTEGER_AXES take integers (an
+    integral float, as a command line gives, counts as its integer, and
+    its rows are recorded under that integer).
 
     The headline table is the one-point sweep
     ``run_toy_sweep("noise", [base.sigma_n], methods, base=base, ...)``:
@@ -681,6 +697,18 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
     base = base or ToyParams(n=n_train, sigma_n=1.0, lag=5, nbtot=2)
     grids = grids or {}
     sizes = (n_train, n_val, n_test)
+    integer = axis in INTEGER_AXES
+    values = list(values)
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)
+           or not math.isfinite(v) or (integer and not float(v).is_integer())]
+    if bad:
+        raise ValueError(f"sweep axis {axis} takes "
+                         f"{'integer values' if integer else 'finite numbers'}, got {bad}")
+    if integer:
+        values = [int(v) for v in values]
+    for value in values:  # the caller's error too: every value binds, or none runs
+        for method in methods:
+            _axis_apply(axis, value, base, grids.get(method, default_grid(method)))
     tasks = [
         (axis, value, seed, method, base,
          grids.get(method, default_grid(method)), sizes, learner_kwargs)

@@ -16,7 +16,16 @@ Where the mathematics gives one SVM, one SVM is solved: with two classes
 the one-against-all bank is the pairwise machine in its two label
 orientations (the same dual solution), so a binary bank takes a single
 SMO solve, and its one-vs-all scorers are solves warm-started at that
-solution, which stop at their first optimality check.
+solution and at its running product K @ (alpha * y), negated for the
+second orientation, which stop at their first optimality check: a
+binary bank built on a filter fit's committed solve computes no kernel
+entry.  A solve hands its final running products back to its caller
+(``DualProducts``), so the next solve from the same alpha starts
+without a product.
+
+A kernel entry sums its squared distance over the live channels only:
+a channel that is 0 in both operands adds exactly +0.0 to every sum, so
+the entries are the same doubles as over every channel.
 
 A bank scores its test samples in chunks of SCORE_CHUNK_ROWS rows on up
 to min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, opened and
@@ -65,6 +74,11 @@ CACHE_SLAB_BYTES = 2**20
 # OpenBLAS's dgemv takes a matrix's rows in fours and the last n % 4 one
 # at a time, so each row of a blocked product sums as in the whole one.
 PRODUCT_CHUNK_ROWS = 256
+# Bytes of kernel rows per block of a solve's end-of-solve V update.  It
+# runs when the row cache is at its fullest, so the block adds to peak
+# resident memory: 256 rows (2 MB at n = 1000) raised skf-select's by
+# 2 MB, and 64 rows (512 kB) by none.
+MOVED_ROWS_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -154,31 +168,43 @@ def _row_chunks(n: int):
     return zip(bounds[:-1], bounds[1:])
 
 
+def _live_channels(*arrays) -> np.ndarray | None:
+    """Indices of the channels (columns) not all 0 over ``arrays``, or None
+    when every channel is live.  A channel that is 0 (or -0.0) in both
+    operands adds (0 - 0)^2 = +0.0 to a squared distance, and cdist sums
+    the channels in order, so leaving it out changes no bit."""
+    live = np.zeros(arrays[0].shape[1], dtype=bool)
+    for A in arrays:
+        live |= np.any(A != 0, axis=0)
+    return None if live.all() else np.flatnonzero(live)
+
+
 class SupportKernel:
     """The Gaussian kernel of ``X`` (``samples``), computed where a solve reads it.
 
     A solve reads its kernel in four ways (``solve_svm_dual``): the shape,
     the diagonal, which is exp(0) = 1, the rows K[i] and K[j] of each SMO
-    step, and, at a warm start, K @ (alpha * y), which only the columns of
-    the support set S (alpha > 0) enter.  This source computes a row on
-    first use and caches it; once the cache holds KERNEL_CACHE_BYTES of
-    rows, each new row takes the place of the least recently used one,
-    which is computed again when next read (the kernel cache of Joachims
-    1999 and of LIBSVM, Chang & Lin 2011).  A cache of fewer than two
-    rows keeps none.  It computes the product PRODUCT_CHUNK_ROWS rows of
-    K[:, S] at a time, the rows of S first, and keeps none of them; a
-    caller may stop it once the rows of S are done (``product``).  So it
-    holds no n x n or n x |S| array: the cache and one block of rows.
-    ``subset(rows)`` is the kernel of X[rows], whose rows are slices of
-    this source's rows, read through its cache: the solves of one training
-    set share one cache.
+    step and of the moved alphas at its end, and, at a warm start without
+    its products, K @ (alpha * y), which only the columns of the support
+    set S (alpha > 0) enter.  This source computes a row on first use and
+    caches it; once the cache holds KERNEL_CACHE_BYTES of rows, each new
+    row takes the place of the least recently used one, which is computed
+    again when next read (the kernel cache of Joachims 1999 and of LIBSVM,
+    Chang & Lin 2011).  A cache of fewer than two rows keeps none.  It
+    computes a product PRODUCT_CHUNK_ROWS rows of K[:, S] at a time, the
+    rows of S first, and keeps none of them; a caller may stop it once the
+    rows of S are done (``products``).  So it holds no n x n or n x |S|
+    array: the cache and one block of rows.  ``subset(rows)`` is the
+    kernel of X[rows], whose rows are slices of this source's rows, read
+    through its cache: the solves of one training set share one cache.
 
     Every entry is the same double as in kernel_matrix(X, X): a row comes
     from kernel_matrix's own formula (``_gaussian``), with the samples
     checked once, here, not at each of the thousands of rows a solve
-    fetches.  The product sums each row of K[:, S] as the product of the
-    whole K[:, S] (its rows ordered S first) does, so it differs from a
-    dense K @ w, which sums over every column, by rounding.
+    fetches, and its distances summed over the live channels of X only
+    (``_live_channels``).  The product sums each row of K[:, S] as the
+    product of the whole K[:, S] (its rows ordered S first) does, so it
+    differs from a dense K @ w, which sums over every column, by rounding.
     """
 
     def __init__(self, X, params: KernelParams):
@@ -187,13 +213,14 @@ class SupportKernel:
             raise ValueError(f"samples must be 2-D (n, d), got shape {self.samples.shape}")
         self._params = params
         self._scale = _distance_scale(params)
+        live = _live_channels(self.samples)
+        self._live = self.samples if live is None else self.samples[:, live]
         n = len(self.samples)
         self.shape = (n, n)
         self._cache = {}  # sample -> its row, least recently used first
         self._free = []  # rows of the last slab not yet used
         self._capacity = KERNEL_CACHE_BYTES // (8 * max(n, 1))
         self._parent = self._rows = None
-        self._product = None  # the last (w, K @ w)
 
     def subset(self, rows) -> SupportKernel:
         """The kernel of X[rows], reading its rows through this cache."""
@@ -210,7 +237,7 @@ class SupportKernel:
         row = self._cache.pop(i, None)
         if row is None:
             if self._capacity < 2:  # a row evicted by K[j] could be the step's K[i]
-                return _gaussian(self.samples[i : i + 1], self.samples, self._scale)[0]
+                return _gaussian(self._live[i : i + 1], self._live, self._scale)[0]
             if len(self._cache) >= self._capacity:
                 row = self._cache.pop(next(iter(self._cache)))  # overwritten below
             else:
@@ -220,46 +247,57 @@ class SupportKernel:
                     slab = max(min(CACHE_SLAB_BYTES // (8 * n), room), 1)
                     self._free = list(np.empty((slab, n)))
                 row = self._free.pop()
-            _gaussian(self.samples[i : i + 1], self.samples, self._scale, out=row[None])
+            _gaussian(self._live[i : i + 1], self._live, self._scale, out=row[None])
         self._cache[i] = row
         return row
 
-    def product(self, w, stop=None) -> np.ndarray:
-        """K @ w, from the columns of the support S of w alone.
+    def products(self, w, Z=None, stop=None):
+        """(K @ w, K @ (w[:, None] * Z)), from the columns of the support S
+        of w alone; the second is None without ``Z``, an (n, d) array.
 
-        ``stop``, when given, is called with the product once the block
-        of rows that completes the rows of S is done, the rows not yet
-        computed reading 0; if it returns True the product ends there.
-
-        The last whole product is kept: the solves of a binary bank start
-        from one alpha in both label orientations, and K @ -w is -(K @ w)
-        exactly, as every term of each sum is negated.
+        Both come from the same blocks of K[:, S]: K @ w as a matrix-vector
+        product per block, the other as a d-column product per block.
+        ``stop``, when given, is called with K @ w once the block of rows
+        that completes the rows of S is done, the rows not yet computed
+        reading 0; if it returns True the products end there.
         """
         w = np.asarray(w, dtype=np.float64)
-        if self._product is not None:
-            w_last, u_last = self._product
-            if np.array_equal(w, w_last):
-                return u_last.copy()
-            if np.array_equal(w, -w_last):
-                return -u_last
         n = self.shape[0]
         support = np.flatnonzero(w)
         s = len(support)
         in_support = np.zeros(n, dtype=bool)
         in_support[support] = True
         order = np.concatenate([support, np.flatnonzero(~in_support)])
-        Xs, w_s = self.samples[support], w[support]
+        Xs, w_s = self._live[support], w[support]
         out = np.zeros(n)
+        if Z is None:
+            V = wZ = None
+        else:
+            V = np.zeros((n, Z.shape[1]))
+            wZ = w_s[:, None] * Z[support]
         buf = np.empty((min(n, PRODUCT_CHUNK_ROWS + 1), s))
         for lo, hi in _row_chunks(n):
-            part = kernel_matrix(self.samples[order[lo:hi]], Xs, self._params, out=buf[: hi - lo])
+            part = kernel_matrix(self._live[order[lo:hi]], Xs, self._params, out=buf[: hi - lo])
             out[order[lo:hi]] = part @ w_s
+            if V is not None:
+                V[order[lo:hi]] = part @ wZ
             if stop is not None and lo < s <= hi and stop(out):
-                return out
-        self._product = (w.copy(), out.copy())
-        return out
+                break
+        return out, V
 
-    __matmul__ = product
+
+@dataclass
+class DualProducts:
+    """The running products of a dual solution, handed into and out of
+    ``solve_svm_dual``: u = K @ (alpha * y) and, for an (n, d) ``Z``,
+    V = K @ (alpha * y o Z), the i-th row of V being sum_j K_ij alpha_j
+    y_j Z_j.  ``Z`` alone asks a solve to keep V; ``u`` (and ``V`` where
+    ``Z`` is given) alongside a warm alpha are the products at it, so the
+    solve computes none."""
+
+    u: np.ndarray | None = None
+    Z: np.ndarray | None = None
+    V: np.ndarray | None = None
 
 
 # Why a solve stopped (SvmModel.stop).
@@ -304,9 +342,27 @@ class SvmModel:
         return self.stop == STOP_CONVERGED
 
 
+def _add_moved_rows(K, V: np.ndarray, dw: np.ndarray, Z: np.ndarray):
+    """V += K @ (dw[:, None] * Z), from the rows K[t] = K[:, t] of the
+    nonzero dw alone, MOVED_ROWS_BYTES of rows at a time in one buffer."""
+    moved = np.flatnonzero(dw)
+    if len(moved) == 0:
+        return
+    dwZ = dw[moved, None] * Z[moved]
+    step = max(1, MOVED_ROWS_BYTES // (8 * len(V)))
+    buf = np.empty((min(len(moved), step), len(V)))
+    for lo in range(0, len(moved), step):
+        block = moved[lo : lo + step]
+        rows = buf[: len(block)]
+        for k, t in enumerate(block):
+            rows[k] = K[t]
+        V += rows.T @ dwZ[lo : lo + len(block)]
+
+
 def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
                    tol: float = 1e-3, max_iter: int = 2_000_000,
-                   warm_alpha=None, stop_above: float = np.inf) -> SvmModel:
+                   warm_alpha=None, products: DualProducts | None = None,
+                   stop_above: float = np.inf) -> SvmModel:
     """Maximize the SVM dual with box bound C/n and sum(alpha*y)=0.
 
     Pairwise (SMO) ascent with second-order working-set selection; stops
@@ -326,18 +382,31 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     its answer without solving to ``tol``.
 
     The kernel source ``K`` is read in four ways only: its shape, its
-    diagonal, K @ (alpha * y) once at a warm start, and the rows K[i] and
-    K[j] of each step.  A ``SupportKernel`` computes the rows the steps
-    touch and, at a warm start, the support columns of the product, so no
-    n x n array is made; a dense matrix serves too.  Both give the same
-    entries, so a cold solve is the same either way; a warm start's
-    product is summed over the support set only, so it, and the iterates
-    after it, differ by rounding.  The dual at a warm start needs only the
-    support set S's rows of the product, which a ``SupportKernel``
-    computes first: when they put it above ``stop_above``, the product
-    stops after the block of rows that completes them, and the solve
-    returns the warm alpha, that dual as its objective, 0 steps and
-    STOP_BOUND.
+    diagonal, K @ (alpha * y) once at a warm start without its product,
+    and the rows K[t] of each step's pair and of the alphas that moved.
+    A ``SupportKernel`` computes the rows the steps touch and, at a warm
+    start, the support columns of the product, so no n x n array is made;
+    a dense matrix serves too.  Both give the same entries, so a cold
+    solve is the same either way; a warm start's product is summed over
+    the support set only, so it, and the iterates after it, differ by
+    rounding.  The dual at a warm start needs only the support set S's
+    rows of the product, which a ``SupportKernel`` computes first: when
+    they put it above ``stop_above``, the product stops after the block
+    of rows that completes them, and the solve returns the warm alpha,
+    that dual as its objective, 0 steps and STOP_BOUND.
+
+    ``products`` carries the running products in and out
+    (``DualProducts``).  Given with ``warm_alpha`` and holding its u (and
+    V where Z is given), the start computes no product: the alpha of a
+    previous solve, with the products that solve handed back (scaled
+    alike, or negated with y), starts exactly where that solve ended.
+    Otherwise a warm start computes V in the same blocks of K[:, S] as u,
+    and a cold one starts both at 0.  The steps update u alone; at the end
+    V is brought up to date from the rows K[t] = K[:, t] of the alphas
+    that moved, MOVED_ROWS_BYTES of them at a time, a moved alpha's row
+    being one its step read.  On return ``products`` holds the final u and V
+    (V is left as the start gave it in a solve that ends at
+    ``stop_above``, whose result a caller does not keep).
 
     ``stop`` on the result tells why the solve ended: STOP_CONVERGED,
     STOP_BOUND (``stop_above``), STOP_MAX_ITER, or STOP_STUCK (no pair
@@ -355,6 +424,7 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         max_iter: iteration cap; on hitting it the best iterate is
             returned with converged=False.
         warm_alpha: optional length-n feasible starting point.
+        products: optional running products, in and out (see above).
         stop_above: stop as soon as the running dual exceeds this value;
             the returned objective then exceeds it too (up to rounding).
 
@@ -374,6 +444,12 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     if C <= 0:
         raise ValueError("C must be > 0")
     box = C / n
+    products = DualProducts() if products is None else products
+    Z = products.Z
+    if Z is not None:
+        Z = np.asarray(Z, dtype=np.float64)
+        if Z.ndim != 2 or len(Z) != n:
+            raise ValueError(f"Z must be (n, d) with n={n}, got shape {Z.shape}")
 
     def dual_at(u):  # sum(alpha) - 0.5 * (alpha*y)' K (alpha*y), u = K @ (alpha*y)
         return float(alpha.sum() - 0.5 * np.dot(alpha * y, u))
@@ -381,18 +457,24 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     if warm_alpha is None:
         alpha = np.zeros(n)
         u = np.zeros(n)  # u = K @ (alpha * y)
+        V = None if Z is None else np.zeros(Z.shape)
     else:
         alpha = np.clip(np.asarray(warm_alpha, dtype=np.float64).copy(), 0.0, box)
         # pair updates preserve sum(alpha*y), so an infeasible start would
         # converge to the wrong constraint value
         if abs(np.dot(alpha, y)) > 1e-8 * max(1.0, C):
             raise ValueError("warm_alpha violates the equality constraint")
-        if isinstance(K, SupportKernel):
+        if products.u is not None and (Z is None or products.V is not None):
+            u = np.array(products.u, dtype=np.float64)
+            V = None if Z is None else np.array(products.V, dtype=np.float64)
+        elif isinstance(K, SupportKernel):
             # the product stops once its rows of S show the start's dual
             # above stop_above; its other rows, still 0, meet alpha = 0
-            u = K.product(alpha * y, stop=lambda u: dual_at(u) > stop_above)
+            u, V = K.products(alpha * y, Z, stop=lambda u: dual_at(u) > stop_above)
         else:
             u = K @ (alpha * y)
+            V = None if Z is None else K @ ((alpha * y)[:, None] * Z)
+    alpha_start = None if Z is None else alpha.copy()
 
     diag = K.diagonal().copy()
     pos = y > 0
@@ -478,6 +560,9 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         it += 1
     if stop == STOP_MAX_ITER and dual > stop_above:
         stop = STOP_BOUND
+    if V is not None and stop != STOP_BOUND:
+        _add_moved_rows(K, V, (alpha - alpha_start) * y, Z)
+    products.u, products.V = u, V
 
     objective = dual_at(u)
 
@@ -579,7 +664,8 @@ def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
     into one table (``support_table``), and each bank's alpha_j y_j are
     scattered into its own (n_union, len(bank)) coefficient matrix.
     ``Xte`` is then scored SCORE_CHUNK_ROWS rows at a time against the
-    distinct rows, so one test kernel serves every bank, and each bank
+    distinct rows, over the channels not 0 in both (``_live_channels``:
+    the same distances), so one test kernel serves every bank, and each bank
     takes its own product with a chunk's kernel.  The chunks run on up to
     min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, each with
     its own SCORE_CHUNK_ROWS x n_union kernel buffer, allocated here;
@@ -619,6 +705,9 @@ def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
                 f"channel mismatch: {Xte.shape[1]} vs model {model.sv_rows.shape[1]}")
 
     union, where = support_table(models)
+    live = _live_channels(Xte, union)
+    if live is not None:  # the same distances, over fewer channels
+        Xte, union = Xte[:, live], union[:, live]
     where = iter(where)
     products = []  # (coefficients, biases, scores) per bank
     for bank in banks:
@@ -787,7 +876,7 @@ def class_pairs(y, classes):
 
 
 def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
-                     pairwise: dict | None = None,
+                     pairwise: dict | None = None, pair_products: dict | None = None,
                      warm_ova: list | None = None) -> MulticlassModel:
     """Train the pairwise and one-vs-all banks on (already filtered) data.
 
@@ -798,15 +887,18 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
     With two classes one-vs-all is the pairwise machine (Hsu & Lin, IEEE
     TNN 2002): Q = diag(y) K diag(y) and sum(alpha * y) = 0 do not change
     under y -> -y, so the pair's alpha is optimal for both label
-    orientations.  Each orientation is solved warm from it, which costs
-    one kernel product and a KKT check and no SMO step, and the pair's
-    model is orientation 0's solve: the three models share one alpha and
-    one K @ (alpha * y), so one-vs-all[0] scores exactly as the pair and
-    one-vs-all[1] exactly as its negation.  (A warm start that misses
-    ``tol`` by rounding takes a few SMO steps per orientation; both are
-    then optimal to ``tol`` but no longer exact negations.)  With c >= 3
-    classes the c one-vs-rest scorers are c solves, cold or from
-    ``warm_ova``.
+    orientations.  The pair is solved warm from its given solve, starting
+    at its running product u = K @ (alpha * y) where ``pair_products``
+    holds it, and each orientation is solved warm from the pair's alpha
+    and the pair's final u, negated for the second orientation (every
+    term of K @ (alpha * -y) is negated exactly).  So no solve computes a
+    product, each stops at its first optimality check, and the pair's
+    model is orientation 0's solve: one-vs-all[0] scores exactly as the
+    pair and one-vs-all[1] exactly as its negation, with the bias, read
+    from u, of the pair's given solve.  (A start that misses ``tol`` by
+    rounding takes a few SMO steps per orientation; both are then optimal
+    to ``tol`` but no longer exact negations.)  With c >= 3 classes the c
+    one-vs-rest scorers are c solves, cold or from ``warm_ova``.
 
     Args:
         X: (n, d) filtered samples, or a SupportKernel of them (a filter
@@ -819,6 +911,8 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
             pair, e.g. a filter fit's committed solves: a c >= 3 bank's
             pairwise models, their support rows attached; a binary bank
             solves its pair warm from the given alpha.
+        pair_products: optional K @ (alpha * y) of the ``pairwise``
+            solves, by pair: a binary bank's pair starts from it.
         warm_ova: optional starting alphas of the c one-vs-rest scorers
             of a c >= 3 bank, in class order; a binary bank's scorers
             start from its pair's solve whatever is given.
@@ -836,19 +930,21 @@ def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
         solved = None if pairwise is None else pairwise[pair]
         if solved is not None and not binary:
             mc.pairwise[pair] = replace(solved, sv_rows=X[rows[solved.sv_idx]])
-        else:
-            mc.pairwise[pair] = solve_svm_dual(
-                K if binary else K.subset(rows), y_pm, C, rows=X[rows], kernel=kernel,
-                tol=tol, warm_alpha=None if solved is None else solved.alpha)
+            continue
+        products = DualProducts(u=None if solved is None or pair_products is None
+                                else pair_products[pair])
+        mc.pairwise[pair] = solve_svm_dual(
+            K if binary else K.subset(rows), y_pm, C, rows=X[rows], kernel=kernel,
+            tol=tol, warm_alpha=None if solved is None else solved.alpha, products=products)
 
     if binary:
         # solves rather than a copy with bias and sv_labels negated, which
         # would do: perfbench/test_perfbench.py counts three solves under
         # a binary train_multiclass
-        alpha = mc.pairwise[(0, 1)].alpha
+        alpha, u = mc.pairwise[(0, 1)].alpha, products.u  # the one pair solve's
         y_pm = np.where(y == classes[0], 1.0, -1.0)
-        mc.one_vs_all = [solve_svm_dual(K, sign * y_pm, C, rows=X, kernel=kernel,
-                                        tol=tol, warm_alpha=alpha)
+        mc.one_vs_all = [solve_svm_dual(K, sign * y_pm, C, rows=X, kernel=kernel, tol=tol,
+                                        warm_alpha=alpha, products=DualProducts(u=sign * u))
                          for sign in (1.0, -1.0)]
         mc.pairwise[(0, 1)] = mc.one_vs_all[0]
     else:

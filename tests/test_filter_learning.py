@@ -23,6 +23,7 @@ from marginfilter.filter_learning import (
     frobenius_reg,
     group_shrink,
     mixed_norm,
+    regularizer_value,
     regularizer_value_grad,
 )
 from marginfilter.harness import train_pipeline
@@ -37,6 +38,7 @@ from marginfilter.signals import (
 )
 from marginfilter.svm import (
     STOP_BOUND,
+    DualProducts,
     KernelParams,
     SupportKernel,
     decision_scores,
@@ -72,12 +74,13 @@ class ReferenceProblem:
     Warm trials are solved through the same kernel source as the fit's:
     its start K @ (alpha * y) sums over the support set only, so it
     differs from the dense product by rounding, and the comparison with
-    the bounded line search is exact.
+    the bounded line search is exact.  Every solve keeps its running
+    products, which the gradient reads, as the fit's do.
     """
 
     def __init__(self, rows, y_pm):
         self.rows, self.y_pm = rows, y_pm
-        self.alpha = self.model = self.last = None
+        self.alpha = self.model = self.last = self.u = self.V = None
 
     def solve(self, Xf, cfg):
         Xsub = Xf[self.rows]
@@ -85,12 +88,19 @@ class ReferenceProblem:
             K = kernel_matrix(Xsub, Xsub, cfg.kernel)
         else:
             K = SupportKernel(Xsub, cfg.kernel)
+        self.products = DualProducts(Z=Xsub)
         self.last = solve_svm_dual(K, self.y_pm, cfg.C, kernel=cfg.kernel, tol=cfg.svm_tol,
-                                   warm_alpha=self.alpha)
+                                   warm_alpha=self.alpha, products=self.products)
         return self.last.objective
 
     def commit(self):
         self.model, self.alpha = self.last, self.last.alpha
+        self.u, self.V = self.products.u, self.products.V
+
+    def take(self, state):
+        """Commit a fit's committed solve (``_Subproblem.state``)."""
+        self.model, _, self.u, self.V = state
+        self.alpha = self.model.alpha
 
 
 def reference_evaluate(problems, F, X, cfg):
@@ -106,26 +116,35 @@ def reference_gradient(problems, F, X, cfg):
     Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
     grad = np.zeros_like(F)
     for p in problems:
-        grad += _inner_gradient(F, X, Xf, p.rows, p.y_pm, p.alpha, cfg)
+        grad += _inner_gradient(F, X, Xf, p.rows, p.y_pm, p.alpha, p.u, p.V, cfg)
     return grad + regularizer_value_grad(F, cfg.reg)[1]
 
 
-def reference_lbfgs(problems, X, cfg, F0, trials):
+def reference_lbfgs(problems, X, cfg, F0, trials, f0=None, memory=None):
     """The L-BFGS descent with an unbounded line search; each trial appends
     (J, t * slope, J_try) to ``trials``.  The direction and the curvature
     memory are the fit's own helpers, tested on their own against the
     dense BFGS update (``TestLbfgsDirection``); the line-search constants
     are read from ``filter_learning`` at each use, so a patched value
-    reaches this descent and the fit alike."""
+    reaches this descent and the fit alike.  Given ``f0``, the problems
+    are committed at F0 already and f0 is J there; ``memory`` is
+    (pairs, s, G_prev, step), the pairs and the last accepted step (with
+    the gradient where it began and its length) the descent goes on
+    with."""
     F = F0.copy()
-    J = reference_evaluate(problems, F, X, cfg)
-    for p in problems:
-        p.commit()
-    history, pairs, G_prev, s, step, converged = [J], [], None, None, 1.0, False
+    if f0 is None:
+        J = reference_evaluate(problems, F, X, cfg)
+        for p in problems:
+            p.commit()
+    else:
+        J = f0
+    pairs, s, G_prev, step = memory or ([], None, None, 1.0)
+    history, converged = [J], False
     for _ in range(cfg.max_cg_iters):
         G = reference_gradient(problems, F, X, cfg)
-        if s is not None:
-            _remember(pairs, s, (G - G_prev).ravel())
+        last, s = s, None
+        if last is not None:
+            _remember(pairs, last, (G - G_prev).ravel())
         if not np.any(G):
             converged = True
             break
@@ -133,7 +152,7 @@ def reference_lbfgs(problems, X, cfg, F0, trials):
         G_prev = G
         if pairs:
             t = 1.0
-        elif s is None:  # the descent's first step: norm 1 along -G
+        elif last is None:  # the descent's first step: norm 1 along -G
             t = 1.0 / np.linalg.norm(G)
         else:
             t = min(step * 2.0, 1e6)
@@ -159,20 +178,26 @@ def reference_lbfgs(problems, X, cfg, F0, trials):
     return F, history, converged
 
 
-def reference_prox(problems, X, cfg, F0, trials):
+def reference_prox(problems, X, cfg, F0, trials, f0=None, memory=None):
     """The proximal descent with every trial solved to the end; each trial
     appends (f, bound, f_try) to ``trials``.  The step is the fit's
     ``group_shrink`` (tested on its own), with the Barzilai-Borwein length
     and the sufficient-decrease test written out again here; the
-    constants are read from ``filter_learning`` at each use."""
+    constants are read from ``filter_learning`` at each use.  ``f0``, the
+    smooth part's value, and ``memory`` (s, G_prev, t) as for
+    ``reference_lbfgs``."""
     smooth = replace(cfg, reg=RegularizerSpec())
     lam = cfg.reg.lam
     F = F0.copy()
-    f = reference_evaluate(problems, F, X, smooth)
-    for p in problems:
-        p.commit()
+    if f0 is None:
+        f = reference_evaluate(problems, F, X, smooth)
+        for p in problems:
+            p.commit()
+    else:
+        f = f0
     J = f + lam * mixed_norm(F)
-    history, G_prev, s, converged = [J], None, None, False
+    s, G_prev, t = memory or (None, None, 1.0)
+    history, converged = [J], False
     for _ in range(cfg.max_cg_iters):
         G = reference_gradient(problems, F, X, smooth)
         if s is None:
@@ -211,14 +236,66 @@ def reference_prox(problems, X, cfg, F0, trials):
     return F, history, converged
 
 
-def reference_fit(X, y, cfg, trials=None):
+def reference_continued_start(start, cfg, problems, F_avg):
+    """(F0, f0, memory) of a fit at ``start``'s C from ``start``, with
+    ``problems`` committed at F0: f at the start's filter and at the
+    average filter are the committed optima, summed in problem order,
+    plus the smooth penalty, J adds the mixed norm; the lower J wins,
+    ties keeping the start.  From the
+    start's filter the memory is the start's, each curvature pair's y
+    moved by 2 (lam - lam_start) s and the last gradient by the Frobenius
+    penalty's gradient change (pairs without curvature dropped); from the
+    average filter it is empty."""
+    prox = cfg.reg.kind == "mixed_norm"
+    smooth = replace(cfg, reg=RegularizerSpec()) if prox else cfg
+
+    def f(states, F):
+        total = 0.0
+        for model, *_ in states:
+            total += model.objective
+        return total + regularizer_value(F, smooth.reg)
+
+    def J(f, F):
+        return f + cfg.reg.lam * mixed_norm(F) if prox else f
+
+    F_start = start.bank.coeffs
+    states = [q.state() for q in start.problems]
+    f_start, f_avg = f(states, F_start), f(start.first, F_avg)
+    if not np.array_equal(F_start, F_avg) and J(f_avg, F_avg) < J(f_start, F_start):
+        for p, state in zip(problems, start.first):
+            p.take(state)
+        return F_avg, f_avg, None
+    for p, state in zip(problems, states):
+        p.take(state)
+    rule = start.rule
+    last = rule.last
+    if prox:
+        return F_start, f_start, (None, None, 1.0) if last is None else (*last, rule.t)
+    shift = 2.0 * (cfg.reg.lam - rule.lam)
+    pairs = []
+    for s, y in rule.pairs:
+        y = y + shift * s
+        if s @ y > filter_learning._CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y))
+    if last is None:
+        return F_start, f_start, (pairs, None, None, rule.t)
+    s, G = last
+    return F_start, f_start, (pairs, s, G + shift * (F_start - s.reshape(F_start.shape)),
+                              rule.t)
+
+
+def reference_fit(X, y, cfg, trials=None, start=None):
     """(F, history, converged, problems) of ``fit_shared_filter`` with every
-    line-search trial solved to the end."""
+    line-search trial solved to the end; from ``start`` (a fit at the same
+    C), by the start and memory rules of ``reference_continued_start``."""
     trials = [] if trials is None else trials
     problems = [ReferenceProblem(p.rows, p.y_pm) for p in _make_problems(y)]
     F = make_average_filter(cfg.f, cfg.n0, X.shape[1]).coeffs
     descent = reference_prox if cfg.reg.kind == "mixed_norm" else reference_lbfgs
-    return (*descent(problems, X, cfg, F, trials), problems)
+    if start is None:
+        return (*descent(problems, X, cfg, F, trials), problems)
+    F0, f0, memory = reference_continued_start(start, cfg, problems, F)
+    return (*descent(problems, X, cfg, F0, trials, f0, memory), problems)
 
 
 def counted_evaluations():
@@ -226,14 +303,15 @@ def counted_evaluations():
     return mock.patch.object(filter_learning, "_evaluate", wraps=filter_learning._evaluate)
 
 
-def assert_same_fit(X, y, cfg):
+def assert_same_fit(X, y, cfg, start=None):
     """The fit equals ``reference_fit``'s, bit for bit, and evaluates the
-    objective at the start and at each of the reference's trials, no more."""
+    objective at the start (none from ``start``) and at each of the
+    reference's trials, no more."""
     trials = []
-    F, history, converged, ref_problems = reference_fit(X, y, cfg, trials)
+    F, history, converged, ref_problems = reference_fit(X, y, cfg, trials, start)
     with counted_evaluations() as evaluate:
-        fit = fit_shared_filter(X, y, cfg)
-    assert evaluate.call_count == 1 + len(trials)
+        fit = fit_shared_filter(X, y, cfg, start=start)
+    assert evaluate.call_count == (start is None) + len(trials)
     assert_array_equal(fit.bank.coeffs, F)
     assert fit.history == history
     assert fit.converged == converged
@@ -273,10 +351,37 @@ def objective(F, X, y, cfg, warm_from=None):
     return J, problems[0]
 
 
+def dense_products(Xf, y_pm, alpha, cfg):
+    """u = K (alpha * y) and V = K (alpha * y o Xf) from the dense kernel."""
+    K = kernel_matrix(Xf, Xf, cfg.kernel)
+    w = alpha * y_pm
+    return K @ w, K @ (w[:, None] * Xf)
+
+
 def inner_gradient(F, X, y_pm, alpha, cfg):
-    """The SVM term's gradient at F for the given dual variables, over all rows."""
+    """The SVM term's gradient at F for the given dual variables, over all
+    rows, from the dense kernel's products."""
     Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
-    return _inner_gradient(F, X, Xf, np.arange(len(y_pm)), y_pm, alpha, cfg)
+    u, V = dense_products(Xf, y_pm, alpha, cfg)
+    return _inner_gradient(F, X, Xf, np.arange(len(y_pm)), y_pm, alpha, u, V, cfg)
+
+
+def support_kernel_gradient(F, X, Xf, rows, y_pm, alpha, cfg):
+    """The gradient as the fit computed it before it read the solves'
+    products: the kernel K among the rows S' with alpha > 0 built afresh,
+    and T = a o (Xf_s o (K a) - K (a o Xf_s)), a = alpha * y on S'."""
+    sv = np.flatnonzero(alpha > 0)
+    grad = np.zeros(F.shape)
+    if len(sv) == 0:
+        return grad
+    r = rows[sv]
+    Xf_s = Xf[r]
+    a = alpha[sv] * y_pm[sv]
+    K = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
+    T = a[:, None] * (Xf_s * np.einsum("ij,j->i", K, a)[:, None] - K @ (a[:, None] * Xf_s))
+    for tap in range(F.shape[0]):
+        grad[tap] = np.einsum("ij,ij->j", T, shift_signal(X, tap - cfg.n0)[r])
+    return grad / cfg.kernel.sigma_k**2
 
 
 class TestRegularizers:
@@ -492,32 +597,26 @@ class TestGradient:
         return np.stack([(1.0 / cfg.kernel.sigma_k**2) * np.einsum(
             "ij,ij->j", T, shift_signal(X, u - cfg.n0)[r]) for u in range(f)])
 
-    def test_one_support_block_at_the_peak(self, rng):
-        """The gradient takes the support kernel's products K a (an
-        einsum) and K (a o Xf_s), a = alpha * y, and no pass over the pair
-        weights: it has those products' bits and holds one |S'|^2 array at
-        its peak (|S'| = 1620 of n = 2000, as at C = 10)."""
-        import tracemalloc
-
+    def test_computes_no_kernel_entry(self, rng, monkeypatch):
+        """The gradient reads the solve's products u = K a and V = K (a o
+        Xf), a = alpha * y: it computes no kernel entry and makes no
+        kernel_matrix call, and has the bits of T = a o (Xf_s o u_s - V_s)
+        on the rows S' with alpha > 0 (|S'| = 1620 of n = 2000, as at
+        C = 10)."""
         n, f = 2000, 11
         F, X, Xf, y_pm, alpha, cfg = self.support_case(rng, n, 2, 1620, f)
+        u, V = rng.normal(size=n), rng.normal(size=(n, 2))
         r = np.flatnonzero(alpha > 0)
-        Xf_s, a = Xf[r], alpha[r] * y_pm[r]
-        K = kernel_matrix(Xf_s, Xf_s, cfg.kernel)
-        Ka = np.einsum("ij,j->i", K, a)
-        T = a[:, None] * (Xf_s * Ka[:, None] - K @ (a[:, None] * Xf_s))
-        want = self.taps(T, X, r, cfg, f)
-        block = K.nbytes
-        del K, T
+        a = alpha[r] * y_pm[r]
+        want = self.taps(a[:, None] * (Xf[r] * u[r, None] - V[r]), X, r, cfg, f)
 
-        tracemalloc.start()
-        try:
-            got = _inner_gradient(F, X, Xf, np.arange(n), y_pm, alpha, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the gradient computed a kernel entry")
+
+        monkeypatch.setattr(svm, "_gaussian", no_kernel)
+        monkeypatch.setattr(svm, "kernel_matrix", no_kernel)
+        got = _inner_gradient(F, X, Xf, np.arange(n), y_pm, alpha, u, V, cfg)
         assert got.tobytes() == want.tobytes()
-        assert peak < 1.2 * block
 
     @pytest.mark.parametrize("d", [2, 6, 96])
     def test_the_products_match_the_pair_weight_matrix(self, rng, d):
@@ -530,8 +629,32 @@ class TestGradient:
         Xf_s, ay = Xf[r], alpha[r] * y_pm[r]
         W = kernel_matrix(Xf_s, Xf_s, cfg.kernel) * np.outer(ay, ay)
         want = self.taps(Xf_s * W.sum(axis=1)[:, None] - W @ Xf_s, X, r, cfg, f)
-        got = _inner_gradient(F, X, Xf, np.arange(n), y_pm, alpha, cfg)
+        u, V = dense_products(Xf, y_pm, alpha, cfg)
+        got = _inner_gradient(F, X, Xf, np.arange(n), y_pm, alpha, u, V, cfg)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("d", [2, 6, 96])
+    def test_the_solves_products_give_the_support_kernel_gradient(self, d, n_classes):
+        """The gradient from a committed solve's running products matches
+        the one from the kernel among its support vectors built afresh
+        (``support_kernel_gradient``), to 1e-12 relative in the gradient's
+        scale, after a cold solve and after a warm one."""
+        X, y = generate_toy(ToyParams(n=150, sigma_n=0.8, lag=2, nbtot=d,
+                                      n_classes=n_classes, seed=31))
+        cfg = LearnerConfig(C=20.0, f=3, n0=1, reg=RegularizerSpec("frobenius", 0.0))
+        rng = np.random.default_rng(d)
+        F = make_average_filter(3, 1, d).coeffs
+        problems = _make_problems(y)
+        for _ in ("cold", "warm"):
+            _evaluate(problems, F, X, cfg)
+            _commit_all(problems)
+            Xf = apply_filter(X, FilterBank(F, n0=cfg.n0))
+            for p in problems:
+                got = _inner_gradient(F, X, p.Xf, p.rows, p.y_pm, p.alpha, p.u, p.V, cfg)
+                want = support_kernel_gradient(F, X, Xf, p.rows, p.y_pm, p.alpha, cfg)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            F = F + 0.05 * rng.normal(size=F.shape)
 
     def test_matches_finite_differences(self, rng):
         """The descent's gradient (``_gradient`` on the committed solves)
@@ -640,19 +763,28 @@ class TestFitSharedFilter:
 
     @pytest.mark.parametrize("kind", ["frobenius", "mixed_norm"])
     @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_a_start_continues_where_its_fit_ended(self, n_classes, kind):
+    def test_a_start_continues_where_its_fit_ended(self, monkeypatch, n_classes, kind):
         X, y = generate_toy(ToyParams(n=240, sigma_n=0.6, lag=2, n_classes=n_classes,
                                       seed=12))
         cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec(kind, 2.0),
                             max_cg_iters=5)
         first = fit_shared_filter(X, y, cfg)
         # no descent step: the start's filter, each pair at its committed
-        # alpha, optimal on the same filtered signal
+        # solve, optimal on the same filtered signal, so nothing is solved
+        solves = []
+        solve = filter_learning.solve_svm_dual
+
+        def recording(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(filter_learning, "solve_svm_dual", recording)
         again = fit_shared_filter(X, y, replace(cfg, max_cg_iters=0), start=first)
+        assert solves == []
         assert_array_equal(again.bank.coeffs, first.bank.coeffs)
+        assert again.history == first.history[-1:]
         for p, q in zip(again.problems, first.problems, strict=True):
-            assert p.model.n_iter == 0 and p.model.converged
-            assert_array_equal(p.alpha, q.alpha)
+            assert p.model is q.model and p.u is q.u and p.V is q.V
         # a smaller lambda descends from there
         path = fit_shared_filter(X, y, replace(cfg, reg=RegularizerSpec(kind, 0.2)),
                                  start=first)
@@ -1008,17 +1140,178 @@ class TestDescent:
     @pytest.mark.parametrize("kind", ["frobenius", "mixed_norm"])
     def test_a_zero_filter_is_stationary(self, kind):
         """At F = 0 every filtered sample is 0, so the gradient vanishes and
-        the L-BFGS and the proximal trial points are both F: the descent
-        ends converged after its first evaluation."""
+        the L-BFGS and the proximal trial points are both F: the descent,
+        given F0 committed and its value, ends converged without an
+        evaluation."""
         X, y = toy_case(seed=5, n=200)
         cfg = LearnerConfig(C=10.0, f=3, n0=1, reg=RegularizerSpec(kind, 1.0),
                             max_cg_iters=5)
         F0 = np.zeros((3, 2))
+        problems = _make_problems(y)
+        smooth, rule = filter_learning._split(cfg)
+        f0 = _evaluate(problems, F0, X, smooth)
+        _commit_all(problems)
         with counted_evaluations() as evaluate:
-            F, history, norms, converged = _descent(_make_problems(y), X, cfg, F0)
-        assert converged and len(history) == 1 and norms == [0.0]
+            F, history, norms, converged = _descent(problems, X, cfg, F0, f0, rule)
+        assert converged and history == [f0] and norms == [0.0]
         assert_array_equal(F, F0)
-        assert evaluate.call_count == 1
+        assert evaluate.call_count == 0
+
+
+class TestContinuedFit:
+    """A fit from a start at the start's C solves nothing before its first
+    trial step and keeps the start's step memory."""
+
+    @staticmethod
+    def chain(kind, n_classes, lams, max_cg_iters=6):
+        X, y = generate_toy(ToyParams(n=220, sigma_n=0.7, lag=2, nbtot=4 if kind ==
+                                      "mixed_norm" else 2, n_classes=n_classes, seed=9))
+        cfg = LearnerConfig(C=50.0, f=5, n0=2, reg=RegularizerSpec(kind, lams[0]),
+                            max_cg_iters=max_cg_iters)
+        return X, y, cfg, fit_shared_filter(X, y, cfg)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("kind, lams", [("frobenius", (1.0, 0.5)),
+                                            ("frobenius", (1000.0, 0.5)),
+                                            ("mixed_norm", (8.0, 2.0)),
+                                            ("mixed_norm", (1000.0, 2.0))])
+    def test_no_solve_before_the_first_trial(self, monkeypatch, kind, lams, n_classes):
+        """Both starting filters are valued from committed optima, so the
+        first solve is the first trial's, inside the first evaluation."""
+        X, y, cfg, start = self.chain(kind, n_classes, lams)
+        events = []
+        solve, evaluate = filter_learning.solve_svm_dual, filter_learning._evaluate
+
+        def recording_solve(*args, **kwargs):
+            events.append("solve")
+            return solve(*args, **kwargs)
+
+        def recording_evaluate(*args, **kwargs):
+            events.append("evaluate")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(filter_learning, "solve_svm_dual", recording_solve)
+        monkeypatch.setattr(filter_learning, "_evaluate", recording_evaluate)
+        fit = fit_shared_filter(X, y, replace(cfg, reg=RegularizerSpec(kind, lams[1])),
+                                start=start)
+        assert events[0] == "evaluate" and "solve" in events
+        assert len(fit.history) > 1
+        # a start collapsed to about 0 loses to the average filter
+        F_avg = make_average_filter(5, 2, X.shape[1]).coeffs
+        assert (fit.filter_norms[0] == np.linalg.norm(F_avg)) == (lams[0] == 1000.0)
+
+    @pytest.mark.parametrize("kind, lams", [("frobenius", (1.0, 0.5)),
+                                            ("frobenius", (1000.0, 0.5)),
+                                            ("mixed_norm", (8.0, 2.0)),
+                                            ("mixed_norm", (1000.0, 2.0))])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_a_continued_fit_is_the_reference_descent(self, kind, lams, n_classes):
+        """Bit for bit the descent of ``reference_fit`` from the same start,
+        with the start and memory rules written out there again, and no
+        evaluation but its trials."""
+        X, y, cfg, start = self.chain(kind, n_classes, lams)
+        fit = assert_same_fit(X, y, replace(cfg, reg=RegularizerSpec(kind, lams[1])),
+                              start=start)
+        assert len(fit.history) > 1
+
+    def test_a_continued_fit_keeps_the_start_memory(self):
+        """From the start's filter the first direction is the start's
+        L-BFGS direction, the start's pairs moved to the new lambda: the
+        first trial length is 1, not the 1/||G|| of a fresh memory."""
+        X, y, cfg, start = self.chain("frobenius", 2, (1.0, 0.5), max_cg_iters=4)
+        assert not start.converged and start.rule.pairs and start.rule.last is not None
+        rule = start.rule.at_lambda(0.5, start.bank.coeffs)
+        assert len(rule.pairs) == len(start.rule.pairs)
+        for (s, y_new), (s0, y0) in zip(rule.pairs, start.rule.pairs):
+            assert s is s0
+            assert_array_equal(y_new, y0 + 2.0 * (0.5 - 1.0) * s0)
+        lengths = []
+        first_t = filter_learning._LbfgsStep.first_t
+
+        def recording(self, G):
+            lengths.append(first_t(self, G))
+            return lengths[-1]
+
+        with mock.patch.object(filter_learning._LbfgsStep, "first_t", recording):
+            fit_shared_filter(X, y, replace(cfg, reg=RegularizerSpec("frobenius", 0.5)),
+                              start=start)
+        assert lengths[0] == 1.0
+
+
+class TestZeroStepStart:
+    def test_a_stepping_fit_solves_a_zero_step_start_again_for_its_products(self):
+        """A fit of zero steps keeps no V; a fit from it that takes steps
+        solves its start again, from the committed alpha, for the
+        products its gradient reads."""
+        X, y, cfg, start = TestContinuedFit.chain("frobenius", 3, (1.0,), max_cg_iters=0)
+        assert all(p.V is None for p in start.problems)
+        fit = fit_shared_filter(X, y, replace(cfg, max_cg_iters=4), start=start)
+        assert all(p.V is not None for p in fit.problems)
+        assert all(V is not None for *_, V in fit.first)
+        assert len(fit.history) > 1 and np.all(np.diff(fit.history) <= 0)
+        assert fit.history[0] == pytest.approx(start.history[0], rel=1e-12)
+
+
+class TestCarriedMemory:
+    """The step memory moved to another lambda (``at_lambda``)."""
+
+    @staticmethod
+    def quadratic(rng, m=6):
+        """Gradient of 0.5 F'AF + b'F + lam ||F||^2, A symmetric positive
+        definite, F of shape (3, 2)."""
+        B = rng.normal(size=(m, m))
+        A, b = B @ B.T + m * np.eye(m), rng.normal(size=m)
+        return lambda F, lam: (A @ F.ravel() + b + 2.0 * lam * F.ravel()).reshape(3, 2)
+
+    @staticmethod
+    def walk(grad, lam, steps):
+        """An L-BFGS memory over the given steps at lam: each step
+        accepted after the gradient at its start."""
+        rule = filter_learning._LbfgsStep(lam)
+        F = np.zeros((3, 2))
+        for s in steps:
+            G = grad(F, lam)
+            rule.first_t(G)
+            rule.accept(s.ravel(), G, 0.5)
+            F = F + s
+        return rule, F
+
+    @pytest.mark.parametrize("lams", [(4.0, 0.25), (0.25, 4.0), (1.0, 0.0)])
+    def test_shifted_pairs_equal_pairs_taken_at_the_new_lambda(self, rng, lams):
+        grad = self.quadratic(rng)
+        steps = [0.3 * rng.normal(size=(3, 2)) for _ in range(7)]
+        carried, F = self.walk(grad, lams[0], steps)
+        carried = carried.at_lambda(lams[1], F)
+        direct, F_direct = self.walk(grad, lams[1], steps)
+        assert_array_equal(F, F_direct)
+        assert len(carried.pairs) == len(direct.pairs) == filter_learning.LBFGS_MEMORY
+        for (s, y), (s_d, y_d) in zip(carried.pairs, direct.pairs):
+            assert_array_equal(s, s_d)
+            assert_allclose(y, y_d, rtol=1e-12, atol=1e-12)
+        # the pending step: the next gradient completes the same pair
+        G = grad(F, lams[1])
+        carried.first_t(G)
+        direct.first_t(G)
+        assert_allclose(carried.pairs[-1][1], direct.pairs[-1][1], rtol=1e-12, atol=1e-12)
+        assert_allclose(carried.D, direct.D, rtol=1e-10)
+
+    def test_a_pair_that_loses_its_curvature_is_dropped(self):
+        s = np.array([1.0, 0.0])
+        rule = filter_learning._LbfgsStep(2.0)
+        rule.pairs = [(s, np.array([1.0, 0.0])), (s, np.array([5.0, 0.0]))]
+        # y + 2 (0 - 2) s = y - 4 s: the first pair's s'y turns negative
+        moved = rule.at_lambda(0.0, np.zeros(2))
+        assert len(moved.pairs) == 1
+        assert_array_equal(moved.pairs[0][1], [1.0, 0.0])
+        assert len(rule.pairs) == 2  # the start's memory is left as it was
+
+    def test_the_proximal_memory_carries_over_unchanged(self, rng):
+        rule = filter_learning._ProxStep(8.0)
+        s, G = rng.normal(size=6), rng.normal(size=(3, 2))
+        rule.accept(s, G, 0.125)
+        moved = rule.at_lambda(2.0, rng.normal(size=(3, 2)))
+        assert moved.lam == 2.0 and moved.last[0] is s and moved.last[1] is G
+        assert moved.t == 0.125
 
 
 class TestMulticlassFilter:

@@ -301,20 +301,31 @@ class TestGridChains:
         assert [cell for cell, _ in res.table] == grid.cells()
         assert res.failures == []
 
-    def test_a_continued_cell_starts_without_an_smo_step(self, monkeypatch):
+    @staticmethod
+    def record_evaluations(monkeypatch, fits):
+        """Marks each evaluation of the fits in ``record_fits``'s solve list."""
+        evaluate = filter_learning._evaluate
+
+        def recording(*args, **kwargs):
+            fits[-1]["solves"].append("evaluate")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(filter_learning, "_evaluate", recording)
+
+    def test_a_continued_cell_solves_nothing_before_its_first_trial(self, monkeypatch):
         fits = self.record_fits(monkeypatch)
+        self.record_evaluations(monkeypatch, fits)
         tr, va, _ = tiny_split()
         grid_search(tr, va, self.GRID, learner_kwargs=self.KWARGS)
-        # a chain's first fit solves cold; a continued one starts warm at
-        # the last fit's committed alphas, optimal on the same signal
+        # a chain's first fit solves cold at the average filter; a
+        # continued one starts at the last fit's committed solves and
+        # first solves in its first trial, warm
         for fit in fits:
-            warm, steps = fit["solves"][0]
-            if fit["start"] is None:
-                assert not warm and steps > 0
-            else:
-                assert warm and steps == 0
-                committed = fit["start"].problems[0]
-                assert committed.model.converged
+            first, (warm, steps) = fit["solves"][:2]
+            assert first == "evaluate"
+            assert warm == (fit["start"] is not None)
+            if not warm:
+                assert steps > 0
         assert sum(f["start"] is None for f in fits) == 2
 
     @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
@@ -323,16 +334,18 @@ class TestGridChains:
                                                                   lams, collapsed):
         """After a lambda large enough to collapse the filter to about 0,
         where the gradient vanishes, the next cell starts from the average
-        filter; otherwise from the previous cell's filter, whose
-        evaluation takes no SMO step."""
+        filter, at the chain's first solves there; otherwise from the
+        previous cell's filter and solves.  Either way it solves nothing
+        before its first trial."""
         fits = self.record_fits(monkeypatch)
+        self.record_evaluations(monkeypatch, fits)
         starts = []
         lower_start = filter_learning._lower_start
 
-        def recording_start(problems, X, cfg, F_start, F_avg):
-            F0 = lower_start(problems, X, cfg, F_start, F_avg)
-            starts.append(F0 is F_avg)
-            return F0
+        def recording_start(problems, X, cfg, start, F_avg):
+            out = lower_start(problems, X, cfg, start, F_avg)
+            starts.append(out[0] is F_avg)
+            return out
 
         monkeypatch.setattr(filter_learning, "_lower_start", recording_start)
         tr, va, _ = tiny_split()
@@ -342,10 +355,12 @@ class TestGridChains:
         assert second["start"] is first["fit"]
         assert (np.linalg.norm(first["fit"].bank.coeffs) < 1e-3) == collapsed
         assert starts == [collapsed]
-        assert second["solves"][0] == (True, 0)
+        assert second["solves"][0] == "evaluate"
+        assert second["fit"].first is first["fit"].first
         if collapsed:
             assert second["fit"].filter_norms[0] == np.linalg.norm(
                 make_average_filter(3, 1, tr[0].shape[1]).coeffs)
+            assert second["fit"].history[0] > 0
 
     def test_a_failed_cell_restarts_its_chain(self, monkeypatch):
         fits = self.record_fits(monkeypatch, fail_lam=1.0)
@@ -482,13 +497,16 @@ class TestFixedFilterPaths:
         C0, C = next((C0, C) for C0 in (3.0, 10.0, 30.0) for C in (0.3, 0.7, 3.0)
                      if C0 / n * (C / C0) > C / n)
         start = harness.train_pipeline(*tr, "svm", C=C0, sigma_k=1.0)
-        # the committed alphas the next cell starts from: every alpha at
-        # the box on an equal number of rows per side
+        # the committed solves the next cell starts from: every alpha at
+        # the box on an equal number of rows per side, with its K @ (alpha * y)
         for p in start.fit.problems:
-            p.alpha = np.zeros(len(p.rows))
+            alpha = np.zeros(len(p.rows))
             k = min(np.sum(p.y_pm > 0), np.sum(p.y_pm < 0))
-            p.alpha[np.flatnonzero(p.y_pm > 0)[:k]] = p.model.box
-            p.alpha[np.flatnonzero(p.y_pm < 0)[:k]] = p.model.box
+            alpha[np.flatnonzero(p.y_pm > 0)[:k]] = p.model.box
+            alpha[np.flatnonzero(p.y_pm < 0)[:k]] = p.model.box
+            p.model = replace(p.model, alpha=alpha)
+            Xs = p.Xf[p.rows]
+            p.u = svm.kernel_matrix(Xs, Xs, p.model.kernel) @ (alpha * p.y_pm)
         pipe = harness.train_pipeline(*tr, "svm", C=C, sigma_k=1.0, start=start)
         for m, cls in zip(pipe.model.one_vs_all, pipe.model.classes, strict=True):
             assert m.box == C / n and np.all((m.alpha >= 0) & (m.alpha <= m.box))
@@ -601,19 +619,24 @@ class TestBankSolves:
         X, y = generate_toy(ToyParams(n=200, sigma_n=0.6, lag=2, seed=6))
         pipe = harness.train_pipeline(X, y, method, C=50.0, sigma_k=1.0, f=5, n0=2)
         # the fit of zero steps solves the pair cold; the bank's pair and
-        # both one-vs-all orientations start at its alpha and stop at
-        # their first optimality check
+        # both one-vs-all orientations start at its alpha and running
+        # product and stop at their first optimality check
         [(cold, pair)], after = counter.solves
         assert not cold and pair > 0
         assert after == [(True, 0)] * 3
         # the cold solve computes each row it reads once, and the bank's
-        # solves start from one product over the support columns
-        n, n_sv = len(y), np.count_nonzero(pipe.model.one_vs_all[0].alpha)
+        # solves compute no kernel entry
+        n = len(y)
         rows = [s for s in counter.kernels[0] if s[0] == 1]
         assert set(rows) == {(1, n)} and len(rows) <= min(n, 2 * pair)
         assert [s for s in counter.kernels[0] if s[0] > 1] == []
-        assert counter.kernels[1] == [(n, n_sv)]
+        assert counter.kernels[1] == []
         assert len(pipe.model.one_vs_all) == 2
+        # the pair is the committed solve: its alpha and its bias, bit for bit
+        [(alpha, bias, _)] = counter.committed
+        assert_array_equal(pipe.model.pairwise[(0, 1)].alpha, alpha)
+        assert pipe.model.pairwise[(0, 1)].bias == bias
+        assert pipe.model.one_vs_all[1].bias == -bias
 
     @pytest.mark.parametrize("method", ["kf_svm", "skf_svm"])
     def test_binary_learned_filter_bank_takes_no_smo_step_after_the_fit(
@@ -622,11 +645,14 @@ class TestBankSolves:
         X, y, kw = learned_filter_case(method)
         pipe = harness.train_pipeline(X, y, method, **kw)
         assert len(counter.solves[0]) > 0
-        # the pair from its committed solve, then its two orientations
+        # the pair from its committed solve, then its two orientations,
+        # each from the committed running product: no kernel entry
         assert counter.solves[1] == [(True, 0)] * 3
-        # one product over the support columns serves all three
-        assert len(counter.kernels[1]) == 1
+        assert counter.kernels[1] == []
         assert pipe.model.one_vs_all[0] is pipe.model.pairwise[(0, 1)]
+        [(alpha, bias, _)] = counter.committed
+        assert_array_equal(pipe.model.pairwise[(0, 1)].alpha, alpha)
+        assert pipe.model.pairwise[(0, 1)].bias == bias
 
     @pytest.mark.parametrize("method, n_classes", [("kf_svm", 2), ("skf_svm", 2),
                                                    ("kf_svm", 3)])
@@ -644,7 +670,7 @@ class TestBankSolves:
         else:
             assert [warm for warm, _ in after] == [False] * c
         rows = [s for s in counter.kernels[1] if s[0] == 1]
-        assert len(counter.kernels[1]) - len(rows) == (1 if c == 2 else 0)
+        assert len(counter.kernels[1]) == len(rows)
         assert set(rows) <= {(1, len(y))} and len(rows) <= len(y)
         assert (len(rows) > 0) == (c > 2)
         assert len(pipe.history) > 1  # the filter moved off its start
@@ -655,8 +681,9 @@ class TestBankSolves:
             model = pipe.model.pairwise[p.pair]
             assert_array_equal(model.alpha, alpha)
             assert model.converged == converged
-            # the committed bias came from the solver's running K @ (alpha*y)
-            assert model.bias == pytest.approx(bias, abs=1e-12)
+            # a binary bank's bias is read from the committed running
+            # K @ (alpha*y), a c >= 3 bank's is the committed solve's
+            assert model.bias == bias
             assert_array_equal(model.sv_rows, Xf[p.rows[model.sv_idx]])
             # optimal at the returned filter, on a kernel built afresh there
             K = svm.kernel_matrix(Xf[p.rows], Xf[p.rows], model.kernel)
@@ -1049,6 +1076,33 @@ class TestRunToySweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             run_toy_sweep("temperature", [1], ["svm"])
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("size", [4, 2.5], "sweep axis size takes integer values, got [2.5]"),
+        ("f", [True], "sweep axis f takes integer values, got [True]"),
+        ("lag", [-1], "lag must be >= 0"),
+        ("size", [1], "nbtot must be >= 2"),
+        ("noise", [-0.5], "sigma_n must be >= 0"),
+        ("noise", [float("nan")], "sweep axis noise takes finite numbers, got [nan]"),
+        ("noise", ["1"], "sweep axis noise takes finite numbers, got ['1']"),
+        ("sigma_k", [0.0], "C and sigma_k must be > 0"),
+        ("f", [0], "f must be >= 1 and n0 >= 0"),
+    ])
+    def test_an_invalid_axis_value_raises_before_any_task(self, monkeypatch, axis, values,
+                                                          message):
+        def no_tasks(fn, tasks):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(harness, "_parallel_map", no_tasks)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_toy_sweep(axis, values, ["svm", "kf_svm"], seeds=(0,), n_train=60,
+                          n_val=60, n_test=60)
+
+    def test_an_integral_float_is_its_integer(self, monkeypatch):
+        tasks = []
+        monkeypatch.setattr(harness, "_parallel_map", lambda fn, t: tasks.extend(t) or [])
+        run_toy_sweep("size", [3.0, 2], ["svm"], seeds=(0,))
+        assert [(task[1], type(task[1])) for task in tasks] == [(3, int), (2, int)]
 
     def test_single_class_validation_slice_recorded_as_failure(self):
         # 30-40-sample label runs cannot mix classes inside a 60-sample

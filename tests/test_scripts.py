@@ -78,11 +78,16 @@ def test_perturb_check_prints_its_summary(tmp_path):
                       "--n-test", "100", "--max-cg-iters", "2", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["seed", "rel_filter_change", "online_error", "moved_error"]
-    for seed, line in enumerate(lines[1:3]):
-        cells = line.split()
-        assert int(cells[0]) == seed and float(cells[1]) >= 0.0
-        assert all(0.0 <= float(c) <= 1.0 for c in cells[2:])
-    assert re.fullmatch(r"moved fits: [0-2] of 2 \(relative filter change > 1e-09\)", lines[4])
-    assert lines[5].startswith("largest relative filter change: ")
-    assert lines[6].startswith("largest online test-error change: ")
+    assert lines[0].split() == ["method", "C", "lambda", "moved", "max_rel_filter_change",
+                                "max_online_error_change"]
+    # one line per cell of the default kf_svm (6) and skf_svm (3) grids
+    cells = [line.split() for line in lines[1:10]]
+    assert [(c[0], float(c[1]), float(c[2])) for c in cells] == [
+        ("kf_svm", C, lam) for C in (10.0, 100.0) for lam in (0.1, 1.0, 10.0)] + [
+        ("skf_svm", 100.0, lam) for lam in (2.0, 8.0, 32.0)]
+    for c in cells:
+        assert 0 <= int(c[3]) <= 2 and c[4:6] == ["of", "2"]
+        assert float(c[6]) >= 0.0 and 0.0 <= float(c[7]) <= 1.0
+    assert re.fullmatch(r"moved fits: \d+ of 18 \(relative filter change > 1e-09\)", lines[11])
+    assert lines[12].startswith("largest relative filter change: ")
+    assert lines[13].startswith("largest online test-error change: ")

@@ -323,11 +323,11 @@ class TestSupportKernel:
 
         w = np.zeros(len(X))
         w[sv] = rng.normal(size=n_sv)
-        assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
+        assert_allclose(src.products(w)[0], K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
         if n_sv < len(X):
-            # another support set: the kept product is not reused
+            # another support set
             w[np.setdiff1d(np.arange(len(X)), sv)[0]] = 1.0
-            assert_allclose(src @ w, K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
+            assert_allclose(src.products(w)[0], K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
 
     @pytest.mark.parametrize("d", [2, 6])
     @pytest.mark.parametrize("sigma_k", [1.0, 0.7])  # a reciprocal multiply, a divide
@@ -344,6 +344,45 @@ class TestSupportKernel:
             want = kernel_matrix(X[i : i + 1], X, params)[0]
             assert src[int(i)].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", [2, 6, 22, 96])
+    def test_channels_zero_in_both_operands_change_no_bit(self, rng, monkeypatch, d):
+        """A channel that is 0 (or -0.0) on every sample adds +0.0 to each
+        squared distance: rows and products over the live channels are the
+        bits of the full-width ones."""
+        X = rng.normal(size=(300, d))
+        dead = rng.choice(d, size=d - 1 if d == 2 else d // 2 + 1, replace=False)
+        X[:, dead] = 0.0
+        X[::3, dead[0]] = -0.0
+        params = KernelParams(0.9)
+        w = np.where(rng.random(300) < 0.6, rng.normal(size=300), 0.0)
+        src = SupportKernel(X, params)
+        assert src._live.shape[1] == d - len(dead)
+        rows = [src[i].copy() for i in range(0, 300, 7)]
+        u, V = src.products(w, X)
+        monkeypatch.setattr(svm, "_live_channels", lambda *arrays: None)
+        full = SupportKernel(X, params)
+        assert full._live is X
+        for i, row in zip(range(0, 300, 7), rows):
+            assert row.tobytes() == full[i].tobytes()
+            assert row.tobytes() == kernel_matrix(X[i : i + 1], X, params)[0].tobytes()
+        u_full, V_full = full.products(w, X)
+        assert u.tobytes() == u_full.tobytes() and V.tobytes() == V_full.tobytes()
+
+    def test_products_sum_as_the_matrix_vector_product(self, rng):
+        """u of ``products`` has the same bits with Z as without, and V
+        is K @ (w o Z), from the same blocks of K[:, S]."""
+        X = rng.normal(size=(700, 3))
+        params = KernelParams(0.9)
+        w = np.where(rng.random(700) < 0.5, rng.normal(size=700), 0.0)
+        Z = rng.normal(size=(700, 4))
+        src = SupportKernel(X, params)
+        u, V = src.products(w, Z)
+        assert u.tobytes() == src.products(w)[0].tobytes()
+        K = kernel_matrix(X, X, params)
+        assert_allclose(V, K @ (w[:, None] * Z), rtol=0,
+                        atol=1e-12 * np.abs(w[:, None] * Z).sum())
+        assert src.products(w)[1] is None
+
     @pytest.mark.parametrize("X", [np.ones(4), np.ones((2, 3, 2))])
     def test_samples_must_be_a_matrix(self, X):
         with pytest.raises(ValueError, match="2-D"):
@@ -359,11 +398,11 @@ class TestSupportKernel:
         sv = np.sort(rng.choice(n, size=n_sv, replace=False))
         w = np.zeros(n)
         w[sv] = rng.normal(size=n_sv)
-        full = SupportKernel(X, params) @ w
+        full = SupportKernel(X, params).products(w)[0]
         shapes = recorded_kernel_calls(monkeypatch)
         seen = []
         src = SupportKernel(X, params)
-        u = src.product(w, stop=lambda u: seen.append(u[sv].copy()) or stops)
+        u, _ = src.products(w, stop=lambda u: seen.append(u[sv].copy()) or stops)
         # asked once, after the block of rows that completes S's rows
         assert len(seen) == 1
         assert_array_equal(seen[0], full[sv])
@@ -377,7 +416,7 @@ class TestSupportKernel:
         assert_array_equal(u[done], full[done])
         assert not u[off[rows - n_sv:]].any()  # the rows not computed read 0
         # a stopped product is not kept: the next one computes its rows
-        assert_array_equal(src @ w, full)
+        assert_array_equal(src.products(w)[0], full)
         assert sum(m for m, _ in shapes) == rows + n
 
     def test_subset_rows_are_slices_of_the_shared_rows(self, rng, monkeypatch):
@@ -629,6 +668,29 @@ class TestBankScoresMatchReference:
         with pytest.raises(ValueError, match="empty"):
             bank_scores([], np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("d", [2, 6, 22])
+    def test_channels_zero_in_both_sets_change_no_score(self, rng, monkeypatch, d):
+        """A channel that is 0 in the test samples and in every support row
+        is left out of the distances: the same scores, bit for bit."""
+        pool = rng.normal(size=(60, d))
+        Xte = rng.normal(size=(700, d))
+        dead = np.arange(1, d, 2)
+        pool[:, dead] = 0.0
+        Xte[:, dead] = -0.0
+        banks = [random_bank(rng, 3, pool[:40]), random_bank(rng, 2, pool[20:])]
+        assert_array_equal(svm._live_channels(Xte, pool), np.setdiff1d(np.arange(d), dead))
+        live = joint_bank_scores(banks, Xte)
+        monkeypatch.setattr(svm, "_live_channels", lambda *arrays: None)
+        full = joint_bank_scores(banks, Xte)
+        for a, b in zip(live, full, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_channel_live_in_either_set_is_live(self):
+        A, B = np.zeros((3, 4)), np.zeros((2, 4))
+        A[1, 0], B[0, 2] = 1.0, np.nan
+        assert_array_equal(svm._live_channels(A, B), [0, 2])
+        assert svm._live_channels(A + 1.0, B) is None
+
     def test_joint_banks_score_as_each_bank_alone(self, rng):
         pool = rng.normal(size=(40, 2))
         narrow = random_bank(rng, 3, pool[:25])
@@ -836,15 +898,15 @@ class TestBanksMatchReference:
         mc = train_multiclass(X, y, 20.0, KernelParams(0.8))
         ref = reference_train_multiclass(X, y, 20.0, KernelParams(0.8))
         pair = mc.pairwise[(0, 1)]
-        # the pair is orientation 0's warm solve from the cold pair's alpha:
-        # no SMO step, the same alpha and support set, and a bias from a
-        # freshly computed K @ (alpha * y) instead of the running one
+        # the pair is orientation 0's warm solve from the cold pair's alpha
+        # and running product: no SMO step and no kernel entry, the same
+        # alpha and support set, and the same bias, read from that product
         assert pair is mc.one_vs_all[0]
         want = ref.pairwise[(0, 1)]
         for name in ("alpha", "sv_idx", "sv_labels", "sv_alpha", "sv_rows"):
             assert_array_equal(getattr(pair, name), getattr(want, name))
         assert (pair.n_iter, pair.converged) == (0, True)
-        assert pair.bias == pytest.approx(want.bias, abs=1e-12)
+        assert pair.bias == want.bias and mc.one_vs_all[1].bias == -want.bias
         assert mc.one_vs_all[1].n_iter == 0
 
         Xte = rng.normal(size=(600, 2))
