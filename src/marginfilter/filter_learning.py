@@ -59,6 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blas import one_thread
 from .signals import (
     FilterBank,
     apply_filter,
@@ -655,6 +656,7 @@ def _lower_start(problems, X, cfg: LearnerConfig, start: FilterFit, F_avg: np.nd
     return F_start, f_start, rule, first
 
 
+@one_thread
 def fit_shared_filter(X, y, cfg: LearnerConfig, *,
                       start: FilterFit | None = None) -> FilterFit:
     """Learn one filter bank shared by all pairwise class subproblems.

@@ -54,6 +54,10 @@ tasks and starts no grandchildren.  The workers of one map
 share one kernel-cache budget, each keeping at most
 ``svm.KERNEL_CACHE_BYTES // workers`` of rows; a smaller cache only
 computes rows again, the same doubles, so the results keep their bits.
+Every worker runs its BLAS on one thread, as the calling process does
+inside a fit, a bank or a scoring call (``blas``), so the workers do not
+oversubscribe the cores and the results do not depend on the BLAS
+thread count either.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import svm
+from . import blas, svm
 from .decoding import TransitionMatrix, decode_offline, estimate_transitions
 from .filter_learning import (
     FilterFit,
@@ -628,10 +632,12 @@ class SweepResult:
         return float(np.mean(self.errors(value, method, decode)))
 
 
-def _share_kernel_cache(workers: int):
+def _init_worker(workers: int):
     """Initializer of a process map's workers: each keeps 1/workers of
-    the kernel-cache budget."""
+    the kernel-cache budget and runs its BLAS on one thread
+    (``blas``), so the workers do not oversubscribe the cores."""
     svm.KERNEL_CACHE_BYTES //= workers
+    blas.set_threads(1)
 
 
 def _parallel_map(fn, tasks) -> list:
@@ -644,8 +650,8 @@ def _parallel_map(fn, tasks) -> list:
     cancelled, before this returns or raises, so no worker outlives the
     call.  Workers are forked where the platform can: on a 2-core machine
     a forked pool of two starts in about 20 ms, a spawned one, which
-    imports numpy, scipy and this package afresh, in about 1.5 s, longer
-    than a whole grid search of the benchmark.  Forking is safe here: the
+    imports numpy and this package afresh, in 0.25-0.45 s, longer than a
+    whole grid search of the benchmark.  Forking is safe here: the
     package's only threads, ``svm.joint_bank_scores``'s, are joined before
     that function returns, so none is alive at a fork, and OpenBLAS resets its
     own thread pool in a fork handler.
@@ -657,7 +663,7 @@ def _parallel_map(fn, tasks) -> list:
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
     with ProcessPoolExecutor(workers, mp_context=context,
-                             initializer=_share_kernel_cache, initargs=(workers,)) as pool:
+                             initializer=_init_worker, initargs=(workers,)) as pool:
         try:
             return list(pool.map(fn, tasks))
         except BaseException:

@@ -23,14 +23,25 @@ entry.  A solve hands its final running products back to its caller
 (``DualProducts``), so the next solve from the same alpha starts
 without a product.
 
-A kernel entry sums its squared distance over the live channels only:
-a channel that is 0 in both operands adds exactly +0.0 to every sum, so
-the entries are the same doubles as over every channel.
+Every kernel entry comes from one BLAS product (``kernel_matrix``):
+exp(min(f ||a||^2 + f ||b||^2 - 2f a.b, 0)) with f = -1/(2 sigma_k^2),
+the samples first centred on one mean shared by the source or the call,
+each sample's f ||x||^2 computed once, where the samples are prepared
+(``_Frame``), and the diagonal k(x, x) set to exactly 1.  Within a stated
+tolerance (16 eps (1 + s_a + s_b) relative, s_x = ||x - mean||^2 /
+(2 sigma_k^2)) the entries are those of the difference form
+exp(-||a - b||^2 / (2 sigma_k^2)); they are computed over the live
+channels only, a channel 0 in both operands adding nothing.  Numerics
+run at one BLAS thread (``blas.one_thread``: the solver, a bank's
+training and scoring, ``kernel_matrix``), so the same inputs give the
+same bits on one machine and BLAS build whatever the caller's BLAS or
+worker thread counts; OpenBLAS picks its kernels per CPU, so other CPUs
+may round otherwise.
 
 A bank scores its test samples in chunks of SCORE_CHUNK_ROWS rows on up
 to min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, opened and
-joined inside the call; the distance, exp and matrix product of a chunk
-release the interpreter lock.  Each chunk writes its own rows of the
+joined inside the call; the kernel product, exp and bank products of a
+chunk release the interpreter lock.  Each chunk writes its own rows of the
 result, so every score is the same double as a serial run gives.  Inside
 a worker process of ``harness``'s process map the chunks run in the
 calling thread.  Several banks of one kernel can share a test kernel
@@ -50,14 +61,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from .blas import one_thread
 
 # Support vectors are the alphas above this fraction of the box bound.
 SV_THRESHOLD_FRAC = 1e-8
 # Test samples scored per kernel block; bounds a test kernel's memory and
 # is the unit of work of a scoring thread.  A block against ~1000 support
-# vectors (2 MB) stays in a core's L2 cache through the distance, exp and
-# matmul passes; 1024 rows measured ~10% slower on 60000-sample labeling.
+# vectors (2 MB) stays in a core's L2 cache through the kernel product,
+# exp and bank product passes; 1024 rows measured ~10% slower on
+# 60000-sample labeling.
 # The block size also fixes the scores' bits: BLAS may sum a product of
 # another shape in another order (1024-row blocks gave other bits), so
 # it must not depend on the thread count.
@@ -90,7 +103,9 @@ class KernelParams:
     def __post_init__(self):
         """Reject a bandwidth whose 2 sigma_k^2 is not a finite positive
         double: the kernel would divide by 0 (NaN entries) or by inf (all
-        ones).  A subnormal 2 sigma_k^2 still gives a kernel."""
+        ones).  A subnormal 2 sigma_k^2 still gives a kernel, of samples
+        whose distances from their mean are of the order of sigma_k
+        (``_Frame.left``)."""
         if not (np.isfinite(self.sigma_k) and self.sigma_k > 0):
             raise ValueError(f"sigma_k must be finite and > 0, got {self.sigma_k}")
         try:
@@ -105,54 +120,125 @@ class KernelParams:
             raise ValueError(f"2 sigma_k^2 underflows for sigma_k={self.sigma_k!r}")
 
 
+@one_thread
 def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
     """Gaussian kernel matrix exp(-||a_i - b_j||^2 / (2 sigma_k^2)).
 
     A is (m, d), B is (p, d); returns (m, p), written into ``out`` (a
     C-contiguous float64 (m, p) array) when given.  Symmetric PSD when A
-    is B.  Each entry depends only on its own pair of rows, and on them
-    symmetrically, so a block or row of a kernel is the same doubles as
-    that part of the full kernel.
+    is B, up to rounding, with a diagonal of exactly 1.  Runs at one BLAS
+    thread (``blas.one_thread``).
 
-    Each squared distance is divided by -2 sigma_k^2, in place.  When
-    2 sigma_k^2 is a power of two (sigma_k in {0.25, 0.5, 1, 2, 4, 8, ...})
-    its reciprocal is exact, so the distances are multiplied by it
-    instead: a product and a quotient of the same real number round to
-    the same double, subnormal and overflowing results included, and a
-    multiply costs a fraction of a divide.  Either way each entry is the
-    same double as exp(sq / (-2 sigma_k^2)).
+    Every entry comes from one BLAS product (``_Frame``, ``_gaussian``):
+    with f = -1/(2 sigma_k^2), f ||a - b||^2 = f ||a||^2 + f ||b||^2 -
+    2f a.b, after A and B are centred on the mean of all their rows, so
+    that the norms cancel without loss on signals offset far from 0.  The
+    tests hold each entry within 16 eps (1 + s_a + s_b), relative, of the
+    difference form, where s_x = ||x - mean||^2 / (2 sigma_k^2), for d up
+    to 96.  An entry depends on the call's other samples through their
+    mean, by rounding, so a block of a kernel is not bit for bit that part
+    of the whole kernel.  Samples whose ||x - mean||^2 / sigma_k^2
+    overflows, or is not finite, raise a ValueError.
+
+    A or B may also be a kernel source's operand (``_Operand``), centred
+    and normed once, with its own sigma_k, when the source was made; a
+    plain other operand is then centred on the same mean.
     """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim < 2 or B.ndim < 2:  # a sample given as a vector
-        A, B = np.atleast_2d(A), np.atleast_2d(B)
+    if isinstance(B, _Operand):
+        left = A.array if isinstance(A, _Operand) else B.frame.left(_as_samples(A))
+        return _gaussian(left, B.array, out)
+    A, B = _as_samples(A), _as_samples(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"channel mismatch: {A.shape[1]} vs {B.shape[1]}")
-    return _gaussian(A, B, _distance_scale(params), out)
+    frame = _Frame(_centre(A, B), params.sigma_k)
+    left = frame.left(A)
+    if B is not A:
+        return _gaussian(left, _right(frame.left(B)), out)
+    K = _gaussian(left, _right(left), out)
+    np.fill_diagonal(K, 1.0)  # k(x, x) = exp(0), whatever the rounding
+    return K
 
 
-def _distance_scale(params: KernelParams) -> tuple[bool, float]:
-    """How ``_gaussian`` scales a squared distance: (True, -1/(2 sigma_k^2))
-    to multiply by, where that reciprocal is exact, else (False,
-    -2 sigma_k^2) to divide by (see ``kernel_matrix``)."""
-    two_var = 2.0 * params.sigma_k**2
-    # the reciprocal of a power of two below 2**-1023 would overflow
-    if math.frexp(two_var)[0] == 0.5 and two_var >= 2.0**-1023:
-        return True, -1.0 / two_var
-    return False, -two_var
+def _as_samples(A) -> np.ndarray:
+    """A as a 2-D float64 array; a sample given as a vector is one row."""
+    return np.atleast_2d(np.asarray(A, dtype=np.float64))
 
 
-def _gaussian(A: np.ndarray, B: np.ndarray, scale: tuple[bool, float], out=None) -> np.ndarray:
-    """``kernel_matrix`` on 2-D float64 A and B of equal width, with
-    ``_distance_scale``'s scale: the one formula of every kernel entry."""
-    sq = cdist(A, B, metric="sqeuclidean", out=out)
-    # in place, so no m x p temporaries: (-a) / b == a / (-b) exactly
-    multiply, factor = scale
-    if multiply:
-        sq *= factor
-    else:
-        sq /= factor
-    return np.exp(sq, out=sq)
+# The largest squared norm ||w||^2 of a centred sample over sigma_k
+# (``_Frame.left``): every partial sum of an entry's exponent, at most
+# (||w_a||^2 + ||w_b||^2) / 2 + |h_a| + |h_b| in size, then stays finite.
+_NORM_LIMIT = np.finfo(np.float64).max / 2
+
+
+def _centre(*arrays) -> np.ndarray:
+    """The mean of all rows of ``arrays`` (0 where there are none), summed
+    row after row whatever the arrays' memory layout."""
+    rows = sum(len(A) for A in arrays)
+    total = sum(np.ascontiguousarray(A).sum(axis=0) for A in arrays)
+    return total / rows if rows else np.zeros(arrays[0].shape[1])
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The shared centre and bandwidth that put samples into the kernel's
+    one product.
+
+    A sample x becomes w = (x - centre) / sigma_k and h = -||w||^2 / 2,
+    which is f ||x - centre||^2 with f = -1/(2 sigma_k^2).  The left
+    operand holds a row [w, h, 1] per sample, the right one a column
+    [w, 1, h] (``_right``), so one product gives w_a . w_b + h_a + h_b =
+    f ||a - b||^2 for every pair at once.
+    """
+
+    centre: np.ndarray
+    sigma_k: float
+
+    def left(self, X: np.ndarray) -> np.ndarray:
+        """The (m, d + 2) left operand of the samples X (m, d)."""
+        m, d = X.shape
+        L = np.empty((m, d + 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            w = np.subtract(X, self.centre, out=L[:, :d])
+            w /= self.sigma_k
+            h = np.einsum("ij,ij->i", w, w)
+        if not np.all(h <= _NORM_LIMIT):  # NaN too
+            raise ValueError(
+                "a sample's squared distance from the samples' mean overflows "
+                f"the kernel at sigma_k={self.sigma_k!r} (or is not finite)")
+        L[:, d] = h
+        L[:, d] *= -0.5
+        L[:, d + 1] = 1.0
+        return L
+
+
+def _right(left: np.ndarray) -> np.ndarray:
+    """The (d + 2, m) right operand of the samples of a left one: the
+    columns [w, 1, h]."""
+    d = left.shape[1] - 2
+    R = np.empty((d + 2, len(left)))
+    R[:d] = left[:, :d].T
+    R[d] = 1.0
+    R[d + 1] = left[:, d]
+    return R
+
+
+@dataclass(frozen=True)
+class _Operand:
+    """A left or right operand of ``_Frame``'s product, already computed:
+    how a kernel source passes its prepared samples to ``kernel_matrix``."""
+
+    array: np.ndarray
+    frame: _Frame
+
+
+def _gaussian(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
+    """exp(min(L @ R, 0)) for a left operand L, (m, d + 2) or one row, and
+    a right one R: the one formula of every kernel entry.  A rounded
+    exponent above 0 (at a distance near 0) reads 0, so no entry
+    exceeds 1."""
+    G = np.matmul(L, R, out=out)
+    np.minimum(G, 0.0, out=G)
+    return np.exp(G, out=G)
 
 
 def _row_chunks(n: int):
@@ -171,8 +257,9 @@ def _row_chunks(n: int):
 def _live_channels(*arrays) -> np.ndarray | None:
     """Indices of the channels (columns) not all 0 over ``arrays``, or None
     when every channel is live.  A channel that is 0 (or -0.0) in both
-    operands adds (0 - 0)^2 = +0.0 to a squared distance, and cdist sums
-    the channels in order, so leaving it out changes no bit."""
+    operands has mean 0 and adds nothing to a kernel entry, so leaving it
+    out changes no entry beyond rounding, and the same live channels give
+    the same bits whatever dead channels surround them."""
     live = np.zeros(arrays[0].shape[1], dtype=bool)
     for A in arrays:
         live |= np.any(A != 0, axis=0)
@@ -198,34 +285,47 @@ class SupportKernel:
     kernel of X[rows], whose rows are slices of this source's rows, read
     through its cache: the solves of one training set share one cache.
 
-    Every entry is the same double as in kernel_matrix(X, X): a row comes
-    from kernel_matrix's own formula (``_gaussian``), with the samples
-    checked once, here, not at each of the thousands of rows a solve
-    fetches, and its distances summed over the live channels of X only
-    (``_live_channels``).  The product sums each row of K[:, S] as the
-    product of the whole K[:, S] (its rows ordered S first) does, so it
-    differs from a dense K @ w, which sums over every column, by rounding.
+    The samples are checked, centred on their mean and normed once, here,
+    over the live channels of X only (``_live_channels``), into the
+    operands of ``kernel_matrix``'s product (``_Frame``): a row is one
+    matrix-vector product of them and a block of K[:, S] one
+    matrix-matrix product, through ``kernel_matrix``.  So every entry is
+    the entry of kernel_matrix(X, X) up to rounding, not bit for bit; a
+    row is the same doubles each time it is computed, whatever the cache
+    size, and a view's rows are the slices of its parent's.  The product
+    sums each row of K[:, S] as the product of the whole K[:, S] (its rows
+    ordered S first) does, so it differs from a dense K @ w, which sums
+    over every column, by rounding.
     """
 
     def __init__(self, X, params: KernelParams):
-        self.samples = np.asarray(X, dtype=np.float64)
-        if self.samples.ndim != 2:
-            raise ValueError(f"samples must be 2-D (n, d), got shape {self.samples.shape}")
+        samples = np.asarray(X, dtype=np.float64)
+        if samples.ndim != 2:
+            raise ValueError(f"samples must be 2-D (n, d), got shape {samples.shape}")
+        live = _live_channels(samples)
+        live_X = samples if live is None else samples[:, live]
+        frame = _Frame(_centre(live_X), params.sigma_k)
+        left = frame.left(live_X)
+        self._setup(samples, params, frame, left, _right(left))
+
+    def _setup(self, samples, params, frame, left, right, parent=None, rows=None):
+        self.samples = samples
         self._params = params
-        self._scale = _distance_scale(params)
-        live = _live_channels(self.samples)
-        self._live = self.samples if live is None else self.samples[:, live]
-        n = len(self.samples)
+        self._frame = frame
+        self._left, self._right = left, right  # (n, d + 2) and (d + 2, n)
+        n = len(samples)
         self.shape = (n, n)
         self._cache = {}  # sample -> its row, least recently used first
         self._free = []  # rows of the last slab not yet used
         self._capacity = KERNEL_CACHE_BYTES // (8 * max(n, 1))
-        self._parent = self._rows = None
+        self._parent, self._rows = parent, rows
 
     def subset(self, rows) -> SupportKernel:
         """The kernel of X[rows], reading its rows through this cache."""
-        view = SupportKernel(self.samples[rows], self._params)
-        view._parent, view._rows = self, np.asarray(rows)
+        rows = np.asarray(rows)
+        view = SupportKernel.__new__(SupportKernel)
+        view._setup(self.samples[rows], self._params, self._frame, self._left[rows],
+                    self._right[:, rows], self, rows)
         return view
 
     def diagonal(self) -> np.ndarray:
@@ -237,7 +337,7 @@ class SupportKernel:
         row = self._cache.pop(i, None)
         if row is None:
             if self._capacity < 2:  # a row evicted by K[j] could be the step's K[i]
-                return _gaussian(self._live[i : i + 1], self._live, self._scale)[0]
+                return self._row(i)
             if len(self._cache) >= self._capacity:
                 row = self._cache.pop(next(iter(self._cache)))  # overwritten below
             else:
@@ -247,8 +347,15 @@ class SupportKernel:
                     slab = max(min(CACHE_SLAB_BYTES // (8 * n), room), 1)
                     self._free = list(np.empty((slab, n)))
                 row = self._free.pop()
-            _gaussian(self._live[i : i + 1], self._live, self._scale, out=row[None])
+            self._row(i, out=row)
         self._cache[i] = row
+        return row
+
+    def _row(self, i: int, out=None) -> np.ndarray:
+        """Row i, one matrix-vector product; its diagonal entry is exp(0)
+        = 1 whatever the rounding."""
+        row = _gaussian(self._left[i], self._right, out)
+        row[i] = 1.0
         return row
 
     def products(self, w, Z=None, stop=None):
@@ -268,7 +375,7 @@ class SupportKernel:
         in_support = np.zeros(n, dtype=bool)
         in_support[support] = True
         order = np.concatenate([support, np.flatnonzero(~in_support)])
-        Xs, w_s = self._live[support], w[support]
+        columns, w_s = _Operand(self._right[:, support], self._frame), w[support]
         out = np.zeros(n)
         if Z is None:
             V = wZ = None
@@ -277,7 +384,10 @@ class SupportKernel:
             wZ = w_s[:, None] * Z[support]
         buf = np.empty((min(n, PRODUCT_CHUNK_ROWS + 1), s))
         for lo, hi in _row_chunks(n):
-            part = kernel_matrix(self._live[order[lo:hi]], Xs, self._params, out=buf[: hi - lo])
+            rows = _Operand(self._left[order[lo:hi]], self._frame)
+            part = kernel_matrix(rows, columns, self._params, out=buf[: hi - lo])
+            own = np.arange(lo, min(hi, s))  # rows of S: the diagonal at their own column
+            part[own - lo, own] = 1.0
             out[order[lo:hi]] = part @ w_s
             if V is not None:
                 V[order[lo:hi]] = part @ wZ
@@ -359,6 +469,7 @@ def _add_moved_rows(K, V: np.ndarray, dw: np.ndarray, Z: np.ndarray):
         V += rows.T @ dwZ[lo : lo + len(block)]
 
 
+@one_thread
 def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
                    tol: float = 1e-3, max_iter: int = 2_000_000,
                    warm_alpha=None, products: DualProducts | None = None,
@@ -477,6 +588,9 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     alpha_start = None if Z is None else alpha.copy()
 
     diag = K.diagonal().copy()
+    # a constant diagonal (every Gaussian kernel's) gives diag + diag[i]
+    # the same bits for every i: computed once
+    quad_base = diag + diag[0] if np.all(diag == diag[0]) else None
     pos = y > 0
     y_list = y.tolist()
     eps_b = 1e-12 * box
@@ -493,7 +607,6 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
     two_k = np.empty(n)
     b_gain = np.empty(n)
     gain = np.empty(n)
-    no_gain = np.empty(n, dtype=bool)
 
     it = 0
     stop = STOP_MAX_ITER
@@ -512,19 +625,22 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
 
         # second-order choice of j: largest gain b_gain^2 / quad, with
         # quad = diag[i] + diag - 2 K[i] and b_gain = v_i - v_j, over the
-        # rows with b_gain > 0 (all in low, as v_low is +inf outside it)
+        # rows with b_gain > 0 (all in low, as v_low is +inf outside it);
+        # the others gain 0, and some row gains more, as m - M > tol
         K_i = K[i]
-        np.add(diag, diag[i], out=quad)
         np.multiply(K_i, 2.0, out=two_k)
-        np.subtract(quad, two_k, out=quad)
+        if quad_base is None:
+            np.add(diag, diag[i], out=quad)
+            np.subtract(quad, two_k, out=quad)
+        else:
+            np.subtract(quad_base, two_k, out=quad)
         np.maximum(quad, 1e-12, out=quad)
         np.subtract(m_val, v_low, out=b_gain)
-        np.less_equal(b_gain, 0.0, out=no_gain)
-        np.multiply(b_gain, b_gain, out=gain)
+        np.maximum(b_gain, 0.0, out=gain)
+        np.multiply(gain, gain, out=gain)
         np.divide(gain, quad, out=gain)
-        np.putmask(gain, no_gain, -np.inf)
         j = int(gain.argmax())
-        if gain[j] == -np.inf:
+        if not gain[j] > 0.0:
             stop = STOP_STUCK
             break
 
@@ -549,7 +665,12 @@ def solve_svm_dual(K, y, C, *, rows=None, kernel: KernelParams | None = None,
         a_j += da_j
         alpha[i] = a_i
         alpha[j] = a_j
-        u += K_i * (da_i * y_i) + K[j] * (da_j * y_j)
+        # u += K_i * (da_i y_i) + K_j * (da_j y_j), through the buffers
+        # v_up and two_k, which the next step overwrites before reading
+        np.multiply(K_i, da_i * y_i, out=v_up)
+        np.multiply(K[j], da_j * y_j, out=two_k)
+        np.add(v_up, two_k, out=v_up)
+        np.add(u, v_up, out=u)
         for k, a_k, y_k in ((i, a_i, y_i), (j, a_j, y_j)):
             if y_k > 0:
                 up, low = a_k < hi, a_k > eps_b
@@ -657,6 +778,7 @@ def bank_scores(models, Xte) -> np.ndarray:
     return joint_bank_scores([models], Xte)[0]
 
 
+@one_thread
 def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
     """Decision scores of several banks of models through one test kernel.
 
@@ -664,13 +786,15 @@ def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
     into one table (``support_table``), and each bank's alpha_j y_j are
     scattered into its own (n_union, len(bank)) coefficient matrix.
     ``Xte`` is then scored SCORE_CHUNK_ROWS rows at a time against the
-    distinct rows, over the channels not 0 in both (``_live_channels``:
-    the same distances), so one test kernel serves every bank, and each bank
-    takes its own product with a chunk's kernel.  The chunks run on up to
+    distinct rows, over the channels not 0 in both (``_live_channels``),
+    all centred on the table's mean, the table's norms computed once per
+    call; so one test kernel serves every bank, and each bank takes its
+    own product with a chunk's kernel.  The chunks run on up to
     min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, each with
     its own SCORE_CHUNK_ROWS x n_union kernel buffer, allocated here;
-    each chunk writes its own rows of the result, so the scores are the
-    same doubles on any number of threads.  One chunk, or a call inside a
+    each chunk writes its own rows of the result, and BLAS runs on one
+    thread throughout the call, so the scores are the same doubles on any
+    number of scoring or BLAS threads.  One chunk, or a call inside a
     worker process, runs in the calling thread.  The threads are joined
     before this returns or raises.
 
@@ -678,12 +802,11 @@ def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
     wherever its own table is the whole table: a one-vs-all bank whose
     support rows include every pairwise one, or either bank of a binary
     model.  Elsewhere its product also sums rows of zero coefficient, in
-    another order, so its scores differ by rounding.  One product per
-    bank, not one of all their columns, keeps each product as narrow as
-    the bank's own: OpenBLAS 0.3.31 at its default thread count threads
-    a product of 6 columns against 1000 rows but not one of 3, and its
-    threads inside the scoring threads made scoring a 3-class model's
-    60000 samples 2.5 times slower on 2 cores.
+    another order, and its samples are centred on another mean, so its
+    scores differ by rounding.  Before BLAS was held to one thread here,
+    OpenBLAS 0.3.31 threaded a product of 6 columns against 1000 rows
+    inside the scoring threads, which scored 60000 samples 2-3 times
+    slower on 2 cores.
 
     Returns one (m, len(bank)) array per bank; column k holds model k's
     scores.
@@ -708,6 +831,8 @@ def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
     live = _live_channels(Xte, union)
     if live is not None:  # the same distances, over fewer channels
         Xte, union = Xte[:, live], union[:, live]
+    frame = _Frame(_centre(union), kernel.sigma_k)
+    columns = _Operand(_right(frame.left(union)), frame)
     where = iter(where)
     products = []  # (coefficients, biases, scores) per bank
     for bank in banks:
@@ -735,7 +860,7 @@ def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
             rows = slice(start, start + SCORE_CHUNK_ROWS)
             block = Xte[rows]
             try:
-                K = kernel_matrix(block, union, kernel, out=buffer[:len(block)])
+                K = kernel_matrix(block, columns, kernel, out=buffer[:len(block)])
                 for coef, bias, out in products:
                     np.matmul(K, coef, out=out[rows])
                     out[rows] += bias
@@ -875,6 +1000,7 @@ def class_pairs(y, classes):
             yield (a, b), rows, np.where(y[rows] == classes[a], 1.0, -1.0)
 
 
+@one_thread
 def train_multiclass(X, y, C, kernel: KernelParams, *, tol: float = 1e-3,
                      pairwise: dict | None = None, pair_products: dict | None = None,
                      warm_ova: list | None = None) -> MulticlassModel:

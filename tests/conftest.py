@@ -18,6 +18,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def blas_threads():
+    """Sets the BLAS thread count through the package's own handle
+    (``marginfilter.blas.set_threads``, a no-op without it); the count
+    from before the test is restored after it."""
+    from marginfilter import blas
+
+    before = blas.threads()
+    yield blas.set_threads
+    if before is not None:
+        blas.set_threads(before)
+
+
 def _cvxopt_alpha(Q, y, C):
     n = len(y)
     sol = cvxopt.solvers.qp(

@@ -45,6 +45,7 @@ from marginfilter.svm import (
     kernel_matrix,
     solve_svm_dual,
 )
+from test_svm_reference import kernel_shape
 
 
 def fixed_alpha_objective(F, X, y, alpha, cfg):
@@ -71,11 +72,13 @@ def fd_gradient(F, X, y, alpha, cfg, h=1e-6):
 class ReferenceProblem:
     """A subproblem whose every trial is solved to the KKT tolerance.
 
-    Warm trials are solved through the same kernel source as the fit's:
-    its start K @ (alpha * y) sums over the support set only, so it
-    differs from the dense product by rounding, and the comparison with
-    the bounded line search is exact.  Every solve keeps its running
-    products, which the gradient reads, as the fit's do.
+    Trials are solved through the same kernel source as the fit's, the
+    source of the whole filtered signal or its view of the pair's rows:
+    its entries are centred on the whole signal's mean, and a warm start
+    K @ (alpha * y) sums over the support set only, so both differ from
+    other forms by rounding, and the comparison with the bounded line
+    search is exact.  Every solve keeps its running products, which the
+    gradient reads, as the fit's do.
     """
 
     def __init__(self, rows, y_pm):
@@ -84,10 +87,9 @@ class ReferenceProblem:
 
     def solve(self, Xf, cfg):
         Xsub = Xf[self.rows]
-        if self.alpha is None:
-            K = kernel_matrix(Xsub, Xsub, cfg.kernel)
-        else:
-            K = SupportKernel(Xsub, cfg.kernel)
+        K = SupportKernel(Xf, cfg.kernel)
+        if len(self.rows) < len(Xf):
+            K = K.subset(self.rows)
         self.products = DualProducts(Z=Xsub)
         self.last = solve_svm_dual(K, self.y_pm, cfg.C, kernel=cfg.kernel, tol=cfg.svm_tol,
                                    warm_alpha=self.alpha, products=self.products)
@@ -1042,9 +1044,9 @@ class TestKernelOnDemand:
 
         gaussian = svm._gaussian
 
-        def recording(A, B, scale, out=None):
-            shapes.append((len(A), len(B)))
-            return gaussian(A, B, scale, out=out)
+        def recording(L, R, out=None):
+            shapes.append(kernel_shape(L, R))
+            return gaussian(L, R, out=out)
 
         # every kernel entry, a kernel_matrix block or a cached row, comes from here
         monkeypatch.setattr(svm, "_gaussian", recording)

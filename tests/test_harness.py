@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import marginfilter.blas as blas
 import marginfilter.filter_learning as filter_learning
 import marginfilter.harness as harness
 import marginfilter.svm as svm
@@ -27,6 +28,7 @@ from marginfilter.harness import (
 )
 from marginfilter.persistence import save_filter, save_model
 from marginfilter.signals import ToyParams, generate_toy, make_average_filter
+from test_svm_reference import kernel_shape
 from scipy.stats import rankdata
 from test_svm import kkt_violation
 
@@ -232,6 +234,18 @@ class TestGridSearch:
         assert [(cell["sigma_k"], reason) for cell, reason in res.failures] == [
             (1e-300, "ValueError: 2 sigma_k^2 underflows for sigma_k=1e-300")]
         assert res.best["sigma_k"] == 1.0
+
+    @pytest.mark.parametrize("decode", ["online", "viterbi"])
+    def test_a_kernel_whose_norms_overflow_is_a_failed_cell(self, decode):
+        # 2 * (1e-160)**2 is subnormal: a sample's squared distance from the
+        # mean over sigma_k^2 overflows, so the cell fails, with no NaN kernel
+        tr, va, _ = tiny_split()
+        grid = GridSpec(method="svm", C=(10.0,), sigma_k=(1.0, 1e-160), decode=decode)
+        res = grid_search(tr, va, grid)
+        assert [cell["sigma_k"] for cell, _ in res.table] == [1.0]
+        assert [(cell["sigma_k"], reason.split(":")[0]) for cell, reason in res.failures] == [
+            (1e-160, "ValueError")]
+        assert "overflows the kernel" in res.failures[0][1]
 
     def test_all_failures_raise(self):
         tr, va, _ = tiny_split()
@@ -594,9 +608,9 @@ class SolveCounter:
         return self.log.solves[:self.split], self.log.solves[self.split:]
 
     def _building(self, fn):
-        def building(A, B, *args, **kwargs):
-            self.kernels[self.fit is not None].append((len(A), len(B)))
-            return fn(A, B, *args, **kwargs)
+        def building(L, R, *args, **kwargs):
+            self.kernels[self.fit is not None].append(kernel_shape(L, R))
+            return fn(L, R, *args, **kwargs)
         return building
 
 
@@ -765,9 +779,9 @@ class KernelRows:
         self.blocks = []
         gaussian = svm._gaussian
 
-        def counting(A, B, *args, **kwargs):
-            self.blocks.append((len(A), len(B)))
-            return gaussian(A, B, *args, **kwargs)
+        def counting(L, R, *args, **kwargs):
+            self.blocks.append(kernel_shape(L, R))
+            return gaussian(L, R, *args, **kwargs)
 
         monkeypatch.setattr(svm, "_gaussian", counting)
 
@@ -953,7 +967,7 @@ def _own_pid(_):
 
 
 def _cache_budget(_):
-    return os.getpid(), svm.KERNEL_CACHE_BYTES
+    return os.getpid(), svm.KERNEL_CACHE_BYTES, blas.threads()
 
 
 class TestParallelMap:
@@ -1023,16 +1037,23 @@ class TestParallelMap:
         monkeypatch.setattr(svm, "_usable_cpus", lambda: cpus)
         monkeypatch.delenv("MARGIN_FILTER_THREADS", raising=False)
         budget = svm.KERNEL_CACHE_BYTES
+        caller_threads = blas.threads()
         seen = harness._parallel_map(_cache_budget, range(4))
-        assert len({pid for pid, _ in seen}) <= cpus
-        assert {b for _, b in seen} == {budget // cpus}
+        assert len({pid for pid, _, _ in seen}) <= cpus
+        assert {b for _, b, _ in seen} == {budget // cpus}
         assert svm.KERNEL_CACHE_BYTES == budget  # the caller's own is untouched
         assert multiprocessing.active_children() == []
+        if cpus > 1 and blas.AVAILABLE:  # forked workers run BLAS on one thread
+            assert {t for _, _, t in seen} == {1}
+        assert blas.threads() == caller_threads
 
-    def test_the_worker_share_of_the_kernel_cache(self, monkeypatch):
+    def test_the_worker_share_of_the_kernel_cache(self, monkeypatch, blas_threads):
         monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", 100 * 2**20)
-        harness._share_kernel_cache(32)
+        blas_threads(2)
+        harness._init_worker(32)
         assert svm.KERNEL_CACHE_BYTES == 100 * 2**20 // 32
+        if blas.AVAILABLE:
+            assert blas.threads() == 1
 
 
 class TestToySplit:

@@ -12,6 +12,7 @@ from marginfilter.svm import (
     KernelParams,
     MulticlassModel,
     PlattParams,
+    SupportKernel,
     SvmModel,
     _logistic,
     _platt_objective,
@@ -23,6 +24,30 @@ from marginfilter.svm import (
     solve_svm_dual,
     train_multiclass,
 )
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def reference_kernel(A, B, sigma_k):
+    """The difference form of the Gaussian kernel: each squared distance
+    summed over a - b on its own (cdist), then divided by -2 sigma_k^2."""
+    return np.exp(cdist(A, B, metric="sqeuclidean") / -(2.0 * sigma_k**2))
+
+
+def assert_kernel_close(got, A, B, sigma_k):
+    """``got`` is the kernel of A and B within the package's stated
+    tolerance: each entry within 16 eps (1 + s_a + s_b) of the difference
+    form, relative, where s = ||x - m||^2 / (2 sigma_k^2) and m is the
+    mean of the rows of A and B together (the rounding of the product
+    form grows with the squared norms it cancels)."""
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+    want = reference_kernel(A, B, sigma_k)
+    m = (A.sum(axis=0) + B.sum(axis=0)) / (len(A) + len(B))
+    s_a, s_b = (np.sum((X - m) ** 2, axis=1) / (2.0 * sigma_k**2) for X in (A, B))
+    bound = 16 * EPS * (1.0 + s_a[:, None] + s_b[None, :]) * want
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound + 1e-300)
 
 
 def random_problem(rng, n_max=20):
@@ -82,33 +107,39 @@ class TestKernelMatrix:
         with pytest.raises(error, match=match):
             KernelParams(sigma)
 
-    @pytest.mark.parametrize("sigma", [1e-160, 1e150])
+    @pytest.mark.parametrize("sigma", [1e-160, 2.0**-516, 1e150])  # 2 sigma^2 subnormal, huge
     def test_extreme_bandwidth_with_finite_divisor_accepted(self, sigma):
-        A = np.array([[0.0], [1.0]])
-        with np.errstate(over="ignore"):  # -1 / 2e-320 is -inf, exp(-inf) 0
-            K = kernel_matrix(A, A, KernelParams(sigma))
-        assert np.all(np.isfinite(K)) and np.all(np.diag(K) == 1.0)
+        # samples at the bandwidth's scale: the kernel of sigma * c is the
+        # kernel of c at sigma_k = 1
+        c = np.array([[0.0], [1.0], [2.5]])
+        K = kernel_matrix(sigma * c, sigma * c, KernelParams(sigma))
+        assert np.all(np.isfinite(K))
+        assert_kernel_close(K, c, c, 1.0)
 
-    @staticmethod
-    def wide_range_points(rng, m):
-        """1-D points whose squared distances run from subnormal (1e-320)
-        to near overflow (1e306), many of them where exp is neither 0 nor 1."""
-        mags = np.concatenate([10.0 ** rng.uniform(-162, 153, m // 4),
-                               rng.uniform(0.0, 40.0, m - m // 4)])
-        return (mags * rng.choice([-1.0, 1.0], m))[:, None]
+    @pytest.mark.parametrize("A, sigma", [
+        (np.array([[0.0], [1.0]]), 1e-160),  # ||x - mean||^2 / (2 sigma^2) = inf
+        (np.array([[-1e200, 0.0], [1e200, 0.0]]), 1.0),  # ||x - mean||^2 = inf
+        (np.array([[0.0], [np.nan]]), 1.0),
+        (np.array([[0.0], [np.inf]]), 1.0)])
+    def test_samples_whose_norms_overflow_raise(self, A, sigma):
+        with pytest.raises(ValueError, match="overflows the kernel"):
+            kernel_matrix(A, A, KernelParams(sigma))
+        with pytest.raises(ValueError, match="overflows the kernel"):
+            SupportKernel(A, KernelParams(sigma))
 
-    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 8.0,  # 2 sigma^2 = 2^k: multiply
-                                       0.3, 1.5, 3.0,  # division
-                                       2.0**-516])  # 2 sigma^2 = 2^-1031: 1/x overflows
-    def test_equals_division_bit_for_bit(self, rng, sigma):
-        A, B = self.wide_range_points(rng, 1000), self.wide_range_points(rng, 1000)
-        sq = cdist(A, B, metric="sqeuclidean")
-        assert sq[sq > 0].min() < 1e-300 and sq.max() > 1e300
-        with np.errstate(all="ignore"):
-            want = np.exp(sq / -(2.0 * sigma**2))
-            got = kernel_matrix(A, B, KernelParams(sigma))
-        assert got.tobytes() == want.tobytes()
-        assert 0.0 < np.mean((want > 0) & (want < 1))
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("d", [2, 6, 96])
+    def test_matches_the_difference_form(self, rng, d, offset):
+        """Within the stated tolerance of exp(-||a - b||^2 / (2 sigma_k^2))
+        summed over a - b, also on a signal offset far from 0: the product
+        form centres its samples first."""
+        sigma = 0.5 * np.sqrt(d)  # entries from ~1 down to underflow
+        A = rng.normal(size=(300, d)) + offset
+        B = 1.5 * rng.normal(size=(200, d)) + offset
+        for left, right in ((A, B), (A, A)):
+            K = kernel_matrix(left, right, KernelParams(sigma))
+            assert np.mean((K > 1e-12) & (K < 1.0)) > 0.01
+            assert_kernel_close(K, left, right, sigma)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)

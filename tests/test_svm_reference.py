@@ -16,6 +16,7 @@ agree to 1e-12 of their largest magnitude and labels exactly.
 import multiprocessing
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from marginfilter.svm import (
 )
 from marginfilter.harness import train_pipeline
 from marginfilter.persistence import load_model, save_model
-from test_svm import kkt_violation
+from test_svm import EPS, assert_kernel_close, kkt_violation, reference_kernel
 
 
 def reference_solve(K, y, C, *, tol=1e-3, max_iter=2_000_000, warm_alpha=None):
@@ -117,7 +118,7 @@ def reference_decision_scores(model: SvmModel, Xte) -> np.ndarray:
     Xte = np.atleast_2d(np.asarray(Xte, dtype=np.float64))
     if len(model.sv_idx) == 0:
         return np.full(len(Xte), model.bias)
-    Kte = kernel_matrix(Xte, model.sv_rows, model.kernel)
+    Kte = reference_kernel(Xte, model.sv_rows, model.kernel.sigma_k)
     return Kte @ (model.sv_alpha * model.sv_labels) + model.bias
 
 
@@ -289,37 +290,50 @@ class TestRunningDual:
             assert_array_equal(m.alpha, kw["warm_alpha"])
 
 
+def kernel_shape(L, R) -> tuple:
+    """The (m, p) shape of the kernel block svm._gaussian(L, R) computes:
+    L holds one row or m rows of left operands, R p columns."""
+    return (1 if L.ndim == 1 else len(L), R.shape[1])
+
+
 def recorded_kernel_calls(monkeypatch):
     """Route svm._gaussian, which computes every kernel block and cached
     row, through a recorder; returns its (m, p) shapes."""
     shapes = []
     gaussian = svm._gaussian
 
-    def recording(A, B, scale, out=None):
-        shapes.append((len(A), len(B)))
-        return gaussian(A, B, scale, out=out)
+    def recording(L, R, out=None):
+        shapes.append(kernel_shape(L, R))
+        return gaussian(L, R, out=out)
 
     monkeypatch.setattr(svm, "_gaussian", recording)
     return shapes
 
 
+def source_kernel(src: SupportKernel) -> np.ndarray:
+    """The dense matrix of a kernel source's rows: the kernel its solves read."""
+    return np.array([src[i] for i in range(src.shape[0])])
+
+
 class TestSupportKernel:
-    """The kernel source of every solve: every entry it gives is the
-    entry of the full kernel, a cold solve through it is the dense solve,
-    and a warm one is the dense solve up to the rounding of its start
-    K @ (alpha * y)."""
+    """The kernel source of every solve: its entries are the Gaussian
+    kernel within the stated tolerance, each row the same doubles however
+    often it is computed, a cold solve through it is the dense solve of
+    its rows, and a warm one is that dense solve up to the rounding of its
+    start K @ (alpha * y)."""
 
     @pytest.mark.parametrize("d, n_sv", [(2, 0), (2, 1), (2, 37), (6, 80), (3, 120)])
-    def test_entries_equal_the_full_kernel(self, rng, d, n_sv):
+    def test_entries_match_the_difference_form(self, rng, d, n_sv):
         X = rng.normal(size=(120, d))
         params = KernelParams(0.9)
-        K = kernel_matrix(X, X, params)
         sv = np.sort(rng.choice(len(X), size=n_sv, replace=False))
         src = SupportKernel(X, params)
-        assert src.shape == K.shape
-        assert_array_equal(src.diagonal(), np.diag(K))
+        assert src.shape == (len(X), len(X))
+        assert_array_equal(src.diagonal(), np.ones(len(X)))
+        K = np.empty(src.shape)
         for i in rng.permutation(len(X)):  # rows inside and outside S
-            assert_array_equal(src[int(i)], K[i])
+            K[i] = src[int(i)]
+        assert_kernel_close(K, X, X, 0.9)
 
         w = np.zeros(len(X))
         w[sv] = rng.normal(size=n_sv)
@@ -329,44 +343,55 @@ class TestSupportKernel:
             w[np.setdiff1d(np.arange(len(X)), sv)[0]] = 1.0
             assert_allclose(src.products(w)[0], K @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("d", [2, 6, 96])
+    def test_rows_and_products_match_the_difference_form(self, rng, d, offset):
+        sigma = 0.5 * np.sqrt(d)
+        X = rng.normal(size=(300, d)) + offset
+        src = SupportKernel(X, KernelParams(sigma))
+        K = source_kernel(src)
+        assert np.mean((K > 1e-12) & (K < 1.0)) > 0.01
+        assert_kernel_close(K, X, X, sigma)
+        w = np.where(rng.random(300) < 0.5, rng.normal(size=300), 0.0)
+        Z = rng.normal(size=(300, 3))
+        u, V = src.products(w, Z)
+        want = reference_kernel(X, X, sigma)
+        assert_allclose(u, want @ w, rtol=0, atol=1e-12 * np.abs(w).sum())
+        assert_allclose(V, want @ (w[:, None] * Z), rtol=0,
+                        atol=1e-12 * np.abs(w[:, None] * Z).sum())
+
     @pytest.mark.parametrize("d", [2, 6])
-    @pytest.mark.parametrize("sigma_k", [1.0, 0.7])  # a reciprocal multiply, a divide
-    @pytest.mark.parametrize("cache_bytes", [svm.KERNEL_CACHE_BYTES, 0])
-    def test_rows_are_the_rows_of_kernel_matrix(self, rng, monkeypatch, d, sigma_k,
-                                                cache_bytes):
-        # cached rows and, with no cache, rows computed on each read skip
-        # kernel_matrix's checks but not one bit of its formula
-        monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", cache_bytes)
+    @pytest.mark.parametrize("sigma_k", [1.0, 0.7])
+    @pytest.mark.parametrize("cache_bytes", [0, 3 * 8 * 300])
+    def test_a_row_is_the_same_doubles_at_any_cache_size(self, rng, monkeypatch, d,
+                                                          sigma_k, cache_bytes):
+        # rows computed on each read (no cache), or evicted and computed
+        # again (three rows), are the rows of a source with the default cache
         X = rng.normal(size=(300, d)) * 3.0
         params = KernelParams(sigma_k)
+        want = source_kernel(SupportKernel(X, params))
+        monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", cache_bytes)
         src = SupportKernel(X, params)
-        for i in [*rng.permutation(len(X)), 0, len(X) - 1]:
-            want = kernel_matrix(X[i : i + 1], X, params)[0]
-            assert src[int(i)].tobytes() == want.tobytes()
+        for i in [*rng.permutation(len(X)), 0, len(X) - 1, 0]:
+            assert src[int(i)].tobytes() == want[i].tobytes()
 
     @pytest.mark.parametrize("d", [2, 6, 22, 96])
-    def test_channels_zero_in_both_operands_change_no_bit(self, rng, monkeypatch, d):
-        """A channel that is 0 (or -0.0) on every sample adds +0.0 to each
-        squared distance: rows and products over the live channels are the
-        bits of the full-width ones."""
+    def test_channels_zero_in_both_operands_change_no_bit(self, rng, d):
+        """A channel that is 0 (or -0.0) on every sample is left out: rows
+        and products are the bits of the source of the live channels alone."""
         X = rng.normal(size=(300, d))
         dead = rng.choice(d, size=d - 1 if d == 2 else d // 2 + 1, replace=False)
         X[:, dead] = 0.0
         X[::3, dead[0]] = -0.0
+        live = np.setdiff1d(np.arange(d), dead)
         params = KernelParams(0.9)
         w = np.where(rng.random(300) < 0.6, rng.normal(size=300), 0.0)
-        src = SupportKernel(X, params)
-        assert src._live.shape[1] == d - len(dead)
-        rows = [src[i].copy() for i in range(0, 300, 7)]
-        u, V = src.products(w, X)
-        monkeypatch.setattr(svm, "_live_channels", lambda *arrays: None)
-        full = SupportKernel(X, params)
-        assert full._live is X
-        for i, row in zip(range(0, 300, 7), rows):
-            assert row.tobytes() == full[i].tobytes()
-            assert row.tobytes() == kernel_matrix(X[i : i + 1], X, params)[0].tobytes()
-        u_full, V_full = full.products(w, X)
-        assert u.tobytes() == u_full.tobytes() and V.tobytes() == V_full.tobytes()
+        src, alone = SupportKernel(X, params), SupportKernel(X[:, live], params)
+        assert src._left.shape[1] == len(live) + 2
+        for i in range(0, 300, 7):
+            assert src[i].tobytes() == alone[i].tobytes()
+        for (a, b) in zip(src.products(w, X), alone.products(w, X)):
+            assert a.tobytes() == b.tobytes()
 
     def test_products_sum_as_the_matrix_vector_product(self, rng):
         """u of ``products`` has the same bits with Z as without, and V
@@ -422,7 +447,7 @@ class TestSupportKernel:
     def test_subset_rows_are_slices_of_the_shared_rows(self, rng, monkeypatch):
         X = rng.normal(size=(90, 2))
         params = KernelParams(0.9)
-        K = kernel_matrix(X, X, params)
+        K = source_kernel(SupportKernel(X, params))
         src = SupportKernel(X, params)
         rows = np.sort(rng.choice(len(X), size=50, replace=False))
         view = src.subset(rows)
@@ -439,7 +464,7 @@ class TestSupportKernel:
         # recently used one, which is computed again when next read
         X = rng.normal(size=(40, 2))
         params = KernelParams(0.9)
-        K = kernel_matrix(X, X, params)
+        K = source_kernel(SupportKernel(X, params))
         monkeypatch.setattr(svm, "KERNEL_CACHE_BYTES", 2 * 8 * len(X))
         src = SupportKernel(X, params)
         shapes = recorded_kernel_calls(monkeypatch)
@@ -452,8 +477,7 @@ class TestSupportKernel:
     def test_a_small_cache_changes_no_bit(self, rng, monkeypatch, cap_rows):
         X, y = xor_problem(rng, 150)
         params = KernelParams(0.7)
-        K = kernel_matrix(X, X, params)
-        cold = solve_svm_dual(K, y, 100.0)
+        cold = solve_svm_dual(SupportKernel(X, params), y, 100.0)
         alpha = cold.alpha
         Xm = 1.05 * X
         warm = solve_svm_dual(SupportKernel(Xm, params), y, 100.0, warm_alpha=alpha)
@@ -614,6 +638,29 @@ class TestBankScoresMatchReference:
         for m in models:
             assert_scores_close(decision_scores(m, Xte), reference_decision_scores(m, Xte))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("d", [2, 6, 96])
+    def test_scores_match_the_difference_form(self, rng, d, offset):
+        """Each score is the difference-form kernel's score within the
+        kernel's stated tolerance, carried through the bank's coefficients
+        c_j, plus the rounding of two p-term sums: on a signal offset far
+        from 0 too, which the scorer centres on its support rows' mean."""
+        sigma = 0.5 * np.sqrt(d)
+        pool = rng.normal(size=(60, d)) + offset
+        Xte = 1.5 * rng.normal(size=(700, d)) + offset
+        models = random_bank(rng, 4, pool, KernelParams(sigma))
+        got = bank_scores(models, Xte)
+        mean = support_table(models)[0].mean(axis=0)
+        s_te = np.sum((Xte - mean) ** 2, axis=1) / (2.0 * sigma**2)
+        for k, m in enumerate(models):
+            K = reference_kernel(Xte, m.sv_rows, sigma)
+            pull = K * np.abs(m.sv_alpha)
+            s_sv = np.sum((m.sv_rows - mean) ** 2, axis=1) / (2.0 * sigma**2)
+            bound = (16 * EPS * pull * (1.0 + s_te[:, None] + s_sv[None, :])).sum(axis=1) \
+                + 2 * (len(m.sv_rows) + 2) * EPS * (pull.sum(axis=1) + abs(m.bias))
+            want = reference_decision_scores(m, Xte)
+            assert np.all(np.abs(got[:, k] - want) <= bound)
+
     def test_trained_banks(self, rng):
         X = rng.normal(size=(150, 2))
         y = 1 + (X[:, 0] > 0) + (X[:, 1] > 0.5)
@@ -669,20 +716,21 @@ class TestBankScoresMatchReference:
             bank_scores([], np.zeros((3, 2)))
 
     @pytest.mark.parametrize("d", [2, 6, 22])
-    def test_channels_zero_in_both_sets_change_no_score(self, rng, monkeypatch, d):
+    def test_channels_zero_in_both_sets_change_no_score(self, rng, d):
         """A channel that is 0 in the test samples and in every support row
-        is left out of the distances: the same scores, bit for bit."""
+        is left out of the kernel: the scores of the live channels alone,
+        bit for bit."""
         pool = rng.normal(size=(60, d))
         Xte = rng.normal(size=(700, d))
         dead = np.arange(1, d, 2)
+        live = np.setdiff1d(np.arange(d), dead)
         pool[:, dead] = 0.0
         Xte[:, dead] = -0.0
         banks = [random_bank(rng, 3, pool[:40]), random_bank(rng, 2, pool[20:])]
-        assert_array_equal(svm._live_channels(Xte, pool), np.setdiff1d(np.arange(d), dead))
-        live = joint_bank_scores(banks, Xte)
-        monkeypatch.setattr(svm, "_live_channels", lambda *arrays: None)
-        full = joint_bank_scores(banks, Xte)
-        for a, b in zip(live, full, strict=True):
+        assert_array_equal(svm._live_channels(Xte, pool), live)
+        narrow = [[replace(m, sv_rows=m.sv_rows[:, live]) for m in bank] for bank in banks]
+        got, want = joint_bank_scores(banks, Xte), joint_bank_scores(narrow, Xte[:, live])
+        for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
 
     def test_a_channel_live_in_either_set_is_live(self):
@@ -860,7 +908,7 @@ def reference_train_multiclass(X, y, C, kernel, *, tol=1e-3):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).ravel()
     classes = np.unique(y)
-    K = kernel_matrix(X, X, kernel)
+    K = source_kernel(SupportKernel(X, kernel))  # the kernel every solve reads
     pairwise = {}
     for a in range(len(classes)):
         for b in range(a + 1, len(classes)):
