@@ -33,9 +33,12 @@ def main():
     methods = ("svm", "avg_svm", "kf_svm")
 
     t0 = time.perf_counter()
-    res = run_toy_sweep("noise", [base.sigma_n], methods, seeds=tuple(range(args.seeds)),
-                        base=base, n_test=args.n_test,
-                        learner_kwargs={"max_cg_iters": args.max_cg_iters})
+    try:
+        res = run_toy_sweep("noise", [base.sigma_n], methods, seeds=tuple(range(args.seeds)),
+                            base=base, n_test=args.n_test,
+                            learner_kwargs={"max_cg_iters": args.max_cg_iters})
+    except ValueError as exc:  # raised before any task runs: the arguments' error
+        ap.error(str(exc))
     print(f"finished in {time.perf_counter() - t0:.1f}s\n")
     if res.failures:
         for (_, method, seed), msg in res.failures:

@@ -33,10 +33,13 @@ def main():
     base = ToyParams(n=1, sigma_n=1.0, lag=5, nbtot=2)
     empty = []
     for axis in args.axes.split(","):
-        res = run_toy_sweep(
-            axis, DEFAULT_AXIS_VALUES[axis], methods,
-            seeds=tuple(range(args.seeds)), base=base, n_test=args.n_test,
-            learner_kwargs={"max_cg_iters": args.max_cg_iters})
+        try:
+            res = run_toy_sweep(
+                axis, DEFAULT_AXIS_VALUES[axis], methods,
+                seeds=tuple(range(args.seeds)), base=base, n_test=args.n_test,
+                learner_kwargs={"max_cg_iters": args.max_cg_iters})
+        except ValueError as exc:  # raised before any task runs: the arguments' error
+            ap.error(str(exc))
         for (value, method, seed), msg in res.failures:
             print(f"{axis} {value!r} {method} seed {seed} failed: {msg}", file=sys.stderr)
         if not res.rows:

@@ -683,12 +683,13 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
     the tasks are independent and run through the process map, with
     results merged in task order.  A task that fails numerically is
     recorded in ``failures`` and leaves no rows.  What no task could use
-    raises a ValueError before any task runs: ``learner_kwargs`` that
-    make no ``LearnerConfig``, and an axis value that is not a finite
-    number or makes no valid ``ToyParams`` or ``GridSpec`` with ``base``
-    and a method's grid.  The axes in INTEGER_AXES take integers (an
-    integral float, as a command line gives, counts as its integer, and
-    its rows are recorded under that integer).
+    raises a ValueError before any task runs: an empty list of values,
+    methods or seeds, ``learner_kwargs`` that make no ``LearnerConfig``,
+    and an axis value that is not a finite number or makes no valid
+    ``ToyParams`` or ``GridSpec`` with ``base`` and a method's grid.  The
+    axes in INTEGER_AXES take integers (an integral float, as a command
+    line gives, counts as its integer, and its rows are recorded under
+    that integer).
 
     The headline table is the one-point sweep
     ``run_toy_sweep("noise", [base.sigma_n], methods, base=base, ...)``:
@@ -696,6 +697,10 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
     """
     if axis not in DEFAULT_AXIS_VALUES:
         raise ValueError(f"unknown sweep axis {axis!r}")
+    values, methods, seeds = list(values), list(methods), list(seeds)
+    for name, given in (("values", values), ("methods", methods), ("seeds", seeds)):
+        if not given:  # no task would run
+            raise ValueError(f"empty sweep: no {name}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
@@ -704,7 +709,6 @@ def run_toy_sweep(axis: str, values, methods, *, seeds=DEFAULT_SEEDS,
     grids = grids or {}
     sizes = (n_train, n_val, n_test)
     integer = axis in INTEGER_AXES
-    values = list(values)
     bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)
            or not math.isfinite(v) or (integer and not float(v).is_integer())]
     if bad:

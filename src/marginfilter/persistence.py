@@ -13,16 +13,18 @@ a string or boolean where a number belongs, is rejected.  All writes go
 through a temp file and an atomic rename, and a written file gets the
 mode a plain ``open(path, "w")`` gives it.
 
-A model file (format version 2) stores each support vector once: one
-table of the distinct support-vector rows of every model in both banks,
-in ``svm.support_table`` order, and ``sigma_k`` once; each model holds
-its bias, C, box, dual objective and stop reason, the indices of its
-support rows in the table, and its signed coefficients alpha_j y_j.  The
-length-n dual vector and the training-row indices are not stored, as no
-scorer reads them (a loaded ``SvmModel`` has None for both).  Version-1
-model files, where every model holds its full dual vector and its own
-copy of its support rows, are still read; their models' stop reason is
-unknown (None).  Filter files are at version 1.
+Each kind of document has one format version, the one written and the
+one read: models are at version 2 and filters at version 1.  A model file
+stores each support vector once: one table of the distinct support-vector
+rows of every model in both banks, in ``svm.support_table`` order, and
+``sigma_k`` once; each model holds its bias, C, box, dual objective and
+stop reason, the indices of its support rows in the table, and its signed
+coefficients alpha_j y_j.  The length-n dual vector and the training-row
+indices are not stored, as no scorer reads them (a loaded ``SvmModel``
+has None for both).  A model file at version 1, where each model held its
+full dual vector and its own support rows, is rejected; to convert one,
+load it in a checkout whose reader still has ``_svm_from_v1`` and save it
+again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import json
 import os
 import stat
 from contextlib import contextmanager
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -51,13 +52,10 @@ from .svm import (
     support_table,
 )
 
-# The format version written for each kind of JSON document, and the
-# versions read back.
-WRITE_VERSION = {"filter": 1, "model": 2}
-READ_VERSIONS = {"filter": (1,), "model": (1, 2)}
-# SvmModel.stop values a version-2 model file may hold; None where the
-# model was read from a version-1 file, which does not record it
-STOP_REASONS = (STOP_CONVERGED, STOP_BOUND, STOP_MAX_ITER, STOP_STUCK, None)
+# The one format version of each kind of JSON document, written and read.
+FORMAT_VERSION = {"filter": 1, "model": 2}
+# SvmModel.stop values a model file may hold
+STOP_REASONS = (STOP_CONVERGED, STOP_BOUND, STOP_MAX_ITER, STOP_STUCK)
 # Dataset rows formatted at a time by save_dataset; bounds the Python
 # floats and strings alive at once.
 CSV_CHUNK_ROWS = 256
@@ -278,16 +276,14 @@ def load_predictions(path):
 # JSON documents
 # ---------------------------------------------------------------------------
 
-def _check_version(doc: dict, path, kind: str) -> int:
-    """The document's format version, checked against those read for ``kind``."""
+def _check_version(doc: dict, path, kind: str):
+    """Check that ``doc`` is a ``kind`` document at that kind's format version."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise DataFormatError(f"{path}: not a {kind} document")
     version = doc.get("format_version")
-    if version not in READ_VERSIONS[kind]:
-        raise DataFormatError(
-            f"{path}: format_version {version!r} not supported "
-            f"(expected {' or '.join(map(str, READ_VERSIONS[kind]))})")
-    return version
+    if version != FORMAT_VERSION[kind]:
+        raise DataFormatError(f"{path}: format_version {version!r} not supported "
+                              f"(expected {FORMAT_VERSION[kind]})")
 
 
 def _load_json(path) -> dict:
@@ -385,7 +381,7 @@ def _rows(values, path, name: str, d: int) -> np.ndarray:
 
 def save_filter(path, bank: FilterBank):
     doc = {
-        "format_version": WRITE_VERSION["filter"],
+        "format_version": FORMAT_VERSION["filter"],
         "kind": "filter",
         "f": bank.f,
         "d": bank.d,
@@ -413,7 +409,7 @@ def load_filter(path) -> FilterBank:
 
 
 def _svm_to_doc(model: SvmModel, where) -> dict:
-    """One model of a version-2 file; ``where`` indexes its rows in the table."""
+    """One model of a model file; ``where`` indexes its rows in the table."""
     return {
         "bias": float(model.bias),
         "C": float(model.C),
@@ -425,38 +421,13 @@ def _svm_to_doc(model: SvmModel, where) -> dict:
     }
 
 
-def _svm_scalars(doc: dict, path) -> dict:
-    return {key: _number(doc[key], path, key) for key in ("bias", "C", "box", "objective")}
-
-
-def _svm_from_v1(doc: dict, path, d: int) -> SvmModel:
-    """Parse one SVM of a version-1 file, which holds its own support rows."""
-    with _fields(path, "SVM"):
-        # read for the length check only: no scorer needs the training rows
-        sv_idx = _integers(doc["sv_idx"], path, "sv_idx")
-        sv_labels = _integers(doc["sv_labels"], path, "sv_labels")
-        sv_alpha = _finite(doc["sv_alpha"], path, "sv_alpha")
-        sv_rows = _rows(doc["sv_rows"], path, "sv_rows", d)
-        kernel = KernelParams(_number(doc["sigma_k"], path, "sigma_k"))
-        scalars = _svm_scalars(doc, path)
-    # a bank's coefficients are scattered by row, so one model's mismatch
-    # would shift its pulls onto other rows
-    sizes = {"sv_idx": len(sv_idx), "sv_labels": len(sv_labels),
-             "sv_alpha": len(sv_alpha), "sv_rows": len(sv_rows)}
-    if len(set(sizes.values())) != 1:
-        raise DataFormatError(f"{path}: support-vector fields disagree in length {sizes}")
-    if not np.all(np.abs(sv_labels) == 1):
-        raise DataFormatError(f"{path}: field 'sv_labels' holds values outside {{-1, +1}}")
-    return SvmModel(alpha=None, kernel=kernel, sv_idx=None, sv_labels=sv_labels,
-                    sv_alpha=sv_alpha, sv_rows=sv_rows, stop=None, **scalars)
-
-
-def _svm_from_v2(doc: dict, path, table: np.ndarray, kernel: KernelParams) -> SvmModel:
-    """Parse one SVM of a version-2 file, whose support rows index ``table``."""
+def _svm_from_doc(doc: dict, path, table: np.ndarray, kernel: KernelParams) -> SvmModel:
+    """Parse one SVM of a model file, whose support rows index ``table``."""
     with _fields(path, "SVM"):
         index = _integers(doc["sv_index"], path, "sv_index")
         coef = _finite(doc["sv_coef"], path, "sv_coef")
-        scalars = _svm_scalars(doc, path)
+        scalars = {key: _number(doc[key], path, key)
+                   for key in ("bias", "C", "box", "objective")}
         stop = doc["stop"]
     if index.ndim != 1:
         raise DataFormatError(f"{path}: field 'sv_index' is not a list of integers")
@@ -510,7 +481,7 @@ def save_model(path, pipe: Pipeline):
     table, where = support_table(models)
     entries = [_svm_to_doc(m, w) for m, w in zip(models, where)]
     doc = {
-        "format_version": WRITE_VERSION["model"],
+        "format_version": FORMAT_VERSION["model"],
         "kind": "model",
         "method": pipe.method,
         "classes": [int(c) for c in mc.classes],
@@ -530,26 +501,24 @@ def save_model(path, pipe: Pipeline):
 
 
 def load_model(path, bank: FilterBank) -> Pipeline:
-    """Rebuild a pipeline from a model document (version 1 or 2) plus its filter bank.
+    """Rebuild a pipeline from a model document, as save_model writes it, plus
+    its filter bank.
 
     The banks must match the class list: one pairwise model for each pair
     of class indices a < b, and one one-vs-all model, Platt sigmoid and
     transition state per class.
     """
     doc = _load_json(path)
-    version = _check_version(doc, path, "model")
+    _check_version(doc, path, "model")
     with _fields(path, "model"):
         classes = _integers(doc["classes"], path, "classes")
-        if version == 1:
-            parse = partial(_svm_from_v1, path=path, d=bank.d)
-        else:
-            parse = partial(_svm_from_v2, path=path,
-                            table=_rows(doc["support_vectors"], path, "support_vectors", bank.d),
-                            kernel=KernelParams(_number(doc["sigma_k"], path, "sigma_k")))
+        table = _rows(doc["support_vectors"], path, "support_vectors", bank.d)
+        kernel = KernelParams(_number(doc["sigma_k"], path, "sigma_k"))
         pairs = [(_integer(e["a"], path, "a"), _integer(e["b"], path, "b"))
                  for e in doc["pairwise"]]
-        pairwise = dict(zip(pairs, (parse(e["model"]) for e in doc["pairwise"])))
-        one_vs_all = [parse(e) for e in doc["one_vs_all"]]
+        pairwise = {pair: _svm_from_doc(e["model"], path, table, kernel)
+                    for pair, e in zip(pairs, doc["pairwise"])}
+        one_vs_all = [_svm_from_doc(e, path, table, kernel) for e in doc["one_vs_all"]]
         platt = doc["platt"]
         if platt is not None:
             platt = [PlattParams(A=_number(p["A"], path, "A"),
@@ -571,10 +540,6 @@ def load_model(path, bank: FilterBank) -> Pipeline:
     wrong = {key: n for key, n in counts.items() if n != c}
     if wrong:
         raise DataFormatError(f"{path}: entries per class {wrong} do not match the {c} classes")
-    # each bank is scored through one kernel (svm.bank_scores)
-    sigmas = sorted({m.kernel.sigma_k for m in list(pairwise.values()) + one_vs_all})
-    if len(sigmas) > 1:
-        raise DataFormatError(f"{path}: models disagree on sigma_k {sigmas}")
     mc = MulticlassModel(classes=classes, pairwise=dict(sorted(pairwise.items())),
                          one_vs_all=one_vs_all)
     return Pipeline(method=method, filter=bank, model=mc,

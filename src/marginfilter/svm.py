@@ -23,20 +23,13 @@ entry.  A solve hands its final running products back to its caller
 (``DualProducts``), so the next solve from the same alpha starts
 without a product.
 
-Every kernel entry comes from one BLAS product (``kernel_matrix``):
-exp(min(f ||a||^2 + f ||b||^2 - 2f a.b, 0)) with f = -1/(2 sigma_k^2),
-the samples first centred on one mean shared by the source or the call,
-each sample's f ||x||^2 computed once, where the samples are prepared
-(``_Frame``), and the diagonal k(x, x) set to exactly 1.  Within a stated
-tolerance (16 eps (1 + s_a + s_b) relative, s_x = ||x - mean||^2 /
-(2 sigma_k^2)) the entries are those of the difference form
-exp(-||a - b||^2 / (2 sigma_k^2)); they are computed over the live
-channels only, a channel 0 in both operands adding nothing.  Numerics
-run at one BLAS thread (``blas.one_thread``: the solver, a bank's
-training and scoring, ``kernel_matrix``), so the same inputs give the
-same bits on one machine and BLAS build whatever the caller's BLAS or
-worker thread counts; OpenBLAS picks its kernels per CPU, so other CPUs
-may round otherwise.
+Every kernel entry comes from one BLAS product on centred samples, within
+a stated tolerance of the difference form; ``kernel_matrix`` states that
+contract for the whole module.  Numerics run at one BLAS thread
+(``blas.one_thread``: the solver, a bank's training and scoring,
+``kernel_matrix``), so the same inputs give the same bits on one machine
+and BLAS build whatever the caller's BLAS or worker thread counts;
+OpenBLAS picks its kernels per CPU, so other CPUs may round otherwise.
 
 A bank scores its test samples in chunks of SCORE_CHUNK_ROWS rows on up
 to min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, opened and
@@ -129,16 +122,23 @@ def kernel_matrix(A, B, params: KernelParams, out=None) -> np.ndarray:
     is B, up to rounding, with a diagonal of exactly 1.  Runs at one BLAS
     thread (``blas.one_thread``).
 
-    Every entry comes from one BLAS product (``_Frame``, ``_gaussian``):
-    with f = -1/(2 sigma_k^2), f ||a - b||^2 = f ||a||^2 + f ||b||^2 -
-    2f a.b, after A and B are centred on the mean of all their rows, so
-    that the norms cancel without loss on signals offset far from 0.  The
+    The kernel contract, which every kernel entry of this module keeps
+    (``SupportKernel``, ``joint_bank_scores``): an entry comes from one
+    BLAS product (``_Frame``, ``_gaussian``), as
+    exp(min(f ||a||^2 + f ||b||^2 - 2f a.b, 0)) with f = -1/(2 sigma_k^2),
+    after the samples are centred on one shared mean (here that of all
+    rows of A and B, in a source that of its samples, in a bank scoring
+    that of its support rows), so that the norms cancel without loss on
+    signals offset far from 0; each sample's f ||x||^2 is computed once,
+    where its samples are prepared, and k(x, x) is set to exactly 1.  The
     tests hold each entry within 16 eps (1 + s_a + s_b), relative, of the
     difference form, where s_x = ||x - mean||^2 / (2 sigma_k^2), for d up
-    to 96.  An entry depends on the call's other samples through their
-    mean, by rounding, so a block of a kernel is not bit for bit that part
-    of the whole kernel.  Samples whose ||x - mean||^2 / sigma_k^2
-    overflows, or is not finite, raise a ValueError.
+    to 96, also on signals offset by 1e6, and each bank score within that
+    bound carried through the bank's coefficients.  An entry depends on
+    the other samples through their mean, by rounding, so a block of a
+    kernel is not bit for bit that part of the whole kernel.  Samples
+    whose ||x - mean||^2 / sigma_k^2 overflows, or is not finite, raise a
+    ValueError.
 
     A or B may also be a kernel source's operand (``_Operand``), centred
     and normed once, with its own sigma_k, when the source was made; a
@@ -285,14 +285,13 @@ class SupportKernel:
     kernel of X[rows], whose rows are slices of this source's rows, read
     through its cache: the solves of one training set share one cache.
 
-    The samples are checked, centred on their mean and normed once, here,
-    over the live channels of X only (``_live_channels``), into the
-    operands of ``kernel_matrix``'s product (``_Frame``): a row is one
-    matrix-vector product of them and a block of K[:, S] one
-    matrix-matrix product, through ``kernel_matrix``.  So every entry is
-    the entry of kernel_matrix(X, X) up to rounding, not bit for bit; a
-    row is the same doubles each time it is computed, whatever the cache
-    size, and a view's rows are the slices of its parent's.  The product
+    The samples are prepared once, here, over the live channels of X only
+    (``_live_channels``), as ``kernel_matrix`` states: a row is one
+    matrix-vector product and a block of K[:, S] one matrix-matrix
+    product, through ``kernel_matrix``.  So every entry is the entry of
+    kernel_matrix(X, X) up to rounding, not bit for bit; a row is the same
+    doubles each time it is computed, whatever the cache size, and a
+    view's rows are the slices of its parent's.  The product
     sums each row of K[:, S] as the product of the whole K[:, S] (its rows
     ordered S first) does, so it differs from a dense K @ w, which sums
     over every column, by rounding.
@@ -429,9 +428,9 @@ class SvmModel:
     ``alpha`` and ``sv_idx`` are None.  ``objective`` is the dual optimum
     sum(alpha) - 0.5 alpha' Q alpha, which by strong duality equals the
     primal hinge-loss objective and is what the filter learner minimizes.
-    ``stop`` tells why the solve ended, or is None where that is unknown
-    (a model loaded from a version-1 file); ``converged`` is derived from
-    it and is False then.
+    ``stop`` tells why the solve ended, one of the four STOP_* reasons,
+    for a model solved here and for one loaded from a file alike;
+    ``converged`` is derived from it.
     """
 
     alpha: np.ndarray | None
@@ -445,7 +444,7 @@ class SvmModel:
     sv_alpha: np.ndarray
     sv_rows: np.ndarray | None = None
     n_iter: int = 0
-    stop: str | None = STOP_CONVERGED
+    stop: str = STOP_CONVERGED
 
     @property
     def converged(self) -> bool:
@@ -787,8 +786,8 @@ def joint_bank_scores(banks, Xte) -> list[np.ndarray]:
     scattered into its own (n_union, len(bank)) coefficient matrix.
     ``Xte`` is then scored SCORE_CHUNK_ROWS rows at a time against the
     distinct rows, over the channels not 0 in both (``_live_channels``),
-    all centred on the table's mean, the table's norms computed once per
-    call; so one test kernel serves every bank, and each bank takes its
+    through the kernel ``kernel_matrix`` states, centred on the table's
+    mean; so one test kernel serves every bank, and each bank takes its
     own product with a chunk's kernel.  The chunks run on up to
     min(#chunks, MARGIN_FILTER_THREADS, usable CPUs) threads, each with
     its own SCORE_CHUNK_ROWS x n_union kernel buffer, allocated here;

@@ -243,7 +243,7 @@ def test_criterion_07_viterbi_equals_exhaustive_search():
     report(7, mismatches == 0, f"{mismatches}/200 mismatches vs exhaustive oracle")
 
 
-def test_criterion_08_mm_outer_objective_non_increasing(skf_benchmark):
+def test_criterion_08_proximal_objective_non_increasing(skf_benchmark):
     """The group-sparse objective decreases monotonically per accepted
     proximal step on all 10 runs."""
     worst = -np.inf

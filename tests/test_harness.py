@@ -1119,6 +1119,20 @@ class TestRunToySweep:
             run_toy_sweep(axis, values, ["svm", "kf_svm"], seeds=(0,), n_train=60,
                           n_val=60, n_test=60)
 
+    @pytest.mark.parametrize("values, methods, seeds, name", [
+        ([], ["svm"], (0,), "values"),
+        ([1.0], [], (0,), "methods"),
+        ([1.0], ["svm"], (), "seeds"),
+    ], ids=["values", "methods", "seeds"])
+    def test_an_empty_list_raises_before_any_task(self, monkeypatch, values, methods,
+                                                  seeds, name):
+        def no_tasks(fn, tasks):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(harness, "_parallel_map", no_tasks)
+        with pytest.raises(ValueError, match=f"^empty sweep: no {name}$"):
+            run_toy_sweep("noise", values, methods, seeds=seeds)
+
     def test_an_integral_float_is_its_integer(self, monkeypatch):
         tasks = []
         monkeypatch.setattr(harness, "_parallel_map", lambda fn, t: tasks.extend(t) or [])

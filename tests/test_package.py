@@ -23,7 +23,7 @@ PUBLIC = {
 }
 
 
-# the learner's settable fields; the line-search and majorization
+# the learner's settable fields; the descent, L-BFGS and line-search
 # constants live in filter_learning, as no caller sets another value
 LEARNER_FIELDS = ("C", "kernel", "reg", "f", "n0", "max_cg_iters", "tol_dF",
                   "mm_max_outer", "svm_tol")

@@ -1,7 +1,6 @@
 import json
 import os
 import re
-import shutil
 import stat
 import warnings
 from pathlib import Path
@@ -26,7 +25,10 @@ from marginfilter.persistence import (
 )
 from marginfilter.signals import FilterBank, ToyParams, generate_toy, make_average_filter
 from marginfilter.svm import (
+    STOP_BOUND,
+    STOP_CONVERGED,
     STOP_MAX_ITER,
+    STOP_STUCK,
     PlattParams,
     bank_scores,
     class_probabilities,
@@ -391,26 +393,31 @@ def three_class_pipeline():
     return calibrate_pipeline(pipe, X[80:140], y[80:140])
 
 
-# Model files written by save_model at format version 1, before version 2:
-# a binary and a 3-class avg_svm pipeline (f=3, n0=1, C=10, sigma_k=1,
-# Platt-calibrated), each with its filter, a 60-sample input and the labels
-# the writing version gave it online and by Viterbi.
-V1_FIXTURES = Path(__file__).parent / "data" / "model_v1"
+# Model files written by save_model at format version 2: a binary and a
+# 3-class avg_svm pipeline, each with its filter, a 60-sample input and the
+# labels the writing version gave it online and by Viterbi.  Each was made
+# from generate_toy(ToyParams(n=200, sigma_n=0.4, lag=1, nbtot=2,
+# run_min=10, run_max=15, n_classes=c, seed=5)), c = 2 and 3: trained as
+# train_pipeline(X[:80], y[:80], "avg_svm", C=10, sigma_k=1, f=3, n0=1),
+# Platt-calibrated on X[80:140], and labeling X[140:200] as input.csv.
+V2_FIXTURES = Path(__file__).parent / "data" / "model_v2"
 
 
-def model_file(version, tmp_path, pipe):
-    """A 3-class model file at ``version`` in tmp_path, its document and filter.
-
-    Version 1 is the committed fixture; version 2 is ``pipe`` saved now.
-    """
+def model_file(tmp_path, pipe):
+    """``pipe`` saved as a model file in tmp_path, its document and filter."""
     mp = tmp_path / "model.json"
-    if version == 1:
-        shutil.copy(V1_FIXTURES / "three_class" / "model.json", mp)
-        bank = load_filter(V1_FIXTURES / "three_class" / "filter.json")
-    else:
-        save_model(mp, pipe)
-        bank = pipe.filter
-    return mp, json.loads(mp.read_text()), bank
+    save_model(mp, pipe)
+    return mp, json.loads(mp.read_text()), pipe.filter
+
+
+# load_model reads a pairwise model from its entry's "model" field and a
+# one-vs-all model from the entry itself: a per-SVM check must hold in both.
+SVM_BANKS = ["pairwise", "one_vs_all"]
+
+
+def svm_entry(doc, svm_bank):
+    """The document of the second SVM of ``svm_bank`` in a model document."""
+    return doc["pairwise"][1]["model"] if svm_bank == "pairwise" else doc["one_vs_all"][1]
 
 
 def edited(mp, doc):
@@ -484,35 +491,37 @@ class TestModelRoundTrip:
         assert [m.stop for m in loaded.one_vs_all] == [m.stop for m in mc.one_vs_all]
         assert not loaded.one_vs_all[1].converged
 
-    def test_v1_stop_reason_unknown(self):
-        bank = load_filter(V1_FIXTURES / "binary" / "filter.json")
-        loaded = load_model(V1_FIXTURES / "binary" / "model.json", bank).model
-        for model in list(loaded.pairwise.values()) + loaded.one_vs_all:
-            assert model.stop is None and not model.converged
-            assert model.alpha is None and model.sv_idx is None
+    @pytest.mark.parametrize("svm_bank", SVM_BANKS)
+    @pytest.mark.parametrize("stop", [STOP_CONVERGED, STOP_BOUND, STOP_MAX_ITER, STOP_STUCK])
+    def test_each_stop_reason_loads(self, tmp_path, three_class_pipeline, svm_bank, stop):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        svm_entry(doc, svm_bank)["stop"] = stop
+        mc = load_model(edited(mp, doc), bank).model
+        model = mc.pairwise[(0, 2)] if svm_bank == "pairwise" else mc.one_vs_all[1]
+        assert (model.stop, model.converged) == (stop, stop == STOP_CONVERGED)
 
     @pytest.mark.parametrize("name", ["binary", "three_class"])
-    def test_v1_files_label_as_written(self, tmp_path, name):
-        """Version-1 files still load, and label the fixed input as when written;
-        saved again (version 2) they label it the same."""
-        fixture = V1_FIXTURES / name
-        assert json.loads((fixture / "model.json").read_text())["format_version"] == 1
+    def test_committed_files_label_as_written(self, tmp_path, name):
+        """The committed files load, and label the fixed input as when written;
+        saved again they are the same bytes."""
+        fixture = V2_FIXTURES / name
         bank = load_filter(fixture / "filter.json")
         pipe = load_model(fixture / "model.json", bank)
         X, _ = load_dataset(fixture / "input.csv")
-        mp = tmp_path / "model.json"
-        save_model(mp, pipe)
-        resaved = load_model(mp, bank)
         for decode in ("online", "viterbi"):
-            want = load_predictions(fixture / f"{decode}.csv")
-            assert_array_equal(pipe.predict(X, decode), want)
-            assert_array_equal(resaved.predict(X, decode), want)
+            assert_array_equal(pipe.predict(X, decode),
+                               load_predictions(fixture / f"{decode}.csv"))
+        mp, fp = tmp_path / "model.json", tmp_path / "filter.json"
+        save_model(mp, pipe)
+        save_filter(fp, bank)
+        assert mp.read_bytes() == (fixture / "model.json").read_bytes()
+        assert fp.read_bytes() == (fixture / "filter.json").read_bytes()
 
     @pytest.mark.parametrize("kind, version, match", [
-        ("model", 3, "format_version"),
-        ("model", 1, "missing SVM field"),  # a version-2 body is no version-1 one
-        ("filter", 2, "format_version"),
-    ])
+        ("model", 3, "format_version 3 not supported (expected 2)"),
+        ("model", 1, "format_version 1 not supported (expected 2)"),
+        ("filter", 2, "format_version 2 not supported (expected 1)"),
+    ], ids=["model-3", "model-1", "filter-2"])
     def test_version_read_per_kind(self, tmp_path, trained_pipeline, kind, version, match):
         path = tmp_path / f"{kind}.json"
         if kind == "model":
@@ -522,7 +531,7 @@ class TestModelRoundTrip:
         doc = json.loads(path.read_text())
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError, match=match):
+        with pytest.raises(DataFormatError, match=re.escape(match)):
             if kind == "model":
                 load_model(path, trained_pipeline.filter)
             else:
@@ -535,78 +544,72 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="JSON"):
             load_model(mp, trained_pipeline.filter)
 
-    @pytest.mark.parametrize("version, edit, match", [
-        (1, lambda d, m: m["sv_labels"].__setitem__(0, 2), "sv_labels"),
-        (1, lambda d, m: m["sv_labels"].__setitem__(-1, 0), "sv_labels"),
-        (1, lambda d, m: m["sv_alpha"].pop(), "disagree in length"),
-        (1, lambda d, m: m["sv_idx"].append(0), "disagree in length"),
-        (1, lambda d, m: m["sv_rows"].pop(0), "disagree in length"),
-        (1, lambda d, m: m["sv_rows"][0].append(1.0), "malformed"),
-        (2, lambda d, m: m["sv_index"].__setitem__(0, len(d["support_vectors"])),
-         "outside"),
-        (2, lambda d, m: m["sv_index"].__setitem__(0, -1), "outside"),
-        (2, lambda d, m: m["sv_index"].__setitem__(0, 1.5), "integers"),
-        (2, lambda d, m: m["sv_coef"].pop(), "disagree in length"),
-        (2, lambda d, m: m["sv_index"].append(0), "disagree in length"),
-        (2, lambda d, m: m["sv_coef"].__setitem__(0, 0.0), "zero coefficient"),
-        (2, lambda d, m: d["support_vectors"][0].append(1.0), "malformed"),
-        (2, lambda d, m: d["support_vectors"][0].pop(), "malformed"),
-        (2, lambda d, m: m.__setitem__("stop", "done"), "stop reason"),
-    ], ids=["label-2", "label-0", "short-alpha", "long-idx", "short-rows", "ragged-rows",
-            "v2-index-past-table", "v2-negative-index", "v2-float-index", "v2-short-coef",
-            "v2-long-index", "v2-zero-coef", "v2-ragged-rows-long", "v2-ragged-rows-short",
-            "v2-unknown-stop"])
+    @pytest.mark.parametrize("svm_bank", SVM_BANKS)
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d, m: m["sv_index"].__setitem__(0, len(d["support_vectors"])), "outside"),
+        (lambda d, m: m["sv_index"].__setitem__(0, -1), "outside"),
+        (lambda d, m: m["sv_index"].__setitem__(0, 1.5), "integers"),
+        (lambda d, m: m["sv_coef"].pop(), "disagree in length"),
+        (lambda d, m: m["sv_index"].append(0), "disagree in length"),
+        (lambda d, m: m["sv_coef"].__setitem__(0, 0.0), "zero coefficient"),
+        (lambda d, m: m.__setitem__("stop", "done"), "stop reason 'done'"),
+        (lambda d, m: m.__setitem__("stop", None), "stop reason None"),
+    ], ids=["index-past-table", "negative-index", "float-index", "short-coef",
+            "long-index", "zero-coef", "unknown-stop", "null-stop"])
     def test_inconsistent_support_vectors_rejected(self, tmp_path, three_class_pipeline,
-                                                   version, edit, match):
-        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
-        edit(doc, doc["one_vs_all"][1])
+                                                   edit, match, svm_bank):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        edit(doc, svm_entry(doc, svm_bank))
         assert_rejected(edited(mp, doc), bank, match)
 
-    @pytest.mark.parametrize("version, edit, field", [
-        (1, lambda d: d["classes"].__setitem__(1, 2.5), "classes"),
-        (2, lambda d: d["classes"].__setitem__(1, 2.5), "classes"),
-        (1, lambda d: d["one_vs_all"][0]["sv_labels"].__setitem__(0, 0.5), "sv_labels"),
-        (1, lambda d: d["one_vs_all"][0]["sv_idx"].__setitem__(0, 1.5), "sv_idx"),
-        (1, lambda d: d["pairwise"][2].__setitem__("a", 1.5), "a"),
-        (2, lambda d: d["pairwise"][2].__setitem__("a", 1.5), "a"),
-        (1, lambda d: d["pairwise"][0].__setitem__("b", 1.0), "b"),
-        (2, lambda d: d["pairwise"][0].__setitem__("b", "1"), "b"),
-        (2, lambda d: d["pairwise"][0].__setitem__("b", [1]), "b"),
-        (2, lambda d: d["classes"].__setitem__(0, True), "classes"),
-    ], ids=["v1-classes", "v2-classes", "v1-label", "v1-idx", "v1-a", "v2-a",
-            "v1-b-float", "v2-b-string", "v2-b-list", "v2-classes-boolean"])
-    def test_non_integers_rejected(self, tmp_path, three_class_pipeline, version, edit, field):
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[0].append(1.0), lambda rows: rows[0].pop()], ids=["long", "short"])
+    def test_ragged_support_table_rejected(self, tmp_path, three_class_pipeline, edit):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        edit(doc["support_vectors"])
+        assert_rejected(edited(mp, doc), bank, "malformed")
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["classes"].__setitem__(1, 2.5), "classes"),
+        (lambda d: d["pairwise"][2].__setitem__("a", 1.5), "a"),
+        (lambda d: d["pairwise"][0].__setitem__("b", "1"), "b"),
+        (lambda d: d["pairwise"][0].__setitem__("b", [1]), "b"),
+        (lambda d: d["classes"].__setitem__(0, True), "classes"),
+    ], ids=["classes", "a", "b-string", "b-list", "classes-boolean"])
+    def test_non_integers_rejected(self, tmp_path, three_class_pipeline, edit, field):
         # int() and an int64 cast would read 2.5 as 2 and 1.5 as 1
-        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
         edit(doc)
         assert_rejected(edited(mp, doc), bank, f"field '{field}' must hold integers")
 
     @pytest.mark.parametrize("bad", ["1.5", True], ids=["string", "boolean"])
-    @pytest.mark.parametrize("version, edit, field", [
-        (1, lambda d, m, v: m.__setitem__("bias", v), "bias"),
-        (2, lambda d, m, v: m.__setitem__("bias", v), "bias"),
-        (2, lambda d, m, v: m.__setitem__("C", v), "C"),
-        (2, lambda d, m, v: m.__setitem__("box", v), "box"),
-        (2, lambda d, m, v: m.__setitem__("objective", v), "objective"),
-        (1, lambda d, m, v: m.__setitem__("sigma_k", v), "sigma_k"),
-        (2, lambda d, m, v: d.__setitem__("sigma_k", v), "sigma_k"),
-        (1, lambda d, m, v: m["sv_alpha"].__setitem__(0, v), "sv_alpha"),
-        (2, lambda d, m, v: m["sv_coef"].__setitem__(0, v), "sv_coef"),
-        (1, lambda d, m, v: m["sv_rows"][-1].__setitem__(1, v), "sv_rows"),
-        (2, lambda d, m, v: d["support_vectors"][-1].__setitem__(1, v), "support_vectors"),
-        (2, lambda d, m, v: d["platt"][1].__setitem__("A", v), "A"),
-        (2, lambda d, m, v: d["platt"][1].__setitem__("B", v), "B"),
-        (2, lambda d, m, v: d["transitions"]["M"][1].__setitem__(2, v), "M"),
-        (2, lambda d, m, v: d["transitions"]["prior"].__setitem__(0, v), "prior"),
-    ], ids=["v1-bias", "v2-bias", "C", "box", "objective", "v1-sigma_k", "v2-sigma_k",
-            "v1-sv_alpha", "v2-sv_coef", "v1-sv_rows", "v2-support_vectors", "platt-A",
-            "platt-B", "transitions-M", "prior"])
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d, v: d.__setitem__("sigma_k", v), "sigma_k"),
+        (lambda d, v: d["support_vectors"][-1].__setitem__(1, v), "support_vectors"),
+        (lambda d, v: d["platt"][1].__setitem__("A", v), "A"),
+        (lambda d, v: d["platt"][1].__setitem__("B", v), "B"),
+        (lambda d, v: d["transitions"]["M"][1].__setitem__(2, v), "M"),
+        (lambda d, v: d["transitions"]["prior"].__setitem__(0, v), "prior"),
+    ], ids=["sigma_k", "support_vectors", "platt-A", "platt-B", "transitions-M", "prior"])
     def test_float_fields_take_numbers_only(self, tmp_path, three_class_pipeline,
-                                            version, edit, field, bad):
+                                            edit, field, bad):
         """A float field holds JSON numbers: a cast would parse a string and read
         a boolean, alone or among numbers, as 0 or 1."""
-        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
-        edit(doc, doc["pairwise"][1]["model"], bad)
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        edit(doc, bad)
+        assert_rejected(edited(mp, doc), bank, f"field '{field}' must hold numbers")
+
+    @pytest.mark.parametrize("svm_bank", SVM_BANKS)
+    @pytest.mark.parametrize("bad", ["1.5", True], ids=["string", "boolean"])
+    @pytest.mark.parametrize("field", ["bias", "C", "box", "objective", "sv_coef"])
+    def test_svm_float_fields_take_numbers_only(self, tmp_path, three_class_pipeline,
+                                                field, bad, svm_bank):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        model = svm_entry(doc, svm_bank)
+        if field == "sv_coef":
+            model[field][0] = bad
+        else:
+            model[field] = bad
         assert_rejected(edited(mp, doc), bank, f"field '{field}' must hold numbers")
 
     @pytest.mark.parametrize("coeffs", [["1", "2"], [True, 2.0], [1.0, None], "1.0"],
@@ -620,25 +623,23 @@ class TestModelRoundTrip:
 
     @pytest.mark.parametrize("field", ["f", "d", "n0"])
     def test_filter_non_integers_rejected(self, tmp_path, field):
-        doc = json.loads((V1_FIXTURES / "three_class" / "filter.json").read_text())
-        doc[field] += 0.5
         path = tmp_path / "filter.json"
+        save_filter(path, make_average_filter(3, 1, 2))
+        doc = json.loads(path.read_text())
+        doc[field] += 0.5
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match=f"field '{field}' must hold integers"):
             load_filter(path)
 
     def test_model_without_support_vectors_loads(self, tmp_path, three_class_pipeline, rng):
         Xf = rng.normal(size=(5, 2))
-        for version, keys in ((1, ("sv_idx", "sv_labels", "sv_alpha", "sv_rows")),
-                              (2, ("sv_index", "sv_coef"))):
-            mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
-            ova = doc["one_vs_all"][0]
-            for key in keys:
-                ova[key] = []
-            model = load_model(edited(mp, doc), bank).model.one_vs_all[0]
-            assert_array_equal(decision_scores(model, Xf), np.full(5, ova["bias"]))
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        ova = doc["one_vs_all"][0]
+        ova["sv_index"], ova["sv_coef"] = [], []
+        model = load_model(edited(mp, doc), bank).model.one_vs_all[0]
+        assert_array_equal(decision_scores(model, Xf), np.full(5, ova["bias"]))
         # no model with a support vector: an empty table
-        mp, doc, bank = model_file(2, tmp_path, three_class_pipeline)
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
         doc["support_vectors"] = []
         for entry in [e["model"] for e in doc["pairwise"]] + doc["one_vs_all"]:
             entry["sv_index"], entry["sv_coef"] = [], []
@@ -646,35 +647,35 @@ class TestModelRoundTrip:
         assert_array_equal(bank_scores(mc.one_vs_all, Xf),
                            np.tile([e["bias"] for e in doc["one_vs_all"]], (5, 1)))
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("field", [
-        "bias", "C", "box", "coef", "row", "platt-A", "platt-B", "sigma_k"])
-    def test_non_finite_numbers_rejected(self, tmp_path, three_class_pipeline,
-                                         version, value, field):
-        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
-        model = doc["pairwise"][1]["model"]
-        if field in ("bias", "C", "box"):
-            model[field] = value
-        elif field == "coef":
-            model["sv_alpha" if version == 1 else "sv_coef"][0] = value
-        elif field == "row":
-            rows = model["sv_rows"] if version == 1 else doc["support_vectors"]
-            rows[-1][0] = value
+    @pytest.mark.parametrize("field", ["row", "platt-A", "platt-B", "sigma_k"])
+    def test_non_finite_numbers_rejected(self, tmp_path, three_class_pipeline, value, field):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        if field == "row":
+            doc["support_vectors"][-1][0] = value
         elif field == "sigma_k":
-            (model if version == 1 else doc)["sigma_k"] = value
+            doc["sigma_k"] = value
         else:
             doc["platt"][2][field[-1]] = value
         assert_rejected(edited(mp, doc), bank, "non-finite|sigma_k")
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("svm_bank", SVM_BANKS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["bias", "C", "box", "objective", "sv_coef"])
+    def test_svm_non_finite_numbers_rejected(self, tmp_path, three_class_pipeline,
+                                             value, field, svm_bank):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        model = svm_entry(doc, svm_bank)
+        if field == "sv_coef":
+            model[field][0] = value
+        else:
+            model[field] = value
+        assert_rejected(edited(mp, doc), bank, f"non-finite value in field '{field}'")
+
     @pytest.mark.parametrize("value", [1e-300, 1e200])
-    def test_bandwidth_out_of_range_rejected(self, tmp_path, three_class_pipeline,
-                                             version, value):
-        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
-        for entry in [e["model"] for e in doc["pairwise"]] + doc["one_vs_all"] \
-                if version == 1 else [doc]:
-            entry["sigma_k"] = value
+    def test_bandwidth_out_of_range_rejected(self, tmp_path, three_class_pipeline, value):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
+        doc["sigma_k"] = value
         assert_rejected(edited(mp, doc), bank, re.escape(f"sigma_k={value!r}"))
 
     @pytest.mark.parametrize("field", ["bias", "platt"])
@@ -689,7 +690,6 @@ class TestModelRoundTrip:
             save_model(mp, pipe)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("edit, match", [
         (lambda d: d["pairwise"].pop(1), "pairwise models"),
         (lambda d: d["pairwise"][2].__setitem__("b", 5), "pairwise models"),
@@ -700,17 +700,10 @@ class TestModelRoundTrip:
         (lambda d: d["classes"].reverse(), "ascending"),
     ], ids=["missing-pair", "pair-index-5", "repeated-pair", "short-one-vs-all",
             "short-platt", "short-classes", "descending-classes"])
-    def test_banks_must_match_the_classes(self, tmp_path, three_class_pipeline,
-                                          version, edit, match):
-        mp, doc, bank = model_file(version, tmp_path, three_class_pipeline)
+    def test_banks_must_match_the_classes(self, tmp_path, three_class_pipeline, edit, match):
+        mp, doc, bank = model_file(tmp_path, three_class_pipeline)
         edit(doc)
         assert_rejected(edited(mp, doc), bank, match)
-
-    def test_mixed_kernel_bandwidths_rejected(self, tmp_path):
-        # only a version-1 file stores a bandwidth per model
-        mp, doc, bank = model_file(1, tmp_path, None)
-        doc["pairwise"][0]["model"]["sigma_k"] *= 2.0
-        assert_rejected(edited(mp, doc), bank, "sigma_k")
 
     @pytest.mark.parametrize("method, nbtot, n_classes", [
         ("kf_svm", 2, 2), ("skf_svm", 6, 2), ("avg_svm", 2, 3)],
@@ -942,6 +935,17 @@ class TestCli:
                       "--seeds", 1, "--out-dir", tmp_path / "sweep")
         assert rc == 1
         assert "integer values, got [2.5]" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("option, value, name", [
+        ("--seeds", 0, "seeds"), ("--values", ",", "values"), ("--methods", ",", "methods")])
+    def test_sweep_rejects_an_empty_list(self, tmp_path, capsys, option, value, name):
+        # before any task runs: no task failed
+        argv = {"--values": "1", "--methods": "svm", "--seeds": 1, option: value}
+        rc = self.run("sweep", "--axis", "noise", *(a for kv in argv.items() for a in kv),
+                      "--out-dir", tmp_path / "sweep")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: empty sweep: no {name}\n"
         assert not (tmp_path / "sweep").exists()
 
     def test_sweep_rejects_an_unknown_method(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """The scripts under scripts/ run end to end at tiny sizes."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("svm", "avg_svm", "kf_svm")
@@ -40,6 +43,16 @@ def test_run_benchmark_reports_failed_tasks(tmp_path):
     assert [ln.split(" failed:")[0] for ln in proc.stderr.splitlines()] == \
         [f"{m} seed 0" for m in METHODS]
     assert "method" not in proc.stdout
+
+
+@pytest.mark.parametrize("name, args", [
+    ("run_benchmark.py", ()), ("run_sweeps.py", ("--axes", "noise", "--out-dir", "out"))],
+    ids=["run_benchmark", "run_sweeps"])
+def test_zero_seeds_are_rejected_before_any_task(tmp_path, name, args):
+    proc = run_script(name, "--seeds", "0", *args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith("error: empty sweep: no seeds")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_run_sweeps_writes_its_tables(tmp_path):
@@ -91,3 +104,65 @@ def test_perturb_check_prints_its_summary(tmp_path):
     assert re.fullmatch(r"moved fits: \d+ of 18 \(relative filter change > 1e-09\)", lines[11])
     assert lines[12].startswith("largest relative filter change: ")
     assert lines[13].startswith("largest online test-error change: ")
+
+
+def load_script(name):
+    """A script under scripts/ imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CODE_BUDGET = load_script("code_budget")
+
+SAMPLE_MODULE = '''"""Module
+docstring."""
+
+# a comment
+import os
+
+
+def f():
+    """One line."""
+    return os.sep  # trailing
+'''
+
+
+@pytest.mark.parametrize("source, counts", [
+    ('"""Doc."""\nx = 1\n', (2, 1, 1)),
+    ('class A:\n    """Doc\n    more."""\n    x = 1\n', (4, 2, 2)),
+    ('async def f():\n    """Doc."""\n', (2, 1, 1)),
+    ('def f():\n    def g():\n        """Doc."""\n    return g\n', (4, 3, 1)),
+    ('# c\n\n    # indented\nx = 1  # trailing\n', (4, 1, 0)),
+    ('x = 1\n"""Not a docstring."""\n', (2, 2, 0)),
+    ('"""Doc\n# in the docstring\n"""\n', (3, 0, 3)),
+], ids=["module", "class", "async-function", "nested-function", "comments-and-blanks",
+        "string-after-code", "hash-in-docstring"])
+def test_code_budget_counts_a_construct(tmp_path, source, counts):
+    (tmp_path / "m.py").write_text(source)
+    assert CODE_BUDGET.count(tmp_path / "m.py") == counts
+
+
+def test_code_budget_counts_each_module(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(SAMPLE_MODULE)
+    # a string that is no docstring is code
+    (package / "b.py").write_text('x = """not a\ndocstring"""\n')
+    proc = run_script("code_budget.py", str(package), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["module", "total", "code", "docstring"],
+        ["a.py", "10", "3", "3"],
+        ["b.py", "2", "2", "0"],
+        ["total", "12", "5", "3"],
+    ]
+    # by default the package's own modules, and a total row that sums them
+    proc = run_script("code_budget.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    modules = sorted(path.name for path in (ROOT / "src" / "marginfilter").glob("*.py"))
+    assert [row[0] for row in rows[:-1]] == modules
+    assert rows[-1] == ["total"] + [str(sum(int(row[k]) for row in rows[:-1]))
+                                    for k in (1, 2, 3)]
